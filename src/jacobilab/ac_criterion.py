@@ -7,8 +7,9 @@ admissible-perturbation set is a convergence verdict for
 
     sum_n (<~a(n)^4>^{1/2} + <~b(n)^2>) * ((a(n)+1) * t^E(n))^4
 
-by a decade-ratio test. Everything runs in the log domain so
-exponentially growing orbits never overflow.
+by the shared decade-ratio test (randpert.decade_log_sums and
+randpert.decade_ratios_pass, last three ratios <= 0.9). Everything runs
+in the log domain so exponentially growing orbits never overflow.
 """
 
 from __future__ import annotations
@@ -21,11 +22,15 @@ import numpy as np
 
 from .core import OperatorSpec
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .randpert import PerturbationModel
+from .randpert import (
+    LOG_SAT,
+    PerturbationModel,
+    decade_log_sums,
+    decade_ratios_pass,
+)
 
 TAU_BOUND = 1e3          # boundedness proxy: max_n t^E(n) <= tau_bound
 DECADE_RATIO = 0.9       # convergence verdict threshold on decade sums
-LOG_SAT = 700.0          # beyond this, exp() overflows a double
 
 
 def default_n_grid(j_max: int = 40) -> List[int]:
@@ -123,28 +128,11 @@ def cesaro_scan(spec: OperatorSpec, E: float,
     )
 
 
-def _decade_log_sums(log_terms_by_site: Iterator[Tuple[int, float]],
-                     n_max: int) -> List[float]:
-    """Log of per-decade sums: sites (10^{k-1}, 10^k] up to n_max."""
-    edges = []
-    e = 10
-    while e < n_max:
-        edges.append(e)
-        e *= 10
-    edges.append(n_max)
-    sums = [-math.inf] * len(edges)
-    di = 0
-    for n, lt in log_terms_by_site:
-        while n > edges[di]:
-            di += 1
-        sums[di] = _logaddexp(sums[di], lt)
-    return sums
-
-
 def gamma_membership(spec: OperatorSpec, model: PerturbationModel, E: float,
                      N_max: int = 10 ** 5) -> Tuple[bool, float]:
     """Decade-ratio convergence verdict and the partial sum up to N_max.
 
+    Member when each of the last three decade ratios is <= DECADE_RATIO.
     Requires closed-form per-site moments <~a^4> and <~b^2> from the model.
     """
     if N_max < 100:
@@ -158,26 +146,16 @@ def gamma_membership(spec: OperatorSpec, model: PerturbationModel, E: float,
     if not np.all(np.isfinite(coeff)):
         raise UnsupportedModelError("per-site moments not available in closed form")
 
-    def terms():
-        for n, lt2 in enumerate(log_t2_stream(spec, E, N_max), start=1):
-            c = coeff[n]
-            if c <= 0.0:
-                continue
+    log_terms = np.full(N_max + 1, -math.inf)
+    for n, lt2 in enumerate(log_t2_stream(spec, E, N_max), start=1):
+        c = coeff[n]
+        if c > 0.0:
             la = math.log(spec.a_at(n) + 1.0)
-            yield n, math.log(c) + 4.0 * la + 2.0 * lt2
+            log_terms[n] = math.log(c) + 4.0 * la + 2.0 * lt2
 
-    decades = _decade_log_sums(terms(), N_max)
-    total = -math.inf
-    for d in decades:
-        total = _logaddexp(total, d)
-    partial_sum = math.exp(total) if total <= LOG_SAT else math.inf
-
-    # verdict: the last three decade ratios must each be <= DECADE_RATIO
-    if all(d == -math.inf for d in decades):
+    decades = decade_log_sums(log_terms)
+    total = float(np.logaddexp.reduce(decades))
+    if total == -math.inf:
         return True, 0.0
-    ratios = [0.0 if b == -math.inf
-              else (math.inf if a == -math.inf or b - a > LOG_SAT
-                    else math.exp(b - a))
-              for a, b in zip(decades[:-1], decades[1:])]
-    member = len(ratios) >= 3 and all(r <= DECADE_RATIO for r in ratios[-3:])
-    return member, partial_sum
+    partial_sum = math.exp(total) if total <= LOG_SAT else math.inf
+    return decade_ratios_pass(decades, DECADE_RATIO, 3), partial_sum

@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import InvalidArgumentError, OverflowSiteError
 
-# Entries beyond this are treated as overflow in unscaled products.
+# Entries beyond this are treated as overflow.
 ENTRY_LIMIT = 1e150
 
 DEFAULT_A_MIN = 1e-6
+
+# Floor on the growth proxy (1/L) sum 1/a(n) of a finite truncation.
+GAMMA_GROWTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,21 +116,6 @@ class Mat2:
         return Mat2(float(a[0][0]), float(a[0][1]), float(a[1][0]), float(a[1][1]))
 
 
-@dataclass(frozen=True)
-class ScaledMat2:
-    """A 2x2 matrix together with a scalar log-scale: M_true = e^scale * mat."""
-
-    mat: Mat2
-    log_scale: float
-
-    def log_norm(self) -> float:
-        return math.log(self.mat.norm()) + self.log_scale
-
-    def to_mat2(self) -> Mat2:
-        c = math.exp(self.log_scale)
-        return self.mat.scaled(c)
-
-
 @dataclass
 class OperatorSpec:
     """Generator of the sequences a(n) > 0, b(n) defining the operator.
@@ -154,8 +142,8 @@ class OperatorSpec:
         """(1/L) * sum_{n<=L} 1/a(n): finite-truncation growth proxy."""
         return sum(1.0 / self.a_at(n) for n in range(1, L + 1)) / L
 
-    def growth_check(self, L: int, gamma_growth: float = 1e-3) -> bool:
-        return self.growth_average(L) >= gamma_growth
+    def growth_check(self, L: int) -> bool:
+        return self.growth_average(L) >= GAMMA_GROWTH
 
 
 def free_laplacian(label: str = "free") -> OperatorSpec:
@@ -219,8 +207,7 @@ def transfer_product(spec: OperatorSpec, E: float, n: int,
 
     With return_norms, also returns the list [t(1), ..., t(n)] of spectral
     norms of the partial products. Raises OverflowSiteError when entries
-    leave the representable range; use transfer_product_scaled for
-    exponentially growing orbits.
+    leave the representable range.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
@@ -235,24 +222,6 @@ def transfer_product(spec: OperatorSpec, E: float, n: int,
     if return_norms:
         return T, norms
     return T
-
-
-def transfer_product_scaled(spec: OperatorSpec, E: float, n: int) -> ScaledMat2:
-    """Log-scaled n-step product; norms up to e^1e6 stay representable."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    T = Mat2.identity()
-    log_scale = 0.0
-    for k in range(1, n + 1):
-        T = single_step(E, spec.b(k), spec.a_at(k), spec.a_at(k - 1)) @ T
-        m = T.max_abs()
-        if m > 1e120:
-            T = T.scaled(1.0 / m)
-            log_scale += math.log(m)
-        elif 0.0 < m < 1e-120:
-            T = T.scaled(1.0 / m)
-            log_scale += math.log(m)
-    return ScaledMat2(T, log_scale)
 
 
 def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:

@@ -24,10 +24,6 @@ class UnsupportedModelError(ValueError):
     """The perturbation model lacks a required closed-form ingredient."""
 
 
-class ContractViolationError(ValueError):
-    """A caller-supplied object breaks a structural contract."""
-
-
 class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree.
 

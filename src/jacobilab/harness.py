@@ -29,9 +29,11 @@ from .ac_criterion import cesaro_scan, default_n_grid, gamma_membership
 from .core import OperatorSpec, constant_spec, free_laplacian
 from .errors import (
     DivergentSeriesError,
+    InsufficientDataError,
     InternalConsistencyError,
     InvalidArgumentError,
     OverflowSiteError,
+    UnsupportedModelError,
 )
 from .randpert import (
     PerturbationModel,
@@ -326,9 +328,18 @@ _CELL_COLUMNS = {
 }
 
 
-def _cell_star(args: Tuple[str, float]) -> Tuple[float, Dict[str, Any]]:
-    cfg_json, E = args
-    return E, _cell(json.loads(cfg_json), E)
+def _guarded_cell(config: Dict[str, Any], E: float
+                  ) -> Tuple[float, Optional[Dict[str, Any]], Optional[str]]:
+    """(E, cell, None) on success, (E, None, failure text) on failure.
+
+    The text is formatted in the process that ran the cell: an exception
+    pickled back from a pool worker is rebuilt from its args alone and can
+    lose its message (OverflowSiteError does).
+    """
+    try:
+        return E, _cell(config, E), None
+    except Exception as exc:  # cell marked failed
+        return E, None, f"E={E}: {exc!r}"
 
 
 def run(config: Dict[str, Any]) -> EnsembleReport:
@@ -375,21 +386,16 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
         energies = energy_grid(config)
         workers = config["workers"]
         if workers == 1:
-            results = [(E, _cell(config, E)) for E in energies]
+            results = [_guarded_cell(config, E) for E in energies]
         else:
-            cfg_json = json.dumps(config)
-            results = []
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futs = {pool.submit(_cell_star, (cfg_json, E)): E
-                        for E in energies}
-                for fut in concurrent.futures.as_completed(futs):
-                    E = futs[fut]
-                    try:
-                        results.append(fut.result())
-                    except Exception as exc:  # cell marked failed
-                        report.failures.append(f"E={E}: {exc!r}")
-        # deterministic reduction: sort by energy regardless of arrival order
-        for E, cell in sorted(results, key=lambda t: t[0]):
+                results = list(pool.map(_guarded_cell,
+                                        [config] * len(energies), energies))
+        # deterministic reduction: sort by energy regardless of worker count
+        for E, cell, failure in sorted(results, key=lambda t: t[0]):
+            if failure is not None:
+                report.failures.append(failure)
+                continue
             report.rows.extend(cell["rows"])
             report.traces.update(cell["traces"])
         report.summary["n_cells"] = len(energies)
@@ -422,8 +428,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit(report: EnsembleReport, out_dir: str,
-         formats: Sequence[str] = ("csv", "json-summary", "plotdata")) -> List[str]:
+def emit(report: EnsembleReport, out_dir: str) -> List[str]:
     """Write CSV / summary / plotdata files; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -433,32 +438,29 @@ def emit(report: EnsembleReport, out_dir: str,
               f"# config_hash: {chash}\n"
               f"# version: {report.provenance['version']}\n")
     written = []
-    if "csv" in formats:
-        lines = [header + ",".join(report.columns)]
-        for row in report.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        path = os.path.join(out_dir, f"{report.experiment}.csv")
+    lines = [header + ",".join(report.columns)]
+    for row in report.rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    path = os.path.join(out_dir, f"{report.experiment}.csv")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    written.append(path)
+    payload = {"experiment": report.experiment,
+               "config_hash": chash,
+               "version": report.provenance["version"],
+               "summary": report.summary,
+               "failures": report.failures,
+               "provenance": report.provenance}
+    path = os.path.join(out_dir, "summary.json")
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2,
+                                   default=_fmt) + "\n")
+    written.append(path)
+    for name, trace in sorted(report.traces.items()):
+        lines = [header.rstrip()]
+        for x, y in trace:
+            lines.append(f"{_fmt(float(x))} {_fmt(float(y))}")
+        path = os.path.join(out_dir, f"trace_{name}.dat")
         _atomic_write(path, "\n".join(lines) + "\n")
         written.append(path)
-    if "json-summary" in formats:
-        payload = {"experiment": report.experiment,
-                   "config_hash": chash,
-                   "version": report.provenance["version"],
-                   "summary": report.summary,
-                   "failures": report.failures,
-                   "provenance": report.provenance}
-        path = os.path.join(out_dir, "summary.json")
-        _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2,
-                                       default=_fmt) + "\n")
-        written.append(path)
-    if "plotdata" in formats:
-        for name, trace in sorted(report.traces.items()):
-            lines = [header.rstrip()]
-            for x, y in trace:
-                lines.append(f"{_fmt(float(x))} {_fmt(float(y))}")
-            path = os.path.join(out_dir, f"trace_{name}.dat")
-            _atomic_write(path, "\n".join(lines) + "\n")
-            written.append(path)
     # provenance copy of the materialized config
     path = os.path.join(out_dir, "config.json")
     _atomic_write(path, json.dumps(report.provenance["config"],
@@ -508,8 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         report = run(config)
-    except (InternalConsistencyError, OverflowSiteError,
-            DivergentSeriesError, InvalidArgumentError) as exc:
+    except (InternalConsistencyError, OverflowSiteError, DivergentSeriesError,
+            InvalidArgumentError, UnsupportedModelError,
+            InsufficientDataError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     paths = emit(report, config["output"])

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import Mat2, OperatorSpec
 from .errors import (
-    ContractViolationError,
     DivergentSeriesError,
     InvalidArgumentError,
     UnsupportedModelError,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+LOG_SAT = 700.0          # beyond this, exp() overflows a double
 
 
 def _phi(x: float) -> float:
@@ -312,6 +312,48 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
 
 
 # ---------------------------------------------------------------------------
+# decade-ratio convergence test
+# ---------------------------------------------------------------------------
+
+def decade_log_sums(log_terms: np.ndarray) -> List[float]:
+    """Log of the sum over each decade of sites up to n_max.
+
+    Decade k = 1, 2, ... holds the sites (10^(k-1), 10^k] ∩ [1, n_max],
+    the first one [1, 10]. log_terms[n] is the log of the term at site n
+    for n = 0..n_max (entry 0 unused, -inf for a zero term); a decade of
+    zero terms only is empty and has log sum -inf.
+    """
+    log_terms = np.asarray(log_terms, dtype=float)
+    n_max = len(log_terms) - 1
+    sums = []
+    lo, hi = 1, 10
+    while lo <= n_max:
+        decade = log_terms[lo:min(hi, n_max) + 1]
+        sums.append(float(np.logaddexp.reduce(decade)))
+        lo, hi = hi + 1, hi * 10
+    return sums
+
+
+def decade_ratios_pass(log_sums: Sequence[float], threshold: float,
+                       window: int) -> bool:
+    """True when there are >= window decade ratios and the last window are
+    each <= threshold.
+
+    A ratio is 0 when its later decade is empty and inf when only its
+    earlier decade is empty.
+    """
+    if len(log_sums) <= window:
+        return False
+    tail = log_sums[len(log_sums) - window - 1:]
+    for a, b in zip(tail[:-1], tail[1:]):
+        if b == -math.inf:
+            continue
+        if a == -math.inf or b - a > LOG_SAT or math.exp(b - a) > threshold:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # almost-sure convergence of weighted random series (tail statistics)
 # ---------------------------------------------------------------------------
 
@@ -340,35 +382,28 @@ def _weight_array(weights, n_max: int) -> np.ndarray:
 
 def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
                              trials: int = 10 ** 4, n_max: int = 10 ** 4,
-                             seed: int = 0,
-                             n_checkpoints: int = 12) -> SeriesReport:
+                             seed: int = 0) -> SeriesReport:
     """Monte Carlo tail statistics for S = sum b~(n) w(n).
 
-    Requires the closed-form variance series to pass a decade-ratio test;
-    reports per-checkpoint sup-tail quantiles and the second moment of the
-    tail sum from n_tail, against the closed-form variance bound.
+    Requires the closed-form variance series to pass the decade-ratio test
+    (last ratio <= 0.95 over full decades); reports per-checkpoint sup-tail
+    quantiles and the second moment of the tail sum from n_tail, against
+    the closed-form variance bound.
     """
     dist = model.b_dist
     w = _weight_array(weights, n_max)
     var = dist.moments_array(2, n_max) * w ** 2
-    # decade-ratio convergence gate on the variance series
-    edges = [10 ** k for k in range(1, int(math.log10(n_max)) + 1)]
-    decade_sums = []
-    lo = 1
-    for e in edges:
-        decade_sums.append(var[lo:e + 1].sum())
-        lo = e + 1
-    if len(decade_sums) >= 2 and decade_sums[-2] > 0:
-        if decade_sums[-1] > 0.95 * decade_sums[-2]:
-            raise DivergentSeriesError(
-                "variance series fails the decade-ratio test: "
-                f"decade sums {decade_sums}"
-            )
+    full = var[:10 ** int(math.log10(n_max)) + 1]  # full decades only
+    with np.errstate(divide="ignore"):
+        log_sums = decade_log_sums(np.log(full))
+    if len(log_sums) >= 2 and not decade_ratios_pass(log_sums, 0.95, 1):
+        raise DivergentSeriesError(
+            "variance series fails the decade-ratio test: "
+            f"decade sums {np.exp(log_sums).tolist()}"
+        )
     variance_bound = float(var.sum())
 
-    checkpoints = np.unique(
-        np.geomspace(10, n_max, n_checkpoints).astype(int)
-    )
+    checkpoints = np.unique(np.geomspace(10, n_max, 12).astype(int))
     sups = np.empty((trials, len(checkpoints)))
     tail_sq = np.empty(trials)
     sites = np.arange(n_max + 1, dtype=float)

@@ -7,7 +7,9 @@ asymptotics of the boundary pair: membership holds when
 sum r(n) <~b(n)^2> converges for some eta~ > eta = (1 - beta) / beta.
 The stability experiment then builds perturbed solutions per seed and
 tracks the L-norm ratio traces toward 1, plus the power-law sandwich on
-the unperturbed pair.
+the unperturbed pair. Membership uses the shared decade-ratio test
+(randpert.decade_log_sums and randpert.decade_ratios_pass, last two
+ratios <= 0.9).
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ import numpy as np
 
 from .core import OperatorSpec, Trajectory
 from .errors import InvalidArgumentError
-from .randpert import PerturbationModel, sample
+from .randpert import (
+    PerturbationModel,
+    decade_log_sums,
+    decade_ratios_pass,
+    sample,
+)
 from .subordinacy import (
-    SubordinacyResult,
     default_l_grid,
     detect_subordinate,
     fitted_growth_exponent,
@@ -35,6 +41,7 @@ ETA_GRID_POINTS = 16
 ETA_GRID_SPAN = 2.0
 RATIO_BAND = (0.8, 1.25)
 DECADE_RATIO = 0.9
+SANDWICH_EPS = 0.1
 
 
 @dataclass
@@ -77,65 +84,47 @@ def default_eta_grid(eta: float) -> np.ndarray:
     return np.geomspace(eta + 0.01, eta + ETA_GRID_SPAN, ETA_GRID_POINTS)
 
 
-def _decade_sums(terms: np.ndarray) -> List[float]:
-    n_max = len(terms) - 1
-    out = []
-    lo, hi = 1, 10
-    while lo <= n_max:
-        out.append(float(terms[lo:min(hi, n_max) + 1].sum()))
-        lo, hi = hi + 1, hi * 10
-    return out
-
-
 def lambda_membership(phi1: Trajectory, phi2: Trajectory, eta: float,
-                      model: PerturbationModel,
-                      eta_grid: Optional[Sequence[float]] = None,
-                      n_max: Optional[int] = None
-                      ) -> Tuple[bool, float, float]:
+                      model: PerturbationModel) -> Tuple[bool, float, float]:
     """Scan eta~ > eta for a convergent sum r_eta~(n) <~b(n)^2>.
 
+    Convergent means the last two decade ratios are each <= DECADE_RATIO.
     Returns (member, chosen eta~, partial sum at the chosen eta~). With
     no admissible grid point, the reported values are for the smallest
     grid eta~ (the least divergent sum by monotonicity of r in eta~).
     """
-    if eta_grid is None:
-        eta_grid = default_eta_grid(eta)
-    if n_max is None:
-        n_max = min(phi1.n_max, phi2.n_max)
+    eta_grid = default_eta_grid(eta)
+    n_max = min(phi1.n_max, phi2.n_max)
     b2 = model.b_dist.moments_array(2, n_max)
-    for et in sorted(eta_grid):
-        if et <= eta:
+    for et in eta_grid:
+        if et <= eta:  # eta + 0.01 rounds to eta only for huge eta
             continue
         terms = r_sequence(phi1, phi2, et, n_max) * b2
-        sums = _decade_sums(terms)
-        ratios = [b / a for a, b in zip(sums[:-1], sums[1:]) if a > 0.0]
-        if len(ratios) >= 2 and all(r <= DECADE_RATIO for r in ratios[-2:]):
+        with np.errstate(divide="ignore"):
+            log_sums = decade_log_sums(np.log(terms))
+        if decade_ratios_pass(log_sums, DECADE_RATIO, 2):
             return True, float(et), float(terms.sum())
-        if np.all(terms == 0.0):
-            return True, float(et), 0.0
-    et0 = float(sorted(eta_grid)[0])
+    et0 = float(eta_grid[0])
     terms = r_sequence(phi1, phi2, et0, n_max) * b2
     return False, et0, float(terms.sum())
 
 
 def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
                          seeds: Sequence[int] = range(100),
-                         L_grid: Optional[np.ndarray] = None,
-                         eps: float = 0.1,
-                         subordinacy: Optional[SubordinacyResult] = None
+                         L_grid: Optional[np.ndarray] = None
                          ) -> SingularEnergyReport:
     """Per-seed perturbed-pair L-norm ratios plus the exponent sandwich.
 
-    The unperturbed boundary pair is found by the subordinacy scan (or
-    passed in); requires a subordinate solution with beta > 0. The
-    sandwich is 1 - 1/(2 beta) - eps <= exp1 <= 1/2 + eps and
-    1/2 - eps <= exp2 <= 1/(2 beta) + eps on fitted L-norm exponents.
+    The unperturbed boundary pair is found by the subordinacy scan;
+    requires a subordinate solution with beta > 0. The sandwich is
+    1 - 1/(2 beta) - eps <= exp1 <= 1/2 + eps and
+    1/2 - eps <= exp2 <= 1/(2 beta) + eps on fitted L-norm exponents,
+    with slack eps = SANDWICH_EPS.
     """
     if L_grid is None:
         L_grid = default_l_grid(l_max=1e3, decades=3)
     L_grid = np.sort(np.asarray(L_grid, dtype=float))
-    if subordinacy is None:
-        subordinacy = detect_subordinate(spec, E, L_grid=L_grid)
+    subordinacy = detect_subordinate(spec, E, L_grid=L_grid)
     if subordinacy.beta <= 0.0 or subordinacy.eta is None:
         raise InvalidArgumentError(
             f"no candidate solution with beta > 0 at E = {E}"
@@ -155,6 +144,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     logn2 = np.array([math.log(l_norm(phi2, L)) for L in L_grid])
     exp1 = fitted_growth_exponent(L_grid, logn1)
     exp2 = fitted_growth_exponent(L_grid, logn2)
+    eps = SANDWICH_EPS
     sandwich = (1.0 - 1.0 / (2.0 * beta) - eps <= exp1 <= 0.5 + eps
                 and 0.5 - eps <= exp2 <= 1.0 / (2.0 * beta) + eps)
 

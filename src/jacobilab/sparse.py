@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import zeta
 
 from .core import Mat2, OperatorSpec, fast_const_power, single_step
 from .errors import (
+    DivergentSeriesError,
     InsufficientDataError,
     InvalidArgumentError,
     UnsupportedModelError,
@@ -28,6 +30,7 @@ from .subordinacy import solve_pair
 from .variation import neumann_layers, subordinate_generator_array
 
 ENVELOPE_DISCARD = 5      # transient bumps excluded from every fit window
+ANGLE_GRID = 720          # boundary angles scanned before golden section
 SITE_LIMIT = 2 ** 127
 
 
@@ -70,11 +73,6 @@ class EnvelopeFit:
     beta2_hat: float
     residual: float
     window: Tuple[int, int]
-
-    @property
-    def slope(self) -> float:
-        """Central least-squares slope (midpoint of the envelope pair)."""
-        return 0.5 * (self.beta1_hat + self.beta2_hat)
 
 
 def _free_block(E: float) -> Mat2:
@@ -145,7 +143,6 @@ def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
 
 
 def find_subordinate_angle(sspec: SparseSpec, E: float,
-                           resolution: int = 720,
                            blocks: Optional[List[Tuple[Mat2, Mat2]]] = None
                            ) -> float:
     """Boundary angle minimizing the terminal bump amplitude of phi1."""
@@ -161,10 +158,10 @@ def find_subordinate_angle(sspec: SparseSpec, E: float,
             x, y = B.m11 * x + B.m12 * y, B.m21 * x + B.m22 * y
         return amp  # amplitude at the last bump, pre-step
 
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution, endpoint=False)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID, endpoint=False)
     vals = terminal_amp(thetas)
     i0 = int(np.argmin(vals))
-    step = math.pi / resolution
+    step = math.pi / ANGLE_GRID
     lo, hi = thetas[i0] - step, thetas[i0] + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -184,8 +181,8 @@ def find_subordinate_angle(sspec: SparseSpec, E: float,
     return float(min(max(best, -math.pi / 2), math.pi / 2 - 1e-15))
 
 
-def envelope_exponents(bump_sites: Sequence[int], amplitudes: np.ndarray,
-                       discard: int = ENVELOPE_DISCARD) -> EnvelopeFit:
+def envelope_exponents(bump_sites: Sequence[int],
+                       amplitudes: np.ndarray) -> EnvelopeFit:
     """Power-law envelope fit of bump amplitudes (scale-invariant slopes).
 
     beta2_hat is the slope through running-maximum points (upper
@@ -195,10 +192,10 @@ def envelope_exponents(bump_sites: Sequence[int], amplitudes: np.ndarray,
     """
     amps = np.asarray(amplitudes, dtype=float)
     sites = np.array([float(n) for n in bump_sites])
-    if len(amps) - discard < 8:
+    if len(amps) - ENVELOPE_DISCARD < 8:
         raise InsufficientDataError("need >= 8 bump amplitudes past transient")
-    x = np.log(sites[discard:])
-    y = np.log(np.maximum(amps[discard:], 1e-300))
+    x = np.log(sites[ENVELOPE_DISCARD:])
+    y = np.log(np.maximum(amps[ENVELOPE_DISCARD:], 1e-300))
     slope, icept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - slope * x - icept) ** 2)))
 
@@ -213,7 +210,7 @@ def envelope_exponents(bump_sites: Sequence[int], amplitudes: np.ndarray,
     b1 = env_slope(y, upper=False)
     lo, hi = min(b1, b2), max(b1, b2)
     return EnvelopeFit(beta1_hat=lo, beta2_hat=hi, residual=residual,
-                       window=(discard, len(amps) - 1))
+                       window=(ENVELOPE_DISCARD, len(amps) - 1))
 
 
 def s_threshold(beta1: float, beta2: float) -> float:
@@ -297,13 +294,17 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
 
     The amplitude-pair coefficients d^{+-} are computed densely up to
     n_cut and frozen beyond it; the discarded tail is certified by the
-    closed-form weighted variance sum reported as ``tail_bound``. The
+    closed-form weighted variance sum over all n > n_cut, reported as
+    ``tail_bound``; it diverges, and the call raises, for s <= 1/2. The
     perturbed growing solution's envelope exponents are compared with the
     unperturbed fit, and the unperturbed pair's fitted L-norm exponents
     are tested against the beta-sandwich with slack ``eps``.
     """
     if s <= 0.0:
         raise InvalidArgumentError("s must be positive")
+    if s <= 0.5:
+        raise DivergentSeriesError(
+            f"tail certificate sum n^(-2s) diverges for s = {s} <= 1/2")
     blocks = block_matrices(sspec, E)
     theta = find_subordinate_angle(sspec, E, blocks=blocks)
     prop = sparse_propagate(sspec, E, theta, blocks=blocks)
@@ -331,9 +332,9 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         exp_id=f"sparse-s{s}",
     )
     # truncation certificate: sum_{n > n_cut} <~b^2> ||u||_HS^2-style weight
-    nn = np.arange(1, 10 * n_cut + 1, dtype=float)
-    amp_bound = float(np.max(prop.amp2)) ** 4
-    tail_bound = float(np.sum(amp_bound / (3.0 * nn[n_cut:] ** (2.0 * s))))
+    # with <~b(n)^2> = n^(-2s) / 3, summed in closed form (Hurwitz zeta)
+    tail_bound = float(np.max(prop.amp2)) ** 4 / 3.0 * float(
+        zeta(2.0 * s, n_cut + 1))
 
     in_window = [j for j, nj in enumerate(prop.bump_sites) if nj <= n_cut]
     beta1s, beta2s, slopes1 = [], [], []

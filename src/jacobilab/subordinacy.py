@@ -23,10 +23,9 @@ GOLDEN_ITERS = 40
 POINTS_PER_DECADE = 64
 
 
-def default_l_grid(l_max: float = 1e4, decades: int = 4,
-                   per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
+def default_l_grid(l_max: float = 1e4, decades: int = 4) -> np.ndarray:
     return np.geomspace(max(l_max / 10 ** decades, 1.0), l_max,
-                        decades * per_decade + 1)
+                        decades * POINTS_PER_DECADE + 1)
 
 
 def l_norm(f: Trajectory, L: float) -> float:
@@ -197,14 +196,13 @@ def fitted_growth_exponent(L_grid, logn) -> float:
 
 
 def detect_subordinate(spec: OperatorSpec, E: float,
-                       L_grid: Optional[Sequence[float]] = None,
-                       theta_grid_resolution: int = THETA_GRID_DEFAULT,
-                       tau_sub: float = TAU_SUB) -> SubordinacyResult:
+                       L_grid: Optional[Sequence[float]] = None
+                       ) -> SubordinacyResult:
     """Scan boundary angles for a subordinate solution at energy E.
 
     The angle minimizing the terminal L-norm ratio is refined by golden
     section; the result reports theta(E) when the minimal ratio trace is
-    below tau_sub and non-increasing over the last decade.
+    below TAU_SUB and non-increasing over the last decade.
     """
     if L_grid is None:
         L_grid = default_l_grid()
@@ -215,11 +213,11 @@ def detect_subordinate(spec: OperatorSpec, E: float,
         )
     L_max = float(Ls[-1])
 
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, theta_grid_resolution,
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, THETA_GRID_DEFAULT,
                          endpoint=False)
     ratios = _scan_terminal_log_ratio(spec, E, thetas, L_max)
     i0 = int(np.argmin(ratios))
-    step = math.pi / theta_grid_resolution
+    step = math.pi / THETA_GRID_DEFAULT
 
     # golden-section refinement around the grid minimum
     lo = thetas[i0] - step
@@ -252,7 +250,7 @@ def detect_subordinate(spec: OperatorSpec, E: float,
     non_increasing = bool(
         np.all(np.diff(lr_last) <= math.log(1.05))
     )
-    found = terminal <= math.log(tau_sub) and non_increasing
+    found = terminal <= math.log(TAU_SUB) and non_increasing
 
     beta, eta = beta_eta_from_traces(Ls_out, logn1, logn2)
     growth = fitted_growth_exponent(Ls_out, logn1)

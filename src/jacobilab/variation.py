@@ -10,14 +10,18 @@ one-site correction decomposes into V/U/W generator terms.
 
 The d^{+-} amplitude pairs are built by summing Neumann layers of tail
 sums (truncated at a certified site), giving perturbed solutions
-psi_i = d_1 phi_1 + d_2 phi_2 with prescribed behavior at infinity.
+psi_i = d_1 phi_1 + d_2 phi_2 with prescribed behavior at infinity. One
+layer iteration serves both the single-realization sum and the seed
+ensemble; the decay condition uses the shared decade-ratio test
+(randpert.decade_log_sums and randpert.decade_ratios_pass, last ratio
+<= 0.95).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +32,20 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .randpert import PerturbationModel, Realization, sample
+from .randpert import (
+    PerturbationModel,
+    Realization,
+    decade_log_sums,
+    decade_ratios_pass,
+    sample,
+)
 from .subordinacy import l_norm, solve_pair
 
 K_MAX_DEFAULT = 12
 LAYER_STOP = 1e-12      # early stop when a sampled layer norm falls below this
+CORRECTION_TOL = 1e-10  # relative disagreement allowed between D(n) paths
+RESIDUAL_TOL = 1e-9     # relative recursion residual of perturbed solutions
+SEED_CHUNK = 50         # realizations propagated together
 E12 = Mat2(0.0, 1.0, 0.0, 0.0)
 DIAG_PM = Mat2(1.0, 0.0, 0.0, -1.0)
 DIAG_01 = Mat2(0.0, 0.0, 0.0, 1.0)
@@ -85,15 +98,6 @@ def k_conjugate(spec: OperatorSpec, realization: Realization, E: float,
     if alpha <= 0.0:
         raise InvalidArgumentError(f"a+~a not positive at site {n}")
     return Mat2((E - spec.b(n) - bt[n]) / alpha, -1.0 / alpha, alpha, 0.0)
-
-
-def k_transfer(spec: OperatorSpec, realization: Realization, E: float,
-               n: int) -> Mat2:
-    """T~(n) = S~(n) ... S~(1) = K(n) T_w(n)."""
-    T = Mat2.identity()
-    for m in range(1, n + 1):
-        T = k_conjugate(spec, realization, E, m) @ T
-    return T
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +166,14 @@ def _transfer_sequence(spec: OperatorSpec, E: float, n_max: int) -> List[Mat2]:
 
 
 def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
-                         n_max: int, mode: str = "schrodinger-diagonal",
-                         tol: float = 1e-10) -> List[CorrectionState]:
+                         n_max: int, mode: str = "schrodinger-diagonal"
+                         ) -> List[CorrectionState]:
     """D(n) for n = 0..n_max, computed two independent ways.
 
     Path (i) is definitional: D(n) = T_0(n)^{-1} T_w(n) (conjugated
     variants in general mode). Path (ii) applies the one-site recursion
-    factors. Disagreement beyond ``tol`` (relative, scaled by the factor
-    conditioning) raises with the offending site.
+    factors. Disagreement beyond ``CORRECTION_TOL`` (relative, scaled by
+    the factor conditioning) raises with the offending site.
     """
     if mode not in ("schrodinger-diagonal", "general-jacobi-conjugated"):
         raise InvalidArgumentError(f"unknown mode {mode}")
@@ -193,7 +197,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
             D = D.sub(u.scaled(bt[n]) @ D)
             D_def = T0[n].inv_unimodular() @ Tw[n]
             scale = max(1.0, D.max_abs()) * max(1.0, T0[n].max_abs() ** 2)
-            if (D.sub(D_def)).max_abs() > tol * scale:
+            if (D.sub(D_def)).max_abs() > CORRECTION_TOL * scale:
                 raise InternalConsistencyError(
                     f"correction paths disagree at site {n}", site=n)
             states.append(CorrectionState(D, n, mode))
@@ -221,7 +225,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
         D = factor.inv_unimodular() @ D
         D_def = Tt0[n].inv_unimodular() @ Ttw[n]
         scale = max(1.0, D.max_abs()) * max(1.0, Tt0[n].max_abs() ** 2)
-        if (D.sub(D_def)).max_abs() > tol * scale:
+        if (D.sub(D_def)).max_abs() > CORRECTION_TOL * scale:
             raise InternalConsistencyError(
                 f"correction paths disagree at site {n}", site=n)
         states.append(CorrectionState(D, n, mode))
@@ -229,8 +233,8 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
 
 
 def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
-                        seeds: Sequence[int], checkpoints: Sequence[int],
-                        chunk: int = 50) -> np.ndarray:
+                        seeds: Sequence[int], checkpoints: Sequence[int]
+                        ) -> np.ndarray:
     """D snapshots, shape (len(seeds), len(checkpoints), 2, 2).
 
     Vectorized over realizations; diagonal (Schrodinger) mode only, using
@@ -240,8 +244,8 @@ def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
     n_max = checkpoints[-1]
     u_arr = diagonal_generator_array(spec, E, n_max)
     out = np.empty((len(seeds), len(checkpoints), 2, 2))
-    for lo in range(0, len(seeds), chunk):
-        batch = seeds[lo:lo + chunk]
+    for lo in range(0, len(seeds), SEED_CHUNK):
+        batch = seeds[lo:lo + SEED_CHUNK]
         bt = np.stack([sample(model, s, n_max).b_tilde for s in batch])
         D = np.broadcast_to(np.eye(2), (len(batch), 2, 2)).copy()
         ci = 0
@@ -259,35 +263,20 @@ def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
 # Neumann layers and amplitude pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AmplitudePair:
-    d1: float
-    d2: float
-    n: int
-    branch: str
-    f_plus_weight: float = 1.0
-
-    @property
-    def weighted_d2(self) -> float:
-        return self.d2 * self.f_plus_weight
-
-
 def decay_condition_check(var_b2: np.ndarray, u_arr: np.ndarray,
                           f_plus: np.ndarray) -> List[float]:
     """Decade sums of <~b^2> (u11^2 + u12^2 + u22^2 + u21^2 f+^2).
 
-    Raises naming the divergent decade if the last ratio exceeds 0.95.
+    Raises naming the divergent decade if the last decade ratio exceeds
+    0.95 (the shared decade-ratio test).
     """
-    n_max = len(var_b2) - 1
     terms = var_b2 * (u_arr[:, 0, 0] ** 2 + u_arr[:, 0, 1] ** 2
                       + u_arr[:, 1, 1] ** 2
                       + u_arr[:, 1, 0] ** 2 * f_plus ** 2)
-    sums = []
-    lo, hi = 1, 10
-    while lo <= n_max:
-        sums.append(float(terms[lo:min(hi, n_max) + 1].sum()))
-        lo, hi = hi + 1, hi * 10
-    if len(sums) >= 2 and sums[-2] > 0 and sums[-1] > 0.95 * sums[-2]:
+    with np.errstate(divide="ignore"):
+        log_sums = decade_log_sums(np.log(terms))
+    sums = np.exp(log_sums).tolist()
+    if len(sums) >= 2 and not decade_ratios_pass(log_sums, 0.95, 1):
         raise DivergentSeriesError(
             f"decay condition fails: decade {len(sums)} sum {sums[-1]:.3e} "
             f"vs previous {sums[-2]:.3e}"
@@ -311,35 +300,46 @@ def n_quarter_site(var_b2: np.ndarray, u_arr: np.ndarray) -> int:
     return int(ok[0])
 
 
+def _neumann_layer_iter(b_tilde: np.ndarray, u_arr: np.ndarray,
+                        n_start: int, branch: str) -> Iterator[np.ndarray]:
+    """Neumann layers d^0, d^1, d^2, ... at sites 0..n_max, zero below n_start.
+
+    Layer 0 is the constant terminal vector (0, 1) for the plus branch and
+    (1, 0) for the minus branch; layer k+1 at site n is the truncated tail
+    sum over j > n of ~b(j) u(j) d^k(j).
+    """
+    n_max = len(b_tilde) - 1
+    bt = b_tilde[n_start:]
+    u = u_arr[n_start:n_max + 1]
+    rows = ((u[:, 0, 0], u[:, 0, 1]), (u[:, 1, 0], u[:, 1, 1]))
+    layer = np.zeros((n_max + 1, 2))
+    layer[n_start:] = (0.0, 1.0) if branch == "plus" else (1.0, 0.0)
+    while True:
+        yield layer
+        x, y = layer[n_start:, 0], layer[n_start:, 1]
+        layer = np.zeros((n_max + 1, 2))
+        for i, (ux, uy) in enumerate(rows):
+            w = bt * (ux * x + uy * y)
+            # suffix sums: layer[n] = sum_{j > n} w[j]
+            layer[n_start:n_max, i] = np.cumsum(w[::-1])[::-1][1:]
+
+
 def neumann_layers(b_tilde: np.ndarray, u_arr: np.ndarray, n_start: int,
                    K_max: int = K_MAX_DEFAULT,
                    branch: str = "plus") -> Tuple[np.ndarray, List[float]]:
     """Sum of Neumann layers d(n) for n = n_start..n_max, one realization.
 
     Returns (d_total indexed by absolute site with entries below n_start
-    zeroed, layer sup-norms over the range). Layer 0 is the constant
-    terminal vector; layer k+1 is the truncated tail sum of ~b u d^k.
+    zeroed, layer sup-norms over the range). Stops after K_max layers or
+    at the first layer whose sup-norm is below LAYER_STOP.
     """
-    n_max = len(b_tilde) - 1
-    d0 = np.array([0.0, 1.0]) if branch == "plus" else np.array([1.0, 0.0])
-    total = np.zeros((n_max + 1, 2))
-    total[n_start:] = d0
-    layer = np.broadcast_to(d0, (n_max + 1, 2)).copy()
-    layer[:n_start] = 0.0
-    sups = [float(np.linalg.norm(d0))]
-    for k in range(1, K_max + 1):
-        w = b_tilde[:, None] * np.einsum("nij,nj->ni", u_arr, layer)
-        w[:n_start] = 0.0
-        # suffix sums: next[n] = sum_{j > n} w[j]
-        suffix = np.zeros((n_max + 2, 2))
-        suffix[:-1] = np.cumsum(w[::-1], axis=0)[::-1]
-        nxt = suffix[1:]
-        layer = nxt.copy()
-        layer[:n_start] = 0.0
-        total[n_start:] += layer[n_start:]
-        sup = float(np.max(np.abs(layer))) if n_max >= n_start else 0.0
-        sups.append(sup)
-        if sup < LAYER_STOP:
+    layers = _neumann_layer_iter(b_tilde, u_arr, n_start, branch)
+    total = next(layers).copy()
+    sups = [1.0]  # the terminal vector is a unit vector
+    for _, layer in zip(range(K_max), layers):
+        total += layer
+        sups.append(float(np.max(np.abs(layer))))
+        if sups[-1] < LAYER_STOP:
             break
     return total, sups
 
@@ -359,10 +359,13 @@ class NeumannReport:
 
 def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
                    f_plus: Callable[[int], float], n_start: int,
-                   K_max: int = K_MAX_DEFAULT, branch: str = "plus",
-                   seeds: Sequence[int] = range(100),
-                   checkpoints: Optional[Sequence[int]] = None) -> NeumannReport:
-    """Ensemble Neumann construction with contraction diagnostics."""
+                   seeds: Sequence[int] = range(100)) -> NeumannReport:
+    """Ensemble Neumann construction (plus branch) with contraction diagnostics.
+
+    Per seed, layers are summed from the probe site up until K_MAX_DEFAULT
+    layers or the first layer whose norm at the probe site is below
+    LAYER_STOP.
+    """
     n_max = len(u_arr) - 1
     var_b2 = model.b_dist.moments_array(2, n_max)
     fp = np.array([f_plus(max(n, 1)) for n in range(n_max + 1)])
@@ -371,30 +374,20 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     decay_condition_check(var_b2, u_arr, fp)
     nq = n_quarter_site(var_b2, u_arr)
     probe = max(n_start, nq)
-    if checkpoints is None:
-        checkpoints = np.unique(np.geomspace(
-            max(probe, 10), n_max, 8).astype(int))
-    checkpoints = np.asarray(checkpoints)
+    checkpoints = np.unique(
+        np.geomspace(max(probe, 10), n_max, 8).astype(int))
 
+    K_max = K_MAX_DEFAULT
     layer_sq = np.full((len(seeds), K_max + 1), np.nan)
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
     for i, s in enumerate(seeds):
         real = sample(model, s, n_max)
-        d0 = np.array([0.0, 1.0]) if branch == "plus" else np.array([1.0, 0.0])
-        layer = np.broadcast_to(d0, (n_max + 1, 2)).copy()
-        layer[:probe] = 0.0
-        total = layer.copy()
-        layer_sq[i, 0] = float(layer[probe] @ layer[probe])
-        for k in range(1, K_max + 1):
-            w = real.b_tilde[:, None] * np.einsum("nij,nj->ni", u_arr, layer)
-            w[:probe] = 0.0
-            suffix = np.zeros((n_max + 2, 2))
-            suffix[:-1] = np.cumsum(w[::-1], axis=0)[::-1]
-            layer = suffix[1:].copy()
-            layer[:probe] = 0.0
+        layers = _neumann_layer_iter(real.b_tilde, u_arr, probe, "plus")
+        total = np.zeros((n_max + 1, 2))
+        for k, layer in zip(range(K_max + 1), layers):
             total += layer
             layer_sq[i, k] = float(layer[probe] @ layer[probe])
-            if math.sqrt(layer_sq[i, k]) < LAYER_STOP:
+            if k > 0 and math.sqrt(layer_sq[i, k]) < LAYER_STOP:
                 break
         d_vals[i] = total[checkpoints]
 
@@ -415,7 +408,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     hs2 = np.einsum("nij,nij->n", u_arr, u_arr)
     tail_var = float((var_b2 * hs2)[checkpoints[-1]:].sum())
     return NeumannReport(
-        branch=branch, n_quarter=nq, probe_site=probe,
+        branch="plus", n_quarter=nq, probe_site=probe,
         layer_moments=moments, layer_moment_se=se,
         checkpoints=checkpoints, d_median=np.median(d_vals, axis=0),
         tail_variance=tail_var, contraction_ok=ok,
@@ -428,9 +421,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 
 def perturbed_solutions(spec: OperatorSpec, realization: Realization, E: float,
                         theta_star: float, n_max: Optional[int] = None,
-                        K_max: int = K_MAX_DEFAULT,
-                        L_grid: Optional[np.ndarray] = None,
-                        residual_tol: float = 1e-9):
+                        L_grid: Optional[np.ndarray] = None):
     """(psi1, psi2, ratios) built from the Neumann amplitude pairs.
 
     psi1 = d-_1 phi1 + d-_2 phi2, psi2 = d+_1 phi1 + d+_2 phi2, with the
@@ -443,9 +434,9 @@ def perturbed_solutions(spec: OperatorSpec, realization: Realization, E: float,
     phi1, phi2 = solve_pair(spec, E, theta_star, n_max)
     u_arr = subordinate_generator_array(phi1, phi2)
     d_minus, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0,
-                                K_max, branch="minus")
+                                branch="minus")
     d_plus, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0,
-                               K_max, branch="plus")
+                               branch="plus")
     psi1_vals = d_minus[:, 0] * phi1.values + d_minus[:, 1] * phi2.values
     psi2_vals = d_plus[:, 0] * phi1.values + d_plus[:, 1] * phi2.values
     pspec = perturbed_spec(spec, realization)
@@ -457,7 +448,7 @@ def perturbed_solutions(spec: OperatorSpec, realization: Realization, E: float,
         scale = float(np.max(np.abs(psi.values))) or 1.0
         for n in range(1, n_max):
             res = psi.residual(pspec, n)
-            if abs(res) > residual_tol * scale:
+            if abs(res) > RESIDUAL_TOL * scale:
                 raise InternalConsistencyError(
                     f"perturbed residual {res} at site {n}", site=n)
     ratios = None

@@ -19,7 +19,6 @@ from jacobilab.core import (
     single_step,
     solve_forward,
     transfer_product,
-    transfer_product_scaled,
 )
 from jacobilab.errors import InvalidArgumentError, OverflowSiteError
 
@@ -141,12 +140,6 @@ def test_transfer_overflow_names_site():
     with pytest.raises(OverflowSiteError) as exc:
         transfer_product(free_laplacian(), 4.0, 10 ** 4)
     assert exc.value.site is not None and exc.value.site < 10 ** 4
-
-
-def test_transfer_scaled_handles_exponential_growth():
-    sm = transfer_product_scaled(free_laplacian(), 3.0, 2000)
-    lam = (3.0 + math.sqrt(5.0)) / 2.0
-    assert sm.log_norm() == pytest.approx(2000 * math.log(lam), rel=1e-3)
 
 
 def test_rational_rotation_finite_order():

@@ -100,6 +100,30 @@ def test_worker_failure_collected():
     assert len(rep.rows) == 2
 
 
+def test_failed_cell_handled_alike_for_any_worker_count(tmp_path):
+    # |E| >= 2 is outside the fast sparse propagation, so that cell fails
+    cfg = write_config(tmp_path, {
+        "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+        "E_grid": [2.5, 0.6], "seeds": {"base": 0, "count": 2},
+        "grids": {"s": 2.0, "n_cut": 1000}})
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        rc = main(["sparse", "--config", cfg, "--workers", str(workers),
+                   "--out", str(out)])
+        assert rc == 4
+        summary = json.loads((out / "summary.json").read_text())
+        outputs.append(((out / "sparse.csv").read_text(),
+                        summary["failures"]))
+    assert outputs[0] == outputs[1]
+    csv, failures = outputs[0]
+    rows = csv.splitlines()[4:]
+    assert len(rows) == 1 and rows[0].startswith("0.6,")
+    assert failures == [
+        "E=2.5: UnsupportedModelError('fast sparse propagation requires "
+        "|E| < 2 (elliptic free blocks)')"]
+
+
 # ---------------------------------------------------------------------------
 # emit
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,6 +17,8 @@ from jacobilab.errors import (
 from jacobilab.randpert import (
     PerturbationModel,
     SiteDistribution,
+    decade_log_sums,
+    decade_ratios_pass,
     maximal_inequality_check,
     sample,
     series_convergence_check,
@@ -328,3 +330,52 @@ def test_series_matrix_weights_use_hs_norm():
     r_sca = series_convergence_check(
         model, lambda n: math.sqrt(2.0), 50, trials=50, n_max=1000)
     assert r_mat.variance_bound == pytest.approx(r_sca.variance_bound)
+
+
+# ---------------------------------------------------------------------------
+# decade-ratio test
+# ---------------------------------------------------------------------------
+
+def _direct_decade_sums(terms):
+    """Decade sums by placing each site n >= 1 in its decade one at a time."""
+    sums = []
+    for n in range(1, len(terms)):
+        k = 1
+        while 10 ** k < n:
+            k += 1
+        if len(sums) < k:
+            sums.append(0.0)
+        sums[k - 1] += float(terms[n])
+    return sums
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_max=st.one_of(st.sampled_from([1, 10, 100, 1000, 10 ** 4]),
+                       st.integers(1, 5000)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3, 0.99, 1.0]),
+       zero_upto=st.integers(0, 2000),
+       threshold=st.sampled_from([0.5, 0.9, 0.95, 2.0, 20.0]),
+       window=st.integers(1, 4))
+def test_decade_helpers_match_direct_loop(n_max, seed, zero_share, zero_upto,
+                                          threshold, window):
+    rng = np.random.default_rng(seed)
+    terms = rng.lognormal(0.0, 3.0, n_max + 1)
+    terms[rng.random(n_max + 1) < zero_share] = 0.0
+    terms[1:zero_upto + 1] = 0.0  # leading empty decades
+    terms[0] = 7.0  # entry 0 is not a site
+    with np.errstate(divide="ignore"):
+        log_sums = decade_log_sums(np.log(terms))
+    direct = _direct_decade_sums(terms)
+    assert len(log_sums) == len(direct)
+    for ls, d in zip(log_sums, direct):
+        if d == 0.0:
+            assert ls == -math.inf
+        else:
+            assert math.exp(ls) == pytest.approx(d, rel=1e-9)
+    ratios = [0.0 if b == 0.0 else math.inf if a == 0.0 else b / a
+              for a, b in zip(direct[:-1], direct[1:])]
+    assume(all(abs(r - threshold) > 1e-9 * threshold for r in ratios))
+    expect = (len(ratios) >= window
+              and all(r <= threshold for r in ratios[-window:]))
+    assert decade_ratios_pass(log_sums, threshold, window) == expect

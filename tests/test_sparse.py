@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jacobilab.core import single_step, solve_forward
 from jacobilab.errors import (
+    DivergentSeriesError,
     InsufficientDataError,
     InvalidArgumentError,
     UnsupportedModelError,
@@ -245,3 +246,17 @@ def test_perturbed_experiment_validation():
     s = SparseSpec(v=0.2, gamma=8, j_max=12)
     with pytest.raises(InvalidArgumentError):
         perturbed_sparse_experiment(s, -1.0, range(2), 0.6)
+
+
+def test_tail_bound_covers_the_whole_tail():
+    sspec = SparseSpec(v=0.2, gamma=8, j_max=14)
+    E, n_cut = 0.6, 1000
+    # <~b(n)^2> = n^(-2s) / 3: the tail diverges for s <= 1/2
+    with pytest.raises(DivergentSeriesError):
+        perturbed_sparse_experiment(sspec, 0.4, [0], E, n_cut=n_cut)
+    rep = perturbed_sparse_experiment(sspec, 1.0, [0], E, n_cut=n_cut)
+    amp2 = sparse_propagate(sspec, E, rep.theta_star).amp2
+    tail = math.pi ** 2 / 6.0 - math.fsum(
+        n ** -2.0 for n in range(1, n_cut + 1))  # sum over n > n_cut
+    assert rep.tail_bound == pytest.approx(
+        float(np.max(amp2)) ** 4 / 3.0 * tail, rel=1e-9)

@@ -23,14 +23,12 @@ from jacobilab.randpert import (
 )
 from jacobilab.subordinacy import solve_pair
 from jacobilab.variation import (
-    AmplitudePair,
     conjugated_generators,
     correction_ensemble,
     correction_recursion,
     decay_condition_check,
     diagonal_generator_array,
     k_conjugate,
-    k_transfer,
     n_quarter_site,
     neumann_layers,
     neumann_series,
@@ -156,7 +154,9 @@ def test_k_transfer_equals_k_times_plain_product():
         from jacobilab.core import transfer_product
         from jacobilab.variation import k_matrix
         Tw = transfer_product(pspec, E, n)
-        lhs = k_transfer(spec, real, E, n)
+        lhs = Mat2.identity()
+        for m in range(1, n + 1):
+            lhs = k_conjugate(spec, real, E, m) @ lhs
         rhs = k_matrix(spec, real, n) @ Tw
         assert lhs.sub(rhs).max_abs() <= 1e-10 * max(1.0, rhs.max_abs())
 
@@ -333,6 +333,41 @@ def test_layer_one_is_plain_tail_sum():
         assert np.allclose(d_tot[n], manual, atol=1e-12)
 
 
+def test_neumann_series_matches_direct_loop():
+    spec = free_laplacian()
+    E, n_max = 0.5, 5000
+    u_arr = diagonal_generator_array(spec, E, n_max)
+    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ns")
+    seeds = range(20)
+    rep = neumann_series(model, u_arr, lambda n: 1.0, 0, seeds=seeds)
+    probe = rep.probe_site
+    # per seed: up to 12 plus-branch layers from the probe site, each the
+    # suffix sum of ~b u d^k, stopping once |d^k(probe)| < 1e-12
+    layer_sq = np.full((len(seeds), 13), np.nan)
+    d_vals = []
+    for i, s in enumerate(seeds):
+        bt = sample(model, s, n_max).b_tilde
+        layer = np.zeros((n_max + 1, 2))
+        layer[probe:, 1] = 1.0
+        total = layer.copy()
+        layer_sq[i, 0] = layer[probe] @ layer[probe]
+        for k in range(1, 13):
+            w = bt[:, None] * np.einsum("nij,nj->ni", u_arr, layer)
+            w[:probe] = 0.0
+            layer = np.zeros_like(layer)
+            layer[:-1] = np.cumsum(w[::-1], axis=0)[::-1][1:]
+            layer[:probe] = 0.0
+            total += layer
+            layer_sq[i, k] = layer[probe] @ layer[probe]
+            if math.sqrt(layer_sq[i, k]) < 1e-12:
+                break
+        d_vals.append(total[rep.checkpoints])
+    np.testing.assert_allclose(rep.layer_moments,
+                               np.nanmean(layer_sq, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(rep.d_median, np.median(d_vals, axis=0),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_neumann_series_contraction():
     spec = free_laplacian()
     E = 0.5
@@ -346,12 +381,6 @@ def test_neumann_series_contraction():
     assert abs(rep.d_median[-1, 0]) < 0.1
     assert abs(rep.d_median[-1, 1] - 1.0) < 0.1
     assert rep.tail_variance < 0.25
-
-
-def test_amplitude_pair_weighted_component():
-    p = AmplitudePair(d1=0.5, d2=0.25, n=10, branch="minus",
-                      f_plus_weight=4.0)
-    assert p.weighted_d2 == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
