@@ -138,9 +138,22 @@ class OperatorSpec:
             )
         return an
 
+    def coefficients(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays a(n) and b(n) for n = 0..n_max.
+
+        a[0] = 1 and every a(n) passes the a_min check of a_at; b[0] is
+        unused by the recursion and set to 0 without consulting b. Scalar
+        loops read the arrays through memoryview, which yields Python
+        floats without copying.
+        """
+        sites = range(1, n_max + 1)
+        return (np.array([1.0, *map(self.a_at, sites)]),
+                np.array([0.0, *map(self.b, sites)]))
+
     def growth_average(self, L: int) -> float:
         """(1/L) * sum_{n<=L} 1/a(n): finite-truncation growth proxy."""
-        return sum(1.0 / self.a_at(n) for n in range(1, L + 1)) / L
+        a, _ = self.coefficients(L)
+        return sum(1.0 / a_n for a_n in memoryview(a)[1:]) / L
 
     def growth_check(self, L: int) -> bool:
         return self.growth_average(L) >= GAMMA_GROWTH
@@ -184,14 +197,14 @@ class Trajectory:
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def residual(self, spec: OperatorSpec, n: int) -> float:
-        """Three-term recursion residual at site n (1 <= n <= n_max-1)."""
+    def residual(self, spec: OperatorSpec, n):
+        """Three-term recursion residual at site n (1 <= n <= n_max-1).
+
+        n may be an int or an integer index array.
+        """
+        a, b = spec.coefficients(self.n_max)
         v = self.values
-        return (
-            spec.a_at(n) * v[n + 1]
-            + spec.a_at(n - 1) * v[n - 1]
-            + (spec.b(n) - self.E) * v[n]
-        )
+        return a[n] * v[n + 1] + a[n - 1] * v[n - 1] + (b[n] - self.E) * v[n]
 
 
 def single_step(E: float, b_n: float, a_n: float, a_prev: float) -> Mat2:
@@ -211,10 +224,11 @@ def transfer_product(spec: OperatorSpec, E: float, n: int,
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
+    a, b = map(memoryview, spec.coefficients(n))
     T = Mat2.identity()
     norms = [] if return_norms else None
     for k in range(1, n + 1):
-        T = single_step(E, spec.b(k), spec.a_at(k), spec.a_at(k - 1)) @ T
+        T = single_step(E, b[k], a[k], a[k - 1]) @ T
         if T.max_abs() > ENTRY_LIMIT or not T.isfinite():
             raise OverflowSiteError(k)
         if return_norms:
@@ -296,20 +310,18 @@ def solve_forward(spec: OperatorSpec, E: float, phi0: float, phi1: float,
     """Solve a(n)phi(n+1) + a(n-1)phi(n-1) + b(n)phi(n) = E phi(n) forward."""
     if phi0 == 0.0 and phi1 == 0.0:
         raise InvalidArgumentError("initial data must be nonzero")
+    a, b = map(memoryview, spec.coefficients(n_max))
     values = np.empty(n_max + 1, dtype=float)
-    values[0] = phi0
-    if n_max >= 1:
-        values[1] = phi1
+    values[:2] = (phi0, phi1)[:n_max + 1]
     prev, cur = phi0, phi1
-    a_prev = 1.0  # a(0)
-    for n in range(1, n_max):
-        a_n = spec.a_at(n)
-        nxt = ((E - spec.b(n)) * cur - a_prev * prev) / a_n
-        if not math.isfinite(nxt) or abs(nxt) > ENTRY_LIMIT:
-            raise OverflowSiteError(n + 1)
-        values[n + 1] = nxt
-        prev, cur = cur, nxt
-        a_prev = a_n
+    for n, (a_prev, a_n, b_n) in enumerate(
+            zip(a, a[1:n_max], b[1:n_max]), start=2):
+        prev, cur = cur, ((E - b_n) * cur - a_prev * prev) / a_n
+        values[n] = cur
+    # first computed site outside the representable range (nan included)
+    bad = np.flatnonzero(~(np.abs(values[2:]) <= ENTRY_LIMIT))
+    if len(bad):
+        raise OverflowSiteError(int(bad[0]) + 2)
     return Trajectory(values=values, E=E, spec_label=spec.label, theta=theta)
 
 

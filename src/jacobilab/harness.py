@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
@@ -221,10 +222,18 @@ def build_model(config: Dict[str, Any]) -> PerturbationModel:
 
 
 def energy_grid(config: Dict[str, Any]) -> List[float]:
+    """The energies of a run; a range is stepped in decimal arithmetic.
+
+    start + i*step in binary floating point drifts (-2.5 + 7*0.1 gives
+    -1.7999999999999998), so range points are computed from the shortest
+    decimal forms of start, stop and step and rounded once.
+    """
     eg = config["E_grid"]
     if isinstance(eg, dict):
-        n = int(round((eg["stop"] - eg["start"]) / eg["step"]))
-        return [eg["start"] + i * eg["step"] for i in range(n + 1)]
+        start, stop, step = (Decimal(repr(float(eg[k])))
+                             for k in ("start", "stop", "step"))
+        n = round((stop - start) / step)
+        return [float(start + i * step) for i in range(n + 1)]
     return [float(e) for e in eg]
 
 
@@ -345,6 +354,8 @@ def _guarded_cell(config: Dict[str, Any], E: float
 def run(config: Dict[str, Any]) -> EnsembleReport:
     """Dispatch, compute all cells, and assemble the deterministic report."""
     config = materialize(config)
+    if "a" in config["model"]:
+        build_model(config).validate_against(build_spec(config))
     exp = config["experiment"]
     g = config["grids"]
     chash = config_hash(config)

@@ -139,8 +139,8 @@ class PerturbationModel:
         """Pointwise delta-constraint delta < a/(a+~a) < 1/delta on the support."""
         if self.a_dist is None or self.a_dist.kind == "zero":
             return
-        for n in range(1, n_check + 1):
-            a = spec.a_at(n)
+        a_arr, _ = spec.coefficients(n_check)
+        for n, a in enumerate(memoryview(a_arr)[1:], start=1):
             bound = self.a_dist.support_bound(n)
             for at in (-bound, bound):
                 if a + at <= 0.0:

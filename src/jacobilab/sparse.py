@@ -26,11 +26,10 @@ from .errors import (
     UnsupportedModelError,
 )
 from .randpert import PerturbationModel, SiteDistribution, sample
-from .subordinacy import solve_pair
+from .subordinacy import minimize_boundary_angle, solve_pair
 from .variation import neumann_layers, subordinate_generator_array
 
 ENVELOPE_DISCARD = 5      # transient bumps excluded from every fit window
-ANGLE_GRID = 720          # boundary angles scanned before golden section
 SITE_LIMIT = 2 ** 127
 
 
@@ -158,27 +157,9 @@ def find_subordinate_angle(sspec: SparseSpec, E: float,
             x, y = B.m11 * x + B.m12 * y, B.m21 * x + B.m22 * y
         return amp  # amplitude at the last bump, pre-step
 
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID, endpoint=False)
-    vals = terminal_amp(thetas)
-    i0 = int(np.argmin(vals))
-    step = math.pi / ANGLE_GRID
-    lo, hi = thetas[i0] - step, thetas[i0] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = float(terminal_amp(np.array([x1]))[0])
-    f2 = float(terminal_amp(np.array([x2]))[0])
-    for _ in range(60):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = float(terminal_amp(np.array([x1]))[0])
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = float(terminal_amp(np.array([x2]))[0])
-    best = x1 if f1 <= f2 else x2
-    return float(min(max(best, -math.pi / 2), math.pi / 2 - 1e-15))
+    return minimize_boundary_angle(
+        terminal_amp,
+        lambda theta: float(terminal_amp(np.array([theta]))[0]), 60)
 
 
 def envelope_exponents(bump_sites: Sequence[int],

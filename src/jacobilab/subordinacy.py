@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .core import OperatorSpec, Trajectory, solve_forward
 from .errors import InsufficientDataError, InvalidArgumentError
 
 TAU_SUB = 1e-3
-THETA_GRID_DEFAULT = 720
+ANGLE_GRID = 720          # boundary angles scanned before golden section
 GOLDEN_ITERS = 40
 POINTS_PER_DECADE = 64
 
@@ -82,8 +82,8 @@ def pair_log_lnorms(spec: OperatorSpec, E: float, theta: float,
     log_scale = 0.0
     logn1 = np.empty(len(Ls))
     logn2 = np.empty(len(Ls))
+    a, b = map(memoryview, spec.coefficients(n_stop - 1))
     gi = 0
-    a_prev = 1.0
     for n in range(1, n_stop + 1):
         # values known through site n; cumulative sums through n-1
         while gi < len(Ls) and int(math.floor(Ls[gi])) == n - 1:
@@ -98,11 +98,9 @@ def pair_log_lnorms(spec: OperatorSpec, E: float, theta: float,
         ls2 = np.logaddexp(ls2, _log_sq(c2) + 2.0 * log_scale)
         if n == n_stop:
             break
-        a_n = spec.a_at(n)
-        coef = E - spec.b(n)
-        p1, c1 = c1, (coef * c1 - a_prev * p1) / a_n
-        p2, c2 = c2, (coef * c2 - a_prev * p2) / a_n
-        a_prev = a_n
+        coef = E - b[n]
+        p1, c1 = c1, (coef * c1 - a[n - 1] * p1) / a[n]
+        p2, c2 = c2, (coef * c2 - a[n - 1] * p2) / a[n]
         m = max(abs(p1), abs(c1), abs(p2), abs(c2))
         if m > 1e100 or (0.0 < m < 1e-100):
             inv = 1.0 / m
@@ -131,18 +129,16 @@ def _scan_terminal_log_ratio(spec: OperatorSpec, E: float,
     ls1 = np.full_like(p1, -np.inf)
     ls2 = np.full_like(p1, -np.inf)
     log_scale = np.zeros_like(p1)
-    a_prev = 1.0
+    a, b = map(memoryview, spec.coefficients(n_stop - 1))
     with np.errstate(divide="ignore"):
         for n in range(1, n_stop + 1):
             ls1 = np.logaddexp(ls1, 2.0 * (np.log(np.abs(c1)) + log_scale))
             ls2 = np.logaddexp(ls2, 2.0 * (np.log(np.abs(c2)) + log_scale))
             if n == n_stop:
                 break
-            a_n = spec.a_at(n)
-            coef = E - spec.b(n)
-            p1, c1 = c1, (coef * c1 - a_prev * p1) / a_n
-            p2, c2 = c2, (coef * c2 - a_prev * p2) / a_n
-            a_prev = a_n
+            coef = E - b[n]
+            p1, c1 = c1, (coef * c1 - a[n - 1] * p1) / a[n]
+            p2, c2 = c2, (coef * c2 - a[n - 1] * p2) / a[n]
             if n % 64 == 0:
                 m = np.maximum.reduce(
                     [np.abs(p1), np.abs(c1), np.abs(p2), np.abs(c2)]
@@ -155,6 +151,38 @@ def _scan_terminal_log_ratio(spec: OperatorSpec, E: float,
                 c2 *= inv
                 log_scale += np.log(m)
     return 0.5 * (ls1 - ls2)
+
+
+def minimize_boundary_angle(grid_eval: Callable[[np.ndarray], np.ndarray],
+                            scalar_eval: Callable[[float], float],
+                            iters: int) -> float:
+    """Boundary angle in [-pi/2, pi/2) minimizing an objective.
+
+    grid_eval scores ANGLE_GRID equispaced angles at once; the grid
+    minimum is refined by iters golden-section steps on scalar_eval within
+    one grid step on either side.
+    """
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID,
+                         endpoint=False)
+    i0 = int(np.argmin(grid_eval(thetas)))
+    step = math.pi / ANGLE_GRID
+    lo, hi = thetas[i0] - step, thetas[i0] + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = scalar_eval(x1)
+    f2 = scalar_eval(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = scalar_eval(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = scalar_eval(x2)
+    best = x1 if f1 <= f2 else x2
+    return float(min(max(best, -math.pi / 2), math.pi / 2 - 1e-15))
 
 
 @dataclass
@@ -213,33 +241,10 @@ def detect_subordinate(spec: OperatorSpec, E: float,
         )
     L_max = float(Ls[-1])
 
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, THETA_GRID_DEFAULT,
-                         endpoint=False)
-    ratios = _scan_terminal_log_ratio(spec, E, thetas, L_max)
-    i0 = int(np.argmin(ratios))
-    step = math.pi / THETA_GRID_DEFAULT
-
-    # golden-section refinement around the grid minimum
-    lo = thetas[i0] - step
-    hi = thetas[i0] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _terminal_log_ratio(spec, E, x1, L_max)
-    f2 = _terminal_log_ratio(spec, E, x2, L_max)
-    for _ in range(GOLDEN_ITERS):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _terminal_log_ratio(spec, E, x1, L_max)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _terminal_log_ratio(spec, E, x2, L_max)
-    theta_best = x1 if f1 <= f2 else x2
-    theta_best = float(
-        min(max(theta_best, -math.pi / 2), math.pi / 2 - 1e-15)
-    )
+    theta_best = minimize_boundary_angle(
+        lambda thetas: _scan_terminal_log_ratio(spec, E, thetas, L_max),
+        lambda theta: _terminal_log_ratio(spec, E, theta, L_max),
+        GOLDEN_ITERS)
 
     Ls_out, logn1, logn2 = pair_log_lnorms(spec, E, theta_best, Ls)
     log_ratio = logn1 - logn2

@@ -126,11 +126,11 @@ def diagonal_generator_array(spec: OperatorSpec, E: float,
     Uses the canonical unimodular solution pair with (f(0), f(1)) = (0, 1)
     and (1, 0); requires a == 1 so the unperturbed cocycle is unimodular.
     """
-    for n in (1, 2, max(3, n_max // 2), n_max):
-        if abs(spec.a_at(n) - 1.0) > 1e-12:
-            raise InvalidArgumentError(
-                "diagonal mode requires off-diagonal coefficients == 1"
-            )
+    a, _ = spec.coefficients(n_max)
+    if np.any(np.abs(a - 1.0) > 1e-12):
+        raise InvalidArgumentError(
+            "diagonal mode requires off-diagonal coefficients == 1"
+        )
     alpha = solve_forward(spec, E, 0.0, 1.0, n_max)
     gamma = solve_forward(spec, E, 1.0, 0.0, n_max)
     return nilpotent_generator_array(alpha.values, gamma.values)
@@ -156,12 +156,10 @@ class CorrectionState:
 
 
 def _transfer_sequence(spec: OperatorSpec, E: float, n_max: int) -> List[Mat2]:
+    a, b = map(memoryview, spec.coefficients(n_max))
     out = [Mat2.identity()]
-    a_prev = 1.0
     for n in range(1, n_max + 1):
-        a_n = spec.a_at(n)
-        out.append(single_step(E, spec.b(n), a_n, a_prev) @ out[-1])
-        a_prev = a_n
+        out.append(single_step(E, b[n], a[n], a[n - 1]) @ out[-1])
     return out
 
 
@@ -206,7 +204,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
     # general-jacobi-conjugated
     Tt0 = [Mat2.identity()]
     Ttw = [Mat2.identity()]
-    a_prev = 1.0
+    a = memoryview(spec.coefficients(n_max)[0])
     zero_real = Realization(seed=-1, n_max=n_max,
                             b_tilde=np.zeros(n_max + 1))
     states = [CorrectionState(Mat2.identity(), 0, mode)]
@@ -214,7 +212,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
     for n in range(1, n_max + 1):
         Tt0.append(k_conjugate(spec, zero_real, E, n) @ Tt0[-1])
         Ttw.append(k_conjugate(spec, realization, E, n) @ Ttw[-1])
-        a_n = spec.a_at(n)
+        a_n = a[n]
         U, V, W = conjugated_generators(Tt0[n])
         c_u = bt[n] / (a_n * (a_n + at[n]))
         c_v = at[n] / a_n
@@ -444,13 +442,15 @@ def perturbed_solutions(spec: OperatorSpec, realization: Realization, E: float,
                       theta=theta_star)
     psi2 = Trajectory(values=psi2_vals, E=E, spec_label=pspec.label,
                       theta=theta_star)
+    sites = np.arange(1, n_max)
     for psi in (psi1, psi2):
         scale = float(np.max(np.abs(psi.values))) or 1.0
-        for n in range(1, n_max):
-            res = psi.residual(pspec, n)
-            if abs(res) > RESIDUAL_TOL * scale:
-                raise InternalConsistencyError(
-                    f"perturbed residual {res} at site {n}", site=n)
+        res = psi.residual(pspec, sites)
+        bad = np.flatnonzero(np.abs(res) > RESIDUAL_TOL * scale)
+        if len(bad):
+            n = int(sites[bad[0]])
+            raise InternalConsistencyError(
+                f"perturbed residual {res[bad[0]]} at site {n}", site=n)
     ratios = None
     if L_grid is not None:
         ratios = {"L": np.asarray(L_grid, dtype=float),

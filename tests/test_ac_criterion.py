@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobilab.ac_criterion import (
     cesaro_scan,
@@ -11,7 +13,12 @@ from jacobilab.ac_criterion import (
     gamma_membership,
     log_t2_stream,
 )
-from jacobilab.core import free_laplacian, transfer_product
+from jacobilab.core import (
+    OperatorSpec,
+    free_laplacian,
+    solve_forward,
+    transfer_product,
+)
 from jacobilab.errors import InvalidArgumentError, UnsupportedModelError
 from jacobilab.randpert import (
     PerturbationModel,
@@ -34,6 +41,42 @@ def test_log_t2_stream_matches_norms():
         for n in (1, 7, 40):
             t = transfer_product(spec, E, n).norm()
             assert logs[n - 1] == pytest.approx(2.0 * math.log(t), abs=1e-9)
+
+
+# a in [0.8, 1.25], |E - b| <= 2: every step has norm <= 3.2, so products
+# over n <= 200 sites stay far below ENTRY_LIMIT
+jacobi_tables = st.integers(2, 200).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.8, 1.25), min_size=n + 1, max_size=n + 1),
+    st.lists(st.floats(-0.5, 0.5), min_size=n + 1, max_size=n + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobi_tables, st.floats(-1.5, 1.5), st.data())
+def test_array_paths_match_scalar_oracle(table, E, data):
+    a_tab, b_tab = table
+    n = len(a_tab) - 1
+    spec = OperatorSpec(a=lambda k: a_tab[k], b=lambda k: b_tab[k])
+    _, norms = transfer_product(spec, E, n, return_norms=True)
+
+    lt2 = log_t2_stream(spec, E, n)
+    assert lt2.tolist() == pytest.approx(
+        [2.0 * math.log(t) for t in norms], abs=1e-9)
+
+    inner = data.draw(st.sets(st.integers(1, n - 1), max_size=6))
+    N_grid = sorted(inner | {n})
+    t2 = np.asarray(norms) ** 2
+    rep = cesaro_scan(spec, E, N_grid)
+    assert rep.averages == pytest.approx(
+        [float(np.mean(t2[:N])) for N in N_grid], rel=1e-10)
+
+    traj = solve_forward(spec, E, 1.0, 0.3, n)
+    sites = np.arange(1, n)
+    res = traj.residual(spec, sites)
+    assert res.tolist() == [traj.residual(spec, int(k)) for k in sites]
+    v = traj.values
+    a0 = [1.0] + a_tab[1:]  # a(0) = 1 by convention
+    assert res.tolist() == [a0[k] * v[k + 1] + a0[k - 1] * v[k - 1]
+                            + (b_tab[k] - E) * v[k] for k in sites]
 
 
 def test_cesaro_free_E0_all_ones():

@@ -265,6 +265,16 @@ def test_a_min_floor_enforced():
         spec.a_at(1)
 
 
+def test_coefficients_stop_at_first_site_below_floor():
+    spec = OperatorSpec(a=lambda n: 1.0 if n < 5 else 1e-9,
+                        b=lambda n: 0.5)
+    a, b = spec.coefficients(4)
+    assert a.tolist() == [1.0] * 5
+    assert b.tolist() == [0.0] + [0.5] * 4
+    with pytest.raises(InvalidArgumentError, match=r"^a\(5\) = 1e-09 below"):
+        spec.coefficients(10)
+
+
 def test_growth_check_free():
     assert free_laplacian().growth_check(1000)
     assert constant_spec(2.0).growth_check(1000)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 from jsonschema import ValidationError
@@ -57,6 +60,17 @@ def test_energy_grid_range_form():
     cfg = materialize({"experiment": "transfer",
                        "E_grid": {"start": -1.0, "stop": 1.0, "step": 0.5}})
     assert energy_grid(cfg) == pytest.approx([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def test_energy_grid_range_has_no_drift(tmp_path):
+    cfg = materialize({"experiment": "ac-scan",
+                       "E_grid": {"start": -2.5, "stop": 2.5, "step": 0.1}})
+    assert energy_grid(cfg) == [k / 10 for k in range(-25, 26)]
+    rep = run({"experiment": "transfer",
+               "E_grid": {"start": -2.5, "stop": -1.8, "step": 0.1},
+               "grids": {"N_j_max": 8}})
+    emit(rep, str(tmp_path))
+    assert (tmp_path / "trace_cesaro_E-1.8.dat").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +186,18 @@ def test_byte_determinism(tmp_path):
 
 
 def test_worker_count_does_not_change_output(tmp_path):
+    # the CSV and trace bodies are identical across worker counts and
+    # output directories (summary.json and config.json record both)
     base = {"experiment": "transfer", "E_grid": [0.0, 0.5, 1.0],
             "grids": {"N_j_max": 16}}
-    emit(run({**base, "workers": 1}), str(tmp_path / "w1"))
-    emit(run({**base, "workers": 3}), str(tmp_path / "w3"))
-    assert (tmp_path / "w1" / "transfer.csv").read_bytes() == \
-        (tmp_path / "w3" / "transfer.csv").read_bytes()
+    bodies = []
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        emit(run({**base, "workers": workers, "output": str(out)}), str(out))
+        bodies.append({p.name: p.read_bytes() for p in out.iterdir()
+                       if p.suffix == ".csv" or p.name.startswith("trace_")})
+    assert len(bodies[0]) == 4  # the CSV and one trace per energy
+    assert bodies[0] == bodies[1]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +237,17 @@ def test_cli_numeric_error_exits_3(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_cli_delta_constraint_violation_exits_3(tmp_path, capsys):
+    # a/(a+~a) reaches 1/(1-0.9) = 10 >= 1/delta at site 1
+    cfg = write_config(tmp_path, {
+        "model": {"a": {"kind": "uniform", "amplitude": 0.9, "decay": 0},
+                  "delta": 0.6},
+        "E_grid": [0.5], "grids": {"N_j_max": 8, "n_max": 1000}})
+    rc = main(["ac-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "delta constraint fails at site 1" in capsys.readouterr().err
+
+
 def test_cli_seed_and_worker_overrides(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"E_grid": [0.0],
                                   "grids": {"N_j_max": 12}})
@@ -227,3 +258,63 @@ def test_cli_seed_and_worker_overrides(tmp_path, monkeypatch):
     prov = json.loads((tmp_path / "o" / "config.json").read_text())
     assert prov["seeds"]["count"] == 7
     assert prov["workers"] == 2
+
+
+# ---------------------------------------------------------------------------
+# script wrappers
+# ---------------------------------------------------------------------------
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RADEMACHER = {"b": {"kind": "rademacher", "amplitude": 1.0, "decay": 1.0}}
+
+
+def _file_bodies(out_dir):
+    return {os.path.relpath(os.path.join(root, name), out_dir):
+            open(os.path.join(root, name), "rb").read()
+            for root, _, names in os.walk(out_dir) for name in names}
+
+
+@pytest.mark.parametrize("script, args, invocations", [
+    ("run_ac_scan.py",
+     ["--e-min", "-0.5", "--e-max", "0.5", "--e-step", "0.5",
+      "--n-j-max", "8", "--n-max", "1000"],
+     [("ac-scan", "", {
+         "spec": {"type": "free"},
+         "model": {"b": {"kind": "uniform", "amplitude": 1.0,
+                         "decay": 1.0}},
+         "E_grid": {"start": -0.5, "stop": 0.5, "step": 0.5},
+         "grids": {"N_j_max": 8, "n_max": 1000}})]),
+    ("run_sparse_stability.py",
+     ["--j-max", "14", "--n-cut", "1000", "--seeds", "2"],
+     [("sparse", "", {
+         "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+         "E_grid": [0.6], "seeds": {"base": 0, "count": 2},
+         "grids": {"s": 2.0, "n_cut": 1000}})]),
+    ("run_inequality.py",
+     ["--kind", "rademacher", "--n2", "10", "--r", "3.0",
+      "--trials", "200"],
+     [("inequality", "inequality", {
+         "model": RADEMACHER,
+         "grids": {"N1": 1, "N2": 10, "r": 3.0, "trials": 200}}),
+      ("series", "series", {
+          "model": RADEMACHER,
+          "grids": {"trials": 200, "n_tail": 100, "n_max": 10 ** 4}})]),
+])
+def test_script_wrappers_match_lab_invocation(tmp_path, script, args,
+                                              invocations):
+    out = tmp_path / "out"
+    src = os.path.join(REPO, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, os.path.join(REPO, "scripts", script),
+                    *args, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    from_script = _file_bodies(out)
+    assert from_script
+    shutil.rmtree(out)
+    for experiment, sub, cfg in invocations:
+        rc = main([experiment, "--config",
+                   write_config(tmp_path, cfg, f"{experiment}.json"),
+                   "--out", str(out / sub)])
+        assert rc == 0
+    assert _file_bodies(out) == from_script
