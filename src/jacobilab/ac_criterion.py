@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import OperatorSpec
+from .core import LN2, OperatorSpec, growth_check, propagate
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .randpert import (
     LOG_SAT,
@@ -39,34 +39,25 @@ def default_n_grid(j_max: int = 40) -> List[int]:
     return grid
 
 
-def log_t2_stream(spec: OperatorSpec, E: float, n_max: int) -> np.ndarray:
-    """ln t^E(n)^2 for n = 1..n_max (entry n-1 holds site n), one forward pass.
+def log_t2_stream(a: np.ndarray, b: np.ndarray, E: float) -> np.ndarray:
+    """ln t^E(n)^2 for n = 1..len(a)-1 (entry n-1 holds site n).
 
-    Plain-float 2x2 propagation with rescaling; the spectral norm comes
-    from the entry-square sum g and det T(n) = 1/a(n) via
-    ||T||^2 = (g + sqrt(g^2 - 4 det^2)) / 2.
+    a, b hold sites 0..n_max. With alpha = (0, 1) and gamma = (1, 0) at
+    sites (0, 1), T(n) = [[alpha(n+1), gamma(n+1)], [alpha(n), gamma(n)]];
+    ||T||^2 = (g + sqrt(g^2 - 4 det^2)) / 2 from the entry-square sum g and
+    det T(n) = 1/a(n), all on the exponent of site n+1 (the larger one).
     """
-    a, b = map(memoryview, spec.coefficients(n_max))
-    out = np.empty(n_max)
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    log_scale = 0.0
-    for n, (a_prev, a_n, b_n) in enumerate(zip(a, a[1:], b[1:])):
-        s11 = (E - b_n) / a_n
-        s12 = -a_prev / a_n
-        r11 = s11 * m11 + s12 * m21
-        r12 = s11 * m12 + s12 * m22
-        m11, m12, m21, m22 = r11, r12, m11, m12
-        big = max(abs(m11), abs(m12), abs(m21), abs(m22))
-        if big > 1e60:  # keep g^2 representable in the norm formula
-            m11 /= big; m12 /= big; m21 /= big; m22 /= big
-            log_scale += math.log(big)
-        g = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-        # rescaled det: det T(n) = 1/a(n), divided by the squared scale
-        det = math.exp(-2.0 * min(log_scale, 300.0)) / a_n
-        disc = g * g - 4.0 * det * det
-        t2 = 0.5 * (g + math.sqrt(disc if disc > 0.0 else 0.0))
-        out[n] = math.log(t2) + 2.0 * log_scale
-    return out
+    n_max = len(a) - 1
+    (m_a, k_a), (m_g, k_g) = (propagate(a, b, E, phi0, phi1, n_max + 1)
+                              for phi0, phi1 in ((0.0, 1.0), (1.0, 0.0)))
+    top = np.maximum(k_a[2:], k_g[2:])
+    g = np.zeros(n_max)
+    for m, k in ((m_a, k_a), (m_g, k_g)):
+        for site in (slice(2, None), slice(1, -1)):
+            g += np.ldexp(m[site], k[site] - top) ** 2
+    det = np.ldexp(1.0 / a[1:], -2 * top)
+    t2 = 0.5 * (g + np.sqrt(np.maximum(g * g - 4.0 * det * det, 0.0)))
+    return np.log(t2) + 2.0 * LN2 * top
 
 
 @dataclass
@@ -90,11 +81,11 @@ def cesaro_scan(spec: OperatorSpec, E: float,
         N_grid = default_n_grid()
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise InvalidArgumentError("N_grid must be strictly increasing")
-    n_max = N_grid[-1]
-    if not spec.growth_check(n_max):
+    a, b = spec.coefficients(N_grid[-1])
+    if not growth_check(a):
         raise InvalidArgumentError("spec fails the finite-truncation growth check")
 
-    lt2 = log_t2_stream(spec, E, n_max)
+    lt2 = log_t2_stream(a, b, E)
     log_sums = np.logaddexp.accumulate(lt2)
     max_log_t = float(np.max(0.5 * lt2))
     log_avgs = [float(log_sums[N - 1]) - math.log(N) for N in N_grid]
@@ -129,8 +120,8 @@ def gamma_membership(spec: OperatorSpec, model: PerturbationModel, E: float,
     if not np.all(np.isfinite(coeff)):
         raise UnsupportedModelError("per-site moments not available in closed form")
 
-    a, _ = spec.coefficients(N_max)
-    lt2 = log_t2_stream(spec, E, N_max)
+    a, b = spec.coefficients(N_max)
+    lt2 = log_t2_stream(a, b, E)
     log_terms = np.full(N_max + 1, -math.inf)
     pos = np.flatnonzero(coeff[1:] > 0.0) + 1
     log_terms[pos] = (np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)

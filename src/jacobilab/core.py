@@ -1,9 +1,10 @@
 """Jacobi difference-equation and transfer-matrix kernel.
 
 Real 2x2 matrices, one-step and n-step transfer products for a Jacobi
-operator with off-diagonal a(n) > 0 and diagonal b(n), forward solution of
-the three-term recursion, and an O(log m) power for constant unimodular
-blocks (used for propagation across long potential-free stretches).
+operator with off-diagonal a(n) > 0 and diagonal b(n), the one forward
+propagation of the three-term recursion (exactly rescaled by powers of
+two), and an O(log m) power for constant unimodular blocks (used for
+propagation across long potential-free stretches).
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .errors import InvalidArgumentError, OverflowSiteError
 
 # Entries beyond this are treated as overflow.
 ENTRY_LIMIT = 1e150
+
+# propagate rescales past 2^199 (~8e59): squares of squares stay finite.
+RESCALE_LIMIT = 2.0 ** 199
+LN2 = math.log(2.0)
 
 DEFAULT_A_MIN = 1e-6
 
@@ -150,13 +155,10 @@ class OperatorSpec:
         return (np.array([1.0, *map(self.a_at, sites)]),
                 np.array([0.0, *map(self.b, sites)]))
 
-    def growth_average(self, L: int) -> float:
-        """(1/L) * sum_{n<=L} 1/a(n): finite-truncation growth proxy."""
-        a, _ = self.coefficients(L)
-        return sum(1.0 / a_n for a_n in memoryview(a)[1:]) / L
 
-    def growth_check(self, L: int) -> bool:
-        return self.growth_average(L) >= GAMMA_GROWTH
+def growth_check(a: np.ndarray) -> bool:
+    """(1/L) sum_{n<=L} 1/a(n) >= GAMMA_GROWTH for a holding a(0..L)."""
+    return float(np.mean(1.0 / a[1:])) >= GAMMA_GROWTH
 
 
 def free_laplacian(label: str = "free") -> OperatorSpec:
@@ -305,19 +307,41 @@ def naive_power(S: Mat2, m: int) -> Mat2:
     return T
 
 
-def solve_forward(spec: OperatorSpec, E: float, phi0: float, phi1: float,
-                  n_max: int, theta: Optional[float] = None) -> Trajectory:
-    """Solve a(n)phi(n+1) + a(n-1)phi(n-1) + b(n)phi(n) = E phi(n) forward."""
-    if phi0 == 0.0 and phi1 == 0.0:
-        raise InvalidArgumentError("initial data must be nonzero")
-    a, b = map(memoryview, spec.coefficients(n_max))
-    values = np.empty(n_max + 1, dtype=float)
-    values[:2] = (phi0, phi1)[:n_max + 1]
+def propagate(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
+              phi1: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a(n)phi(n+1) + a(n-1)phi(n-1) + b(n)phi(n) = E phi(n) forward.
+
+    a and b are coefficient arrays holding at least sites 0..n_max-1.
+    Returns (m, k) for sites 0..n_max with phi(n) = ldexp(m[n], k[n]).
+    Whenever |phi| passes RESCALE_LIMIT, the state is divided by the power
+    of two that brings |phi| into [1/2, 1). That is exact, so ldexp(m, k)
+    is the plain recursion's value bit for bit wherever that stays finite
+    (and normal). k is nondecreasing.
+    """
+    a, b = memoryview(a), memoryview(b)
+    m = np.empty(n_max + 1, dtype=float)
+    m[:2] = (phi0, phi1)[:n_max + 1]
+    k = np.zeros(n_max + 1, dtype=np.int64)
     prev, cur = phi0, phi1
     for n, (a_prev, a_n, b_n) in enumerate(
             zip(a, a[1:n_max], b[1:n_max]), start=2):
         prev, cur = cur, ((E - b_n) * cur - a_prev * prev) / a_n
-        values[n] = cur
+        if abs(cur) > RESCALE_LIMIT:
+            e = math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
+            k[n] = e
+        m[n] = cur
+    return m, np.cumsum(k, out=k)
+
+
+def solve_forward(spec: OperatorSpec, E: float, phi0: float, phi1: float,
+                  n_max: int, theta: Optional[float] = None) -> Trajectory:
+    """Solve the three-term recursion forward from (phi(0), phi(1))."""
+    if phi0 == 0.0 and phi1 == 0.0:
+        raise InvalidArgumentError("initial data must be nonzero")
+    m, k = propagate(*spec.coefficients(n_max), E, phi0, phi1, n_max)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(m, k)
     # first computed site outside the representable range (nan included)
     bad = np.flatnonzero(~(np.abs(values[2:]) <= ENTRY_LIMIT))
     if len(bad):

@@ -510,7 +510,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config["output"] = args.out
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("LAB_WORKERS", "1"))
+        env_workers = os.environ.get("LAB_WORKERS", "1")
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            print(f"config error: LAB_WORKERS must be an integer, "
+                  f"got {env_workers!r}", file=sys.stderr)
+            return 2
     config["workers"] = workers
 
     try:

@@ -1,9 +1,11 @@
 """L-norms, boundary-condition solution pairs, and subordinacy exponents.
 
-The detection scheme shoots the three-term recursion for a grid of boundary
-angles, refines the angle minimizing the terminal L-norm ratio by golden
-section, and reports finite-scale proxies for the liminf quantities: the
-minimum over the last decade of a geometric L-grid.
+Every solution comes from core.propagate. The detection scheme scores a
+grid of boundary angles at once from the Gram matrix of the canonical
+solution pair, refines the angle minimizing the terminal L-norm ratio by
+golden section on the interpolated L-norms, and reports finite-scale
+proxies for the liminf quantities: the minimum over the last decade of a
+geometric L-grid.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import OperatorSpec, Trajectory, solve_forward
+from .core import LN2, OperatorSpec, Trajectory, propagate, solve_forward
 from .errors import InsufficientDataError, InvalidArgumentError
 
 TAU_SUB = 1e-3
@@ -63,53 +65,30 @@ def wronskian(phi1: Trajectory, phi2: Trajectory, n: int) -> float:
             - phi1.values[n - 1] * phi2.values[n])
 
 
-def _log_sq(x: float) -> float:
-    return 2.0 * math.log(abs(x)) if x != 0.0 else -math.inf
-
-
 def pair_log_lnorms(spec: OperatorSpec, E: float, theta: float,
                     L_grid: Sequence[float]):
-    """log ||phi1||_L and log ||phi2||_L on a grid, with running rescaling.
+    """log ||phi1||_L and log ||phi2||_L on a grid of L values.
 
-    Safe for exponentially growing orbits (norms up to e^1e6).
+    Works in the log domain on the exactly rescaled solutions of propagate,
+    so exponentially growing orbits never overflow.
     Returns (L_grid, logn1, logn2) as arrays.
     """
     Ls = np.sort(np.asarray(L_grid, dtype=float))
     n_stop = int(math.floor(Ls[-1])) + 1
-    p1, c1 = -math.sin(theta), math.cos(theta)
-    p2, c2 = math.cos(theta), math.sin(theta)
-    ls1 = ls2 = -math.inf  # log of cumulative square sums, absolute scale
-    log_scale = 0.0
-    logn1 = np.empty(len(Ls))
-    logn2 = np.empty(len(Ls))
-    a, b = map(memoryview, spec.coefficients(n_stop - 1))
-    gi = 0
-    for n in range(1, n_stop + 1):
-        # values known through site n; cumulative sums through n-1
-        while gi < len(Ls) and int(math.floor(Ls[gi])) == n - 1:
-            frac = Ls[gi] - (n - 1)
-            for idx, (ls, c) in enumerate(((ls1, c1), (ls2, c2))):
-                tail = (math.log(frac) + _log_sq(c) + 2.0 * log_scale
-                        if frac > 0.0 and c != 0.0 else -math.inf)
-                val = np.logaddexp(ls, tail)
-                (logn1 if idx == 0 else logn2)[gi] = 0.5 * val
-            gi += 1
-        ls1 = np.logaddexp(ls1, _log_sq(c1) + 2.0 * log_scale)
-        ls2 = np.logaddexp(ls2, _log_sq(c2) + 2.0 * log_scale)
-        if n == n_stop:
-            break
-        coef = E - b[n]
-        p1, c1 = c1, (coef * c1 - a[n - 1] * p1) / a[n]
-        p2, c2 = c2, (coef * c2 - a[n - 1] * p2) / a[n]
-        m = max(abs(p1), abs(c1), abs(p2), abs(c2))
-        if m > 1e100 or (0.0 < m < 1e-100):
-            inv = 1.0 / m
-            p1 *= inv
-            c1 *= inv
-            p2 *= inv
-            c2 *= inv
-            log_scale += math.log(m)
-    return Ls, logn1, logn2
+    fl = np.floor(Ls).astype(int)
+    a, b = spec.coefficients(n_stop - 1)
+    logn = []
+    with np.errstate(divide="ignore"):
+        log_frac = np.log(Ls - fl)
+        for phi0, phi1 in ((-math.sin(theta), math.cos(theta)),
+                           (math.cos(theta), math.sin(theta))):
+            m, k = propagate(a, b, E, phi0, phi1, n_stop)
+            log_sq = 2.0 * (np.log(np.abs(m)) + LN2 * k)
+            log_sq[0] = -math.inf  # L-norms sum from n = 1
+            log_sums = np.logaddexp.accumulate(log_sq)
+            logn.append(0.5 * np.logaddexp(log_sums[fl],
+                                           log_frac + log_sq[fl + 1]))
+    return Ls, logn[0], logn[1]
 
 
 def _terminal_log_ratio(spec: OperatorSpec, E: float, theta: float,
@@ -118,39 +97,35 @@ def _terminal_log_ratio(spec: OperatorSpec, E: float, theta: float,
     return float(n1[0] - n2[0])
 
 
-def _scan_terminal_log_ratio(spec: OperatorSpec, E: float,
-                             thetas: np.ndarray, L_max: float) -> np.ndarray:
-    """Vectorized terminal log-ratio over a theta grid."""
+def _grid_log_ratio(spec: OperatorSpec, E: float, thetas: np.ndarray,
+                    L_max: float) -> np.ndarray:
+    """Terminal log-ratio ln(||phi1|| / ||phi2||) over a theta grid.
+
+    With alpha = (0, 1) and gamma = (1, 0) at sites (0, 1),
+    phi1 = cos(theta) alpha - sin(theta) gamma and phi2 = sin(theta) alpha
+    + cos(theta) gamma, so both square norms are quadratic forms in the
+    2x2 Gram matrix of (alpha, gamma).
+
+    The sums give site floor(L_max)+1 full weight, while the golden-section
+    refinement scores the interpolated L_max-norm: the grid only brackets
+    the minimum, and the interpolated weight would move its argmin by one
+    step at free E = 0.3, L_max = 1e3, and the refined angle with it.
+    """
     n_stop = int(math.floor(L_max)) + 1
-    p1 = -np.sin(thetas)
-    c1 = np.cos(thetas)
-    p2 = np.cos(thetas)
-    c2 = np.sin(thetas)
-    ls1 = np.full_like(p1, -np.inf)
-    ls2 = np.full_like(p1, -np.inf)
-    log_scale = np.zeros_like(p1)
-    a, b = map(memoryview, spec.coefficients(n_stop - 1))
+    a, b = spec.coefficients(n_stop - 1)
+    (m_a, k_a), (m_g, k_g) = (propagate(a, b, E, phi0, phi1, n_stop)
+                              for phi0, phi1 in ((0.0, 1.0), (1.0, 0.0)))
+    # k is nondecreasing: the last site carries the largest exponent
+    top = max(k_a[-1], k_g[-1])
+    alpha = np.ldexp(m_a[1:], k_a[1:] - top)
+    gamma = np.ldexp(m_g[1:], k_g[1:] - top)
+    g_aa, g_ag, g_gg = alpha @ alpha, alpha @ gamma, gamma @ gamma
+    c, s = np.cos(thetas), np.sin(thetas)
+    sq1 = c * c * g_aa - 2.0 * c * s * g_ag + s * s * g_gg
+    sq2 = s * s * g_aa + 2.0 * c * s * g_ag + c * c * g_gg
     with np.errstate(divide="ignore"):
-        for n in range(1, n_stop + 1):
-            ls1 = np.logaddexp(ls1, 2.0 * (np.log(np.abs(c1)) + log_scale))
-            ls2 = np.logaddexp(ls2, 2.0 * (np.log(np.abs(c2)) + log_scale))
-            if n == n_stop:
-                break
-            coef = E - b[n]
-            p1, c1 = c1, (coef * c1 - a[n - 1] * p1) / a[n]
-            p2, c2 = c2, (coef * c2 - a[n - 1] * p2) / a[n]
-            if n % 64 == 0:
-                m = np.maximum.reduce(
-                    [np.abs(p1), np.abs(c1), np.abs(p2), np.abs(c2)]
-                )
-                m = np.maximum(m, 1e-300)
-                inv = 1.0 / m
-                p1 *= inv
-                c1 *= inv
-                p2 *= inv
-                c2 *= inv
-                log_scale += np.log(m)
-    return 0.5 * (ls1 - ls2)
+        # rounding can take sq1 below 0 at the subordinate angle
+        return 0.5 * (np.log(np.maximum(sq1, 0.0)) - np.log(sq2))
 
 
 def minimize_boundary_angle(grid_eval: Callable[[np.ndarray], np.ndarray],
@@ -242,7 +217,7 @@ def detect_subordinate(spec: OperatorSpec, E: float,
     L_max = float(Ls[-1])
 
     theta_best = minimize_boundary_angle(
-        lambda thetas: _scan_terminal_log_ratio(spec, E, thetas, L_max),
+        lambda thetas: _grid_log_ratio(spec, E, thetas, L_max),
         lambda theta: _terminal_log_ratio(spec, E, theta, L_max),
         GOLDEN_ITERS)
 

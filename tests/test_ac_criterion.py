@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,10 +38,27 @@ def test_default_n_grid_shape():
 def test_log_t2_stream_matches_norms():
     spec = free_laplacian()
     for E in (0.5, 1.7, 2.0):
-        logs = list(log_t2_stream(spec, E, 40))
+        logs = list(log_t2_stream(*spec.coefficients(40), E))
         for n in (1, 7, 40):
             t = transfer_product(spec, E, n).norm()
             assert logs[n - 1] == pytest.approx(2.0 * math.log(t), abs=1e-9)
+
+
+def test_log_t2_stream_exponential_orbit_matches_mpmath():
+    # free E = 3: t grows like lambda^n, far past the float range by n = 5000
+    n, E = 5000, 3.0
+    lt2 = log_t2_stream(*free_laplacian().coefficients(n), E)
+    with mpmath.workdps(40):
+        t11, t12, t21, t22 = (mpmath.mpf(1), mpmath.mpf(0),
+                              mpmath.mpf(0), mpmath.mpf(1))
+        exact = []
+        for _ in range(n):
+            t11, t12, t21, t22 = E * t11 - t21, E * t12 - t22, t11, t12
+            g = t11 ** 2 + t12 ** 2 + t21 ** 2 + t22 ** 2
+            det = t11 * t22 - t12 * t21
+            exact.append(float(mpmath.log(
+                (g + mpmath.sqrt(g * g - 4 * det * det)) / 2)))
+    assert lt2.tolist() == pytest.approx(exact, abs=1e-9)
 
 
 # a in [0.8, 1.25], |E - b| <= 2: every step has norm <= 3.2, so products
@@ -58,7 +76,7 @@ def test_array_paths_match_scalar_oracle(table, E, data):
     spec = OperatorSpec(a=lambda k: a_tab[k], b=lambda k: b_tab[k])
     _, norms = transfer_product(spec, E, n, return_norms=True)
 
-    lt2 = log_t2_stream(spec, E, n)
+    lt2 = log_t2_stream(*spec.coefficients(n), E)
     assert lt2.tolist() == pytest.approx(
         [2.0 * math.log(t) for t in norms], abs=1e-9)
 

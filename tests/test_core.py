@@ -13,8 +13,10 @@ from jacobilab.core import (
     constant_spec,
     fast_const_power,
     free_laplacian,
+    growth_check,
     naive_power,
     ordered_mat_product,
+    propagate,
     schrodinger_spec,
     single_step,
     solve_forward,
@@ -253,6 +255,40 @@ def test_solve_forward_residual_zero():
         assert abs(t.residual(spec, n)) <= 1e-10 * scale
 
 
+def plain_recursion(a, b, E, phi0, phi1, n_max):
+    """The three-term recursion without any rescaling, as Python floats."""
+    values = [phi0, phi1][:n_max + 1]
+    for n in range(1, n_max):
+        values.append(((E - b[n]) * values[n] - a[n - 1] * values[n - 1])
+                      / a[n])
+    return values
+
+
+# a in [0.8, 1.25], |b| <= 0.5, |E| <= 4: with |E - b| >= 3 a solution with
+# |phi(1)| >= |phi(0)| grows by >= 1.4 per site, past the 2^199 rescale
+# threshold within 500 sites
+propagate_tables = st.integers(0, 2000).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.8, 1.25), min_size=n + 1, max_size=n + 1),
+    st.lists(st.floats(-0.5, 0.5), min_size=n + 1, max_size=n + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(propagate_tables, st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0))
+def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
+    a_tab, b_tab = table
+    n = len(a_tab) - 1
+    a_tab[0] = 1.0
+    m, k = propagate(np.array(a_tab), np.array(b_tab), E, phi0, phi1, n)
+    plain = np.array(plain_recursion(a_tab, b_tab, E, phi0, phi1, n))
+    assert m.shape == k.shape == plain.shape
+    assert np.all(np.diff(k) >= 0)
+    finite = np.isfinite(plain)
+    assert np.array_equal(np.ldexp(m, k)[finite], plain[finite])
+    if abs(E) >= 3.5 and n >= 500 and abs(phi1) >= abs(phi0) > 0.0:
+        assert k[-1] > 0  # the state was rescaled
+
+
 def test_trajectory_cumulative_sq_nondecreasing():
     t = solve_forward(free_laplacian(), 0.9, 1.0, 0.5, 100)
     assert np.all(np.diff(t.cumulative_sq) >= 0.0)
@@ -276,8 +312,8 @@ def test_coefficients_stop_at_first_site_below_floor():
 
 
 def test_growth_check_free():
-    assert free_laplacian().growth_check(1000)
-    assert constant_spec(2.0).growth_check(1000)
+    assert growth_check(free_laplacian().coefficients(1000)[0])
+    assert growth_check(constant_spec(2.0).coefficients(1000)[0])
 
 
 def test_schrodinger_spec_uses_b():

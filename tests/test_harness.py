@@ -260,6 +260,18 @@ def test_cli_seed_and_worker_overrides(tmp_path, monkeypatch):
     assert prov["workers"] == 2
 
 
+def test_cli_malformed_lab_workers_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, {"E_grid": [0.0],
+                                  "grids": {"N_j_max": 12}})
+    monkeypatch.setenv("LAB_WORKERS", "two")
+    rc = main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "LAB_WORKERS" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # script wrappers
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import Trajectory, free_laplacian
+from jacobilab.core import Trajectory, constant_spec, free_laplacian
 from jacobilab.errors import InsufficientDataError, InvalidArgumentError
+from jacobilab.sparse import SparseSpec
 from jacobilab.subordinacy import (
+    ANGLE_GRID,
+    _grid_log_ratio,
     alpha_of_beta_tilde,
     beta_eta_from_traces,
     beta_tilde,
@@ -112,6 +115,74 @@ def test_pair_log_lnorms_exponential_orbit_no_overflow():
     _, logn1, _ = pair_log_lnorms(free_laplacian(), 3.0, 0.0, [5000.0])
     lam = (3.0 + math.sqrt(5.0)) / 2.0
     assert logn1[0] == pytest.approx(5000.0 * math.log(lam), rel=1e-2)
+
+
+def scan_terminal_log_ratio(spec, E, thetas, L_max):
+    """Reference: shoot every angle of the grid through the recursion.
+
+    Square sums over sites 1..floor(L_max)+1, the last at full weight as
+    in the Gram grid, with the state rescaled every 64 sites.
+    """
+    n_stop = int(math.floor(L_max)) + 1
+    p1, c1 = -np.sin(thetas), np.cos(thetas)
+    p2, c2 = np.cos(thetas), np.sin(thetas)
+    ls1 = np.full_like(p1, -np.inf)
+    ls2 = np.full_like(p1, -np.inf)
+    log_scale = np.zeros_like(p1)
+    a, b = map(memoryview, spec.coefficients(n_stop - 1))
+    with np.errstate(divide="ignore"):
+        for n in range(1, n_stop + 1):
+            ls1 = np.logaddexp(ls1, 2.0 * (np.log(np.abs(c1)) + log_scale))
+            ls2 = np.logaddexp(ls2, 2.0 * (np.log(np.abs(c2)) + log_scale))
+            if n == n_stop:
+                break
+            coef = E - b[n]
+            p1, c1 = c1, (coef * c1 - a[n - 1] * p1) / a[n]
+            p2, c2 = c2, (coef * c2 - a[n - 1] * p2) / a[n]
+            if n % 64 == 0:
+                m = np.maximum.reduce(
+                    [np.abs(p1), np.abs(c1), np.abs(p2), np.abs(c2)])
+                m = np.maximum(m, 1e-300)
+                inv = 1.0 / m
+                p1 *= inv
+                c1 *= inv
+                p2 *= inv
+                c2 *= inv
+                log_scale += np.log(m)
+    return 0.5 * (ls1 - ls2)
+
+
+GRID_SPECS = {
+    "free": free_laplacian(),
+    "constant(1.3, 0)": constant_spec(1.3, 0.0),
+    "constant(0.6, 0.1)": constant_spec(0.6, 0.1),
+    "sparse(8, 0.2)": SparseSpec(v=0.2, gamma=8, j_max=10).to_operator_spec(),
+}
+
+
+@pytest.mark.parametrize("L_max", [300.0, 1000.0])
+@pytest.mark.parametrize("label", sorted(GRID_SPECS))
+def test_gram_grid_matches_shooting_scan(label, L_max):
+    spec = GRID_SPECS[label]
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID,
+                         endpoint=False)
+    for E in (0.3, 0.5, 1.0, 1.9, 2.5, 3.0, -2.2, 0.6, 0.0, 2.0):
+        grid = _grid_log_ratio(spec, E, thetas, L_max)
+        scan = scan_terminal_log_ratio(spec, E, thetas, L_max)
+        assert np.argmin(grid) == np.argmin(scan), E
+        clear = scan > math.log(1e-6)
+        assert np.max(np.abs(grid[clear] - scan[clear])) <= 1e-9, E
+
+
+def test_gram_grid_subordinate_angle_on_the_grid():
+    # free E = lam + 1/lam with lam = sqrt(3): theta* = -atan(lam) = -pi/3
+    # is grid point 120, where the quadratic form cancels to rounding level
+    lam = math.sqrt(3.0)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID,
+                         endpoint=False)
+    grid = _grid_log_ratio(free_laplacian(), lam + 1.0 / lam, thetas, 1000.0)
+    assert not np.any(np.isnan(grid))
+    assert np.argmin(grid) == 120
 
 
 # ---------------------------------------------------------------------------
