@@ -77,20 +77,17 @@ class Mat2:
         )
 
     def norm(self) -> float:
-        """Spectral norm from the explicit 2x2 singular-value formula."""
+        """Spectral norm: the larger singular value, in closed form.
+
+        (|(m11 + m22, m12 - m21)| + |(m11 - m22, m12 + m21)|) / 2 adds two
+        nonnegative terms, so it keeps full relative precision where the
+        singular values nearly coincide (there g^2 - 4 det^2 cancels).
+        """
         m = self.max_abs()
-        if m == 0.0:
-            return 0.0
-        if m > 1e60:  # keep g^2 representable
+        if m > 1e300:  # keep the entry sums finite
             return m * self.scaled(1.0 / m).norm()
-        if m < 1e-60:  # avoid underflow of the entry squares
-            return self.scaled(1e60).norm() / 1e60
-        g = self.m11 ** 2 + self.m12 ** 2 + self.m21 ** 2 + self.m22 ** 2
-        d = self.det()
-        disc = g * g - 4.0 * d * d
-        if disc < 0.0:  # rounding
-            disc = 0.0
-        return math.sqrt(0.5 * (g + math.sqrt(disc)))
+        return 0.5 * (math.hypot(self.m11 + self.m22, self.m12 - self.m21)
+                      + math.hypot(self.m11 - self.m22, self.m12 + self.m21))
 
     def max_abs(self) -> float:
         return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
@@ -199,12 +196,12 @@ class Trajectory:
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def residual(self, spec: OperatorSpec, n):
+    def residual(self, a: np.ndarray, b: np.ndarray, n):
         """Three-term recursion residual at site n (1 <= n <= n_max-1).
 
-        n may be an int or an integer index array.
+        a and b are coefficient arrays (OperatorSpec.coefficients) holding
+        sites 0..n; n may be an int or an integer index array.
         """
-        a, b = spec.coefficients(self.n_max)
         v = self.values
         return a[n] * v[n + 1] + a[n - 1] * v[n - 1] + (b[n] - self.E) * v[n]
 

@@ -149,6 +149,11 @@ _DEFAULTS: Dict[str, Any] = {
     "workers": 1,
 }
 
+_SPEC_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "free": {}, "constant": {"a": 1.0, "b": 0.0},
+    "sparse": {"v": 0.2, "gamma": 8, "j_max": 30},
+}
+
 _GRID_DEFAULTS: Dict[str, Any] = {
     "N_j_max": 30, "L_max": 1e4, "L_decades": 4, "n_max": 10 ** 4,
     "N1": 1, "N2": 10, "r": 3.0, "trials": 10 ** 4, "n_tail": 100,
@@ -166,6 +171,8 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
         elif isinstance(val, dict):
             for k2, v2 in val.items():
                 out[key].setdefault(k2, json.loads(json.dumps(v2)))
+    for k, v in _SPEC_DEFAULTS[out["spec"]["type"]].items():
+        out["spec"].setdefault(k, v)
     for k, v in _GRID_DEFAULTS.items():
         out["grids"].setdefault(k, v)
     for dist in ("b", "a"):
@@ -194,29 +201,26 @@ def build_spec(config: Dict[str, Any]) -> OperatorSpec:
     if sd["type"] == "free":
         return free_laplacian()
     if sd["type"] == "constant":
-        return constant_spec(sd.get("a", 1.0), sd.get("b", 0.0))
+        return constant_spec(sd["a"], sd["b"])
     return sparse_spec_of(config).to_operator_spec()
 
 
 def sparse_spec_of(config: Dict[str, Any]) -> SparseSpec:
     sd = config["spec"]
-    return SparseSpec(v=sd.get("v", 0.2), gamma=sd.get("gamma", 8),
-                      j_max=sd.get("j_max", 30))
+    return SparseSpec(v=sd["v"], gamma=sd["gamma"], j_max=sd["j_max"])
 
 
 def build_model(config: Dict[str, Any]) -> PerturbationModel:
     md = config["model"]
 
     def dist(d):
-        return SiteDistribution(kind=d["kind"],
-                                amplitude=d.get("amplitude", 1.0),
-                                decay=d.get("decay", 1.0),
-                                trunc=d.get("trunc", 2.0))
+        return SiteDistribution(kind=d["kind"], amplitude=d["amplitude"],
+                                decay=d["decay"], trunc=d["trunc"])
 
     return PerturbationModel(
-        b_dist=dist(md["b"]) if "b" in md else SiteDistribution(kind="zero"),
+        b_dist=dist(md["b"]),
         a_dist=dist(md["a"]) if "a" in md else None,
-        delta=md.get("delta", 0.5),
+        delta=md["delta"],
         exp_id=config["experiment"],
     )
 

@@ -279,7 +279,6 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
     var_sq_acc = np.zeros(width)
     chunk = 2000
     done = 0
-    ci = 0
     while done < trials:
         c = min(chunk, trials - done)
         xfull = np.zeros((c, N2 + 1))
@@ -297,7 +296,6 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
         var_acc += np.sum(zs ** 2, axis=0)
         var_sq_acc += np.sum(zs ** 4, axis=0)
         done += c
-        ci += 1
     prob = exceed_count / trials
     if f_defs is None:
         var_sum = sum(dist.moment(2, n) for n in range(N1, N2 + 1))
@@ -408,23 +406,18 @@ def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
     tail_sq = np.empty(trials)
     sites = np.arange(n_max + 1, dtype=float)
     sites[0] = 1.0
-    chunk = 500
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        for t in range(c):
-            u = stream_uniforms(model.exp_id, "series", seed + done + t, n_max)
-            b = dist.transform(u, sites)
-            b[0] = 0.0
-            z = b * w
-            S = np.cumsum(z)  # S[k] = sum_{n<=k}
-            final = S[-1]
-            dev = np.abs(S - final)
-            # running sup over m >= index
-            sup_from = np.flip(np.maximum.accumulate(np.flip(dev)))
-            sups[done + t] = sup_from[checkpoints]
-            tail_sq[done + t] = (final - S[n_tail - 1]) ** 2
-        done += c
+    for t in range(trials):
+        u = stream_uniforms(model.exp_id, "series", seed + t, n_max)
+        b = dist.transform(u, sites)
+        b[0] = 0.0
+        z = b * w
+        S = np.cumsum(z)  # S[k] = sum_{n<=k}
+        final = S[-1]
+        dev = np.abs(S - final)
+        # running sup over m >= index
+        sup_from = np.flip(np.maximum.accumulate(np.flip(dev)))
+        sups[t] = sup_from[checkpoints]
+        tail_sq[t] = (final - S[n_tail - 1]) ** 2
     t2 = float(np.mean(tail_sq))
     t2_se = float(np.std(tail_sq, ddof=1) / math.sqrt(trials))
     return SeriesReport(

@@ -15,7 +15,7 @@ ratios <= 0.9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,8 +58,6 @@ class SingularEnergyReport:
     exp1: float = math.nan
     exp2: float = math.nan
     sandwich_ok: bool = False
-    ratio_psi1_iqr: List[Tuple[float, float]] = field(default_factory=list)
-    ratio_psi2_iqr: List[Tuple[float, float]] = field(default_factory=list)
     n_seeds: int = 0
 
 
@@ -152,14 +150,12 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     r2 = np.empty((len(seeds), len(L_grid)))
     for i, s in enumerate(seeds):
         real = sample(model, s, n_max)
-        _, _, ratios = perturbed_solutions(spec, real, E, theta,
-                                           n_max=n_max, L_grid=L_grid)
+        _, _, ratios = perturbed_solutions(spec, real, phi1, phi2,
+                                           L_grid=L_grid)
         r1[i] = ratios["psi1"]
         r2[i] = ratios["psi2"]
     med1 = np.median(r1, axis=0)
     med2 = np.median(r2, axis=0)
-    iqr1 = np.percentile(r1, 75, axis=0) - np.percentile(r1, 25, axis=0)
-    iqr2 = np.percentile(r2, 75, axis=0) - np.percentile(r2, 25, axis=0)
 
     return SingularEnergyReport(
         E=E, beta=beta, eta=eta, eta_tilde=eta_tilde,
@@ -167,8 +163,6 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
         ratio_psi1=list(zip(L_grid.tolist(), med1.tolist())),
         ratio_psi2=list(zip(L_grid.tolist(), med2.tolist())),
         theta_star=theta, exp1=exp1, exp2=exp2, sandwich_ok=sandwich,
-        ratio_psi1_iqr=list(zip(L_grid.tolist(), iqr1.tolist())),
-        ratio_psi2_iqr=list(zip(L_grid.tolist(), iqr2.tolist())),
         n_seeds=len(seeds),
     )
 

@@ -8,20 +8,22 @@ For general off-diagonal perturbations the cocycle is first conjugated by
 K(n) = diag(1, a(n)+~a(n)) to restore per-site independence, and the
 one-site correction decomposes into V/U/W generator terms.
 
-The d^{+-} amplitude pairs are built by summing Neumann layers of tail
-sums (truncated at a certified site), giving perturbed solutions
-psi_i = d_1 phi_1 + d_2 phi_2 with prescribed behavior at infinity. One
-layer iteration serves both the single-realization sum and the seed
-ensemble; the decay condition uses the shared decade-ratio test
-(randpert.decade_log_sums and randpert.decade_ratios_pass, last ratio
-<= 0.95).
+The amplitude matrix D(n) of neumann_layers solves the same backward
+recursion in the basis of a boundary solution pair, but tends to I at
+infinity: its columns d^-(n) and d^+(n) are sums of Neumann layers of
+tail sums from the terminal vectors (1, 0) and (0, 1), all computed in
+one pass, and the perturbed solutions are (psi1, psi2)(n) =
+(phi1, phi2)(n) D(n). One layer step serves this single-realization sum
+and the seed ensemble of neumann_series; the decay condition uses the
+shared decade-ratio test (randpert.decade_log_sums and
+randpert.decade_ratios_pass, last ratio <= 0.95).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .randpert import (
     decade_ratios_pass,
     sample,
 )
-from .subordinacy import l_norm, solve_pair
+from .subordinacy import l_norm
 
 K_MAX_DEFAULT = 12
 LAYER_STOP = 1e-12      # early stop when a sampled layer norm falls below this
@@ -147,12 +149,11 @@ def subordinate_generator_array(phi1: Trajectory, phi2: Trajectory) -> np.ndarra
 
 @dataclass
 class CorrectionState:
-    """D(n) with its mode tag; log_scale mirrors a log-scaled T_0 if used."""
+    """D(n) with its mode tag."""
 
     D: Mat2
     n: int
     mode: str
-    log_scale: float = 0.0
 
 
 def _transfer_sequence(spec: OperatorSpec, E: float, n_max: int) -> List[Mat2]:
@@ -298,53 +299,74 @@ def n_quarter_site(var_b2: np.ndarray, u_arr: np.ndarray) -> int:
     return int(ok[0])
 
 
-def _neumann_layer_iter(b_tilde: np.ndarray, u_arr: np.ndarray,
-                        n_start: int, branch: str) -> Iterator[np.ndarray]:
-    """Neumann layers d^0, d^1, d^2, ... at sites 0..n_max, zero below n_start.
+def _advance_layer(bt: np.ndarray,
+                   u: Sequence[Tuple[np.ndarray, np.ndarray]],
+                   layer: np.ndarray) -> None:
+    """Overwrite Neumann layer k with layer k+1, in reversed site order.
 
-    Layer 0 is the constant terminal vector (0, 1) for the plus branch and
-    (1, 0) for the minus branch; layer k+1 at site n is the truncated tail
-    sum over j > n of ~b(j) u(j) d^k(j).
+    Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
+    d^k(j') is a plain cumsum. layer has shape (columns, 2, sites): one
+    2-vector per amplitude column and site; bt and the u rows are views
+    reversed alike.
     """
-    n_max = len(b_tilde) - 1
-    bt = b_tilde[n_start:]
-    u = u_arr[n_start:n_max + 1]
-    rows = ((u[:, 0, 0], u[:, 0, 1]), (u[:, 1, 0], u[:, 1, 1]))
-    layer = np.zeros((n_max + 1, 2))
-    layer[n_start:] = (0.0, 1.0) if branch == "plus" else (1.0, 0.0)
-    while True:
-        yield layer
-        x, y = layer[n_start:, 0], layer[n_start:, 1]
-        layer = np.zeros((n_max + 1, 2))
-        for i, (ux, uy) in enumerate(rows):
-            w = bt * (ux * x + uy * y)
-            # suffix sums: layer[n] = sum_{j > n} w[j]
-            layer[n_start:n_max, i] = np.cumsum(w[::-1])[::-1][1:]
+    for col in layer:
+        x, y = col
+        w = []
+        for ux, uy in u:
+            wi = ux * x
+            wi += uy * y
+            wi *= bt  # ~b (u d^k), rounded as bt * (ux x + uy y)
+            w.append(wi)
+        for row, wi in zip(col, w):
+            row[0] = 0.0  # no site beyond n_max
+            np.cumsum(wi[:-1], out=row[1:])
+
+
+def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int):
+    """Rows (u_i0, u_i1) of u for sites n_max down to n_start, as views."""
+    u = u_arr[n_start:n_max + 1][::-1]
+    return ((u[:, 0, 0], u[:, 0, 1]), (u[:, 1, 0], u[:, 1, 1]))
 
 
 def neumann_layers(b_tilde: np.ndarray, u_arr: np.ndarray, n_start: int,
-                   K_max: int = K_MAX_DEFAULT,
-                   branch: str = "plus") -> Tuple[np.ndarray, List[float]]:
-    """Sum of Neumann layers d(n) for n = n_start..n_max, one realization.
+                   K_max: int = K_MAX_DEFAULT
+                   ) -> Tuple[np.ndarray, List[float]]:
+    """Amplitude matrices D(n) for n = n_start..n_max, one realization.
 
-    Returns (d_total indexed by absolute site with entries below n_start
-    zeroed, layer sup-norms over the range). Stops after K_max layers or
-    at the first layer whose sup-norm is below LAYER_STOP.
+    Column 0 of D(n) is d^-(n), the Neumann sum from the terminal vector
+    (1, 0); column 1 is d^+(n), from (0, 1); so (psi1, psi2)(n) =
+    (phi1, phi2)(n) D(n). One pass of the layer iteration serves both
+    columns; each column stops after K_max layers or after its first layer
+    whose sup-norm is below LAYER_STOP. Returns (D indexed by absolute
+    site, shape (n_max+1, 2, 2), zero below n_start; sups), where sups[k]
+    is the largest sup-norm of layer k over the columns that take it. D
+    is a view of the reversed-order sum, not a contiguous array.
     """
-    layers = _neumann_layer_iter(b_tilde, u_arr, n_start, branch)
-    total = next(layers).copy()
-    sups = [1.0]  # the terminal vector is a unit vector
-    for _, layer in zip(range(K_max), layers):
-        total += layer
-        sups.append(float(np.max(np.abs(layer))))
-        if sups[-1] < LAYER_STOP:
+    n_max = len(b_tilde) - 1
+    bt = b_tilde[n_start:][::-1]
+    u = _reversed_rows(u_arr, n_start, n_max)
+    sites = len(bt)
+    # total[column, component, n_max - n]; sites below n_start stay zero
+    total = np.zeros((2, 2, n_max + 1))
+    total[:, :, :sites] = np.eye(2)[:, :, None]
+    layer, active = total[:, :, :sites].copy(), [0, 1]
+    sups = [1.0]  # the terminal vectors are unit vectors
+    for _ in range(K_max):
+        _advance_layer(bt, u, layer)
+        col_sups = [float(max(col.max(), -col.min())) for col in layer]
+        for c, col in zip(active, layer):
+            total[c, :, :sites] += col
+        sups.append(max(col_sups))
+        going = [k for k, sup in enumerate(col_sups) if not sup < LAYER_STOP]
+        if not going:
             break
-    return total, sups
+        if len(going) < len(active):
+            active, layer = [active[k] for k in going], layer[going]
+    return total.transpose(2, 1, 0)[::-1], sups
 
 
 @dataclass
 class NeumannReport:
-    branch: str
     n_quarter: int
     probe_site: int
     layer_moments: np.ndarray        # sampled E||d^k(probe)||^2 per layer
@@ -378,16 +400,21 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     K_max = K_MAX_DEFAULT
     layer_sq = np.full((len(seeds), K_max + 1), np.nan)
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
+    u = _reversed_rows(u_arr, probe, n_max)
     for i, s in enumerate(seeds):
-        real = sample(model, s, n_max)
-        layers = _neumann_layer_iter(real.b_tilde, u_arr, probe, "plus")
-        total = np.zeros((n_max + 1, 2))
-        for k, layer in zip(range(K_max + 1), layers):
+        bt = sample(model, s, n_max).b_tilde[probe:][::-1]
+        layer = np.zeros((1, 2, len(bt)))
+        layer[0, 1] = 1.0
+        total = layer.copy()
+        layer_sq[i, 0] = 1.0  # the terminal vector is a unit vector
+        for k in range(1, K_max + 1):
+            _advance_layer(bt, u, layer)
             total += layer
-            layer_sq[i, k] = float(layer[probe] @ layer[probe])
-            if k > 0 and math.sqrt(layer_sq[i, k]) < LAYER_STOP:
+            at_probe = layer[0, :, -1]
+            layer_sq[i, k] = float(at_probe @ at_probe)
+            if math.sqrt(layer_sq[i, k]) < LAYER_STOP:
                 break
-        d_vals[i] = total[checkpoints]
+        d_vals[i] = total[0][:, n_max - checkpoints].T
 
     counts = np.sum(~np.isnan(layer_sq), axis=0)
     moments = np.full(K_max + 1, np.nan)
@@ -406,7 +433,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     hs2 = np.einsum("nij,nij->n", u_arr, u_arr)
     tail_var = float((var_b2 * hs2)[checkpoints[-1]:].sum())
     return NeumannReport(
-        branch="plus", n_quarter=nq, probe_site=probe,
+        n_quarter=nq, probe_site=probe,
         layer_moments=moments, layer_moment_se=se,
         checkpoints=checkpoints, d_median=np.median(d_vals, axis=0),
         tail_variance=tail_var, contraction_ok=ok,
@@ -417,35 +444,38 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 # perturbed solutions
 # ---------------------------------------------------------------------------
 
-def perturbed_solutions(spec: OperatorSpec, realization: Realization, E: float,
-                        theta_star: float, n_max: Optional[int] = None,
+def perturbed_solutions(spec: OperatorSpec, realization: Realization,
+                        phi1: Trajectory, phi2: Trajectory,
                         L_grid: Optional[np.ndarray] = None):
-    """(psi1, psi2, ratios) built from the Neumann amplitude pairs.
+    """(psi1, psi2, ratios) built from the amplitude matrices D(n).
 
-    psi1 = d-_1 phi1 + d-_2 phi2, psi2 = d+_1 phi1 + d+_2 phi2, with the
-    phi pair at the given boundary angle. Verifies the perturbed
-    difference-equation residual at every interior site and reports the
-    L-norm ratio traces ||psi_i||_L / ||phi_i||_L when a grid is given.
+    (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
+    pair phi1, phi2 (from solve_pair), which fixes E, the angle and n_max.
+    Verifies the perturbed difference-equation residual at every interior
+    site and reports the L-norm ratio traces ||psi_i||_L / ||phi_i||_L
+    when a grid is given.
     """
-    if n_max is None:
-        n_max = realization.n_max
-    phi1, phi2 = solve_pair(spec, E, theta_star, n_max)
+    n_max = phi1.n_max
+    if n_max > realization.n_max:
+        raise InsufficientDataError("realization shorter than the pair")
     u_arr = subordinate_generator_array(phi1, phi2)
-    d_minus, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0,
-                                branch="minus")
-    d_plus, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0,
-                               branch="plus")
-    psi1_vals = d_minus[:, 0] * phi1.values + d_minus[:, 1] * phi2.values
-    psi2_vals = d_plus[:, 0] * phi1.values + d_plus[:, 1] * phi2.values
-    pspec = perturbed_spec(spec, realization)
-    psi1 = Trajectory(values=psi1_vals, E=E, spec_label=pspec.label,
-                      theta=theta_star)
-    psi2 = Trajectory(values=psi2_vals, E=E, spec_label=pspec.label,
-                      theta=theta_star)
+    d, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0)
+    psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
+    psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta,
+                             spec_label=spec.label + "+pert")
+                  for v in psi_vals)
+    a, b = spec.coefficients(n_max)
+    a[1:] += realization.a_tilde_or_zeros()[1:n_max + 1]
+    b[1:] += realization.b_tilde[1:n_max + 1]
+    low = np.flatnonzero(a[1:] < spec.a_min)
+    if len(low):
+        n = int(low[0]) + 1
+        raise InvalidArgumentError(
+            f"a({n}) = {a[n]} below declared floor a_min = {spec.a_min}")
     sites = np.arange(1, n_max)
     for psi in (psi1, psi2):
         scale = float(np.max(np.abs(psi.values))) or 1.0
-        res = psi.residual(pspec, sites)
+        res = psi.residual(a, b, sites)
         bad = np.flatnonzero(np.abs(res) > RESIDUAL_TOL * scale)
         if len(bad):
             n = int(sites[bad[0]])

@@ -89,8 +89,9 @@ def test_array_paths_match_scalar_oracle(table, E, data):
 
     traj = solve_forward(spec, E, 1.0, 0.3, n)
     sites = np.arange(1, n)
-    res = traj.residual(spec, sites)
-    assert res.tolist() == [traj.residual(spec, int(k)) for k in sites]
+    coef = spec.coefficients(n)
+    res = traj.residual(*coef, sites)
+    assert res.tolist() == [traj.residual(*coef, int(k)) for k in sites]
     v = traj.values
     a0 = [1.0] + a_tab[1:]  # a(0) = 1 by convention
     assert res.tolist() == [a0[k] * v[k + 1] + a0[k - 1] * v[k - 1]

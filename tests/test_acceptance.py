@@ -218,8 +218,7 @@ def test_criterion_06_neumann_construction():
     errs = []
     for seed in range(20):
         real = sample(model, seed, 400)
-        d_plus, _ = neumann_layers(real.b_tilde, u_arr[:401], 0,
-                                   branch="plus")
+        d_plus = neumann_layers(real.b_tilde, u_arr[:401], 0)[0][:, :, 1]
         D = correction_recursion(spec, real, E, 400)[-1].D
         recon = np.array(D.apply(*d_plus[0]))
         errs.append(np.linalg.norm(d_plus[400] - recon)

@@ -56,6 +56,26 @@ def test_config_hash_ignores_output_and_workers():
     assert config_hash(a) != config_hash(c)
 
 
+@pytest.mark.parametrize("short,full", [
+    ({"type": "sparse"},
+     {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 30}),
+    ({"type": "sparse", "gamma": 4},
+     {"type": "sparse", "v": 0.2, "gamma": 4, "j_max": 30}),
+    ({"type": "constant"}, {"type": "constant", "a": 1.0, "b": 0.0}),
+])
+def test_spec_defaults_filled_before_hashing(tmp_path, short, full):
+    def emitted(spec, name):
+        cfg = {"experiment": "transfer", "spec": spec, "E_grid": [0.5],
+               "grids": {"N_j_max": 4}, "output": "out"}
+        rep = run(cfg)
+        emit(rep, str(tmp_path / name))
+        return rep.provenance["config_hash"], {
+            f: (tmp_path / name / f).read_bytes()
+            for f in ("config.json", "transfer.csv")}
+
+    assert emitted(short, "short") == emitted(full, "full")
+
+
 def test_energy_grid_range_form():
     cfg = materialize({"experiment": "transfer",
                        "E_grid": {"start": -1.0, "stop": 1.0, "step": 0.5}})

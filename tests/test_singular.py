@@ -205,7 +205,8 @@ def test_summation_by_parts_bound_chain():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
     real = sample(model, 17, n_max)
-    d_minus, _ = neumann_layers(real.b_tilde, u_arr, 0, branch="minus")
+    d, _ = neumann_layers(real.b_tilde, u_arr, 0)
+    d_minus = d[:, :, 0]
     d2 = d_minus[:, 1]
 
     prod = Trajectory(values=d2 * phi2.values, E=E_TEST, theta=theta)

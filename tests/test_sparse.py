@@ -52,6 +52,32 @@ def test_potential_exact_membership():
     assert s.b(8 ** 6) == 0.0   # beyond the last bump
 
 
+def division_loop_b(spec, n):
+    """The per-site membership loop SparseSpec.b used before its set lookup."""
+    if n < spec.gamma or n > spec.bump_sites[-1]:
+        return 0.0
+    m = n
+    while m > 1 and m % spec.gamma == 0:
+        m //= spec.gamma
+    return spec.v if m == 1 else 0.0
+
+
+@pytest.mark.parametrize("gamma,j_max", [(2, 16), (3, 10), (8, 6)])
+def test_potential_matches_division_loop_on_every_site(gamma, j_max):
+    s = SparseSpec(v=0.3, gamma=gamma, j_max=j_max)
+    sites = range(gamma ** j_max + 2)
+    assert [s.b(n) for n in sites] == [division_loop_b(s, n) for n in sites]
+
+
+def test_potential_matches_division_loop_near_large_powers():
+    s = SparseSpec(v=0.2, gamma=8, j_max=30)
+    sites = {0} | {k * 8 ** j + d for j in range(32) for k in (1, 2, 3, 7)
+                   for d in (-1, 0, 1)}
+    assert 2 * 8 ** 5 in sites
+    for n in sorted(sites):
+        assert s.b(n) == division_loop_b(s, n), n
+
+
 def test_sparse_spec_validation():
     with pytest.raises(InvalidArgumentError):
         SparseSpec(gamma=1)

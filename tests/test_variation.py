@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jacobilab.core import Mat2, free_laplacian, schrodinger_spec, single_step
 from jacobilab.errors import (
     DivergentSeriesError,
+    InsufficientDataError,
     InternalConsistencyError,
     InvalidArgumentError,
 )
@@ -305,14 +306,82 @@ def test_neumann_layers_zero_model():
     n_max = 50
     u_arr = np.zeros((n_max + 1, 2, 2))
     u_arr[:, 0, 1] = 1.0
-    d_plus, sups = neumann_layers(np.zeros(n_max + 1), u_arr, 0,
-                                  branch="plus")
+    d, sups = neumann_layers(np.zeros(n_max + 1), u_arr, 0)
+    d_minus, d_plus = d[:, :, 0], d[:, :, 1]
     assert np.allclose(d_plus[:, 0], 0.0)
     assert np.allclose(d_plus[:, 1], 1.0)
     assert all(s == 0.0 for s in sups[1:])
-    d_minus, _ = neumann_layers(np.zeros(n_max + 1), u_arr, 0,
-                                branch="minus")
     assert np.allclose(d_minus, np.broadcast_to([1.0, 0.0], (n_max + 1, 2)))
+
+
+def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
+    """One amplitude column by the per-branch loop that neumann_layers
+    replaced: layers in site order, suffix sums as reversed cumsums, stop
+    after K_max layers or the first layer with sup-norm below 1e-12."""
+    n_max = len(b_tilde) - 1
+    bt = b_tilde[n_start:]
+    u = u_arr[n_start:n_max + 1]
+    layer = np.zeros((n_max + 1, 2))
+    layer[n_start:] = terminal
+    total = layer.copy()
+    sups = [1.0]
+    for _ in range(K_max):
+        x, y = layer[n_start:, 0], layer[n_start:, 1]
+        layer = np.zeros((n_max + 1, 2))
+        for i in range(2):
+            w = bt * (u[:, i, 0] * x + u[:, i, 1] * y)
+            layer[n_start:n_max, i] = np.cumsum(w[::-1])[::-1][1:]
+        total += layer
+        sups.append(float(np.max(np.abs(layer))))
+        if sups[-1] < 1e-12:
+            break
+    return total, sups
+
+
+def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
+    """Both columns bit for bit; returns the layer counts of (d-, d+)."""
+    d, sups = neumann_layers(b_tilde, u_arr, n_start, K_max)
+    ref = [single_branch_layers(b_tilde, u_arr, n_start, K_max, e)
+           for e in ((1.0, 0.0), (0.0, 1.0))]
+    for col, (total, _) in enumerate(ref):
+        assert np.array_equal(d[:, :, col], total)
+    assert sups == [max(s[k] for _, s in ref if k < len(s))
+                    for k in range(max(len(s) for _, s in ref))]
+    return tuple(len(s) - 1 for _, s in ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_neumann_layers_columns_match_single_branch_loop(data):
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    K_max = data.draw(st.integers(0, 12))
+    scale = data.draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    if data.draw(st.booleans()):
+        # a small s1 makes d- contract faster than d+, so the columns tend
+        # to stop at different layers
+        s1, s2 = rng.standard_normal((2, n_max + 1))
+        tilt = data.draw(st.sampled_from([1.0, 1e-2, 1e-4]))
+        u_arr = nilpotent_generator_array(tilt * s1, s2)
+    else:
+        # u = c(n) E12 sends d- to zero at layer 1 and d+ at layer 2
+        u_arr = np.zeros((n_max + 1, 2, 2))
+        u_arr[:, 0, 1] = rng.standard_normal(n_max + 1)
+    assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max)
+
+
+def test_neumann_layers_columns_stop_separately():
+    n_max = 40
+    u_arr = np.zeros((n_max + 1, 2, 2))
+    u_arr[:, 0, 1] = 1.0
+    b_tilde = np.full(n_max + 1, 0.01)
+    assert assert_columns_match_single_branch(b_tilde, u_arr, 0, 12) == (1, 2)
+    rng = np.random.default_rng(6)
+    u_arr = nilpotent_generator_array(*rng.standard_normal((2, n_max + 1)))
+    assert assert_columns_match_single_branch(
+        0.1 * b_tilde, u_arr, 0, 12) == (6, 7)
 
 
 def test_layer_one_is_plain_tail_sum():
@@ -322,10 +391,10 @@ def test_layer_one_is_plain_tail_sum():
     u_arr = diagonal_generator_array(spec, E, n_max)
     model = PerturbationModel(b_dist=uniform_over_n(), exp_id="l1")
     real = sample(model, 7, n_max)
-    _, _ = neumann_layers(real.b_tilde, u_arr, 0, K_max=1, branch="plus")
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
-    d_tot, _ = neumann_layers(real.b_tilde, u_arr, 0, K_max=1, branch="plus")
+    d, _ = neumann_layers(real.b_tilde, u_arr, 0, K_max=1)
+    d_tot = d[:, :, 1]
     for n in (0, 13, 150):
         manual = d0.copy()
         for j in range(n + 1, n_max + 1):
@@ -391,9 +460,9 @@ def test_perturbed_solutions_zero_model_exact():
     spec = free_laplacian()
     E, th = 0.5, 0.3
     real = zero_realization(300)
-    psi1, psi2, ratios = perturbed_solutions(
-        spec, real, E, th, L_grid=np.array([10.0, 100.0, 250.0]))
     phi1, phi2 = solve_pair(spec, E, th, 300)
+    psi1, psi2, ratios = perturbed_solutions(
+        spec, real, phi1, phi2, L_grid=np.array([10.0, 100.0, 250.0]))
     assert np.array_equal(psi1.values, phi1.values)
     assert np.array_equal(psi2.values, phi2.values)
     assert np.allclose(ratios["psi1"], 1.0)
@@ -406,11 +475,26 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
     real = sample(model, 11, 400)
     # the constructor verifies the residual at every interior site and
     # raises on failure; reaching here is the assertion
-    psi1, psi2, _ = perturbed_solutions(spec, real, 0.5, 0.1)
-    pspec = perturbed_spec(spec, real)
+    psi1, psi2, _ = perturbed_solutions(spec, real,
+                                        *solve_pair(spec, 0.5, 0.1, 400))
+    a, b = perturbed_spec(spec, real).coefficients(400)
     scale = float(np.max(np.abs(psi2.values)))
     for n in (1, 200, 399):
-        assert abs(psi2.residual(pspec, n)) <= 1e-9 * scale
+        assert abs(psi2.residual(a, b, n)) <= 1e-9 * scale
+
+
+def test_perturbed_solutions_check_floor_and_length():
+    spec = free_laplacian()
+    n_max = 50
+    a_tilde = np.zeros(n_max + 1)
+    a_tilde[17] = -1.0  # a + ~a = 0 at site 17
+    real = Realization(seed=0, n_max=n_max, b_tilde=np.zeros(n_max + 1),
+                       a_tilde=a_tilde)
+    with pytest.raises(InvalidArgumentError, match=r"a\(17\) = 0\.0 below"):
+        perturbed_solutions(spec, real, *solve_pair(spec, 0.5, 0.1, n_max))
+    with pytest.raises(InsufficientDataError):
+        perturbed_solutions(spec, zero_realization(n_max - 1),
+                            *solve_pair(spec, 0.5, 0.1, n_max))
 
 
 def test_perturbed_solutions_ratio_near_one_small_noise():
@@ -422,7 +506,8 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
     for seed in range(20):
         real = sample(model, seed, 500)
         _, _, ratios = perturbed_solutions(
-            spec, real, 0.5, 0.0, L_grid=np.array([400.0]))
+            spec, real, *solve_pair(spec, 0.5, 0.0, 500),
+            L_grid=np.array([400.0]))
         terminal.append(ratios["psi2"][0])
     med = float(np.median(terminal))
     assert 0.9 <= med <= 1.1
