@@ -7,30 +7,29 @@ admissible-perturbation set is a convergence verdict for
 
     sum_n (<~a(n)^4>^{1/2} + <~b(n)^2>) * ((a(n)+1) * t^E(n))^4
 
-by the shared decade-ratio test (randpert.decade_log_sums and
-randpert.decade_ratios_pass, last three ratios <= 0.9). Everything runs
-in the log domain so exponentially growing orbits never overflow.
+by the shared decade-ratio test (randpert.decade_ratios_pass, last three
+ratios <= 0.9, on the decades of randpert.decade_log_sums). Everything
+runs in the log domain so exponentially growing orbits never overflow.
+Both sums take an array of energies and walk the sites once for all of
+them: two propagate lanes per energy, in blocks of BLOCK sites.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LN2, OperatorSpec, growth_check, propagate
+from .core import LN2, OperatorSpec, growth_check, propagate, resume_state
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .randpert import (
-    LOG_SAT,
-    PerturbationModel,
-    decade_log_sums,
-    decade_ratios_pass,
-)
+from .randpert import LOG_SAT, PerturbationModel, decade_ratios_pass
 
 TAU_BOUND = 1e3          # boundedness proxy: max_n t^E(n) <= tau_bound
 DECADE_RATIO = 0.9       # convergence verdict threshold on decade sums
+BLOCK = 256              # sites per lane call of the t^E(n)^2 pass
+CANONICAL = ((0.0, 1.0), (1.0, 0.0))  # (phi(0), phi(1)) of alpha and gamma
 
 
 def default_n_grid(j_max: int = 40) -> List[int]:
@@ -39,25 +38,66 @@ def default_n_grid(j_max: int = 40) -> List[int]:
     return grid
 
 
-def log_t2_stream(a: np.ndarray, b: np.ndarray, E: float) -> np.ndarray:
-    """ln t^E(n)^2 for n = 1..len(a)-1 (entry n-1 holds site n).
+def _log_t2(alpha, gamma, inv_a) -> np.ndarray:
+    """ln t^E(n)^2 from the canonical pair at consecutive sites.
 
-    a, b hold sites 0..n_max. With alpha = (0, 1) and gamma = (1, 0) at
-    sites (0, 1), T(n) = [[alpha(n+1), gamma(n+1)], [alpha(n), gamma(n)]];
+    alpha and gamma are (m, k) of propagate over sites n0..n1+1 (rows);
+    inv_a holds 1/a(n) for n = n0..n1, the sites of the result. With
+    alpha = (0, 1) and gamma = (1, 0) at sites (0, 1),
+    T(n) = [[alpha(n+1), gamma(n+1)], [alpha(n), gamma(n)]];
     ||T||^2 = (g + sqrt(g^2 - 4 det^2)) / 2 from the entry-square sum g and
     det T(n) = 1/a(n), all on the exponent of site n+1 (the larger one).
     """
-    n_max = len(a) - 1
-    (m_a, k_a), (m_g, k_g) = (propagate(a, b, E, phi0, phi1, n_max + 1)
-                              for phi0, phi1 in ((0.0, 1.0), (1.0, 0.0)))
-    top = np.maximum(k_a[2:], k_g[2:])
-    g = np.zeros(n_max)
-    for m, k in ((m_a, k_a), (m_g, k_g)):
-        for site in (slice(2, None), slice(1, -1)):
-            g += np.ldexp(m[site], k[site] - top) ** 2
-    det = np.ldexp(1.0 / a[1:], -2 * top)
+    top = np.maximum(alpha[1][1:], gamma[1][1:])
+    g = np.zeros(top.shape)
+    for m, k in (alpha, gamma):
+        for rows in (slice(1, None), slice(None, -1)):
+            g += np.ldexp(m[rows], k[rows] - top) ** 2
+    det = np.ldexp(inv_a, -2 * top)
     t2 = 0.5 * (g + np.sqrt(np.maximum(g * g - 4.0 * det * det, 0.0)))
     return np.log(t2) + 2.0 * LN2 * top
+
+
+def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
+                   stops: Iterable[int] = ()) -> Iterator:
+    """ln t^E(n)^2 for n = 1..len(a)-1 at every energy, block by block.
+
+    Yields (last, lt2): lt2[i, j] holds site last - len(lt2) + 1 + i at
+    energies[j]. A block holds at most BLOCK sites and ends at every site
+    in stops. One lane call of propagate per block carries the canonical
+    pair of every energy on from the state of the block before
+    (resume_state), so each column is bit for bit the scalar
+    log_t2_stream, in O(BLOCK x energies) memory.
+    """
+    E = np.asarray(energies, dtype=float)
+    n_E, n_max = len(E), len(a) - 1
+    lanes = np.concatenate([E, E])  # alpha of every energy, then gamma
+    prev, cur = (np.repeat(phi, n_E) for phi in zip(*CANONICAL))
+    base = np.zeros(2 * n_E, dtype=np.int64)  # exponent of site `first`
+    first = 1  # the state (prev, cur) sits at sites (first - 1, first)
+    for last in sorted({*range(BLOCK, n_max, BLOCK), n_max,
+                        *(s for s in stops if 0 < s < n_max)}):
+        m, k = propagate(a[first - 1:], b[first - 1:], lanes, prev, cur,
+                         last - first + 2)
+        k += base
+        yield last, _log_t2((m[1:, :n_E], k[1:, :n_E]),
+                            (m[1:, n_E:], k[1:, n_E:]),
+                            1.0 / a[first:last + 1, None])
+        prev, cur, base = resume_state(m, k)
+        first = last + 1
+
+
+def log_t2_stream(a: np.ndarray, b: np.ndarray, E) -> np.ndarray:
+    """ln t^E(n)^2 for n = 1..len(a)-1 (entry n-1 holds site n).
+
+    a, b hold sites 0..n_max. For a 1-D array of energies, column j holds
+    energies[j], from one lane pass (_log_t2_blocks).
+    """
+    if np.ndim(E):
+        return np.concatenate([lt2 for _, lt2 in _log_t2_blocks(a, b, E)])
+    alpha, gamma = ((m[1:], k[1:]) for m, k in (
+        propagate(a, b, E, phi0, phi1, len(a)) for phi0, phi1 in CANONICAL))
+    return _log_t2(alpha, gamma, 1.0 / a[1:])
 
 
 @dataclass
@@ -65,7 +105,6 @@ class CesaroReport:
     """One-energy record of running Cesaro averages of t^E(n)^2."""
 
     E: float
-    N_grid: List[int]
     averages: List[float]
     liminf_proxy: float
     bounded_flag: bool
@@ -74,9 +113,32 @@ class CesaroReport:
     max_log_t: float = 0.0
 
 
-def cesaro_scan(spec: OperatorSpec, E: float,
-                N_grid: Optional[List[int]] = None) -> CesaroReport:
-    """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points."""
+@dataclass
+class CesaroScan:
+    """Cesaro records of several energies on one N-grid."""
+
+    N_grid: List[int]
+    reports: List[CesaroReport]
+
+
+def _cesaro_report(E: float, N_grid: List[int], log_avgs: List[float],
+                   max_log_t: float) -> CesaroReport:
+    saturated = max(log_avgs) > LOG_SAT
+    averages = [math.exp(v) if v <= LOG_SAT else math.inf for v in log_avgs]
+    last_decade = [a for N, a in zip(N_grid, averages) if N >= N_grid[-1] / 10.0]
+    return CesaroReport(
+        E=E, averages=averages, liminf_proxy=min(last_decade),
+        bounded_flag=max_log_t <= math.log(TAU_BOUND),
+        log_averages=log_avgs, saturated=saturated, max_log_t=max_log_t,
+    )
+
+
+def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
+                N_grid: Optional[List[int]] = None) -> CesaroScan:
+    """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points.
+
+    One pass over the sites serves every energy; reports[j] is energies[j].
+    """
     if N_grid is None:
         N_grid = default_n_grid()
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
@@ -85,27 +147,25 @@ def cesaro_scan(spec: OperatorSpec, E: float,
     if not growth_check(a):
         raise InvalidArgumentError("spec fails the finite-truncation growth check")
 
-    lt2 = log_t2_stream(a, b, E)
-    log_sums = np.logaddexp.accumulate(lt2)
-    max_log_t = float(np.max(0.5 * lt2))
-    log_avgs = [float(log_sums[N - 1]) - math.log(N) for N in N_grid]
-
-    saturated = max(log_avgs) > LOG_SAT
-    averages = [math.exp(v) if v <= LOG_SAT else math.inf for v in log_avgs]
-    last_decade = [a for N, a in zip(N_grid, averages) if N >= N_grid[-1] / 10.0]
-    liminf_proxy = min(last_decade)
-    bounded = max_log_t <= math.log(TAU_BOUND)
-    return CesaroReport(
-        E=E, N_grid=list(N_grid), averages=averages,
-        liminf_proxy=liminf_proxy, bounded_flag=bounded,
-        log_averages=log_avgs, saturated=saturated, max_log_t=max_log_t,
-    )
+    log_sum = max_lt2 = np.full(len(energies), -math.inf)
+    log_sums = {}  # N -> log sum_{n<=N} t^E(n)^2 per energy
+    for last, lt2 in _log_t2_blocks(a, b, energies, N_grid):
+        log_sum = np.logaddexp.reduce(np.vstack([log_sum, lt2]))
+        max_lt2 = np.maximum(max_lt2, np.max(0.5 * lt2, axis=0))
+        log_sums[last] = log_sum
+    return CesaroScan(N_grid=list(N_grid), reports=[
+        _cesaro_report(E, N_grid,
+                       [float(log_sums[N][j]) - math.log(N) for N in N_grid],
+                       float(max_lt2[j]))
+        for j, E in enumerate(energies)])
 
 
-def gamma_membership(spec: OperatorSpec, model: PerturbationModel, E: float,
-                     N_max: int = 10 ** 5) -> Tuple[bool, float]:
+def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
+                     energies: Sequence[float], N_max: int = 10 ** 5
+                     ) -> List[Tuple[bool, float]]:
     """Decade-ratio convergence verdict and the partial sum up to N_max.
 
+    One (member, partial sum) per energy, from one pass over the sites.
     Member when each of the last three decade ratios is <= DECADE_RATIO.
     Requires closed-form per-site moments <~a^4> and <~b^2> from the model.
     """
@@ -121,15 +181,32 @@ def gamma_membership(spec: OperatorSpec, model: PerturbationModel, E: float,
         raise UnsupportedModelError("per-site moments not available in closed form")
 
     a, b = spec.coefficients(N_max)
-    lt2 = log_t2_stream(a, b, E)
-    log_terms = np.full(N_max + 1, -math.inf)
+    log_coeff = np.full(N_max + 1, -math.inf)
     pos = np.flatnonzero(coeff[1:] > 0.0) + 1
-    log_terms[pos] = (np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)
-                      + 2.0 * lt2[pos - 1])
+    log_coeff[pos] = np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)
+    live = coeff > 0.0
 
-    decades = decade_log_sums(log_terms)
-    total = float(np.logaddexp.reduce(decades))
-    if total == -math.inf:
-        return True, 0.0
-    partial_sum = math.exp(total) if total <= LOG_SAT else math.inf
-    return decade_ratios_pass(decades, DECADE_RATIO, 3), partial_sum
+    # decade k holds sites (10^(k-1), 10^k]; blocks end at decade ends
+    decade_ends = [10 ** k for k in range(1, len(str(N_max)))]
+    decades, decade_end = [], 0
+    for last, lt2 in _log_t2_blocks(a, b, energies, decade_ends):
+        if last > decade_end:
+            decades.append(np.full(len(energies), -math.inf))
+            decade_end = max(10, 10 * decade_end)
+        sites = slice(last - len(lt2) + 1, last + 1)
+        with np.errstate(invalid="ignore"):
+            log_terms = np.where(live[sites, None],
+                                 log_coeff[sites, None] + 2.0 * lt2,
+                                 -math.inf)
+        decades[-1] = np.logaddexp.reduce(np.vstack([decades[-1], log_terms]))
+
+    verdicts = []
+    for j in range(len(energies)):
+        sums = [float(d[j]) for d in decades]
+        total = float(np.logaddexp.reduce(sums))
+        if total == -math.inf:
+            verdicts.append((True, 0.0))
+            continue
+        partial_sum = math.exp(total) if total <= LOG_SAT else math.inf
+        verdicts.append((decade_ratios_pass(sums, DECADE_RATIO, 3), partial_sum))
+    return verdicts

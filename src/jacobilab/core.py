@@ -25,6 +25,10 @@ ENTRY_LIMIT = 1e150
 RESCALE_LIMIT = 2.0 ** 199
 LN2 = math.log(2.0)
 
+# propagate runs a numpy loop from this many lanes on: per site, that loop
+# costs about as much as 16 lanes of the float loop
+MIN_LANES = 16
+
 DEFAULT_A_MIN = 1e-6
 
 # Floor on the growth proxy (1/L) sum 1/a(n) of a finite truncation.
@@ -304,8 +308,8 @@ def naive_power(S: Mat2, m: int) -> Mat2:
     return T
 
 
-def propagate(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
-              phi1: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
+              n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve a(n)phi(n+1) + a(n-1)phi(n-1) + b(n)phi(n) = E phi(n) forward.
 
     a and b are coefficient arrays holding at least sites 0..n_max-1.
@@ -314,7 +318,19 @@ def propagate(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
     of two that brings |phi| into [1/2, 1). That is exact, so ldexp(m, k)
     is the plain recursion's value bit for bit wherever that stays finite
     (and normal). k is nondecreasing.
+
+    When E, phi0 or phi1 is a 1-D array, they are broadcast to lanes: each
+    lane runs the same recursion, in lockstep with the others, and is
+    rescaled on its own, so lane j of the (n_max + 1, lanes) arrays m and
+    k is bit for bit the scalar call on (E[j], phi0[j], phi1[j]). Below
+    MIN_LANES lanes, the scalar calls themselves are faster and are made.
     """
+    if min(len(a), len(b)) < n_max:
+        raise InvalidArgumentError(
+            f"propagating to site {n_max} needs coefficients of sites "
+            f"0..{n_max - 1}, got {min(len(a), len(b))} sites")
+    if np.ndim(E) or np.ndim(phi0) or np.ndim(phi1):
+        return _propagate_lanes(a, b, E, phi0, phi1, n_max)
     a, b = memoryview(a), memoryview(b)
     m = np.empty(n_max + 1, dtype=float)
     m[:2] = (phi0, phi1)[:n_max + 1]
@@ -329,6 +345,49 @@ def propagate(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
             k[n] = e
         m[n] = cur
     return m, np.cumsum(k, out=k)
+
+
+def _propagate_lanes(a, b, E, phi0, phi1, n_max):
+    """propagate over lanes: the scalar loop's arithmetic, one row per site."""
+    E, prev, cur = (np.array(x, dtype=float)
+                    for x in np.broadcast_arrays(E, phi0, phi1))
+    if len(E) < MIN_LANES:
+        lanes = [propagate(a, b, *map(float, x), n_max)
+                 for x in zip(E, prev, cur)]
+        return tuple(np.stack(col, axis=1) for col in zip(*lanes))
+    m = np.empty((n_max + 1, len(E)))
+    m[:2] = (prev, cur)[:n_max + 1]
+    k = np.zeros(m.shape, dtype=np.int64)
+    shift = E - b[1:n_max, None]  # row n-2 holds E - b(n-1)
+    mag = np.empty(len(E))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (a_prev, a_n) in enumerate(
+                zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()), start=2):
+            nxt = shift[n - 2] * cur
+            nxt -= a_prev * prev
+            nxt /= a_n
+            prev, cur = cur, nxt
+            np.abs(cur, out=mag)
+            if np.fmax.reduce(mag) > RESCALE_LIMIT:  # fmax skips nan lanes
+                big = mag > RESCALE_LIMIT
+                e = np.frexp(cur[big])[1]
+                prev[big] = np.ldexp(prev[big], -e)
+                cur[big] = np.ldexp(cur[big], -e)
+                k[n, big] = e
+            m[n] = cur
+    return m, np.cumsum(k, axis=0, out=k)
+
+
+def resume_state(m: np.ndarray, k: np.ndarray):
+    """(prev, cur, k_cur) that continue a propagate run ending in (m, k).
+
+    The loop rescales its state at the last site and leaves m[-2] as it
+    was stored, so prev goes onto the exponent k_cur of the last site.
+    For a run whose last site is s, propagate(a[s-1:], b[s-1:], E, prev,
+    cur, n) then gives rows 1..n of the uninterrupted run, sites s..s+n-1,
+    bit for bit, with exponents k_cur + k. Rows are lanes or scalars.
+    """
+    return np.ldexp(m[-2], k[-2] - k[-1]), m[-1], k[-1]
 
 
 def solve_forward(spec: OperatorSpec, E: float, phi0: float, phi1: float,

@@ -49,6 +49,8 @@ from .variation import correction_ensemble
 
 EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
+# experiments whose energies share one lane pass (ac_criterion)
+LANE_EXPERIMENTS = ("transfer", "ac-scan")
 
 _DIST_SCHEMA = {
     "type": "object",
@@ -256,29 +258,39 @@ class EnsembleReport:
 # per-cell computations (module-level for process-pool pickling)
 # ---------------------------------------------------------------------------
 
+def _lane_cells(config: Dict[str, Any],
+                energies: List[float]) -> List[Dict[str, Any]]:
+    """The cells of a LANE_EXPERIMENTS run, one per energy, in one pass."""
+    g = config["grids"]
+    spec = build_spec(config)
+    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]))
+    if config["experiment"] == "transfer":
+        return [{"rows": [[E, N, avg, int(rep.bounded_flag)]
+                          for N, avg in zip(scan.N_grid, rep.averages)],
+                 "traces": {f"cesaro_E{E}": list(
+                     zip(map(float, scan.N_grid), rep.averages))}}
+                for E, rep in zip(energies, scan.reports)]
+    model = build_model(config)
+    verdicts = gamma_membership(spec, model, energies,
+                                N_max=max(g["n_max"], 1000))
+    return [{"rows": [[E, rep.liminf_proxy, int(rep.bounded_flag),
+                       int(member), psum]], "traces": {}}
+            for E, rep, (member, psum) in zip(energies, scan.reports,
+                                              verdicts)]
+
+
 def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
     """One (experiment, E) cell; returns rows plus optional traces."""
     exp = config["experiment"]
+    if exp in LANE_EXPERIMENTS:
+        return _lane_cells(config, [E])[0]
     g = config["grids"]
     seeds = range(config["seeds"]["base"],
                   config["seeds"]["base"] + config["seeds"]["count"])
     spec = build_spec(config)
     out: Dict[str, Any] = {"rows": [], "traces": {}}
 
-    if exp == "transfer":
-        rep = cesaro_scan(spec, E, default_n_grid(g["N_j_max"]))
-        for N, avg in zip(rep.N_grid, rep.averages):
-            out["rows"].append([E, N, avg, int(rep.bounded_flag)])
-        out["traces"][f"cesaro_E{E}"] = list(
-            zip(map(float, rep.N_grid), rep.averages))
-    elif exp == "ac-scan":
-        rep = cesaro_scan(spec, E, default_n_grid(g["N_j_max"]))
-        model = build_model(config)
-        member, psum = gamma_membership(spec, model, E,
-                                        N_max=max(g["n_max"], 1000))
-        out["rows"].append([E, rep.liminf_proxy, int(rep.bounded_flag),
-                            int(member), psum])
-    elif exp == "subordinacy":
+    if exp == "subordinacy":
         L_grid = default_l_grid(g["L_max"], g["L_decades"])
         res = detect_subordinate(spec, E, L_grid=L_grid)
         out["rows"].append([
@@ -341,18 +353,30 @@ _CELL_COLUMNS = {
 }
 
 
-def _guarded_cell(config: Dict[str, Any], E: float
-                  ) -> Tuple[float, Optional[Dict[str, Any]], Optional[str]]:
-    """(E, cell, None) on success, (E, None, failure text) on failure.
+def _guarded_chunk(config: Dict[str, Any], energies: List[float]
+                   ) -> List[Tuple[float, Optional[Dict[str, Any]],
+                                   Optional[str]]]:
+    """Per energy, (E, cell, None) on success, (E, None, failure text).
 
+    A lane experiment computes the whole chunk in one pass; if that raises,
+    each energy is rerun alone, so a failure stays with its own energy.
     The text is formatted in the process that ran the cell: an exception
     pickled back from a pool worker is rebuilt from its args alone and can
     lose its message (OverflowSiteError does).
     """
-    try:
-        return E, _cell(config, E), None
-    except Exception as exc:  # cell marked failed
-        return E, None, f"E={E}: {exc!r}"
+    if config["experiment"] in LANE_EXPERIMENTS and len(energies) > 1:
+        try:
+            return [(E, cell, None) for E, cell
+                    in zip(energies, _lane_cells(config, energies))]
+        except Exception:  # isolated below
+            pass
+    results = []
+    for E in energies:
+        try:
+            results.append((E, _cell(config, E), None))
+        except Exception as exc:  # cell marked failed
+            results.append((E, None, f"E={E}: {exc!r}"))
+    return results
 
 
 def run(config: Dict[str, Any]) -> EnsembleReport:
@@ -400,14 +424,21 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
     else:
         energies = energy_grid(config)
         workers = config["workers"]
+        if exp in LANE_EXPERIMENTS:  # one contiguous chunk per worker
+            n = len(energies)
+            chunks = [energies[i * n // workers:(i + 1) * n // workers]
+                      for i in range(min(workers, n))]
+        else:
+            chunks = [[E] for E in energies]
         if workers == 1:
-            results = [_guarded_cell(config, E) for E in energies]
+            results = [_guarded_chunk(config, chunk) for chunk in chunks]
         else:
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(_guarded_cell,
-                                        [config] * len(energies), energies))
+                results = list(pool.map(_guarded_chunk,
+                                        [config] * len(chunks), chunks))
         # deterministic reduction: sort by energy regardless of worker count
-        for E, cell, failure in sorted(results, key=lambda t: t[0]):
+        for E, cell, failure in sorted((r for chunk in results for r in chunk),
+                                       key=lambda t: t[0]):
             if failure is not None:
                 report.failures.append(failure)
                 continue

@@ -65,18 +65,18 @@ def wronskian(phi1: Trajectory, phi2: Trajectory, n: int) -> float:
             - phi1.values[n - 1] * phi2.values[n])
 
 
-def pair_log_lnorms(spec: OperatorSpec, E: float, theta: float,
+def pair_log_lnorms(a: np.ndarray, b: np.ndarray, E: float, theta: float,
                     L_grid: Sequence[float]):
     """log ||phi1||_L and log ||phi2||_L on a grid of L values.
 
-    Works in the log domain on the exactly rescaled solutions of propagate,
-    so exponentially growing orbits never overflow.
+    a and b are coefficient arrays holding at least sites
+    0..floor(max L_grid). Works in the log domain on the exactly rescaled
+    solutions of propagate, so exponentially growing orbits never overflow.
     Returns (L_grid, logn1, logn2) as arrays.
     """
     Ls = np.sort(np.asarray(L_grid, dtype=float))
     n_stop = int(math.floor(Ls[-1])) + 1
     fl = np.floor(Ls).astype(int)
-    a, b = spec.coefficients(n_stop - 1)
     logn = []
     with np.errstate(divide="ignore"):
         log_frac = np.log(Ls - fl)
@@ -91,15 +91,17 @@ def pair_log_lnorms(spec: OperatorSpec, E: float, theta: float,
     return Ls, logn[0], logn[1]
 
 
-def _terminal_log_ratio(spec: OperatorSpec, E: float, theta: float,
-                        L_max: float) -> float:
-    _, n1, n2 = pair_log_lnorms(spec, E, theta, [L_max])
+def _terminal_log_ratio(a: np.ndarray, b: np.ndarray, E: float,
+                        theta: float, L_max: float) -> float:
+    _, n1, n2 = pair_log_lnorms(a, b, E, theta, [L_max])
     return float(n1[0] - n2[0])
 
 
-def _grid_log_ratio(spec: OperatorSpec, E: float, thetas: np.ndarray,
-                    L_max: float) -> np.ndarray:
+def _grid_log_ratio(a: np.ndarray, b: np.ndarray, E: float,
+                    thetas: np.ndarray, L_max: float) -> np.ndarray:
     """Terminal log-ratio ln(||phi1|| / ||phi2||) over a theta grid.
+
+    a and b are coefficient arrays holding at least sites 0..floor(L_max).
 
     With alpha = (0, 1) and gamma = (1, 0) at sites (0, 1),
     phi1 = cos(theta) alpha - sin(theta) gamma and phi2 = sin(theta) alpha
@@ -112,7 +114,6 @@ def _grid_log_ratio(spec: OperatorSpec, E: float, thetas: np.ndarray,
     step at free E = 0.3, L_max = 1e3, and the refined angle with it.
     """
     n_stop = int(math.floor(L_max)) + 1
-    a, b = spec.coefficients(n_stop - 1)
     (m_a, k_a), (m_g, k_g) = (propagate(a, b, E, phi0, phi1, n_stop)
                               for phi0, phi1 in ((0.0, 1.0), (1.0, 0.0)))
     # k is nondecreasing: the last site carries the largest exponent
@@ -215,13 +216,14 @@ def detect_subordinate(spec: OperatorSpec, E: float,
             "L_grid needs >= 3 points spanning >= 2 decades"
         )
     L_max = float(Ls[-1])
+    a, b = spec.coefficients(int(math.floor(L_max)))
 
     theta_best = minimize_boundary_angle(
-        lambda thetas: _grid_log_ratio(spec, E, thetas, L_max),
-        lambda theta: _terminal_log_ratio(spec, E, theta, L_max),
+        lambda thetas: _grid_log_ratio(a, b, E, thetas, L_max),
+        lambda theta: _terminal_log_ratio(a, b, E, theta, L_max),
         GOLDEN_ITERS)
 
-    Ls_out, logn1, logn2 = pair_log_lnorms(spec, E, theta_best, Ls)
+    Ls_out, logn1, logn2 = pair_log_lnorms(a, b, E, theta_best, Ls)
     log_ratio = logn1 - logn2
     terminal = log_ratio[-1]
 

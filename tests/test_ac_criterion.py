@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobilab.ac_criterion import (
+    BLOCK,
+    _log_t2_blocks,
     cesaro_scan,
     default_n_grid,
     gamma_membership,
@@ -83,7 +85,7 @@ def test_array_paths_match_scalar_oracle(table, E, data):
     inner = data.draw(st.sets(st.integers(1, n - 1), max_size=6))
     N_grid = sorted(inner | {n})
     t2 = np.asarray(norms) ** 2
-    rep = cesaro_scan(spec, E, N_grid)
+    [rep] = cesaro_scan(spec, [E], N_grid).reports
     assert rep.averages == pytest.approx(
         [float(np.mean(t2[:N])) for N in N_grid], rel=1e-10)
 
@@ -98,8 +100,31 @@ def test_array_paths_match_scalar_oracle(table, E, data):
                             + (b_tab[k] - E) * v[k] for k in sites]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 700), st.integers(1, 20),
+       st.data())
+def test_energy_lanes_match_scalar_stream_bit_for_bit(seed, n, n_E, data):
+    # up to 700 sites span three BLOCKs; 8 energies and more run the numpy
+    # lane loop; |E| > 2.5 is hyperbolic and rescales within 300 sites
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, n + 1), rng.uniform(-0.5, 0.5, n + 1)
+    a[0] = 1.0
+    energies = rng.uniform(-4.5, 4.5, n_E).tolist()
+    lt2 = log_t2_stream(a, b, energies)
+    assert lt2.shape == (n, n_E)
+    for j, E in enumerate(energies):
+        assert np.array_equal(lt2[:, j], log_t2_stream(a, b, E))
+
+    # blocks ending at arbitrary sites resume to the same stream
+    stops = data.draw(st.lists(st.integers(1, n), max_size=8))
+    blocks = list(_log_t2_blocks(a, b, energies, stops))
+    assert all(len(block) <= BLOCK for _, block in blocks)
+    assert {last for last, _ in blocks} >= set(stops)
+    assert np.array_equal(np.concatenate([block for _, block in blocks]), lt2)
+
+
 def test_cesaro_free_E0_all_ones():
-    rep = cesaro_scan(free_laplacian(), 0.0, default_n_grid(30))
+    [rep] = cesaro_scan(free_laplacian(), [0.0], default_n_grid(30)).reports
     # naive oracle: every t = 1, averages identically 1
     assert np.allclose(rep.averages, 1.0, atol=1e-12)
     assert rep.liminf_proxy == pytest.approx(1.0)
@@ -111,7 +136,7 @@ def test_cesaro_matches_naive_oracle():
     spec = free_laplacian()
     for E in (0.5, 1.2):
         grid = [10, 50, 200, 1000]
-        rep = cesaro_scan(spec, E, grid)
+        [rep] = cesaro_scan(spec, [E], grid).reports
         _, norms = transfer_product(spec, E, 1000, return_norms=True)
         t2 = np.asarray(norms) ** 2
         for N, avg in zip(grid, rep.averages):
@@ -120,9 +145,10 @@ def test_cesaro_matches_naive_oracle():
 
 
 def test_cesaro_band_edge_quadratic_growth():
-    rep = cesaro_scan(free_laplacian(), 2.0, default_n_grid(30))
+    scan = cesaro_scan(free_laplacian(), [2.0], default_n_grid(30))
+    [rep] = scan.reports
     # t ~ 2n so averages grow like N^2: slope ~ 2 in log-log
-    x = np.log(rep.N_grid[-8:])
+    x = np.log(scan.N_grid[-8:])
     y = np.log(rep.averages[-8:])
     slope = np.polyfit(x, y, 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -130,31 +156,32 @@ def test_cesaro_band_edge_quadratic_growth():
 
 
 def test_cesaro_exponential_energy_saturates():
-    rep = cesaro_scan(free_laplacian(), 3.0, default_n_grid(40))
+    scan = cesaro_scan(free_laplacian(), [3.0], default_n_grid(40))
+    [rep] = scan.reports
     assert not rep.bounded_flag
     assert rep.saturated
     assert rep.averages[-1] == math.inf
     lam = (3.0 + math.sqrt(5.0)) / 2.0
     assert rep.max_log_t == pytest.approx(
-        rep.N_grid[-1] * math.log(lam), rel=1e-2)
+        scan.N_grid[-1] * math.log(lam), rel=1e-2)
 
 
 def test_cesaro_rejects_bad_grid():
     with pytest.raises(InvalidArgumentError):
-        cesaro_scan(free_laplacian(), 0.0, [10, 10, 20])
+        cesaro_scan(free_laplacian(), [0.0], [10, 10, 20])
 
 
 def test_gamma_zero_model_member():
     model = PerturbationModel(b_dist=zero_distribution())
-    member, psum = gamma_membership(free_laplacian(), model, 0.5)
+    [(member, psum)] = gamma_membership(free_laplacian(), model, [0.5])
     assert member and psum == 0.0
 
 
 def test_gamma_member_interior_energy():
     # b~ = X/n uniform: <b~^2> = 1/(3n^2), t bounded -> convergent
     model = PerturbationModel(b_dist=uniform_over_n())
-    member, psum = gamma_membership(free_laplacian(), model, 0.5,
-                                    N_max=10 ** 4)
+    [(member, psum)] = gamma_membership(free_laplacian(), model, [0.5],
+                                        N_max=10 ** 4)
     assert member
     # direct oracle on a short window agrees with the accumulated partial sum
     spec = free_laplacian()
@@ -168,8 +195,8 @@ def test_gamma_member_interior_energy():
 def test_gamma_nonmember_band_edge():
     # E = 2: t ~ 2n, terms ~ n^2 / n^2 -> decade sums grow
     model = PerturbationModel(b_dist=uniform_over_n())
-    member, psum = gamma_membership(free_laplacian(), model, 2.0,
-                                    N_max=10 ** 4)
+    [(member, psum)] = gamma_membership(free_laplacian(), model, [2.0],
+                                        N_max=10 ** 4)
     assert not member
     assert psum > 1.0
 
@@ -181,8 +208,10 @@ def test_gamma_monotone_in_moments():
     for E in (0.5, 2.0):
         base = PerturbationModel(b_dist=uniform_over_n(amplitude=1.0))
         big = PerturbationModel(b_dist=uniform_over_n(amplitude=2.0))
-        m_base, s_base = gamma_membership(free_laplacian(), base, E, 10 ** 4)
-        m_big, s_big = gamma_membership(free_laplacian(), big, E, 10 ** 4)
+        [(m_base, s_base)] = gamma_membership(free_laplacian(), base, [E],
+                                              10 ** 4)
+        [(m_big, s_big)] = gamma_membership(free_laplacian(), big, [E],
+                                            10 ** 4)
         assert m_base == m_big  # scalar scaling never flips the ratio verdict
         assert s_big == pytest.approx(4.0 * s_base, rel=1e-9)
 
@@ -190,10 +219,11 @@ def test_gamma_monotone_in_moments():
 def test_gamma0_subset_gamma():
     # bounded orbit + summable variances + no off-diagonal noise => member
     for E in (-1.5, 0.0, 0.5, 1.5):
-        rep = cesaro_scan(free_laplacian(), E, default_n_grid(30))
+        [rep] = cesaro_scan(free_laplacian(), [E], default_n_grid(30)).reports
         assert rep.bounded_flag
         model = PerturbationModel(b_dist=uniform_over_n())
-        member, _ = gamma_membership(free_laplacian(), model, E, 10 ** 4)
+        [(member, _)] = gamma_membership(free_laplacian(), model, [E],
+                                         10 ** 4)
         assert member
 
 
@@ -203,12 +233,12 @@ def test_gamma_includes_fourth_moment_of_a():
     a = SiteDistribution(kind="uniform", amplitude=0.2, decay=1.0)
     only_b = PerturbationModel(b_dist=b)
     both = PerturbationModel(b_dist=b, a_dist=a)
-    _, s1 = gamma_membership(free_laplacian(), only_b, 0.5, 10 ** 3)
-    _, s2 = gamma_membership(free_laplacian(), both, 0.5, 10 ** 3)
+    [(_, s1)] = gamma_membership(free_laplacian(), only_b, [0.5], 10 ** 3)
+    [(_, s2)] = gamma_membership(free_laplacian(), both, [0.5], 10 ** 3)
     assert s2 > s1
 
 
 def test_gamma_requires_small_N_max_guard():
     model = PerturbationModel(b_dist=uniform_over_n())
     with pytest.raises(InvalidArgumentError):
-        gamma_membership(free_laplacian(), model, 0.5, N_max=50)
+        gamma_membership(free_laplacian(), model, [0.5], N_max=50)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobilab.core import (
+    MIN_LANES,
     Mat2,
     OperatorSpec,
     constant_spec,
@@ -17,6 +18,7 @@ from jacobilab.core import (
     naive_power,
     ordered_mat_product,
     propagate,
+    resume_state,
     schrodinger_spec,
     single_step,
     solve_forward,
@@ -289,6 +291,62 @@ def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
     assert np.array_equal(np.ldexp(m, k)[finite], plain[finite])
     if abs(E) >= 3.5 and n >= 500 and abs(phi1) >= abs(phi0) > 0.0:
         assert k[-1] > 0  # the state was rescaled
+
+
+def random_lanes(rng, n_lanes):
+    """(E, phi0, phi1) per lane, lane 0 hyperbolic, the last overflowing.
+
+    Elliptic-range lanes mix initial vectors; hyperbolic lanes
+    (|E - b| >= 29, a <= 3) grow by >= 8 per site once |phi1| >= |phi0|,
+    so they pass the rescale threshold within 70 sites; an overflowing
+    lane starts at 1e308 and turns to inf (|E - b| >= 3) and then nan.
+    """
+    kind = rng.integers(0, 2, n_lanes)
+    kind[0], kind[-1] = 1, 2
+    E = np.where(kind == 0, rng.uniform(-4.0, 4.0, n_lanes),
+                 rng.choice([-1.0, 1.0], n_lanes) * rng.uniform(30.0, 50.0,
+                                                                n_lanes))
+    E[kind == 2] = 4.0
+    phi0 = np.where(kind == 2, 0.0, rng.uniform(-1.0, 1.0, n_lanes))
+    phi1 = np.select([kind == 0, kind == 1], [rng.uniform(-1.0, 1.0, n_lanes),
+                                               1.0], 1e308)
+    return E, phi0, phi1, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 600),
+       st.integers(MIN_LANES, 2 * MIN_LANES), st.data())
+def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
+                                                       data):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.3, 3.0, n + 1), rng.uniform(-1.0, 1.0, n + 1)
+    a[0] = 1.0
+    E, phi0, phi1, kind = random_lanes(rng, n_lanes)
+    m, k = propagate(a, b, E, phi0, phi1, n)
+    assert m.shape == k.shape == (n + 1, n_lanes)
+    for j in range(n_lanes):
+        m_j, k_j = propagate(a, b, float(E[j]), float(phi0[j]),
+                             float(phi1[j]), n)
+        assert np.array_equal(m[:, j], m_j, equal_nan=True)
+        assert np.array_equal(k[:, j], k_j)
+        if kind[j] == 1 and n >= 100:
+            assert k_j[-1] > 0  # the lane was rescaled
+
+    # a run resumed from resume_state at site s is the unbroken run
+    s = data.draw(st.integers(2, n))
+    m1, k1 = propagate(a, b, E, phi0, phi1, s)
+    prev, cur, k_s = resume_state(m1, k1)
+    m2, k2 = propagate(a[s - 1:], b[s - 1:], E, prev, cur, n - s + 1)
+    assert np.array_equal(m1, m[:s + 1], equal_nan=True)
+    assert np.array_equal(m2[1:], m[s:], equal_nan=True)
+    assert np.array_equal(k_s + k2[1:], k[s:])
+
+
+def test_propagate_rejects_short_coefficient_arrays():
+    a, b = free_laplacian().coefficients(10)
+    propagate(a, b, 0.5, 0.0, 1.0, 11)  # reads sites 0..10
+    with pytest.raises(InvalidArgumentError):
+        propagate(a, b, 0.5, 0.0, 1.0, 12)
 
 
 def test_trajectory_cumulative_sq_nondecreasing():

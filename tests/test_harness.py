@@ -9,6 +9,8 @@ import sys
 import pytest
 from jsonschema import ValidationError
 
+from jacobilab import harness
+from jacobilab.errors import InvalidArgumentError
 from jacobilab.harness import (
     EnsembleReport,
     config_hash,
@@ -156,6 +158,61 @@ def test_failed_cell_handled_alike_for_any_worker_count(tmp_path):
     assert failures == [
         "E=2.5: UnsupportedModelError('fast sparse propagation requires "
         "|E| < 2 (elliptic free blocks)')"]
+
+
+def test_ac_scan_worker_count_does_not_change_csv(tmp_path):
+    # 24 energies: the contiguous chunks hold 24, 12 and 8 energies, so
+    # every worker count runs the numpy lane loop; |E| > 2 rescales
+    base = {"experiment": "ac-scan",
+            "E_grid": {"start": -2.3, "stop": 2.3, "step": 0.2},
+            "grids": {"N_j_max": 20, "n_max": 1000}}
+    bodies = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        rep = run({**base, "workers": workers})
+        assert rep.summary == {"n_cells": 24, "n_failed": 0}
+        emit(rep, str(out))
+        bodies.append((out / "ac-scan.csv").read_bytes())
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert len(bodies[0].decode().splitlines()) == 4 + 24
+
+
+def test_ac_scan_failing_cells_alike_for_any_worker_count(tmp_path):
+    # a = 2000 fails the growth check: every cell fails, one by one
+    cfg = write_config(tmp_path, {"spec": {"type": "constant", "a": 2000.0},
+                                  "E_grid": [1.0, -0.5, 0.0]})
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        rc = main(["ac-scan", "--config", cfg, "--workers", str(workers),
+                   "--out", str(out)])
+        assert rc == 4
+        summary = json.loads((out / "summary.json").read_text())
+        outputs.append(((out / "ac-scan.csv").read_text().splitlines()[4:],
+                        summary["failures"]))
+    assert outputs[0] == outputs[1]
+    rows, failures = outputs[0]
+    assert rows == []
+    assert failures == [
+        f"E={E}: InvalidArgumentError('spec fails the finite-truncation "
+        "growth check')" for E in (-0.5, 0.0, 1.0)]
+
+
+def test_lane_chunk_failure_stays_with_its_energy(monkeypatch):
+    # an energy that raises on its own fails alone, not its whole chunk
+    real = harness.gamma_membership
+
+    def gamma_membership(spec, model, energies, N_max):
+        if 0.0 in energies:
+            raise InvalidArgumentError("no verdict at E = 0")
+        return real(spec, model, energies, N_max)
+
+    monkeypatch.setattr(harness, "gamma_membership", gamma_membership)
+    rep = run({"experiment": "ac-scan", "E_grid": [1.0, 0.0, -1.0],
+               "grids": {"N_j_max": 12, "n_max": 1000}})
+    assert [row[0] for row in rep.rows] == [-1.0, 1.0]
+    assert rep.failures == [
+        "E=0.0: InvalidArgumentError('no verdict at E = 0')"]
 
 
 # ---------------------------------------------------------------------------

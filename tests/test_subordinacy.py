@@ -104,7 +104,7 @@ def test_pair_log_lnorms_match_direct():
     spec = free_laplacian()
     E, th = 0.5, 0.3
     Ls = [10.0, 33.7, 100.0, 450.0]
-    _, logn1, logn2 = pair_log_lnorms(spec, E, th, Ls)
+    _, logn1, logn2 = pair_log_lnorms(*spec.coefficients(450), E, th, Ls)
     phi1, phi2 = solve_pair(spec, E, th, 500)
     for i, L in enumerate(Ls):
         assert logn1[i] == pytest.approx(math.log(l_norm(phi1, L)), abs=1e-9)
@@ -112,7 +112,8 @@ def test_pair_log_lnorms_match_direct():
 
 
 def test_pair_log_lnorms_exponential_orbit_no_overflow():
-    _, logn1, _ = pair_log_lnorms(free_laplacian(), 3.0, 0.0, [5000.0])
+    _, logn1, _ = pair_log_lnorms(
+        *free_laplacian().coefficients(5000), 3.0, 0.0, [5000.0])
     lam = (3.0 + math.sqrt(5.0)) / 2.0
     assert logn1[0] == pytest.approx(5000.0 * math.log(lam), rel=1e-2)
 
@@ -167,7 +168,8 @@ def test_gram_grid_matches_shooting_scan(label, L_max):
     thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID,
                          endpoint=False)
     for E in (0.3, 0.5, 1.0, 1.9, 2.5, 3.0, -2.2, 0.6, 0.0, 2.0):
-        grid = _grid_log_ratio(spec, E, thetas, L_max)
+        grid = _grid_log_ratio(
+            *spec.coefficients(int(L_max)), E, thetas, L_max)
         scan = scan_terminal_log_ratio(spec, E, thetas, L_max)
         assert np.argmin(grid) == np.argmin(scan), E
         clear = scan > math.log(1e-6)
@@ -180,7 +182,8 @@ def test_gram_grid_subordinate_angle_on_the_grid():
     lam = math.sqrt(3.0)
     thetas = np.linspace(-math.pi / 2, math.pi / 2, ANGLE_GRID,
                          endpoint=False)
-    grid = _grid_log_ratio(free_laplacian(), lam + 1.0 / lam, thetas, 1000.0)
+    grid = _grid_log_ratio(*free_laplacian().coefficients(1000),
+                           lam + 1.0 / lam, thetas, 1000.0)
     assert not np.any(np.isnan(grid))
     assert np.argmin(grid) == 120
 
