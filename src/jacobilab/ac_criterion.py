@@ -8,7 +8,7 @@ admissible-perturbation set is a convergence verdict for
     sum_n (<~a(n)^4>^{1/2} + <~b(n)^2>) * ((a(n)+1) * t^E(n))^4
 
 by the shared decade-ratio test (randpert.decade_ratios_pass, last three
-ratios <= 0.9, on the decades of randpert.decade_log_sums). Everything
+ratios <= 0.9, on the decades of randpert.decade_ends). Everything
 runs in the log domain so exponentially growing orbits never overflow.
 Both sums take an array of energies and walk the sites once for all of
 them: two propagate lanes per energy, in blocks of BLOCK sites.
@@ -16,6 +16,7 @@ them: two propagate lanes per energy, in blocks of BLOCK sites.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -24,7 +25,8 @@ import numpy as np
 
 from .core import LN2, OperatorSpec, growth_check, propagate, resume_state
 from .errors import InvalidArgumentError, UnsupportedModelError
-from .randpert import LOG_SAT, PerturbationModel, decade_ratios_pass
+from .randpert import (LOG_SAT, PerturbationModel, decade_ends,
+                       decade_ratios_pass)
 
 TAU_BOUND = 1e3          # boundedness proxy: max_n t^E(n) <= tau_bound
 DECADE_RATIO = 0.9       # convergence verdict threshold on decade sums
@@ -186,23 +188,20 @@ def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
     log_coeff[pos] = np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)
     live = coeff > 0.0
 
-    # decade k holds sites (10^(k-1), 10^k]; blocks end at decade ends
-    decade_ends = [10 ** k for k in range(1, len(str(N_max)))]
-    decades, decade_end = [], 0
-    for last, lt2 in _log_t2_blocks(a, b, energies, decade_ends):
-        if last > decade_end:
-            decades.append(np.full(len(energies), -math.inf))
-            decade_end = max(10, 10 * decade_end)
+    ends = decade_ends(N_max)  # blocks end at decade ends
+    decades = np.full((len(ends), len(energies)), -math.inf)
+    for last, lt2 in _log_t2_blocks(a, b, energies, ends):
+        d = bisect.bisect_left(ends, last)  # the decade of the block
         sites = slice(last - len(lt2) + 1, last + 1)
         with np.errstate(invalid="ignore"):
             log_terms = np.where(live[sites, None],
                                  log_coeff[sites, None] + 2.0 * lt2,
                                  -math.inf)
-        decades[-1] = np.logaddexp.reduce(np.vstack([decades[-1], log_terms]))
+        decades[d] = np.logaddexp.reduce(np.vstack([decades[d], log_terms]))
 
     verdicts = []
     for j in range(len(energies)):
-        sums = [float(d[j]) for d in decades]
+        sums = decades[:, j].tolist()
         total = float(np.logaddexp.reduce(sums))
         if total == -math.inf:
             verdicts.append((True, 0.0))

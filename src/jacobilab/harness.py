@@ -425,15 +425,15 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
         energies = energy_grid(config)
         workers = config["workers"]
         if exp in LANE_EXPERIMENTS:  # one contiguous chunk per worker
-            n = len(energies)
-            chunks = [energies[i * n // workers:(i + 1) * n // workers]
-                      for i in range(min(workers, n))]
+            n, w = len(energies), min(workers, len(energies))
+            chunks = [energies[i * n // w:(i + 1) * n // w] for i in range(w)]
         else:
             chunks = [[E] for E in energies]
-        if workers == 1:
+        if workers == 1 or not chunks:
             results = [_guarded_chunk(config, chunk) for chunk in chunks]
         else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            with concurrent.futures.ProcessPoolExecutor(
+                    min(workers, len(chunks))) as pool:
                 results = list(pool.map(_guarded_chunk,
                                         [config] * len(chunks), chunks))
         # deterministic reduction: sort by energy regardless of worker count

@@ -313,22 +313,33 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
 # decade-ratio convergence test
 # ---------------------------------------------------------------------------
 
-def decade_log_sums(log_terms: np.ndarray) -> List[float]:
-    """Log of the sum over each decade of sites up to n_max.
+def decade_ends(n_max: int) -> List[int]:
+    """The last site of each decade of sites up to n_max.
 
     Decade k = 1, 2, ... holds the sites (10^(k-1), 10^k] ∩ [1, n_max],
-    the first one [1, 10]. log_terms[n] is the log of the term at site n
-    for n = 0..n_max (entry 0 unused, -inf for a zero term); a decade of
-    zero terms only is empty and has log sum -inf.
+    the first one [1, 10]; the ends are 10, 100, ... and n_max.
     """
-    log_terms = np.asarray(log_terms, dtype=float)
-    n_max = len(log_terms) - 1
-    sums = []
+    ends = []
     lo, hi = 1, 10
     while lo <= n_max:
-        decade = log_terms[lo:min(hi, n_max) + 1]
-        sums.append(float(np.logaddexp.reduce(decade)))
+        ends.append(min(hi, n_max))
         lo, hi = hi + 1, hi * 10
+    return ends
+
+
+def decade_log_sums(log_terms: np.ndarray) -> List[float]:
+    """Log of the sum over each decade of sites up to n_max (decade_ends).
+
+    log_terms[n] is the log of the term at site n for n = 0..n_max
+    (entry 0 unused, -inf for a zero term); a decade of zero terms only
+    is empty and has log sum -inf.
+    """
+    log_terms = np.asarray(log_terms, dtype=float)
+    sums = []
+    lo = 1
+    for hi in decade_ends(len(log_terms) - 1):
+        sums.append(float(np.logaddexp.reduce(log_terms[lo:hi + 1])))
+        lo = hi + 1
     return sums
 
 

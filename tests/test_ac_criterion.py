@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobilab import ac_criterion
 from jacobilab.ac_criterion import (
     BLOCK,
     _log_t2_blocks,
@@ -24,8 +25,11 @@ from jacobilab.core import (
 )
 from jacobilab.errors import InvalidArgumentError, UnsupportedModelError
 from jacobilab.randpert import (
+    LOG_SAT,
     PerturbationModel,
     SiteDistribution,
+    decade_log_sums,
+    decade_ratios_pass,
     uniform_over_n,
     zero_distribution,
 )
@@ -236,6 +240,37 @@ def test_gamma_includes_fourth_moment_of_a():
     [(_, s1)] = gamma_membership(free_laplacian(), only_b, [0.5], 10 ** 3)
     [(_, s2)] = gamma_membership(free_laplacian(), both, [0.5], 10 ** 3)
     assert s2 > s1
+
+
+@pytest.mark.parametrize("N_max, n_decades", [(1000, 3), (12345, 5)])
+def test_gamma_decades_match_whole_stream_oracle(N_max, n_decades,
+                                                 monkeypatch):
+    # the block walk sums the decades of randpert.decade_log_sums; N_max =
+    # 12345 ends the last decade off a power of ten
+    seen = []
+
+    def spy(log_sums, threshold, window):
+        seen.append(list(log_sums))
+        return decade_ratios_pass(log_sums, threshold, window)
+
+    monkeypatch.setattr(ac_criterion, "decade_ratios_pass", spy)
+    spec, model = free_laplacian(), PerturbationModel(b_dist=uniform_over_n())
+    energies = [0.5, -1.0, 2.0, 2.6]
+    a, b = spec.coefficients(N_max)
+    b2 = model.b_dist.moments_array(2, N_max)
+    verdicts = gamma_membership(spec, model, energies, N_max)
+    assert len(seen) == len(energies)
+    for E, (member, psum), got in zip(energies, verdicts, seen):
+        log_terms = np.concatenate([[-math.inf], np.log(b2[1:])
+                                    + 4.0 * np.log(a[1:] + 1.0)
+                                    + 2.0 * log_t2_stream(a, b, E)])
+        sums = decade_log_sums(log_terms)
+        assert len(sums) == n_decades
+        assert got == pytest.approx(sums, rel=1e-12, abs=1e-12)
+        assert member == decade_ratios_pass(sums, 0.9, 3)
+        total = float(np.logaddexp.reduce(sums))
+        assert psum == (math.inf if total > LOG_SAT
+                        else pytest.approx(math.exp(total), rel=1e-12))
 
 
 def test_gamma_requires_small_N_max_guard():

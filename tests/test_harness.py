@@ -177,6 +177,22 @@ def test_ac_scan_worker_count_does_not_change_csv(tmp_path):
     assert len(bodies[0].decode().splitlines()) == 4 + 24
 
 
+def test_more_workers_than_energies_keeps_every_energy(tmp_path):
+    # 2 energies on 4 workers: two one-energy chunks, no energy dropped
+    base = {"experiment": "transfer", "E_grid": [0.5, -0.3],
+            "grids": {"N_j_max": 12}}
+    bodies = []
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        rep = run({**base, "workers": workers})
+        assert rep.summary == {"n_cells": 2, "n_failed": 0}
+        emit(rep, str(out))
+        bodies.append((out / "transfer.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+    rows = bodies[0].decode().splitlines()[4:]
+    assert sorted({row.split(",")[0] for row in rows}) == ["-0.3", "0.5"]
+
+
 def test_ac_scan_failing_cells_alike_for_any_worker_count(tmp_path):
     # a = 2000 fails the growth check: every cell fails, one by one
     cfg = write_config(tmp_path, {"spec": {"type": "constant", "a": 2000.0},
