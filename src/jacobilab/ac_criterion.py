@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,7 +110,6 @@ class CesaroReport:
     averages: List[float]
     liminf_proxy: float
     bounded_flag: bool
-    log_averages: List[float] = field(default_factory=list)
     saturated: bool = False
     max_log_t: float = 0.0
 
@@ -131,7 +130,7 @@ def _cesaro_report(E: float, N_grid: List[int], log_avgs: List[float],
     return CesaroReport(
         E=E, averages=averages, liminf_proxy=min(last_decade),
         bounded_flag=max_log_t <= math.log(TAU_BOUND),
-        log_averages=log_avgs, saturated=saturated, max_log_t=max_log_t,
+        saturated=saturated, max_log_t=max_log_t,
     )
 
 

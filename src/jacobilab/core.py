@@ -65,20 +65,9 @@ class Mat2:
     def trace(self) -> float:
         return self.m11 + self.m22
 
-    def inv(self) -> "Mat2":
-        d = self.det()
-        if d == 0.0:
-            raise InvalidArgumentError("singular 2x2 matrix")
-        return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
-
     def inv_unimodular(self) -> "Mat2":
         """Inverse assuming det = 1 (exact adjugate, no division)."""
         return Mat2(self.m22, -self.m12, -self.m21, self.m11)
-
-    def hs_norm(self) -> float:
-        return math.sqrt(
-            self.m11 ** 2 + self.m12 ** 2 + self.m21 ** 2 + self.m22 ** 2
-        )
 
     def norm(self) -> float:
         """Spectral norm: the larger singular value, in closed form.
@@ -131,7 +120,6 @@ class OperatorSpec:
 
     a: Callable[[int], float]
     b: Callable[[int], float]
-    label: str = ""
     a_min: float = DEFAULT_A_MIN
 
     def a_at(self, n: int) -> float:
@@ -162,17 +150,12 @@ def growth_check(a: np.ndarray) -> bool:
     return float(np.mean(1.0 / a[1:])) >= GAMMA_GROWTH
 
 
-def free_laplacian(label: str = "free") -> OperatorSpec:
-    return OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0, label=label)
+def free_laplacian() -> OperatorSpec:
+    return OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0)
 
 
-def constant_spec(a_const: float = 1.0, b_const: float = 0.0,
-                  label: str = "constant") -> OperatorSpec:
-    return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const, label=label)
-
-
-def schrodinger_spec(b: Callable[[int], float], label: str = "schrodinger") -> OperatorSpec:
-    return OperatorSpec(a=lambda n: 1.0, b=b, label=label)
+def constant_spec(a_const: float = 1.0, b_const: float = 0.0) -> OperatorSpec:
+    return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
 
 
 @dataclass
@@ -185,7 +168,6 @@ class Trajectory:
 
     values: np.ndarray
     E: float
-    spec_label: str = ""
     theta: Optional[float] = None
     cumulative_sq: np.ndarray = field(default=None, repr=False)
 
@@ -390,36 +372,21 @@ def resume_state(m: np.ndarray, k: np.ndarray):
     return np.ldexp(m[-2], k[-2] - k[-1]), m[-1], k[-1]
 
 
-def solve_forward(spec: OperatorSpec, E: float, phi0: float, phi1: float,
-                  n_max: int, theta: Optional[float] = None) -> Trajectory:
-    """Solve the three-term recursion forward from (phi(0), phi(1))."""
+def solve_forward(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
+                  phi1: float, n_max: int,
+                  theta: Optional[float] = None) -> Trajectory:
+    """Solve the three-term recursion forward from (phi(0), phi(1)).
+
+    a and b are coefficient arrays (OperatorSpec.coefficients) holding at
+    least sites 0..n_max-1.
+    """
     if phi0 == 0.0 and phi1 == 0.0:
         raise InvalidArgumentError("initial data must be nonzero")
-    m, k = propagate(*spec.coefficients(n_max), E, phi0, phi1, n_max)
+    m, k = propagate(a, b, E, phi0, phi1, n_max)
     with np.errstate(over="ignore"):
         values = np.ldexp(m, k)
     # first computed site outside the representable range (nan included)
     bad = np.flatnonzero(~(np.abs(values[2:]) <= ENTRY_LIMIT))
     if len(bad):
         raise OverflowSiteError(int(bad[0]) + 2)
-    return Trajectory(values=values, E=E, spec_label=spec.label, theta=theta)
-
-
-def ordered_mat_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise tree reduction.
-
-    mats has shape (..., k, 2, 2); the reduction runs along axis -3 and is
-    deterministic (independent of chunking by construction).
-    """
-    mats = np.asarray(mats, dtype=float)
-    while mats.shape[-3] > 1:
-        k = mats.shape[-3]
-        even = mats[..., 0:k - 1:2, :, :]
-        odd = mats[..., 1:k:2, :, :]
-        paired = np.matmul(odd, even)
-        if k % 2 == 1:
-            paired = np.concatenate(
-                [paired, mats[..., k - 1:k, :, :]], axis=-3
-            )
-        mats = paired
-    return mats[..., 0, :, :]
+    return Trajectory(values=values, E=E, theta=theta)

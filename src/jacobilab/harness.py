@@ -43,7 +43,7 @@ from .randpert import (
     series_convergence_check,
 )
 from .singular import stability_experiment, terminal_ratio_verdict
-from .sparse import SparseSpec, perturbed_sparse_experiment, s_threshold
+from .sparse import SparseSpec, perturbed_sparse_experiment
 from .subordinacy import default_l_grid, detect_subordinate
 from .variation import correction_ensemble
 
@@ -395,7 +395,7 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
 
     if exp == "inequality":
         model = build_model(config)
-        rep = maximal_inequality_check(model, None, g["N1"], g["N2"], g["r"],
+        rep = maximal_inequality_check(model, g["N1"], g["N2"], g["r"],
                                        trials=g["trials"],
                                        seed=config["seeds"]["base"])
         report.rows.append([g["N1"], g["N2"], g["r"], rep.empirical_prob,
@@ -407,7 +407,7 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
                 / rep.trials))
     elif exp == "series":
         model = build_model(config)
-        rep = series_convergence_check(model, lambda n: 1.0, g["n_tail"],
+        rep = series_convergence_check(model, g["n_tail"],
                                        trials=g["trials"], n_max=g["n_max"],
                                        seed=config["seeds"]["base"])
         for c, med, p95 in zip(rep.checkpoints, rep.tail_sup_median,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import Mat2, OperatorSpec
+from .core import OperatorSpec
 from .errors import (
     DivergentSeriesError,
     InvalidArgumentError,
@@ -26,6 +26,7 @@ from .errors import (
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 LOG_SAT = 700.0          # beyond this, exp() overflows a double
+DELTA_CHECK_SITES = 1000  # sites checked by PerturbationModel.validate_against
 
 
 def _phi(x: float) -> float:
@@ -69,24 +70,9 @@ class SiteDistribution:
             m = (j - 1) * m - 2.0 * T ** (j - 1) * _phi(T) / Z
         return m
 
-    def _base_abs_moment(self) -> float:
-        """E|X| for the unit-scale base variate."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "uniform":
-            return 0.5
-        if self.kind == "rademacher":
-            return 1.0
-        T = self.trunc
-        Z = 2.0 * ndtr(T) - 1.0
-        return 2.0 * (_phi(0.0) - _phi(T)) / Z
-
     def moment(self, k: int, n: int) -> float:
         """Closed-form E[value(n)^k]."""
         return self._base_moment(k) * (self.amplitude / n ** self.decay) ** k
-
-    def abs_moment(self, n: int) -> float:
-        return self._base_abs_moment() * self.amplitude / n ** self.decay
 
     def moments_array(self, k: int, n_max: int) -> np.ndarray:
         """E[value(n)^k] for n = 1..n_max, entry [0] unused (zero)."""
@@ -135,11 +121,14 @@ class PerturbationModel:
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgumentError("delta must lie in (0, 1)")
 
-    def validate_against(self, spec: OperatorSpec, n_check: int = 1000) -> None:
-        """Pointwise delta-constraint delta < a/(a+~a) < 1/delta on the support."""
+    def validate_against(self, spec: OperatorSpec) -> None:
+        """Pointwise delta-constraint delta < a/(a+~a) < 1/delta on the support.
+
+        Checked at sites 1..DELTA_CHECK_SITES.
+        """
         if self.a_dist is None or self.a_dist.kind == "zero":
             return
-        a_arr, _ = spec.coefficients(n_check)
+        a_arr, _ = spec.coefficients(DELTA_CHECK_SITES)
         for n, a in enumerate(memoryview(a_arr)[1:], start=1):
             bound = self.a_dist.support_bound(n)
             for at in (-bound, bound):
@@ -209,22 +198,6 @@ class InequalityReport:
     bound: float
     exact: bool
     trials: int
-    variance_std_error: float = 0.0
-
-
-def _z_values(x: np.ndarray, f_defs, N1: int, N2: int) -> np.ndarray:
-    """z(n) = x(n) * f_n(x(n+1), ..., x(N2)) for n = N1..N2.
-
-    x is indexed by site; f_defs is None (f == 1) or a callable
-    f(n, tail) receiving only the strictly later window.
-    """
-    if f_defs is None:
-        return x[N1:N2 + 1].copy()
-    z = np.empty(N2 - N1 + 1)
-    for i, n in enumerate(range(N1, N2 + 1)):
-        tail = x[n + 1:N2 + 1]
-        z[i] = x[n] * float(f_defs(n, tail))
-    return z
 
 
 def _max_suffix_abs(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -233,15 +206,14 @@ def _max_suffix_abs(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.max(np.abs(rev), axis=axis)
 
 
-def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
+def maximal_inequality_check(model: PerturbationModel, N1: int, N2: int,
                              r: float, trials: int = 10 ** 4,
                              seed: int = 0) -> InequalityReport:
     """Empirical exceedance probability against the variance bound sum<z^2>/r^2.
 
     Rademacher windows of width <= 16 are enumerated exhaustively (exact
     probability, exact variances); otherwise the probability is Monte Carlo
-    and the bound uses closed-form variances when f == 1 or a separate
-    Monte Carlo variance estimate with its standard error.
+    and the bound uses closed-form variances.
     """
     if N1 >= N2:
         raise InvalidArgumentError("need N1 < N2")
@@ -258,25 +230,15 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
             np.meshgrid(*([[-1.0, 1.0]] * width), indexing="ij")
         ).reshape(width, -1).T  # (2^width, width)
         scale = dist.amplitude / sites[N1:N2 + 1] ** dist.decay
-        xs = patterns * scale
-        if f_defs is None:
-            zs = xs
-        else:
-            zs = np.empty_like(xs)
-            for p in range(xs.shape[0]):
-                xfull = np.zeros(N2 + 1)
-                xfull[N1:N2 + 1] = xs[p]
-                zs[p] = _z_values(xfull, f_defs, N1, N2)
+        zs = patterns * scale
         exceed = _max_suffix_abs(zs) > r
         prob = float(np.mean(exceed))
         var_sum = float(np.mean(zs ** 2, axis=0).sum())
         bound = var_sum / r ** 2 if r > 0 else math.inf
-        return InequalityReport(prob, bound, True, xs.shape[0])
+        return InequalityReport(prob, bound, True, zs.shape[0])
 
     # Monte Carlo path
     exceed_count = 0
-    var_acc = np.zeros(width)
-    var_sq_acc = np.zeros(width)
     chunk = 2000
     done = 0
     while done < trials:
@@ -286,27 +248,13 @@ def maximal_inequality_check(model: PerturbationModel, f_defs, N1: int, N2: int,
             u = stream_uniforms(model.exp_id, "ineq", seed + done + t, N2)
             xfull[t] = dist.transform(u, sites)
             xfull[t, 0] = 0.0
-        if f_defs is None:
-            zs = xfull[:, N1:N2 + 1]
-        else:
-            zs = np.empty((c, width))
-            for t in range(c):
-                zs[t] = _z_values(xfull[t], f_defs, N1, N2)
+        zs = xfull[:, N1:N2 + 1]
         exceed_count += int(np.sum(_max_suffix_abs(zs, axis=1) > r))
-        var_acc += np.sum(zs ** 2, axis=0)
-        var_sq_acc += np.sum(zs ** 4, axis=0)
         done += c
     prob = exceed_count / trials
-    if f_defs is None:
-        var_sum = sum(dist.moment(2, n) for n in range(N1, N2 + 1))
-        var_se = 0.0
-    else:
-        mean_sq = var_acc / trials
-        var_sum = float(mean_sq.sum())
-        per_site_var = var_sq_acc / trials - mean_sq ** 2
-        var_se = float(np.sqrt(np.sum(np.maximum(per_site_var, 0.0)) / trials))
+    var_sum = sum(dist.moment(2, n) for n in range(N1, N2 + 1))
     bound = var_sum / r ** 2 if r > 0 else math.inf
-    return InequalityReport(prob, bound, False, trials, var_se)
+    return InequalityReport(prob, bound, False, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +322,13 @@ class SeriesReport:
     tail_second_moment: float
     tail_second_moment_se: float
     variance_bound: float
-    n_tail: int
     trials: int
 
 
-def _weight_array(weights, n_max: int) -> np.ndarray:
-    """Scalar weights w(n) for n = 1..n_max (index 0 zero)."""
-    w = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        wn = weights(n)
-        if isinstance(wn, Mat2):
-            wn = wn.hs_norm()
-        w[n] = float(wn)
-    return w
-
-
-def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
+def series_convergence_check(model: PerturbationModel, n_tail: int,
                              trials: int = 10 ** 4, n_max: int = 10 ** 4,
                              seed: int = 0) -> SeriesReport:
-    """Monte Carlo tail statistics for S = sum b~(n) w(n).
+    """Monte Carlo tail statistics for S = sum b~(n).
 
     Requires the closed-form variance series to pass the decade-ratio test
     (last ratio <= 0.95 over full decades); reports per-checkpoint sup-tail
@@ -400,8 +336,7 @@ def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
     the closed-form variance bound.
     """
     dist = model.b_dist
-    w = _weight_array(weights, n_max)
-    var = dist.moments_array(2, n_max) * w ** 2
+    var = dist.moments_array(2, n_max)
     full = var[:10 ** int(math.log10(n_max)) + 1]  # full decades only
     with np.errstate(divide="ignore"):
         log_sums = decade_log_sums(np.log(full))
@@ -421,8 +356,7 @@ def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
         u = stream_uniforms(model.exp_id, "series", seed + t, n_max)
         b = dist.transform(u, sites)
         b[0] = 0.0
-        z = b * w
-        S = np.cumsum(z)  # S[k] = sum_{n<=k}
+        S = np.cumsum(b)  # S[k] = sum_{n<=k}
         final = S[-1]
         dev = np.abs(S - final)
         # running sup over m >= index
@@ -438,6 +372,5 @@ def series_convergence_check(model: PerturbationModel, weights, n_tail: int,
         tail_second_moment=t2,
         tail_second_moment_se=t2_se,
         variance_bound=variance_bound,
-        n_tail=n_tail,
         trials=trials,
     )

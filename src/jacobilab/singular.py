@@ -50,7 +50,6 @@ class SingularEnergyReport:
     beta: float
     eta: float
     eta_tilde: float
-    r_sum_partial: float
     lambda_member: bool
     ratio_psi1: List[Tuple[float, float]]
     ratio_psi2: List[Tuple[float, float]]
@@ -136,7 +135,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     n_max = int(math.floor(L_grid[-1])) + 2
 
     phi1, phi2 = solve_pair(spec, E, theta, n_max)
-    member, eta_tilde, r_sum = lambda_membership(phi1, phi2, eta, model)
+    member, eta_tilde, _ = lambda_membership(phi1, phi2, eta, model)
 
     logn1 = np.array([math.log(l_norm(phi1, L)) for L in L_grid])
     logn2 = np.array([math.log(l_norm(phi2, L)) for L in L_grid])
@@ -159,7 +158,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
 
     return SingularEnergyReport(
         E=E, beta=beta, eta=eta, eta_tilde=eta_tilde,
-        r_sum_partial=r_sum, lambda_member=member,
+        lambda_member=member,
         ratio_psi1=list(zip(L_grid.tolist(), med1.tolist())),
         ratio_psi2=list(zip(L_grid.tolist(), med2.tolist())),
         theta_star=theta, exp1=exp1, exp2=exp2, sandwich_ok=sandwich,

@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .randpert import PerturbationModel, SiteDistribution, sample
+from .singular import SANDWICH_EPS
 from .subordinacy import minimize_boundary_angle, solve_pair
 from .variation import neumann_layers, subordinate_generator_array
 
@@ -40,7 +41,7 @@ class SparseSpec:
     v: float = 0.2
     gamma: int = 8
     j_max: int = 30
-    bump_sites: List[int] = field(default_factory=list)
+    bump_sites: List[int] = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.gamma, int) or self.gamma < 2:
@@ -54,8 +55,7 @@ class SparseSpec:
         return self.v if n in self._bumps else 0.0
 
     def to_operator_spec(self) -> OperatorSpec:
-        return OperatorSpec(a=lambda n: 1.0, b=self.b,
-                            label=f"sparse(v={self.v},gamma={self.gamma})")
+        return OperatorSpec(a=lambda n: 1.0, b=self.b)
 
 
 @dataclass
@@ -63,7 +63,6 @@ class EnvelopeFit:
     beta1_hat: float
     beta2_hat: float
     residual: float
-    window: Tuple[int, int]
 
 
 def _free_block(E: float) -> Mat2:
@@ -182,8 +181,7 @@ def envelope_exponents(bump_sites: Sequence[int],
     b2 = env_slope(y, upper=True)
     b1 = env_slope(y, upper=False)
     lo, hi = min(b1, b2), max(b1, b2)
-    return EnvelopeFit(beta1_hat=lo, beta2_hat=hi, residual=residual,
-                       window=(ENVELOPE_DISCARD, len(amps) - 1))
+    return EnvelopeFit(beta1_hat=lo, beta2_hat=hi, residual=residual)
 
 
 def s_threshold(beta1: float, beta2: float) -> float:
@@ -193,30 +191,6 @@ def s_threshold(beta1: float, beta2: float) -> float:
     if beta2 >= 0.5:
         raise InvalidArgumentError("beta2 must be < 1/2 (formula pole)")
     return 4.0 * beta2 / (1.0 - 2.0 * beta2) - 2.0 * beta1 + 0.5
-
-
-def deterministic_comparison_exponent(beta1: float, beta2: float) -> float:
-    """Decay exponent needed by the pointwise (non-random) comparison route.
-
-    A deterministic perturbation must obey |~b(n)| <= C n^{-(s + 1/2)}
-    to yield the same stability, so the side-by-side exponent is the
-    random threshold plus 1/2.
-    """
-    return s_threshold(beta1, beta2) + 0.5
-
-
-def beta_lower_bound(beta2: float) -> float:
-    """Subordinacy exponent bound (1 - 2 b2) / (1 + 2 b2)."""
-    if not 0.0 <= beta2 < 0.5:
-        raise InvalidArgumentError("beta2 must lie in [0, 1/2)")
-    return (1.0 - 2.0 * beta2) / (1.0 + 2.0 * beta2)
-
-
-def eta_upper_bound(beta2: float) -> float:
-    """Matching bound eta <= 4 b2 / (1 - 2 b2)."""
-    if not 0.0 <= beta2 < 0.5:
-        raise InvalidArgumentError("beta2 must lie in [0, 1/2)")
-    return 4.0 * beta2 / (1.0 - 2.0 * beta2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +225,6 @@ class SparseStabilityReport:
     max_median_diff: float
     exp1: float
     exp2: float
-    beta_proxy: float
     sandwich_ok: bool
     n_cut: int
     tail_bound: float
@@ -260,8 +233,7 @@ class SparseStabilityReport:
 
 def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                 seeds: Sequence[int], E: float,
-                                n_cut: int = 10 ** 5,
-                                eps: float = 0.1) -> SparseStabilityReport:
+                                n_cut: int = 10 ** 5) -> SparseStabilityReport:
     """Envelope stability of the growing solution under X(n)/n^s noise.
 
     The amplitude-pair coefficients d^{+-} are computed densely up to
@@ -270,7 +242,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     ``tail_bound``; it diverges, and the call raises, for s <= 1/2. The
     perturbed growing solution's envelope exponents are compared with the
     unperturbed fit, and the unperturbed pair's fitted L-norm exponents
-    are tested against the beta-sandwich with slack ``eps``.
+    are tested against the beta-sandwich with slack SANDWICH_EPS.
     """
     if s <= 0.0:
         raise InvalidArgumentError("s must be positive")
@@ -292,6 +264,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     beta_proxy = exp1 / exp2 if exp2 > 0.0 else 0.0
     sandwich = False
     if beta_proxy > 0.0:
+        eps = SANDWICH_EPS
         sandwich = (1.0 - 1.0 / (2.0 * beta_proxy) - eps <= exp1 <= 0.5 + eps
                     and 0.5 - eps <= exp2 <= 1.0 / (2.0 * beta_proxy) + eps)
 
@@ -331,6 +304,6 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         theta_star=theta, fit_unpert=fit_unpert,
         beta1_pert_median=b1_med, beta2_pert_median=b2_med,
         max_median_diff=diff, exp1=exp1, exp2=exp2,
-        beta_proxy=beta_proxy, sandwich_ok=sandwich,
+        sandwich_ok=sandwich,
         n_cut=n_cut, tail_bound=tail_bound, n_seeds=len(seeds),
     )

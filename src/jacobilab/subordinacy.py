@@ -52,9 +52,10 @@ def solve_pair(spec: OperatorSpec, E: float, theta: float,
     """
     if not (-math.pi / 2 <= theta < math.pi / 2):
         raise InvalidArgumentError("theta must lie in [-pi/2, pi/2)")
-    phi1 = solve_forward(spec, E, -math.sin(theta), math.cos(theta),
+    a, b = spec.coefficients(n_max)
+    phi1 = solve_forward(a, b, E, -math.sin(theta), math.cos(theta),
                          n_max, theta=theta)
-    phi2 = solve_forward(spec, E, math.cos(theta), math.sin(theta),
+    phi2 = solve_forward(a, b, E, math.cos(theta), math.sin(theta),
                          n_max, theta=theta - math.pi / 2)
     return phi1, phi2
 
@@ -270,17 +271,3 @@ def detect_subordinate(spec: OperatorSpec, E: float,
         log_ratio_trace=log_ratio,
         L_grid=Ls_out,
     )
-
-
-def beta_tilde(alpha: float) -> float:
-    """The Hausdorff-exponent map alpha -> alpha / (2 - alpha)."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidArgumentError("alpha must lie in (0, 1]")
-    return alpha / (2.0 - alpha)
-
-
-def alpha_of_beta_tilde(bt: float) -> float:
-    """Inverse map: alpha = 2 beta~ / (1 + beta~)."""
-    if bt <= 0.0:
-        raise InvalidArgumentError("beta~ must be positive")
-    return 2.0 * bt / (1.0 + bt)

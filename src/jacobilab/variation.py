@@ -77,15 +77,7 @@ def perturbed_spec(spec: OperatorSpec, realization: Realization) -> OperatorSpec
     def b(n, _base=spec.b, _bt=bt, _m=n_max):
         return _base(n) + (_bt[n] if 0 < n <= _m else 0.0)
 
-    return OperatorSpec(a=a, b=b, label=spec.label + "+pert", a_min=spec.a_min)
-
-
-def k_matrix(spec: OperatorSpec, realization: Realization, n: int) -> Mat2:
-    """K(n) = diag(1, a(n)+~a(n)); K(0) = I by the a(0)+~a(0) = 1 convention."""
-    if n == 0:
-        return Mat2.identity()
-    at = realization.a_tilde_or_zeros()
-    return Mat2(1.0, 0.0, 0.0, spec.a_at(n) + at[n])
+    return OperatorSpec(a=a, b=b, a_min=spec.a_min)
 
 
 def k_conjugate(spec: OperatorSpec, realization: Realization, E: float,
@@ -128,13 +120,13 @@ def diagonal_generator_array(spec: OperatorSpec, E: float,
     Uses the canonical unimodular solution pair with (f(0), f(1)) = (0, 1)
     and (1, 0); requires a == 1 so the unperturbed cocycle is unimodular.
     """
-    a, _ = spec.coefficients(n_max)
+    a, b = spec.coefficients(n_max)
     if np.any(np.abs(a - 1.0) > 1e-12):
         raise InvalidArgumentError(
             "diagonal mode requires off-diagonal coefficients == 1"
         )
-    alpha = solve_forward(spec, E, 0.0, 1.0, n_max)
-    gamma = solve_forward(spec, E, 1.0, 0.0, n_max)
+    alpha = solve_forward(a, b, E, 0.0, 1.0, n_max)
+    gamma = solve_forward(a, b, E, 1.0, 0.0, n_max)
     return nilpotent_generator_array(alpha.values, gamma.values)
 
 
@@ -149,11 +141,10 @@ def subordinate_generator_array(phi1: Trajectory, phi2: Trajectory) -> np.ndarra
 
 @dataclass
 class CorrectionState:
-    """D(n) with its mode tag."""
+    """D(n) at site n."""
 
     D: Mat2
     n: int
-    mode: str
 
 
 def _transfer_sequence(spec: OperatorSpec, E: float, n_max: int) -> List[Mat2]:
@@ -188,7 +179,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
         u_arr = diagonal_generator_array(spec, E, n_max)
         T0 = _transfer_sequence(spec, E, n_max)
         Tw = _transfer_sequence(pspec, E, n_max)
-        states = [CorrectionState(Mat2.identity(), 0, mode)]
+        states = [CorrectionState(Mat2.identity(), 0)]
         D = Mat2.identity()
         for n in range(1, n_max + 1):
             u = Mat2.from_array(u_arr[n])
@@ -199,7 +190,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
             if (D.sub(D_def)).max_abs() > CORRECTION_TOL * scale:
                 raise InternalConsistencyError(
                     f"correction paths disagree at site {n}", site=n)
-            states.append(CorrectionState(D, n, mode))
+            states.append(CorrectionState(D, n))
         return states
 
     # general-jacobi-conjugated
@@ -208,7 +199,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
     a = memoryview(spec.coefficients(n_max)[0])
     zero_real = Realization(seed=-1, n_max=n_max,
                             b_tilde=np.zeros(n_max + 1))
-    states = [CorrectionState(Mat2.identity(), 0, mode)]
+    states = [CorrectionState(Mat2.identity(), 0)]
     D = Mat2.identity()
     for n in range(1, n_max + 1):
         Tt0.append(k_conjugate(spec, zero_real, E, n) @ Tt0[-1])
@@ -227,7 +218,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
         if (D.sub(D_def)).max_abs() > CORRECTION_TOL * scale:
             raise InternalConsistencyError(
                 f"correction paths disagree at site {n}", site=n)
-        states.append(CorrectionState(D, n, mode))
+        states.append(CorrectionState(D, n))
     return states
 
 
@@ -367,7 +358,6 @@ def neumann_layers(b_tilde: np.ndarray, u_arr: np.ndarray, n_start: int,
 
 @dataclass
 class NeumannReport:
-    n_quarter: int
     probe_site: int
     layer_moments: np.ndarray        # sampled E||d^k(probe)||^2 per layer
     layer_moment_se: np.ndarray
@@ -433,7 +423,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     hs2 = np.einsum("nij,nij->n", u_arr, u_arr)
     tail_var = float((var_b2 * hs2)[checkpoints[-1]:].sum())
     return NeumannReport(
-        n_quarter=nq, probe_site=probe,
+        probe_site=probe,
         layer_moments=moments, layer_moment_se=se,
         checkpoints=checkpoints, d_median=np.median(d_vals, axis=0),
         tail_variance=tail_var, contraction_ok=ok,
@@ -461,8 +451,7 @@ def perturbed_solutions(spec: OperatorSpec, realization: Realization,
     u_arr = subordinate_generator_array(phi1, phi2)
     d, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0)
     psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
-    psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta,
-                             spec_label=spec.label + "+pert")
+    psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta)
                   for v in psi_vals)
     a, b = spec.coefficients(n_max)
     a[1:] += realization.a_tilde_or_zeros()[1:n_max + 1]

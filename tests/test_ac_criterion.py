@@ -93,9 +93,9 @@ def test_array_paths_match_scalar_oracle(table, E, data):
     assert rep.averages == pytest.approx(
         [float(np.mean(t2[:N])) for N in N_grid], rel=1e-10)
 
-    traj = solve_forward(spec, E, 1.0, 0.3, n)
-    sites = np.arange(1, n)
     coef = spec.coefficients(n)
+    traj = solve_forward(*coef, E, 1.0, 0.3, n)
+    sites = np.arange(1, n)
     res = traj.residual(*coef, sites)
     assert res.tolist() == [traj.residual(*coef, int(k)) for k in sites]
     v = traj.values

@@ -65,7 +65,7 @@ def tame_spec(rng):
     a = 0.5 + rng.random(n_cache)
     b = 0.5 * rng.standard_normal(n_cache)
     return OperatorSpec(a=lambda n: float(a[n % n_cache]) if n > 0 else 1.0,
-                        b=lambda n: float(b[n % n_cache]), label="tame")
+                        b=lambda n: float(b[n % n_cache]))
 
 
 def random_unimodular(rng):
@@ -138,8 +138,9 @@ def test_criterion_02_fast_power_oracle():
     s = SparseSpec(v=0.2, gamma=4, j_max=6)
     for E, theta in ((0.3, 0.1), (0.6, 0.4), (1.2, -0.7)):
         prop = sparse_propagate(s, E, theta)
-        phi = solve_forward(s.to_operator_spec(), E, -math.sin(theta),
-                            math.cos(theta), s.bump_sites[-1] + 1)
+        n = s.bump_sites[-1] + 1
+        phi = solve_forward(*s.to_operator_spec().coefficients(n), E,
+                            -math.sin(theta), math.cos(theta), n)
         for j, nj in enumerate(s.bump_sites):
             naive_amp = math.hypot(phi.values[nj], phi.values[nj - 1])
             ok &= abs(prop.amp1[j] - naive_amp) <= 1e-9 * naive_amp
@@ -157,7 +158,7 @@ def test_criterion_03_exact_maximal_inequality():
         decay = float(rng.choice([0.0, 0.5, 1.0]))
         model = PerturbationModel(b_dist=SiteDistribution(
             kind="rademacher", amplitude=1.0, decay=decay), exp_id="acc3")
-        rep = maximal_inequality_check(model, None, N1, N2, r)
+        rep = maximal_inequality_check(model, N1, N2, r)
         ok &= rep.exact
         ok &= rep.empirical_prob <= rep.bound + 1e-12  # zero slack
     verdict(3, "exact-mode maximal inequality", ok, t0, 10.0)
@@ -165,7 +166,7 @@ def test_criterion_03_exact_maximal_inequality():
 
 def test_criterion_04_tail_second_moment():
     t0 = time.monotonic()
-    rep = series_convergence_check(uniform_model(), lambda n: 1.0, 100,
+    rep = series_convergence_check(uniform_model(), 100,
                                    trials=10 ** 4, n_max=10 ** 4, seed=0)
     bound = math.pi ** 2 / 18.0 + 3.0 * rep.tail_second_moment_se
     ok = rep.tail_second_moment <= bound
@@ -237,7 +238,7 @@ def test_criterion_07_sparse_envelope_stability():
     b1 = max(0.0, pilot.fit_unpert.beta1_hat)
     b2 = max(b1, pilot.fit_unpert.beta2_hat)
     s = s_threshold(b1, b2) + 1.0
-    rep = perturbed_sparse_experiment(sspec, s, range(50), E, eps=0.1)
+    rep = perturbed_sparse_experiment(sspec, s, range(50), E)
     ok = rep.max_median_diff <= 0.05
     ok &= rep.sandwich_ok
     ok &= rep.n_seeds == 50

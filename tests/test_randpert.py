@@ -46,14 +46,12 @@ def test_uniform_moments_closed_form():
         assert d.moment(2, n) == pytest.approx(c ** 2 / 3.0)
         assert d.moment(3, n) == 0.0
         assert d.moment(4, n) == pytest.approx(c ** 4 / 5.0)
-        assert d.abs_moment(n) == pytest.approx(c / 2.0)
 
 
 def test_rademacher_moments():
     d = SiteDistribution(kind="rademacher", amplitude=2.0, decay=1.0)
     assert d.moment(2, 4) == pytest.approx(0.25)
     assert d.moment(4, 4) == pytest.approx(0.0625)
-    assert d.abs_moment(4) == pytest.approx(0.5)
 
 
 def test_tgauss_moments_against_quadrature():
@@ -68,8 +66,6 @@ def test_tgauss_moments_against_quadrature():
         for k in (2, 4, 6):
             num = integrate.quad(lambda x: x ** k * density(x), -T, T)[0]
             assert d.moment(k, 1) == pytest.approx(num, rel=1e-9)
-        num_abs = integrate.quad(lambda x: abs(x) * density(x), -T, T)[0]
-        assert d.abs_moment(1) == pytest.approx(num_abs, rel=1e-9)
 
 
 @given(st.floats(0.1, 5.0), st.floats(0.0, 2.0), st.integers(1, 1000))
@@ -174,7 +170,7 @@ def rademacher_model(decay=0.0, amplitude=1.0):
 
 def test_exact_mode_canonical_case():
     # Rademacher, f == 1, N1=1, N2=10, r=3: bound = 10/9, enumeration exact
-    rep = maximal_inequality_check(rademacher_model(), None, 1, 10, 3.0)
+    rep = maximal_inequality_check(rademacher_model(), 1, 10, 3.0)
     assert rep.exact and rep.trials == 2 ** 10
     assert rep.bound == pytest.approx(10.0 / 9.0)
     assert rep.empirical_prob <= rep.bound  # zero slack
@@ -186,8 +182,7 @@ def test_exact_mode_zero_slack_random_cases():
         N1 = int(rng.integers(1, 5))
         N2 = N1 + int(rng.integers(2, 10))
         r = float(rng.uniform(0.5, 4.0))
-        rep = maximal_inequality_check(rademacher_model(decay=0.3), None,
-                                       N1, N2, r)
+        rep = maximal_inequality_check(rademacher_model(decay=0.3), N1, N2, r)
         assert rep.exact
         assert rep.empirical_prob <= rep.bound
 
@@ -209,7 +204,7 @@ def test_exact_mode_variance_additivity():
 
 
 def test_huge_r_gives_zero_probability():
-    rep = maximal_inequality_check(rademacher_model(), None, 1, 10, 1e6)
+    rep = maximal_inequality_check(rademacher_model(), 1, 10, 1e6)
     assert rep.empirical_prob == 0.0
 
 
@@ -218,48 +213,24 @@ def test_uniform_closed_form_bound():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=0.0))
     r = 7.0
-    rep = maximal_inequality_check(model, None, 1, 100, r, trials=500)
+    rep = maximal_inequality_check(model, 1, 100, r, trials=500)
     assert not rep.exact
     assert rep.bound == pytest.approx((100.0 / 3.0) / r ** 2, rel=1e-12)
 
 
 def test_monte_carlo_respects_bound_with_slack():
     model = PerturbationModel(b_dist=uniform_over_n(), exp_id="mi")
-    rep = maximal_inequality_check(model, None, 1, 50, 1.0, trials=4000)
+    rep = maximal_inequality_check(model, 1, 50, 1.0, trials=4000)
     slack = 3.0 * math.sqrt(
         max(rep.empirical_prob * (1 - rep.empirical_prob), 1e-12) / rep.trials)
     assert rep.empirical_prob <= rep.bound + slack
 
 
-def test_f_defs_receive_only_later_sites():
-    # structural enforcement of the measurability contract: the callable is
-    # handed the strictly-later window only
-    seen = []
-
-    def f(n, tail):
-        seen.append((n, len(tail)))
-        return 1.0
-
-    rep = maximal_inequality_check(rademacher_model(), f, 3, 8, 2.0)
-    assert rep.exact
-    per_pattern = sorted(set(seen))
-    assert per_pattern == [(n, 8 - n) for n in range(3, 9)]
-
-
-def test_f_defs_weighting_enters_bound():
-    def f(n, tail):
-        return 2.0
-
-    rep1 = maximal_inequality_check(rademacher_model(), None, 1, 8, 3.0)
-    rep2 = maximal_inequality_check(rademacher_model(), f, 1, 8, 3.0)
-    assert rep2.bound == pytest.approx(4.0 * rep1.bound)
-
-
 def test_inequality_argument_validation():
     with pytest.raises(InvalidArgumentError):
-        maximal_inequality_check(rademacher_model(), None, 5, 5, 1.0)
+        maximal_inequality_check(rademacher_model(), 5, 5, 1.0)
     with pytest.raises(InvalidArgumentError):
-        maximal_inequality_check(rademacher_model(), None, 1, 5, -1.0)
+        maximal_inequality_check(rademacher_model(), 1, 5, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +239,7 @@ def test_inequality_argument_validation():
 
 def test_series_zero_model_all_tails_zero():
     model = PerturbationModel(b_dist=zero_distribution())
-    rep = series_convergence_check(model, lambda n: 1.0, 100,
-                                   trials=50, n_max=1000)
+    rep = series_convergence_check(model, 100, trials=50, n_max=1000)
     assert np.all(rep.tail_sup_median == 0.0)
     assert np.all(rep.tail_sup_p95 == 0.0)
     assert rep.tail_second_moment == 0.0
@@ -280,8 +250,7 @@ def test_series_tail_moment_within_bound():
     # z = X(n)/n: full-series variance sum is pi^2/18; the tail beyond any
     # n_tail is below it
     model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ser")
-    rep = series_convergence_check(model, lambda n: 1.0, 100,
-                                   trials=2000, n_max=10 ** 4)
+    rep = series_convergence_check(model, 100, trials=2000, n_max=10 ** 4)
     assert rep.variance_bound <= math.pi ** 2 / 18.0 + 1e-9
     assert rep.tail_second_moment <= math.pi ** 2 / 18.0 \
         + 3.0 * rep.tail_second_moment_se
@@ -295,8 +264,7 @@ def test_series_slow_decay_checkpoint_slope():
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=0.75),
         exp_id="ser75")
-    rep = series_convergence_check(model, lambda n: 1.0, 100,
-                                   trials=400, n_max=10 ** 4)
+    rep = series_convergence_check(model, 100, trials=400, n_max=10 ** 4)
     # exclude checkpoints near n_max where the sup-tail degenerates to 0
     sel = (rep.checkpoints >= 100) & (rep.checkpoints <= 10 ** 4 // 4)
     slope = np.polyfit(np.log(rep.checkpoints[sel]),
@@ -308,28 +276,15 @@ def test_series_divergent_variances_refused():
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=0.5))
     with pytest.raises(DivergentSeriesError):
-        series_convergence_check(model, lambda n: 1.0, 100,
-                                 trials=10, n_max=10 ** 4)
+        series_convergence_check(model, 100, trials=10, n_max=10 ** 4)
 
 
 def test_series_determinism():
     model = PerturbationModel(b_dist=uniform_over_n(), exp_id="det")
-    r1 = series_convergence_check(model, lambda n: 1.0, 50,
-                                  trials=200, n_max=2000)
-    r2 = series_convergence_check(model, lambda n: 1.0, 50,
-                                  trials=200, n_max=2000)
+    r1 = series_convergence_check(model, 50, trials=200, n_max=2000)
+    r2 = series_convergence_check(model, 50, trials=200, n_max=2000)
     assert np.array_equal(r1.tail_sup_median, r2.tail_sup_median)
     assert r1.tail_second_moment == r2.tail_second_moment
-
-
-def test_series_matrix_weights_use_hs_norm():
-    from jacobilab.core import Mat2
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="mw")
-    r_mat = series_convergence_check(
-        model, lambda n: Mat2(1.0, 0.0, 0.0, 1.0), 50, trials=50, n_max=1000)
-    r_sca = series_convergence_check(
-        model, lambda n: math.sqrt(2.0), 50, trials=50, n_max=1000)
-    assert r_mat.variance_bound == pytest.approx(r_sca.variance_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,9 @@ from jacobilab.errors import (
 )
 from jacobilab.sparse import (
     SparseSpec,
-    beta_lower_bound,
     block_log_lnorms,
     block_matrices,
-    deterministic_comparison_exponent,
     envelope_exponents,
-    eta_upper_bound,
     find_subordinate_angle,
     perturbed_sparse_experiment,
     s_threshold,
@@ -85,6 +82,12 @@ def test_sparse_spec_validation():
         SparseSpec(gamma=8, j_max=50)  # 8^50 >= 2^127
 
 
+def test_bump_sites_not_a_constructor_argument():
+    # the sites follow from gamma and j_max; a given list would be discarded
+    with pytest.raises(TypeError):
+        SparseSpec(bump_sites=[3])
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
@@ -101,8 +104,9 @@ def test_propagation_matches_naive():
     prop = sparse_propagate(s, E, theta)
     spec = s.to_operator_spec()
     # naive oracle over 4^6 = 4096 sites: pre-bump state (phi(n_j), phi(n_j-1))
-    phi = solve_forward(spec, E, -math.sin(theta), math.cos(theta),
-                        s.bump_sites[-1] + 1)
+    n = s.bump_sites[-1] + 1
+    phi = solve_forward(*spec.coefficients(n), E, -math.sin(theta),
+                        math.cos(theta), n)
     for j, nj in enumerate(s.bump_sites):
         naive_amp = math.hypot(phi.values[nj], phi.values[nj - 1])
         assert prop.amp1[j] == pytest.approx(naive_amp, rel=1e-9)
@@ -206,19 +210,12 @@ def test_s_threshold_examples():
         s_threshold(0.3, 0.2)
 
 
-def test_bounds_at_quarter():
-    assert beta_lower_bound(0.25) == pytest.approx(1.0 / 3.0)
-    assert eta_upper_bound(0.25) == pytest.approx(2.0)
-
-
 @given(st.floats(0.0, 0.45), st.floats(0.0, 0.45))
 def test_threshold_identity_vs_eta_bound(b1, b2):
     b1, b2 = min(b1, b2), max(b1, b2)
-    # s_threshold = eta_upper_bound + 1/2 - 2 beta1, exactly
+    # s_threshold = the eta bound 4 b2 / (1 - 2 b2) + 1/2 - 2 beta1, exactly
     assert s_threshold(b1, b2) == pytest.approx(
-        eta_upper_bound(b2) + 0.5 - 2.0 * b1, abs=1e-12)
-    assert deterministic_comparison_exponent(b1, b2) == pytest.approx(
-        s_threshold(b1, b2) + 0.5, abs=1e-12)
+        4.0 * b2 / (1.0 - 2.0 * b2) + 0.5 - 2.0 * b1, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

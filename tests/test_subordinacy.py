@@ -13,9 +13,7 @@ from jacobilab.sparse import SparseSpec
 from jacobilab.subordinacy import (
     ANGLE_GRID,
     _grid_log_ratio,
-    alpha_of_beta_tilde,
     beta_eta_from_traces,
-    beta_tilde,
     default_l_grid,
     detect_subordinate,
     fitted_growth_exponent,
@@ -214,21 +212,6 @@ def test_fitted_growth_exponent_recovers_slope():
     Ls = default_l_grid()
     assert fitted_growth_exponent(Ls, 0.37 * np.log(Ls) + 2.0) == pytest.approx(
         0.37, abs=1e-9)
-
-
-def test_beta_tilde_values():
-    assert beta_tilde(1.0) == pytest.approx(1.0)
-    assert beta_tilde(2.0 / 3.0) == pytest.approx(0.5)
-    with pytest.raises(InvalidArgumentError):
-        beta_tilde(0.0)
-    with pytest.raises(InvalidArgumentError):
-        beta_tilde(1.5)
-
-
-@given(st.floats(1e-6, 1.0))
-def test_beta_tilde_round_trip(alpha):
-    assert alpha_of_beta_tilde(beta_tilde(alpha)) == pytest.approx(
-        alpha, abs=1e-15, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import Mat2, free_laplacian, schrodinger_spec, single_step
+from jacobilab.core import Mat2, free_laplacian, single_step
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -153,12 +153,12 @@ def test_k_transfer_equals_k_times_plain_product():
     for n in (3, 17, 40):
         # oracle: K(n) (product of perturbed single steps)
         from jacobilab.core import transfer_product
-        from jacobilab.variation import k_matrix
         Tw = transfer_product(pspec, E, n)
         lhs = Mat2.identity()
         for m in range(1, n + 1):
             lhs = k_conjugate(spec, real, E, m) @ lhs
-        rhs = k_matrix(spec, real, n) @ Tw
+        K = Mat2(1.0, 0.0, 0.0, spec.a_at(n) + real.a_tilde[n])
+        rhs = K @ Tw
         assert lhs.sub(rhs).max_abs() <= 1e-10 * max(1.0, rhs.max_abs())
 
 
