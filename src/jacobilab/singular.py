@@ -145,12 +145,13 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     sandwich = (1.0 - 1.0 / (2.0 * beta) - eps <= exp1 <= 0.5 + eps
                 and 0.5 - eps <= exp2 <= 1.0 / (2.0 * beta) + eps)
 
+    coefficients = spec.coefficients(n_max)
     r1 = np.empty((len(seeds), len(L_grid)))
     r2 = np.empty((len(seeds), len(L_grid)))
     for i, s in enumerate(seeds):
         real = sample(model, s, n_max)
-        _, _, ratios = perturbed_solutions(spec, real, phi1, phi2,
-                                           L_grid=L_grid)
+        _, _, ratios = perturbed_solutions(spec, coefficients, real, phi1,
+                                           phi2, L_grid=L_grid)
         r1[i] = ratios["psi1"]
         r2[i] = ratios["psi2"]
     med1 = np.median(r1, axis=0)

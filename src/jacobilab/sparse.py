@@ -236,13 +236,14 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                 n_cut: int = 10 ** 5) -> SparseStabilityReport:
     """Envelope stability of the growing solution under X(n)/n^s noise.
 
-    The amplitude-pair coefficients d^{+-} are computed densely up to
-    n_cut and frozen beyond it; the discarded tail is certified by the
-    closed-form weighted variance sum over all n > n_cut, reported as
-    ``tail_bound``; it diverges, and the call raises, for s <= 1/2. The
-    perturbed growing solution's envelope exponents are compared with the
-    unperturbed fit, and the unperturbed pair's fitted L-norm exponents
-    are tested against the beta-sandwich with slack SANDWICH_EPS.
+    The amplitude column d^+ of the growing solution is summed densely
+    up to n_cut (d^- is not needed) and frozen beyond it; the discarded
+    tail is certified by the closed-form weighted variance sum over all
+    n > n_cut, reported as ``tail_bound``; it diverges, and the call
+    raises, for s <= 1/2. The perturbed growing solution's envelope
+    exponents are compared with the unperturbed fit, and the unperturbed
+    pair's fitted L-norm exponents are tested against the beta-sandwich
+    with slack SANDWICH_EPS.
     """
     if s <= 0.0:
         raise InvalidArgumentError("s must be positive")
@@ -286,8 +287,8 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     beta1s, beta2s = [], []
     for seed in seeds:
         real = sample(model, seed, n_cut + 1)
-        d, _ = neumann_layers(real.b_tilde, u_arr, 0)
-        d_plus = d[at_bump, :, 1]
+        d, _ = neumann_layers(real.b_tilde, u_arr, 0, columns=(1,))
+        d_plus = d[at_bump, :, 0]
         v2 = d_plus[:, :1] * prop.states1 + d_plus[:, 1:] * prop.states2
         fit = envelope_exponents(prop.bump_sites, np.array(
             [math.hypot(x, y) for x, y in v2.tolist()]))

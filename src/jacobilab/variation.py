@@ -11,9 +11,10 @@ one-site correction decomposes into V/U/W generator terms.
 The amplitude matrix D(n) of neumann_layers solves the same backward
 recursion in the basis of a boundary solution pair, but tends to I at
 infinity: its columns d^-(n) and d^+(n) are sums of Neumann layers of
-tail sums from the terminal vectors (1, 0) and (0, 1), all computed in
-one pass, and the perturbed solutions are (psi1, psi2)(n) =
-(phi1, phi2)(n) D(n). One layer step serves this single-realization sum
+tail sums from the terminal vectors (1, 0) and (0, 1), and the perturbed
+solutions are (psi1, psi2)(n) = (phi1, phi2)(n) D(n). One pass sums the
+columns a caller asks for: both for the perturbed pair, d^+ alone for
+the sparse envelope. One layer step serves this single-realization sum
 and the seed ensemble of neumann_series; the decay condition uses the
 shared decade-ratio test (randpert.decade_log_sums and
 randpert.decade_ratios_pass, last ratio <= 0.95).
@@ -297,7 +298,7 @@ def _advance_layer(bt: np.ndarray,
 
     Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
     d^k(j') is a plain cumsum. layer has shape (columns, 2, sites): one
-    2-vector per amplitude column and site; bt and the u rows are views
+    2-vector per amplitude column and site; bt and the u rows are
     reversed alike.
     """
     for col in layer:
@@ -314,33 +315,42 @@ def _advance_layer(bt: np.ndarray,
 
 
 def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int):
-    """Rows (u_i0, u_i1) of u for sites n_max down to n_start, as views."""
+    """Rows (u_i0, u_i1) of u for sites n_max down to n_start.
+
+    Each entry is a contiguous copy: a strided view of u_arr would skip
+    the other three entries of every 2x2 block in each layer pass.
+    """
     u = u_arr[n_start:n_max + 1][::-1]
-    return ((u[:, 0, 0], u[:, 0, 1]), (u[:, 1, 0], u[:, 1, 1]))
+    return tuple(tuple(np.ascontiguousarray(u[:, i, j]) for j in (0, 1))
+                 for i in (0, 1))
 
 
 def neumann_layers(b_tilde: np.ndarray, u_arr: np.ndarray, n_start: int,
-                   K_max: int = K_MAX_DEFAULT
+                   K_max: int = K_MAX_DEFAULT, columns: Sequence[int] = (0, 1)
                    ) -> Tuple[np.ndarray, List[float]]:
-    """Amplitude matrices D(n) for n = n_start..n_max, one realization.
+    """Amplitude columns D(n) for n = n_start..n_max, one realization.
 
-    Column 0 of D(n) is d^-(n), the Neumann sum from the terminal vector
-    (1, 0); column 1 is d^+(n), from (0, 1); so (psi1, psi2)(n) =
-    (phi1, phi2)(n) D(n). One pass of the layer iteration serves both
-    columns; each column stops after K_max layers or after its first layer
-    whose sup-norm is below LAYER_STOP. Returns (D indexed by absolute
-    site, shape (n_max+1, 2, 2), zero below n_start; sups), where sups[k]
-    is the largest sup-norm of layer k over the columns that take it. D
-    is a view of the reversed-order sum, not a contiguous array.
+    Column 0 of the amplitude matrix is d^-(n), the Neumann sum from the
+    terminal vector (1, 0); column 1 is d^+(n), from (0, 1); so
+    (psi1, psi2)(n) = (phi1, phi2)(n) D(n). Column c of the result is
+    column ``columns[c]``: the default (0, 1) gives the whole matrix, (1,)
+    gives d^+ alone. One pass of the layer iteration serves every
+    requested column; each column stops after K_max layers or after its
+    first layer whose sup-norm is below LAYER_STOP, so it does not depend
+    on which others are summed with it. Returns (D indexed by absolute
+    site, shape (n_max+1, 2, len(columns)), zero below n_start; sups),
+    where sups[k] is the largest sup-norm of layer k over the columns that
+    take it. D is a view of the reversed-order sum, not a contiguous
+    array.
     """
     n_max = len(b_tilde) - 1
-    bt = b_tilde[n_start:][::-1]
+    bt = np.ascontiguousarray(b_tilde[n_start:][::-1])
     u = _reversed_rows(u_arr, n_start, n_max)
     sites = len(bt)
     # total[column, component, n_max - n]; sites below n_start stay zero
-    total = np.zeros((2, 2, n_max + 1))
-    total[:, :, :sites] = np.eye(2)[:, :, None]
-    layer, active = total[:, :, :sites].copy(), [0, 1]
+    total = np.zeros((len(columns), 2, n_max + 1))
+    total[:, :, :sites] = np.eye(2)[list(columns), :, None]
+    layer, active = total[:, :, :sites].copy(), list(range(len(columns)))
     sups = [1.0]  # the terminal vectors are unit vectors
     for _ in range(K_max):
         _advance_layer(bt, u, layer)
@@ -434,16 +444,19 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 # perturbed solutions
 # ---------------------------------------------------------------------------
 
-def perturbed_solutions(spec: OperatorSpec, realization: Realization,
+def perturbed_solutions(spec: OperatorSpec,
+                        coefficients: Tuple[np.ndarray, np.ndarray],
+                        realization: Realization,
                         phi1: Trajectory, phi2: Trajectory,
                         L_grid: Optional[np.ndarray] = None):
     """(psi1, psi2, ratios) built from the amplitude matrices D(n).
 
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
     pair phi1, phi2 (from solve_pair), which fixes E, the angle and n_max.
-    Verifies the perturbed difference-equation residual at every interior
-    site and reports the L-norm ratio traces ||psi_i||_L / ||phi_i||_L
-    when a grid is given.
+    ``coefficients`` is spec.coefficients(n_max), built once by the caller
+    for every realization and left unmodified. Verifies the perturbed
+    difference-equation residual at every interior site and reports the
+    L-norm ratio traces ||psi_i||_L / ||phi_i||_L when a grid is given.
     """
     n_max = phi1.n_max
     if n_max > realization.n_max:
@@ -453,7 +466,7 @@ def perturbed_solutions(spec: OperatorSpec, realization: Realization,
     psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
     psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta)
                   for v in psi_vals)
-    a, b = spec.coefficients(n_max)
+    a, b = (c.copy() for c in coefficients)
     a[1:] += realization.a_tilde_or_zeros()[1:n_max + 1]
     b[1:] += realization.b_tilde[1:n_max + 1]
     low = np.flatnonzero(a[1:] < spec.a_min)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jacobilab.core import Trajectory
+from jacobilab.core import OperatorSpec, Trajectory
 from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
     PerturbationModel,
@@ -167,6 +167,25 @@ def test_stability_sparse_configuration():
     assert lo <= rep.ratio_psi1[-1][1] <= hi
     assert rep.sandwich_ok
     assert rep.n_seeds == 8
+
+
+@pytest.mark.parametrize("n_seeds", [2, 5])
+def test_stability_builds_the_coefficients_three_times(monkeypatch, n_seeds):
+    # one build each for detect_subordinate, solve_pair and the seed loop,
+    # whatever the number of seeds
+    builds = []
+    coefficients = OperatorSpec.coefficients
+
+    def counted(self, n_max):
+        builds.append(n_max)
+        return coefficients(self, n_max)
+
+    monkeypatch.setattr(OperatorSpec, "coefficients", counted)
+    model = PerturbationModel(b_dist=SiteDistribution(
+        kind="uniform", amplitude=1.0, decay=2.0), exp_id="stab")
+    stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
+                         seeds=range(n_seeds))
+    assert len(builds) == 3
 
 
 def test_stability_refuses_without_candidate():

@@ -1,5 +1,6 @@
 """Sparse bump potentials: propagation, envelopes, thresholds, stability."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobilab import harness, sparse
 from jacobilab.core import single_step, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
@@ -283,3 +285,26 @@ def test_tail_bound_covers_the_whole_tail():
         n ** -2.0 for n in range(1, n_cut + 1))  # sum over n > n_cut
     assert rep.tail_bound == pytest.approx(
         float(np.max(amp2)) ** 4 / 3.0 * tail, rel=1e-9)
+
+
+def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
+    # the envelope reads d+ alone; summing d- as well doubles the layer work
+    calls = []
+    neumann_layers = sparse.neumann_layers
+    signature = inspect.signature(neumann_layers)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments["columns"]))
+        return neumann_layers(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "neumann_layers", spy)
+    # the tiny sparse benchmark config
+    report = harness.run({
+        "experiment": "sparse",
+        "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+        "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
+        "grids": {"s": 2.0, "n_cut": 3000}, "workers": 1})
+    assert report.failures == [] and len(report.rows) == 1
+    assert calls == [(1,)] * 4

@@ -339,12 +339,21 @@ def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
 
 
 def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
-    """Both columns bit for bit; returns the layer counts of (d-, d+)."""
+    """Both columns bit for bit, from the two-column call and from a
+    one-column call each; returns the layer counts of (d-, d+)."""
     d, sups = neumann_layers(b_tilde, u_arr, n_start, K_max)
     ref = [single_branch_layers(b_tilde, u_arr, n_start, K_max, e)
            for e in ((1.0, 0.0), (0.0, 1.0))]
-    for col, (total, _) in enumerate(ref):
+    for col, (total, ref_sups) in enumerate(ref):
         assert np.array_equal(d[:, :, col], total)
+        # a one-column call is that column alone: same values, same
+        # layer count and the column's own per-layer sups
+        d_col, sups_col = neumann_layers(b_tilde, u_arr, n_start, K_max,
+                                         columns=(col,))
+        assert d_col.shape == (len(b_tilde), 2, 1)
+        assert np.array_equal(d_col[:, :, 0], d[:, :, col])
+        assert np.array_equal(d_col[:, :, 0], total)
+        assert sups_col == ref_sups
     assert sups == [max(s[k] for _, s in ref if k < len(s))
                     for k in range(max(len(s) for _, s in ref))]
     return tuple(len(s) - 1 for _, s in ref)
@@ -462,7 +471,8 @@ def test_perturbed_solutions_zero_model_exact():
     real = zero_realization(300)
     phi1, phi2 = solve_pair(spec, E, th, 300)
     psi1, psi2, ratios = perturbed_solutions(
-        spec, real, phi1, phi2, L_grid=np.array([10.0, 100.0, 250.0]))
+        spec, spec.coefficients(300), real, phi1, phi2,
+        L_grid=np.array([10.0, 100.0, 250.0]))
     assert np.array_equal(psi1.values, phi1.values)
     assert np.array_equal(psi2.values, phi2.values)
     assert np.allclose(ratios["psi1"], 1.0)
@@ -475,8 +485,12 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
     real = sample(model, 11, 400)
     # the constructor verifies the residual at every interior site and
     # raises on failure; reaching here is the assertion
-    psi1, psi2, _ = perturbed_solutions(spec, real,
+    coefficients = spec.coefficients(400)
+    kept = [c.copy() for c in coefficients]
+    psi1, psi2, _ = perturbed_solutions(spec, coefficients, real,
                                         *solve_pair(spec, 0.5, 0.1, 400))
+    # the unperturbed arrays serve every realization, so stay unmodified
+    assert all(np.array_equal(c, k) for c, k in zip(coefficients, kept))
     a, b = perturbed_spec(spec, real).coefficients(400)
     scale = float(np.max(np.abs(psi2.values)))
     for n in (1, 200, 399):
@@ -491,9 +505,11 @@ def test_perturbed_solutions_check_floor_and_length():
     real = Realization(seed=0, n_max=n_max, b_tilde=np.zeros(n_max + 1),
                        a_tilde=a_tilde)
     with pytest.raises(InvalidArgumentError, match=r"a\(17\) = 0\.0 below"):
-        perturbed_solutions(spec, real, *solve_pair(spec, 0.5, 0.1, n_max))
+        perturbed_solutions(spec, spec.coefficients(n_max), real,
+                            *solve_pair(spec, 0.5, 0.1, n_max))
     with pytest.raises(InsufficientDataError):
-        perturbed_solutions(spec, zero_realization(n_max - 1),
+        perturbed_solutions(spec, spec.coefficients(n_max),
+                            zero_realization(n_max - 1),
                             *solve_pair(spec, 0.5, 0.1, n_max))
 
 
@@ -502,11 +518,12 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=0.1, decay=1.5),
         exp_id="psr")
+    coefficients = spec.coefficients(500)
     terminal = []
     for seed in range(20):
         real = sample(model, seed, 500)
         _, _, ratios = perturbed_solutions(
-            spec, real, *solve_pair(spec, 0.5, 0.0, 500),
+            spec, coefficients, real, *solve_pair(spec, 0.5, 0.0, 500),
             L_grid=np.array([400.0]))
         terminal.append(ratios["psi2"][0])
     med = float(np.median(terminal))
