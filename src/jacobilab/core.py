@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 from .errors import InvalidArgumentError, OverflowSiteError
@@ -242,6 +241,7 @@ def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
             th = math.acos(x)
             s = math.sin(th)
             return math.sin(m * th) / s, math.sin((m - 1) * th) / s
+        import mpmath  # loaded only for blocks this long
         with mpmath.workprec(int(m).bit_length() + 96):
             th = mpmath.acos(mpmath.mpf(x))
             s = mpmath.sin(th)

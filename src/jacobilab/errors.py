@@ -37,3 +37,16 @@ class InternalConsistencyError(RuntimeError):
 
 class DivergentSeriesError(ValueError):
     """A series whose convergence is a precondition failed its decay test."""
+
+
+class ConfigError(ValueError):
+    """A config violates the schema.
+
+    ``path`` is the tuple of keys (and list indices) that leads from the
+    config root to the offending value; ``message`` says what is wrong.
+    """
+
+    def __init__(self, message, path=()):
+        self.message = message
+        self.path = tuple(path)
+        super().__init__(message)

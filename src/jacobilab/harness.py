@@ -15,6 +15,8 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 import tempfile
@@ -22,13 +24,13 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .ac_criterion import cesaro_scan, default_n_grid, gamma_membership
 from .core import OperatorSpec, constant_spec, free_laplacian
 from .errors import (
+    ConfigError,
     DivergentSeriesError,
     InsufficientDataError,
     InternalConsistencyError,
@@ -140,6 +142,93 @@ CONFIG_SCHEMA = {
     "required": ["experiment"],
 }
 
+# the JSON Schema keywords _validate implements; CONFIG_SCHEMA uses no other
+_KEYWORDS = frozenset({
+    "type", "enum", "properties", "required", "additionalProperties",
+    "items", "minItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+    "oneOf",
+})
+_PYTHON_TYPES = {"object": dict, "array": list, "string": str}
+# (keyword, the comparison that fails it, the relation it asks for); a
+# failing comparison, not a negated passing one, lets NaN pass as it does
+# in JSON Schema validators
+_BOUNDS = (("minimum", operator.lt, ">="),
+           ("exclusiveMinimum", operator.le, ">"),
+           ("exclusiveMaximum", operator.ge, "<"))
+
+
+def _is_type(value: Any, name: str) -> bool:
+    """JSON Schema types: a bool is no number, and 2.0 is an integer."""
+    if name not in ("number", "integer"):
+        return isinstance(value, _PYTHON_TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return (name == "number" or isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer()))
+
+
+def _validate(value: Any, schema: Dict[str, Any],
+              path: Tuple[Any, ...] = ()) -> None:
+    """Raise ConfigError unless `value` satisfies `schema`.
+
+    Implements the keywords in _KEYWORDS with the semantics of JSON Schema
+    (draft 2020-12): numeric bounds apply only to numbers, object and array
+    keywords only to objects and arrays, and oneOf needs exactly one match.
+    Any other keyword raises NotImplementedError, so a schema edit cannot
+    be ignored silently. `path` locates `value` in the config.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)} "
+                                  "are not implemented")
+    if "type" in schema and not _is_type(value, schema["type"]):
+        raise ConfigError(f"{value!r} is not of type {schema['type']!r}", path)
+    if "enum" in schema and not any(
+            e == value and isinstance(e, bool) == isinstance(value, bool)
+            for e in schema["enum"]):
+        raise ConfigError(f"{value!r} is not one of {schema['enum']!r}", path)
+    if "oneOf" in schema:
+        matches = 0
+        for sub in schema["oneOf"]:
+            try:
+                _validate(value, sub, path)
+                matches += 1
+            except ConfigError:
+                pass
+        if matches != 1:
+            raise ConfigError(f"{value!r} matches "
+                              f"{'more than one' if matches else 'none'} "
+                              "of the allowed forms", path)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{key!r} is a required property", path)
+        if "additionalProperties" in schema:
+            if schema["additionalProperties"] is not False:
+                raise NotImplementedError(
+                    "additionalProperties other than false")
+            for key in value:
+                if key not in props:
+                    raise ConfigError(f"{key!r} is not an allowed key",
+                                      path + (key,))
+        for key, sub in props.items():
+            if key in value:
+                _validate(value[key], sub, path + (key,))
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{value!r} has fewer than "
+                              f"{schema['minItems']} items", path)
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], path + (i,))
+    elif _is_type(value, "number"):
+        for key, fails, relation in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                raise ConfigError(f"{value!r} must be {relation} "
+                                  f"{schema[key]!r}", path)
+
+
 _DEFAULTS: Dict[str, Any] = {
     "spec": {"type": "free"},
     "model": {"b": {"kind": "uniform", "amplitude": 1.0, "decay": 1.0},
@@ -165,7 +254,7 @@ _GRID_DEFAULTS: Dict[str, Any] = {
 
 def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and fill in every default; returns the canonical config."""
-    jsonschema.validate(config, CONFIG_SCHEMA)
+    _validate(config, CONFIG_SCHEMA)
     out = json.loads(json.dumps(config))
     for key, val in _DEFAULTS.items():
         if key not in out:
@@ -556,8 +645,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = materialize(config)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    except ConfigError as exc:
+        path = "/".join(str(p) for p in exc.path) or "<root>"
         print(f"config error at {path}: {exc.message}", file=sys.stderr)
         return 2
     try:

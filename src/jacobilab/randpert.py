@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import OperatorSpec
 from .errors import (
@@ -63,6 +62,7 @@ class SiteDistribution:
             return 1.0
         # truncated standard normal on [-T, T], by parts:
         # E[X^k] = (k-1) E[X^{k-2}] - 2 T^{k-1} phi(T) / Z
+        from scipy.special import ndtr  # tgauss alone needs scipy
         T = self.trunc
         Z = 2.0 * ndtr(T) - 1.0
         m = 1.0
@@ -94,6 +94,7 @@ class SiteDistribution:
         elif self.kind == "rademacher":
             x = np.where(u < 0.5, -1.0, 1.0)
         else:
+            from scipy.special import ndtr, ndtri  # tgauss alone needs scipy
             lo = ndtr(-self.trunc)
             hi = ndtr(self.trunc)
             x = ndtri(lo + u * (hi - lo))

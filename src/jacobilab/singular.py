@@ -82,13 +82,13 @@ def default_eta_grid(eta: float) -> np.ndarray:
 
 
 def lambda_membership(phi1: Trajectory, phi2: Trajectory, eta: float,
-                      model: PerturbationModel) -> Tuple[bool, float, float]:
+                      model: PerturbationModel) -> Tuple[bool, float]:
     """Scan eta~ > eta for a convergent sum r_eta~(n) <~b(n)^2>.
 
     Convergent means the last two decade ratios are each <= DECADE_RATIO.
-    Returns (member, chosen eta~, partial sum at the chosen eta~). With
-    no admissible grid point, the reported values are for the smallest
-    grid eta~ (the least divergent sum by monotonicity of r in eta~).
+    Returns (member, chosen eta~). With no admissible grid point, the
+    reported eta~ is the smallest grid value (the least divergent sum by
+    monotonicity of r in eta~).
     """
     eta_grid = default_eta_grid(eta)
     n_max = min(phi1.n_max, phi2.n_max)
@@ -100,10 +100,8 @@ def lambda_membership(phi1: Trajectory, phi2: Trajectory, eta: float,
         with np.errstate(divide="ignore"):
             log_sums = decade_log_sums(np.log(terms))
         if decade_ratios_pass(log_sums, DECADE_RATIO, 2):
-            return True, float(et), float(terms.sum())
-    et0 = float(eta_grid[0])
-    terms = r_sequence(phi1, phi2, et0, n_max) * b2
-    return False, et0, float(terms.sum())
+            return True, float(et)
+    return False, float(eta_grid[0])
 
 
 def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
@@ -135,7 +133,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     n_max = int(math.floor(L_grid[-1])) + 2
 
     phi1, phi2 = solve_pair(spec, E, theta, n_max)
-    member, eta_tilde, _ = lambda_membership(phi1, phi2, eta, model)
+    member, eta_tilde = lambda_membership(phi1, phi2, eta, model)
 
     logn1 = np.array([math.log(l_norm(phi1, L)) for L in L_grid])
     logn2 = np.array([math.log(l_norm(phi2, L)) for L in L_grid])

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import zeta
 
 from .core import Mat2, OperatorSpec, fast_const_power, single_step
 from .errors import (
@@ -279,8 +278,9 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     )
     # truncation certificate: sum_{n > n_cut} <~b^2> ||u||_HS^2-style weight
     # with <~b(n)^2> = n^(-2s) / 3, summed in closed form (Hurwitz zeta)
+    import mpmath  # only here and in long block powers
     tail_bound = float(np.max(prop.amp2)) ** 4 / 3.0 * float(
-        zeta(2.0 * s, n_cut + 1))
+        mpmath.zeta(2.0 * s, n_cut + 1))
 
     # d+ at each bump, frozen at its n_cut value beyond the dense window
     at_bump = [min(nj, n_cut) for nj in prop.bump_sites]

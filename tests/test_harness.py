@@ -7,10 +7,9 @@ import subprocess
 import sys
 
 import pytest
-from jsonschema import ValidationError
 
 from jacobilab import harness
-from jacobilab.errors import InvalidArgumentError
+from jacobilab.errors import ConfigError, InvalidArgumentError
 from jacobilab.harness import (
     EnsembleReport,
     config_hash,
@@ -42,11 +41,11 @@ def test_materialize_fills_defaults():
 
 
 def test_materialize_rejects_unknown_keys():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         materialize({"experiment": "transfer", "bogus": 1})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         materialize({"experiment": "transfer", "grids": {"nope": 2}})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError):
         materialize({"experiment": "not-an-experiment"})
 
 
@@ -423,3 +422,36 @@ def test_script_wrappers_match_lab_invocation(tmp_path, script, args,
                    "--out", str(out / sub)])
         assert rc == 0
     assert _file_bodies(out) == from_script
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config, unused", [
+    # the tiny ac-scan benchmark config
+    ({"experiment": "ac-scan", "spec": {"type": "free"},
+      "E_grid": {"start": -2.5, "stop": 2.5, "step": 1.0},
+      "grids": {"N_j_max": 12, "n_max": 1000}, "workers": 1},
+     ("jsonschema", "scipy", "mpmath")),
+    # the tiny sparse benchmark config; its long blocks need mpmath
+    ({"experiment": "sparse",
+      "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+      "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
+      "grids": {"s": 2.0, "n_cut": 3000}, "workers": 1},
+     ("jsonschema", "scipy")),
+])
+def test_run_loads_no_unused_dependency(config, unused):
+    code = ("import json, sys\n"
+            "import jacobilab.harness as harness\n"
+            "report = harness.run(json.loads(sys.argv[1]))\n"
+            "assert report.rows and not report.failures\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules}"
+            " & set(sys.argv[2:]))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(config),
+                           *unused], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert json.loads(proc.stdout) == []

@@ -106,8 +106,8 @@ def test_lambda_membership_zero_model():
     n_max = 500
     phi1, phi2 = solve_pair(SPARSE.to_operator_spec(), E_TEST, 0.2, n_max)
     model = PerturbationModel(b_dist=zero_distribution())
-    member, et, s = lambda_membership(phi1, phi2, 1.0, model)
-    assert member and s == 0.0 and et > 1.0
+    member, et = lambda_membership(phi1, phi2, 1.0, model)
+    assert member and et > 1.0
 
 
 def test_lambda_membership_convergent_vs_divergent():
@@ -120,13 +120,12 @@ def test_lambda_membership_convergent_vs_divergent():
     eta = res.eta if res.eta is not None else 1.0
     fast = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=4.0))
-    member, et, _ = lambda_membership(phi1, phi2, eta, fast)
+    member, et = lambda_membership(phi1, phi2, eta, fast)
     assert member and et > eta
     slow = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=0.1))
-    member2, _, s2 = lambda_membership(phi1, phi2, eta, slow)
+    member2, _ = lambda_membership(phi1, phi2, eta, slow)
     assert not member2
-    assert s2 >= 0.0
 
 
 def test_lambda_sum_monotone_in_eta_tilde():
