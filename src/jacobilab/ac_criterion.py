@@ -10,8 +10,11 @@ admissible-perturbation set is a convergence verdict for
 by the shared decade-ratio test (randpert.decade_ratios_pass, last three
 ratios <= 0.9, on the decades of randpert.decade_ends). Everything
 runs in the log domain so exponentially growing orbits never overflow.
-Both sums take an array of energies and walk the sites once for all of
-them: two propagate lanes per energy, in blocks of BLOCK sites.
+Both sums take an array of energies, and one walk over the sites serves
+every energy and both sums: cesaro_scan, given the perturbation model,
+also sums the decades that gamma_membership turns into verdicts, from
+one coefficient build and two propagate lanes per energy, in blocks of
+BLOCK sites.
 """
 
 from __future__ import annotations
@@ -116,10 +119,16 @@ class CesaroReport:
 
 @dataclass
 class CesaroScan:
-    """Cesaro records of several energies on one N-grid."""
+    """Cesaro records of several energies on one N-grid.
+
+    With a perturbation model, decades[d, j] is the log of the weighted
+    sum over decade d of sites up to N_max (decade_ends) at energies[j].
+    """
 
     N_grid: List[int]
     reports: List[CesaroReport]
+    N_max: Optional[int] = None
+    decades: Optional[np.ndarray] = None
 
 
 def _cesaro_report(E: float, N_grid: List[int], log_avgs: List[float],
@@ -134,41 +143,12 @@ def _cesaro_report(E: float, N_grid: List[int], log_avgs: List[float],
     )
 
 
-def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
-                N_grid: Optional[List[int]] = None) -> CesaroScan:
-    """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points.
+def _log_weights(model: PerturbationModel, a: np.ndarray, N_max: int
+                 ) -> np.ndarray:
+    """log (<~a(n)^4>^{1/2} + <~b(n)^2>) (a(n)+1)^4 for n = 0..N_max.
 
-    One pass over the sites serves every energy; reports[j] is energies[j].
-    """
-    if N_grid is None:
-        N_grid = default_n_grid()
-    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
-        raise InvalidArgumentError("N_grid must be strictly increasing")
-    a, b = spec.coefficients(N_grid[-1])
-    if not growth_check(a):
-        raise InvalidArgumentError("spec fails the finite-truncation growth check")
-
-    log_sum = max_lt2 = np.full(len(energies), -math.inf)
-    log_sums = {}  # N -> log sum_{n<=N} t^E(n)^2 per energy
-    for last, lt2 in _log_t2_blocks(a, b, energies, N_grid):
-        log_sum = np.logaddexp.reduce(np.vstack([log_sum, lt2]))
-        max_lt2 = np.maximum(max_lt2, np.max(0.5 * lt2, axis=0))
-        log_sums[last] = log_sum
-    return CesaroScan(N_grid=list(N_grid), reports=[
-        _cesaro_report(E, N_grid,
-                       [float(log_sums[N][j]) - math.log(N) for N in N_grid],
-                       float(max_lt2[j]))
-        for j, E in enumerate(energies)])
-
-
-def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
-                     energies: Sequence[float], N_max: int = 10 ** 5
-                     ) -> List[Tuple[bool, float]]:
-    """Decade-ratio convergence verdict and the partial sum up to N_max.
-
-    One (member, partial sum) per energy, from one pass over the sites.
-    Member when each of the last three decade ratios is <= DECADE_RATIO.
-    Requires closed-form per-site moments <~a^4> and <~b^2> from the model.
+    -inf where the moment term is 0 (and at n = 0). Requires closed-form
+    per-site moments from the model.
     """
     if N_max < 100:
         raise InvalidArgumentError("N_max too small for a decade verdict")
@@ -180,27 +160,73 @@ def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
         coeff = b2
     if not np.all(np.isfinite(coeff)):
         raise UnsupportedModelError("per-site moments not available in closed form")
-
-    a, b = spec.coefficients(N_max)
-    log_coeff = np.full(N_max + 1, -math.inf)
+    log_w = np.full(N_max + 1, -math.inf)
     pos = np.flatnonzero(coeff[1:] > 0.0) + 1
-    log_coeff[pos] = np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)
-    live = coeff > 0.0
+    log_w[pos] = np.log(coeff[pos]) + 4.0 * np.log(a[pos] + 1.0)
+    return log_w
 
-    ends = decade_ends(N_max)  # blocks end at decade ends
+
+def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
+                N_grid: Optional[List[int]] = None,
+                model: Optional[PerturbationModel] = None,
+                N_max: int = 10 ** 5) -> CesaroScan:
+    """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points.
+
+    One pass over the sites serves every energy; reports[j] is energies[j].
+    Given a model, the same pass also sums the decades gamma_membership
+    reads, to N_max: one coefficient build and one _log_t2_blocks pass
+    over max(N_grid[-1], N_max) sites.
+    """
+    if N_grid is None:
+        N_grid = default_n_grid()
+    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
+        raise InvalidArgumentError("N_grid must be strictly increasing")
+    n_cut = N_grid[-1]
+    if model is None:
+        N_max = None
+    a, b = spec.coefficients(max(n_cut, N_max or 0))
+    if not growth_check(a[:n_cut + 1]):
+        raise InvalidArgumentError("spec fails the finite-truncation growth check")
+    ends = []  # blocks end at decade ends
+    if model is not None:
+        log_w, ends = _log_weights(model, a, N_max), decade_ends(N_max)
     decades = np.full((len(ends), len(energies)), -math.inf)
-    for last, lt2 in _log_t2_blocks(a, b, energies, ends):
-        d = bisect.bisect_left(ends, last)  # the decade of the block
-        sites = slice(last - len(lt2) + 1, last + 1)
-        with np.errstate(invalid="ignore"):
-            log_terms = np.where(live[sites, None],
-                                 log_coeff[sites, None] + 2.0 * lt2,
-                                 -math.inf)
-        decades[d] = np.logaddexp.reduce(np.vstack([decades[d], log_terms]))
 
+    log_sum = max_lt2 = np.full(len(energies), -math.inf)
+    log_sums = {}  # N -> log sum_{n<=N} t^E(n)^2 per energy
+    for last, lt2 in _log_t2_blocks(a, b, energies, [*N_grid, *ends]):
+        if last <= n_cut:
+            log_sum = np.logaddexp.reduce(np.vstack([log_sum, lt2]))
+            max_lt2 = np.maximum(max_lt2, np.max(0.5 * lt2, axis=0))
+            log_sums[last] = log_sum
+        if ends and last <= N_max:
+            d = bisect.bisect_left(ends, last)  # the decade of the block
+            w = log_w[last - len(lt2) + 1:last + 1, None]
+            with np.errstate(invalid="ignore"):
+                terms = np.where(w > -math.inf, w + 2.0 * lt2, -math.inf)
+            decades[d] = np.logaddexp.reduce(np.vstack([decades[d], terms]))
+    return CesaroScan(N_grid=list(N_grid), reports=[
+        _cesaro_report(E, N_grid,
+                       [float(log_sums[N][j]) - math.log(N) for N in N_grid],
+                       float(max_lt2[j]))
+        for j, E in enumerate(energies)],
+        N_max=N_max, decades=None if model is None else decades)
+
+
+def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
+                     energies: Sequence[float], N_max: int,
+                     scan: CesaroScan) -> List[Tuple[bool, float]]:
+    """Decade-ratio convergence verdict and the partial sum up to N_max.
+
+    One (member, partial sum) per energy, from the decade sums of scan:
+    cesaro_scan(spec, energies, N_grid, model, N_max). Member when each of
+    the last three decade ratios is <= DECADE_RATIO.
+    """
+    if scan.N_max != N_max:
+        raise InvalidArgumentError(
+            f"scan holds decade sums to N_max = {scan.N_max}, not {N_max}")
     verdicts = []
-    for j in range(len(energies)):
-        sums = decades[:, j].tolist()
+    for sums in scan.decades.T.tolist():
         total = float(np.logaddexp.reduce(sums))
         if total == -math.inf:
             verdicts.append((True, 0.0))

@@ -24,9 +24,20 @@ ENTRY_LIMIT = 1e150
 RESCALE_LIMIT = 2.0 ** 199
 LN2 = math.log(2.0)
 
-# propagate runs a numpy loop from this many lanes on: per site, that loop
-# costs about as much as 16 lanes of the float loop
+# propagate runs a numpy loop from this many lanes on. Transfer runs of
+# 2-16 energies (2 lanes each, 32,768 sites) put the crossover at about
+# 6 lanes where a = 1 (free) and 16 where a = 0.6, b = 0 (every step
+# multiplies and divides by a); the latter sets it
 MIN_LANES = 16
+
+# The lane loop tests for rescales once per GROUP sites. Dividing a lane by
+# 2^e is exact through a step while its values are 0 or >= EXACT_MIN, a is
+# in [COEF_MIN, 1/COEF_MIN] and |E - b| is 0 or >= COEF_MIN: nonzero
+# products are then >= 2^-860, differences >= 2^-912 and quotients
+# >= 2^-972, all normal.
+GROUP = 64
+EXACT_MIN = 2.0 ** -800
+COEF_MIN = 2.0 ** -60
 
 DEFAULT_A_MIN = 1e-6
 
@@ -305,7 +316,10 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
     lane runs the same recursion, in lockstep with the others, and is
     rescaled on its own, so lane j of the (n_max + 1, lanes) arrays m and
     k is bit for bit the scalar call on (E[j], phi0[j], phi1[j]). Below
-    MIN_LANES lanes, the scalar calls themselves are faster and are made.
+    MIN_LANES lanes, the scalar calls themselves are faster and are made;
+    from there on a numpy loop tests for rescales once per GROUP sites and
+    redoes with the scalar call a lane whose group leaves the range where
+    that is exact (_propagate_lanes).
     """
     if min(len(a), len(b)) < n_max:
         raise InvalidArgumentError(
@@ -330,7 +344,23 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
 
 
 def _propagate_lanes(a, b, E, phi0, phi1, n_max):
-    """propagate over lanes: the scalar loop's arithmetic, one row per site."""
+    """propagate over lanes: the scalar loop's arithmetic, one row per site.
+
+    Rows are computed GROUP sites at a time with no rescale test; a step
+    skips its multiply or divide by a(n) = 1.0, which is exact. A lane
+    that stays within RESCALE_LIMIT through the group has made the scalar
+    loop's steps. For the others, _rescale_group finds the first row past
+    the limit, gives it the scalar loop's exponent e and divides the rest
+    of the group by 2^e, again while the lane passes the limit. That is
+    the scalar loop bit for bit, since dividing by 2^e commutes exactly
+    with the step's *, - and / while no operand or result overflows or
+    turns subnormal. The range check makes sure of that: the lane's group
+    is finite, each of its scaled values (and the prev of each step after
+    a rescale) is 0 or at least EXACT_MIN, every a in the group lies in
+    [COEF_MIN, 1/COEF_MIN] and every nonzero |E - b| is at least
+    COEF_MIN. A lane that fails the check is recomputed from the group's
+    start state by the scalar call, which tests every site.
+    """
     E, prev, cur = (np.array(x, dtype=float)
                     for x in np.broadcast_arrays(E, phi0, phi1))
     if len(E) < MIN_LANES:
@@ -341,23 +371,72 @@ def _propagate_lanes(a, b, E, phi0, phi1, n_max):
     m[:2] = (prev, cur)[:n_max + 1]
     k = np.zeros(m.shape, dtype=np.int64)
     shift = E - b[1:n_max, None]  # row n-2 holds E - b(n-1)
-    mag = np.empty(len(E))
+    # row n-2 holds (a(n-2), a(n-1)), the coefficients of the step to n
+    steps = list(zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (a_prev, a_n) in enumerate(
-                zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()), start=2):
-            nxt = shift[n - 2] * cur
-            nxt -= a_prev * prev
-            nxt /= a_n
-            prev, cur = cur, nxt
-            np.abs(cur, out=mag)
-            if np.fmax.reduce(mag) > RESCALE_LIMIT:  # fmax skips nan lanes
-                big = mag > RESCALE_LIMIT
-                e = np.frexp(cur[big])[1]
-                prev[big] = np.ldexp(prev[big], -e)
-                cur[big] = np.ldexp(cur[big], -e)
-                k[n, big] = e
-            m[n] = cur
+        for start in range(2, n_max + 1, GROUP):
+            stop = min(start + GROUP, n_max + 1)
+            rows, group = m[start:stop], slice(start - 2, stop - 2)
+            p, c = prev, cur
+            for row, s, (a_prev, a_n) in zip(rows, shift[group],
+                                              steps[group]):
+                np.multiply(s, c, out=row)
+                row -= p if a_prev == 1.0 else a_prev * p
+                if a_n != 1.0:
+                    row /= a_n
+                p, c = c, row
+            for j in _rescale_group(rows, k[start:stop], cur, shift[group],
+                                    a[start - 2:stop - 1]):
+                m_j, k_j = propagate(
+                    a[start - 2:stop - 1], b[start - 2:stop - 1],
+                    *map(float, (E[j], prev[j], cur[j])), stop - start + 1)
+                rows[:, j], k[start:stop, j] = m_j[2:], np.diff(k_j)[1:]
+            # the state goes onto the exponent of the group's last row
+            prev, cur = np.ldexp(m[stop - 2], -k[stop - 1]), m[stop - 1]
     return m, np.cumsum(k, axis=0, out=k)
+
+
+def _rescale_group(rows, k, cur, shift, a):
+    """Give one group of lane rows the scalar loop's rescales, in place.
+
+    rows were computed with no rescale from the state whose cur is given;
+    k receives the rows' exponents, shift and a hold the group's E - b
+    and a. Returns the lanes past the limit that fail the range check of
+    _propagate_lanes; their rows are left as they were.
+    """
+    hot = np.flatnonzero(np.fmax.reduce(np.abs(rows), axis=0)
+                         > RESCALE_LIMIT)  # fmax skips nan lanes
+    if not len(hot):
+        return hot
+    sub = rows[:, hot]
+    sub_k = np.zeros(sub.shape, dtype=np.int64)
+    exact = np.isfinite(sub).all(axis=0)
+    if not COEF_MIN <= a.min() <= a.max() <= 1.0 / COEF_MIN:
+        exact[:] = False
+    row = np.arange(len(sub))[:, None]
+    while True:
+        over = (np.abs(sub) > RESCALE_LIMIT) & exact
+        lanes = np.flatnonzero(over.any(axis=0))
+        if not len(lanes):
+            break
+        r = over[:, lanes].argmax(axis=0)  # the first row past the limit
+        e = np.frexp(sub[r, lanes])[1]
+        sub_k[r, lanes] = e
+        before = np.ldexp(np.where(r > 0, sub[r - 1, lanes], cur[hot[lanes]]),
+                          -e)
+        exact[lanes] &= _exact_range(before)
+        sub[:, lanes] = np.ldexp(sub[:, lanes], np.where(row >= r, -e, 0))
+    exact &= _exact_range(sub).all(axis=0)
+    s = np.abs(shift[:, hot])
+    exact &= ((s >= COEF_MIN) | (s == 0.0)).all(axis=0)
+    rows[:, hot[exact]], k[:, hot[exact]] = sub[:, exact], sub_k[:, exact]
+    return hot[~exact]
+
+
+def _exact_range(x):
+    """Entries that are 0 or of magnitude at least EXACT_MIN."""
+    mag = np.abs(x)
+    return (mag >= EXACT_MIN) | (mag == 0.0)
 
 
 def resume_state(m: np.ndarray, k: np.ndarray):

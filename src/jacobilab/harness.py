@@ -352,16 +352,17 @@ def _lane_cells(config: Dict[str, Any],
     """The cells of a LANE_EXPERIMENTS run, one per energy, in one pass."""
     g = config["grids"]
     spec = build_spec(config)
-    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]))
     if config["experiment"] == "transfer":
+        scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]))
         return [{"rows": [[E, N, avg, int(rep.bounded_flag)]
                           for N, avg in zip(scan.N_grid, rep.averages)],
                  "traces": {f"cesaro_E{E}": list(
                      zip(map(float, scan.N_grid), rep.averages))}}
                 for E, rep in zip(energies, scan.reports)]
-    model = build_model(config)
-    verdicts = gamma_membership(spec, model, energies,
-                                N_max=max(g["n_max"], 1000))
+    model, N_max = build_model(config), max(g["n_max"], 1000)
+    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]), model,
+                       N_max)
+    verdicts = gamma_membership(spec, model, energies, N_max, scan=scan)
     return [{"rows": [[E, rep.liminf_proxy, int(rep.bounded_flag),
                        int(member), psum]], "traces": {}}
             for E, rep, (member, psum) in zip(energies, scan.reports,

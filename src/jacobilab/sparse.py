@@ -230,6 +230,25 @@ class SparseStabilityReport:
     n_seeds: int
 
 
+def _tail_certificate(amp_max: float, s: float, n_cut: int) -> float:
+    """An upper bound on amp_max^4 / 3 * sum_{n > n_cut} n^(-2s).
+
+    The truncation certificate: sum_{n > n_cut} <~b^2> ||u||_HS^2-style
+    weight with <~b(n)^2> = n^(-2s) / 3, summed in closed form (Hurwitz
+    zeta) and rounded up to a double once. mpmath's zeta stops its
+    Euler-Maclaurin terms at an absolute tolerance of 2^-prec, so the
+    working precision adds the ~(2s - 1) log2(n_cut) bits by which the
+    tail lies below 1: at 113 bits alone, zeta(20, 3001) is 2e-12 off.
+    """
+    import mpmath  # only here and in long block powers
+    tail_bits = math.ceil((2.0 * s - 1.0) * math.log2(n_cut + 1))
+    with mpmath.workprec(113 + max(tail_bits, 0)):
+        tail = mpmath.mpf(amp_max) ** 4 / 3 * mpmath.zeta(2.0 * s, n_cut + 1)
+    # one ulp up covers the rounding to nearest and the working-precision
+    # error of tail alike
+    return math.nextafter(float(tail), math.inf)
+
+
 def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                 seeds: Sequence[int], E: float,
                                 n_cut: int = 10 ** 5) -> SparseStabilityReport:
@@ -276,11 +295,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=s),
         exp_id=f"sparse-s{s}",
     )
-    # truncation certificate: sum_{n > n_cut} <~b^2> ||u||_HS^2-style weight
-    # with <~b(n)^2> = n^(-2s) / 3, summed in closed form (Hurwitz zeta)
-    import mpmath  # only here and in long block powers
-    tail_bound = float(np.max(prop.amp2)) ** 4 / 3.0 * float(
-        mpmath.zeta(2.0 * s, n_cut + 1))
+    tail_bound = _tail_certificate(float(np.max(prop.amp2)), s, n_cut)
 
     # d+ at each bump, frozen at its n_cut value beyond the dense window
     at_bump = [min(nj, n_cut) for nj in prop.bump_sites]

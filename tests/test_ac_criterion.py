@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab import ac_criterion
+from jacobilab import ac_criterion, harness
 from jacobilab.ac_criterion import (
     BLOCK,
     _log_t2_blocks,
@@ -175,17 +175,23 @@ def test_cesaro_rejects_bad_grid():
         cesaro_scan(free_laplacian(), [0.0], [10, 10, 20])
 
 
+def gamma(spec, model, energies, N_max=10 ** 5):
+    """gamma_membership fed by the cesaro_scan that sums its decades."""
+    scan = cesaro_scan(spec, energies, default_n_grid(30), model, N_max)
+    return gamma_membership(spec, model, energies, N_max, scan=scan)
+
+
 def test_gamma_zero_model_member():
     model = PerturbationModel(b_dist=zero_distribution())
-    [(member, psum)] = gamma_membership(free_laplacian(), model, [0.5])
+    [(member, psum)] = gamma(free_laplacian(), model, [0.5])
     assert member and psum == 0.0
 
 
 def test_gamma_member_interior_energy():
     # b~ = X/n uniform: <b~^2> = 1/(3n^2), t bounded -> convergent
     model = PerturbationModel(b_dist=uniform_over_n())
-    [(member, psum)] = gamma_membership(free_laplacian(), model, [0.5],
-                                        N_max=10 ** 4)
+    [(member, psum)] = gamma(free_laplacian(), model, [0.5],
+                             N_max=10 ** 4)
     assert member
     # direct oracle on a short window agrees with the accumulated partial sum
     spec = free_laplacian()
@@ -199,8 +205,8 @@ def test_gamma_member_interior_energy():
 def test_gamma_nonmember_band_edge():
     # E = 2: t ~ 2n, terms ~ n^2 / n^2 -> decade sums grow
     model = PerturbationModel(b_dist=uniform_over_n())
-    [(member, psum)] = gamma_membership(free_laplacian(), model, [2.0],
-                                        N_max=10 ** 4)
+    [(member, psum)] = gamma(free_laplacian(), model, [2.0],
+                             N_max=10 ** 4)
     assert not member
     assert psum > 1.0
 
@@ -212,10 +218,8 @@ def test_gamma_monotone_in_moments():
     for E in (0.5, 2.0):
         base = PerturbationModel(b_dist=uniform_over_n(amplitude=1.0))
         big = PerturbationModel(b_dist=uniform_over_n(amplitude=2.0))
-        [(m_base, s_base)] = gamma_membership(free_laplacian(), base, [E],
-                                              10 ** 4)
-        [(m_big, s_big)] = gamma_membership(free_laplacian(), big, [E],
-                                            10 ** 4)
+        [(m_base, s_base)] = gamma(free_laplacian(), base, [E], 10 ** 4)
+        [(m_big, s_big)] = gamma(free_laplacian(), big, [E], 10 ** 4)
         assert m_base == m_big  # scalar scaling never flips the ratio verdict
         assert s_big == pytest.approx(4.0 * s_base, rel=1e-9)
 
@@ -226,8 +230,7 @@ def test_gamma0_subset_gamma():
         [rep] = cesaro_scan(free_laplacian(), [E], default_n_grid(30)).reports
         assert rep.bounded_flag
         model = PerturbationModel(b_dist=uniform_over_n())
-        [(member, _)] = gamma_membership(free_laplacian(), model, [E],
-                                         10 ** 4)
+        [(member, _)] = gamma(free_laplacian(), model, [E], 10 ** 4)
         assert member
 
 
@@ -237,8 +240,8 @@ def test_gamma_includes_fourth_moment_of_a():
     a = SiteDistribution(kind="uniform", amplitude=0.2, decay=1.0)
     only_b = PerturbationModel(b_dist=b)
     both = PerturbationModel(b_dist=b, a_dist=a)
-    [(_, s1)] = gamma_membership(free_laplacian(), only_b, [0.5], 10 ** 3)
-    [(_, s2)] = gamma_membership(free_laplacian(), both, [0.5], 10 ** 3)
+    [(_, s1)] = gamma(free_laplacian(), only_b, [0.5], 10 ** 3)
+    [(_, s2)] = gamma(free_laplacian(), both, [0.5], 10 ** 3)
     assert s2 > s1
 
 
@@ -258,7 +261,7 @@ def test_gamma_decades_match_whole_stream_oracle(N_max, n_decades,
     energies = [0.5, -1.0, 2.0, 2.6]
     a, b = spec.coefficients(N_max)
     b2 = model.b_dist.moments_array(2, N_max)
-    verdicts = gamma_membership(spec, model, energies, N_max)
+    verdicts = gamma(spec, model, energies, N_max)
     assert len(seen) == len(energies)
     for E, (member, psum), got in zip(energies, verdicts, seen):
         log_terms = np.concatenate([[-math.inf], np.log(b2[1:])
@@ -273,7 +276,55 @@ def test_gamma_decades_match_whole_stream_oracle(N_max, n_decades,
                         else pytest.approx(math.exp(total), rel=1e-12))
 
 
+@pytest.mark.parametrize("N_max", [1000, 12345, 50000])
+def test_scan_decades_do_not_depend_on_the_n_grid(N_max):
+    # the pass runs over max(N_grid[-1], N_max) sites: an N-grid ending
+    # before or after N_max leaves the decade sums and the Cesaro records
+    # as they are without a model
+    spec, model = free_laplacian(), PerturbationModel(b_dist=uniform_over_n())
+    energies = [float(E) for E in np.linspace(-2.6, 2.6, 12)]
+    short, long = default_n_grid(12), default_n_grid(30)  # 64, 32768 sites
+    scans = [cesaro_scan(spec, energies, grid, model, N_max)
+             for grid in (short, long)]
+    assert np.array_equal(scans[0].decades, scans[1].decades)
+    for grid, scan in zip((short, long), scans):
+        assert scan.reports == cesaro_scan(spec, energies, grid).reports
+    assert gamma_membership(spec, model, energies, N_max, scan=scans[0]) \
+        == gamma_membership(spec, model, energies, N_max, scan=scans[1])
+    with pytest.raises(InvalidArgumentError):
+        gamma_membership(spec, model, energies, N_max + 1, scan=scans[0])
+    with pytest.raises(InvalidArgumentError):  # a scan with no decade sums
+        gamma_membership(spec, model, energies, N_max,
+                         scan=cesaro_scan(spec, energies, short))
+
+
+def test_ac_scan_chunk_builds_and_walks_its_sites_once(monkeypatch):
+    # one coefficient build and one t^2 pass serve the Cesaro and the
+    # decade sums of a chunk, over max(N_grid[-1], N_max) sites
+    builds, passes = [], []
+    coefficients = OperatorSpec.coefficients
+    log_t2_blocks = ac_criterion._log_t2_blocks
+
+    def build_spy(spec, n_max):
+        builds.append(n_max)
+        return coefficients(spec, n_max)
+
+    def pass_spy(a, b, energies, stops=()):
+        passes.append(len(a) - 1)
+        return log_t2_blocks(a, b, energies, stops)
+
+    monkeypatch.setattr(OperatorSpec, "coefficients", build_spy)
+    monkeypatch.setattr(ac_criterion, "_log_t2_blocks", pass_spy)
+    # the tiny ac-scan benchmark config: N_grid[-1] = 64, N_max = 1000
+    report = harness.run({
+        "experiment": "ac-scan", "spec": {"type": "free"},
+        "E_grid": {"start": -2.5, "stop": 2.5, "step": 1.0},
+        "grids": {"N_j_max": 12, "n_max": 1000}, "workers": 1})
+    assert report.failures == [] and len(report.rows) == 6
+    assert builds == [1000] and passes == [1000]
+
+
 def test_gamma_requires_small_N_max_guard():
     model = PerturbationModel(b_dist=uniform_over_n())
     with pytest.raises(InvalidArgumentError):
-        gamma_membership(free_laplacian(), model, [0.5], N_max=50)
+        gamma(free_laplacian(), model, [0.5], N_max=50)

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobilab.core import (
+    GROUP,
     MIN_LANES,
+    RESCALE_LIMIT,
     Mat2,
     OperatorSpec,
     constant_spec,
@@ -287,44 +289,86 @@ def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
         assert k[-1] > 0  # the state was rescaled
 
 
-def random_lanes(rng, n_lanes):
-    """(E, phi0, phi1) per lane, lane 0 hyperbolic, the last overflowing.
+def random_coefficients(rng, n, wide):
+    """a, b for sites 0..n: a(0) = 1 and a random share of a exactly 1.0.
 
-    Elliptic-range lanes mix initial vectors; hyperbolic lanes
-    (|E - b| >= 29, a <= 3) grow by >= 8 per site once |phi1| >= |phi0|,
-    so they pass the rescale threshold within 70 sites; an overflowing
-    lane starts at 1e308 and turns to inf (|E - b| >= 3) and then nan.
+    The other a are uniform on [0.3, 3] or, when wide, log-uniform on
+    [1e-6, 1e8]; b is uniform on [-1, 1].
+    """
+    a = (np.exp(rng.uniform(math.log(1e-6), math.log(1e8), n + 1)) if wide
+         else rng.uniform(0.3, 3.0, n + 1))
+    a[rng.random(n + 1) < rng.uniform()] = 1.0
+    a[0] = 1.0
+    return a, rng.uniform(-1.0, 1.0, n + 1)
+
+
+# the last row of the lane loop's first group of sites (rows 2..GROUP+1)
+LAST_ROW = GROUP + 1
+
+
+def random_lanes(rng, n_lanes, a, b):
+    """(E, phi0, phi1) and a kind per lane; lanes 0-3 and the last are set.
+
+    For a in [0.3, 3]:
+    0. elliptic-range E, mixed initial vectors;
+    1. |E| in [30, 50], phi1 = 1: grows by >= 8 per site, so passes the
+       rescale threshold within 70 sites (lane 0);
+    2. starts at 1e308, turns to inf (|E - b| >= 3), then nan (last lane);
+    3. |E| in [1e3, 1e4]: passes the threshold every 17 to 24 sites, two
+       to four times in each group of sites (lane 1);
+    4. |E| in [1e14, 1e16]: a group overflows unscaled, so its rows are
+       recomputed site by site (lane 2);
+    5. kind 1 with phi0 = 0 and phi1 the power of two that puts the first
+       rescale on LAST_ROW, the last row of a group (lane 3).
     """
     kind = rng.integers(0, 2, n_lanes)
-    kind[0], kind[-1] = 1, 2
-    E = np.where(kind == 0, rng.uniform(-4.0, 4.0, n_lanes),
-                 rng.choice([-1.0, 1.0], n_lanes) * rng.uniform(30.0, 50.0,
-                                                                n_lanes))
+    kind[:4], kind[-1] = (1, 3, 4, 5), 2
+    size = np.select([kind == 0, kind == 2, kind == 3, kind == 4],
+                     [rng.uniform(0.0, 4.0, n_lanes), 4.0,
+                      10.0 ** rng.uniform(3.0, 4.0, n_lanes),
+                      10.0 ** rng.uniform(14.0, 16.0, n_lanes)],
+                     rng.uniform(30.0, 50.0, n_lanes))
+    E = rng.choice([-1.0, 1.0], n_lanes) * size
     E[kind == 2] = 4.0
-    phi0 = np.where(kind == 2, 0.0, rng.uniform(-1.0, 1.0, n_lanes))
-    phi1 = np.select([kind == 0, kind == 1], [rng.uniform(-1.0, 1.0, n_lanes),
-                                               1.0], 1e308)
+    phi0 = np.where(np.isin(kind, (2, 5)), 0.0,
+                    rng.uniform(-1.0, 1.0, n_lanes))
+    phi1 = np.select([kind == 0, kind == 2], [rng.uniform(-1.0, 1.0, n_lanes),
+                                              1e308], 1.0)
+    if len(a) > LAST_ROW:
+        # the plain solution scales exactly with phi1 = 2^j
+        u = np.abs(np.ldexp(*propagate(a, b, E[3], 0.0, 1.0, LAST_ROW)))
+        if np.isfinite(u[-1]) and u[-1] > 0.0:
+            j = 200 - math.frexp(u[-1])[1]  # u[-1] * 2^j in [2^199, 2^200)
+            if abs(j) < 900 and u[-1] * 2.0 ** j > RESCALE_LIMIT >= np.max(
+                    u[2:-1]) * 2.0 ** j:
+                phi1[3] = 2.0 ** j
     return E, phi0, phi1, kind
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 600),
-       st.integers(MIN_LANES, 2 * MIN_LANES), st.data())
+       st.integers(max(MIN_LANES, 5), 2 * MIN_LANES), st.booleans(),
+       st.data())
 def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
-                                                       data):
+                                                       wide, data):
     rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0.3, 3.0, n + 1), rng.uniform(-1.0, 1.0, n + 1)
-    a[0] = 1.0
-    E, phi0, phi1, kind = random_lanes(rng, n_lanes)
+    a, b = random_coefficients(rng, n, wide)
+    E, phi0, phi1, kind = random_lanes(rng, n_lanes, a, b)
     m, k = propagate(a, b, E, phi0, phi1, n)
     assert m.shape == k.shape == (n + 1, n_lanes)
+    scalar_k = []
     for j in range(n_lanes):
         m_j, k_j = propagate(a, b, float(E[j]), float(phi0[j]),
                              float(phi1[j]), n)
         assert np.array_equal(m[:, j], m_j, equal_nan=True)
         assert np.array_equal(k[:, j], k_j)
-        if kind[j] == 1 and n >= 100:
+        scalar_k.append(k_j)
+        if not wide and kind[j] == 1 and n >= 100:
             assert k_j[-1] > 0  # the lane was rescaled
+    if not wide and n > LAST_ROW:
+        first_group = np.diff(scalar_k[1][:LAST_ROW + 1]) > 0
+        assert np.count_nonzero(first_group) >= 2
+        assert scalar_k[3][LAST_ROW] > scalar_k[3][LAST_ROW - 1] == 0
 
     # a run resumed from resume_state at site s is the unbroken run
     s = data.draw(st.integers(2, n))

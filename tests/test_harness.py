@@ -217,10 +217,10 @@ def test_lane_chunk_failure_stays_with_its_energy(monkeypatch):
     # an energy that raises on its own fails alone, not its whole chunk
     real = harness.gamma_membership
 
-    def gamma_membership(spec, model, energies, N_max):
+    def gamma_membership(spec, model, energies, N_max, scan):
         if 0.0 in energies:
             raise InvalidArgumentError("no verdict at E = 0")
-        return real(spec, model, energies, N_max)
+        return real(spec, model, energies, N_max, scan=scan)
 
     monkeypatch.setattr(harness, "gamma_membership", gamma_membership)
     rep = run({"experiment": "ac-scan", "E_grid": [1.0, 0.0, -1.0],

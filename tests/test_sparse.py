@@ -3,6 +3,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from jacobilab.errors import (
 )
 from jacobilab.sparse import (
     SparseSpec,
+    _tail_certificate,
     block_log_lnorms,
     block_matrices,
     envelope_exponents,
@@ -285,6 +287,18 @@ def test_tail_bound_covers_the_whole_tail():
         n ** -2.0 for n in range(1, n_cut + 1))  # sum over n > n_cut
     assert rep.tail_bound == pytest.approx(
         float(np.max(amp2)) ** 4 / 3.0 * tail, rel=1e-9)
+
+
+@pytest.mark.parametrize("s, n_first", [(1.0, 100001), (10.0, 3001)])
+def test_tail_certificate_is_an_upper_bound(s, n_first):
+    # against the tail to 60 significant digits; mpmath needs the working
+    # precision for that (at mp.dps = 60, zeta(20, 3001) is 1.75e-12 high)
+    amp_max = 1.7
+    bound = _tail_certificate(amp_max, s, n_first - 1)
+    with mpmath.workprec(2000):
+        tail = mpmath.mpf(amp_max) ** 4 / 3 * mpmath.zeta(2 * s, n_first)
+        assert mpmath.mpf(bound) >= tail
+        assert mpmath.mpf(bound) <= tail * (1 + mpmath.mpf(2) ** -51)
 
 
 def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
