@@ -14,9 +14,12 @@ infinity: its columns d^-(n) and d^+(n) are sums of Neumann layers of
 tail sums from the terminal vectors (1, 0) and (0, 1), and the perturbed
 solutions are (psi1, psi2)(n) = (phi1, phi2)(n) D(n). One pass sums the
 columns a caller asks for: both for the perturbed pair, d^+ alone for
-the sparse envelope. One layer step serves this single-realization sum
-and the seed ensemble of neumann_series; the decay condition uses the
-shared decade-ratio test (randpert.decade_log_sums and
+the sparse envelope. It keeps the sums at every site, for the perturbed
+pair, or only at the sites asked for, the bumps of the sparse envelope.
+The reversed generator rows it reads depend on u alone, so a seed
+ensemble builds them once. One layer step serves this single-realization
+sum and the seed ensemble of neumann_series; the decay condition uses
+the shared decade-ratio test (randpert.decade_log_sums and
 randpert.decade_ratios_pass, last ratio <= 0.95).
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,49 +317,85 @@ def _advance_layer(bt: np.ndarray,
             np.cumsum(wi[:-1], out=row[1:])
 
 
-def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int):
+class _Rows(NamedTuple):
+    """The reversed rows of u and the sites n_start..n_max they cover."""
+
+    n_start: int
+    n_max: int
+    u: Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int) -> _Rows:
     """Rows (u_i0, u_i1) of u for sites n_max down to n_start.
 
     Each entry is a contiguous copy: a strided view of u_arr would skip
-    the other three entries of every 2x2 block in each layer pass.
+    the other three entries of every 2x2 block in each layer pass. The
+    rows depend on u alone, so a seed ensemble builds them once and
+    passes them to every neumann_layers call; the span they cover goes
+    with them, so a call can check it.
     """
     u = u_arr[n_start:n_max + 1][::-1]
-    return tuple(tuple(np.ascontiguousarray(u[:, i, j]) for j in (0, 1))
-                 for i in (0, 1))
+    return _Rows(n_start, n_max, tuple(
+        tuple(np.ascontiguousarray(u[:, i, j]) for j in (0, 1))
+        for i in (0, 1)))
 
 
-def neumann_layers(b_tilde: np.ndarray, u_arr: np.ndarray, n_start: int,
-                   K_max: int = K_MAX_DEFAULT, columns: Sequence[int] = (0, 1)
+def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
+                   K_max: int = K_MAX_DEFAULT, columns: Sequence[int] = (0, 1),
+                   sites: Optional[Sequence[int]] = None
                    ) -> Tuple[np.ndarray, List[float]]:
-    """Amplitude columns D(n) for n = n_start..n_max, one realization.
+    """Amplitude columns D(n) of one realization, at every site or at sites.
 
     Column 0 of the amplitude matrix is d^-(n), the Neumann sum from the
     terminal vector (1, 0); column 1 is d^+(n), from (0, 1); so
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n). Column c of the result is
     column ``columns[c]``: the default (0, 1) gives the whole matrix, (1,)
-    gives d^+ alone. One pass of the layer iteration serves every
-    requested column; each column stops after K_max layers or after its
-    first layer whose sup-norm is below LAYER_STOP, so it does not depend
-    on which others are summed with it. Returns (D indexed by absolute
-    site, shape (n_max+1, 2, len(columns)), zero below n_start; sups),
-    where sups[k] is the largest sup-norm of layer k over the columns that
-    take it. D is a view of the reversed-order sum, not a contiguous
-    array.
+    gives d^+ alone. ``rows`` is _reversed_rows(u_arr, n_start, n_max),
+    n_max = len(b_tilde) - 1, built by the caller once per u. One pass of
+    the layer iteration serves every requested column; each column stops
+    after K_max layers or after its first layer whose sup-norm is below
+    LAYER_STOP, so it does not depend on which others are summed with it.
+    Layers span every site; the sums are kept at the sites asked for.
+
+    With ``sites`` None, D is indexed by absolute site, shape
+    (n_max+1, 2, len(columns)), zero below n_start, and is a view of the
+    reversed-order sum. Otherwise D[i] is D(sites[i]), shape
+    (len(sites), 2, len(columns)); sites may repeat. An entry is the same
+    sum, added in the same order, either way. Returns (D, sups), where
+    sups[k] is the largest sup-norm of layer k over the columns that
+    take it.
     """
     n_max = len(b_tilde) - 1
+    if (rows.n_start, rows.n_max) != (n_start, n_max):
+        raise InvalidArgumentError(
+            f"rows span sites {rows.n_start}..{rows.n_max}, "
+            f"not {n_start}..{n_max}")
     bt = np.ascontiguousarray(b_tilde[n_start:][::-1])
-    u = _reversed_rows(u_arr, n_start, n_max)
-    sites = len(bt)
-    # total[column, component, n_max - n]; sites below n_start stay zero
-    total = np.zeros((len(columns), 2, n_max + 1))
-    total[:, :, :sites] = np.eye(2)[list(columns), :, None]
-    layer, active = total[:, :, :sites].copy(), list(range(len(columns)))
+    count = len(bt)
+    if sites is None:
+        # every site as slices: each layer adds as a view, not a gather,
+        # and total's entries from count on (sites below n_start) stay zero
+        keep, pick, width = slice(count), slice(None), n_max + 1
+    else:
+        sites = np.asarray(sites, dtype=np.intp)
+        outside = sites[(sites < n_start) | (sites > n_max)]
+        if len(outside):
+            raise InvalidArgumentError(
+                f"site {outside[0]} outside {n_start}..{n_max}")
+        # reversed positions, last site first, so that D reads in order
+        keep, pick, width = slice(None), n_max - sites[::-1], len(sites)
+    unit = np.eye(2)[list(columns), :, None]
+    # total[column, component, j]: site n_max - j, or site sites[-1 - j]
+    total = np.zeros((len(columns), 2, width))
+    total[:, :, keep] = unit
+    layer = np.broadcast_to(unit, (len(columns), 2, count)).copy()
+    active = list(range(len(columns)))
     sups = [1.0]  # the terminal vectors are unit vectors
     for _ in range(K_max):
-        _advance_layer(bt, u, layer)
+        _advance_layer(bt, rows.u, layer)
         col_sups = [float(max(col.max(), -col.min())) for col in layer]
         for c, col in zip(active, layer):
-            total[c, :, :sites] += col
+            total[c, :, keep] += col[:, pick]
         sups.append(max(col_sups))
         going = [k for k, sup in enumerate(col_sups) if not sup < LAYER_STOP]
         if not going:
@@ -400,7 +439,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     K_max = K_MAX_DEFAULT
     layer_sq = np.full((len(seeds), K_max + 1), np.nan)
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
-    u = _reversed_rows(u_arr, probe, n_max)
+    u = _reversed_rows(u_arr, probe, n_max).u
     for i, s in enumerate(seeds):
         bt = sample(model, s, n_max).b_tilde[probe:][::-1]
         layer = np.zeros((1, 2, len(bt)))
@@ -462,7 +501,8 @@ def perturbed_solutions(spec: OperatorSpec,
     if n_max > realization.n_max:
         raise InsufficientDataError("realization shorter than the pair")
     u_arr = subordinate_generator_array(phi1, phi2)
-    d, _ = neumann_layers(realization.b_tilde[:n_max + 1], u_arr, 0)
+    d, _ = neumann_layers(realization.b_tilde[:n_max + 1],
+                          _reversed_rows(u_arr, 0, n_max), 0)
     psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
     psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta)
                   for v in psi_vals)

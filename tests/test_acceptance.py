@@ -39,6 +39,7 @@ from jacobilab.sparse import (
 )
 from jacobilab.subordinacy import detect_subordinate, solve_pair, wronskian
 from jacobilab.variation import (
+    _reversed_rows,
     conjugated_generators,
     correction_ensemble,
     correction_recursion,
@@ -219,7 +220,8 @@ def test_criterion_06_neumann_construction():
     errs = []
     for seed in range(20):
         real = sample(model, seed, 400)
-        d_plus = neumann_layers(real.b_tilde, u_arr[:401], 0)[0][:, :, 1]
+        d_plus = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, 400),
+                                0)[0][:, :, 1]
         D = correction_recursion(spec, real, E, 400)[-1].D
         recon = np.array(D.apply(*d_plus[0]))
         errs.append(np.linalg.norm(d_plus[400] - recon)

@@ -24,7 +24,11 @@ from jacobilab.singular import (
 )
 from jacobilab.sparse import SparseSpec
 from jacobilab.subordinacy import detect_subordinate, l_norm, solve_pair
-from jacobilab.variation import neumann_layers, subordinate_generator_array
+from jacobilab.variation import (
+    _reversed_rows,
+    neumann_layers,
+    subordinate_generator_array,
+)
 
 SPARSE = SparseSpec(v=0.2, gamma=8, j_max=10)
 E_TEST = 0.6
@@ -223,7 +227,7 @@ def test_summation_by_parts_bound_chain():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
     real = sample(model, 17, n_max)
-    d, _ = neumann_layers(real.b_tilde, u_arr, 0)
+    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0)
     d_minus = d[:, :, 0]
     d2 = d_minus[:, 1]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab import harness, sparse
+from jacobilab import harness, sparse, variation
 from jacobilab.core import single_step, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
@@ -301,6 +301,14 @@ def test_tail_certificate_is_an_upper_bound(s, n_first):
         assert mpmath.mpf(bound) <= tail * (1 + mpmath.mpf(2) ** -51)
 
 
+# the tiny sparse benchmark config: 4 seeds, n_cut 3000, 14 bumps
+TINY_SPARSE = {
+    "experiment": "sparse",
+    "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+    "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
+    "grids": {"s": 2.0, "n_cut": 3000}, "workers": 1}
+
+
 def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
     # the envelope reads d+ alone; summing d- as well doubles the layer work
     calls = []
@@ -314,11 +322,38 @@ def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
         return neumann_layers(*args, **kwargs)
 
     monkeypatch.setattr(sparse, "neumann_layers", spy)
-    # the tiny sparse benchmark config
-    report = harness.run({
-        "experiment": "sparse",
-        "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
-        "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
-        "grids": {"s": 2.0, "n_cut": 3000}, "workers": 1})
+    report = harness.run(TINY_SPARSE)
     assert report.failures == [] and len(report.rows) == 1
     assert calls == [(1,)] * 4
+
+
+def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
+    # the reversed generator rows depend on u alone, and the envelope
+    # reads d+ at the bump sites alone
+    built, calls = [], []
+    reversed_rows = variation._reversed_rows
+    neumann_layers = sparse.neumann_layers
+    signature = inspect.signature(neumann_layers)
+
+    def rows_spy(*args):
+        built.append(reversed_rows(*args))
+        return built[-1]
+
+    def layers_spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        calls.append((bound.arguments["rows"], bound.arguments["sites"]))
+        return neumann_layers(*args, **kwargs)
+
+    # both bindings, so rows built inside neumann_layers would count too
+    for module in (sparse, variation):
+        monkeypatch.setattr(module, "_reversed_rows", rows_spy)
+    monkeypatch.setattr(sparse, "neumann_layers", layers_spy)
+    n_cut = TINY_SPARSE["grids"]["n_cut"]
+    report = harness.run(TINY_SPARSE)
+    assert report.failures == [] and len(report.rows) == 1
+    assert len(built) == 1
+    assert (built[0].n_start, built[0].n_max) == (0, n_cut + 1)
+    bumps = [min(8 ** j, n_cut) for j in range(1, 15)]
+    assert len(calls) == 4
+    assert all(rows is built[0] and list(sites) == bumps
+               for rows, sites in calls)

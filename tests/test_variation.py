@@ -24,6 +24,7 @@ from jacobilab.randpert import (
 )
 from jacobilab.subordinacy import solve_pair
 from jacobilab.variation import (
+    _reversed_rows,
     conjugated_generators,
     correction_ensemble,
     correction_recursion,
@@ -306,7 +307,8 @@ def test_neumann_layers_zero_model():
     n_max = 50
     u_arr = np.zeros((n_max + 1, 2, 2))
     u_arr[:, 0, 1] = 1.0
-    d, sups = neumann_layers(np.zeros(n_max + 1), u_arr, 0)
+    d, sups = neumann_layers(np.zeros(n_max + 1),
+                             _reversed_rows(u_arr, 0, n_max), 0)
     d_minus, d_plus = d[:, :, 0], d[:, :, 1]
     assert np.allclose(d_plus[:, 0], 0.0)
     assert np.allclose(d_plus[:, 1], 1.0)
@@ -341,14 +343,15 @@ def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
 def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
     """Both columns bit for bit, from the two-column call and from a
     one-column call each; returns the layer counts of (d-, d+)."""
-    d, sups = neumann_layers(b_tilde, u_arr, n_start, K_max)
+    rows = _reversed_rows(u_arr, n_start, len(b_tilde) - 1)
+    d, sups = neumann_layers(b_tilde, rows, n_start, K_max)
     ref = [single_branch_layers(b_tilde, u_arr, n_start, K_max, e)
            for e in ((1.0, 0.0), (0.0, 1.0))]
     for col, (total, ref_sups) in enumerate(ref):
         assert np.array_equal(d[:, :, col], total)
         # a one-column call is that column alone: same values, same
         # layer count and the column's own per-layer sups
-        d_col, sups_col = neumann_layers(b_tilde, u_arr, n_start, K_max,
+        d_col, sups_col = neumann_layers(b_tilde, rows, n_start, K_max,
                                          columns=(col,))
         assert d_col.shape == (len(b_tilde), 2, 1)
         assert np.array_equal(d_col[:, :, 0], d[:, :, col])
@@ -393,6 +396,56 @@ def test_neumann_layers_columns_stop_separately():
         0.1 * b_tilde, u_arr, 0, 12) == (6, 7)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(1, n_max))
+    K_max = data.draw(st.integers(0, 12))
+    columns = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    # u(n) = T(n)^{-1} E12 T(n) for a random unimodular T(n), of which
+    # only the row (s1, s2)(n) enters
+    s1, s2 = rng.standard_normal((2, n_max + 1))
+    u_arr = nilpotent_generator_array(s1, s2)
+    inner = st.integers(n_start, n_max)
+    sites = data.draw(st.lists(inner, max_size=8)) + [n_start, n_max]
+    sites += data.draw(st.lists(st.sampled_from(sites), min_size=1,
+                                max_size=3))  # repeated sites
+    sites = data.draw(st.permutations(sites))
+    rows = _reversed_rows(u_arr, n_start, n_max)
+    d_all, sups_all = neumann_layers(b_tilde, rows, n_start, K_max, columns)
+    d, sups = neumann_layers(b_tilde, rows, n_start, K_max, columns,
+                             sites=sites)
+    assert d.shape == (len(sites), 2, len(columns))
+    assert np.array_equal(d, d_all[sites])
+    assert sups == sups_all
+
+
+def test_neumann_layers_rejects_rows_of_another_span():
+    n_max = 20
+    u_arr = nilpotent_generator_array(
+        *np.random.default_rng(3).standard_normal((2, n_max + 1)))
+    b_tilde = np.full(n_max + 1, 0.01)
+    for rows_start, rows_max in ((0, n_max), (2, n_max), (1, n_max - 1)):
+        with pytest.raises(InvalidArgumentError, match="rows span"):
+            neumann_layers(b_tilde, _reversed_rows(u_arr, rows_start,
+                                                   rows_max), 1)
+
+
+def test_neumann_layers_rejects_sites_outside_the_window():
+    n_max = 20
+    u_arr = nilpotent_generator_array(
+        *np.random.default_rng(4).standard_normal((2, n_max + 1)))
+    b_tilde = np.full(n_max + 1, 0.01)
+    rows = _reversed_rows(u_arr, 5, n_max)
+    for site in (4, n_max + 1, -1):
+        with pytest.raises(InvalidArgumentError, match=f"site {site} "):
+            neumann_layers(b_tilde, rows, 5, sites=[5, site, n_max])
+
+
 def test_layer_one_is_plain_tail_sum():
     spec = free_laplacian()
     E = 0.5
@@ -402,7 +455,8 @@ def test_layer_one_is_plain_tail_sum():
     real = sample(model, 7, n_max)
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
-    d, _ = neumann_layers(real.b_tilde, u_arr, 0, K_max=1)
+    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0,
+                          K_max=1)
     d_tot = d[:, :, 1]
     for n in (0, 13, 150):
         manual = d0.copy()
