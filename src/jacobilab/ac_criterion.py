@@ -213,14 +213,13 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
         N_max=N_max, decades=None if model is None else decades)
 
 
-def gamma_membership(spec: OperatorSpec, model: PerturbationModel,
-                     energies: Sequence[float], N_max: int,
+def gamma_membership(N_max: int,
                      scan: CesaroScan) -> List[Tuple[bool, float]]:
     """Decade-ratio convergence verdict and the partial sum up to N_max.
 
-    One (member, partial sum) per energy, from the decade sums of scan:
-    cesaro_scan(spec, energies, N_grid, model, N_max). Member when each of
-    the last three decade ratios is <= DECADE_RATIO.
+    One (member, partial sum) per energy of scan, from its decade sums:
+    scan is cesaro_scan(spec, energies, N_grid, model, N_max). Member when
+    each of the last three decade ratios is <= DECADE_RATIO.
     """
     if scan.N_max != N_max:
         raise InvalidArgumentError(

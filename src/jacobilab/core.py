@@ -10,7 +10,7 @@ propagation across long potential-free stretches).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,23 +170,14 @@ def constant_spec(a_const: float = 1.0, b_const: float = 0.0) -> OperatorSpec:
 
 @dataclass
 class Trajectory:
-    """A solution phi(n) of the difference equation with running square sums.
-
-    values[k] = phi(k) for sites 0..n_max; cumulative_sq[k] = sum of
-    phi(n)^2 over 1 <= n <= k (the L-norm convention sums from n = 1).
-    """
+    """A solution phi(n) of the difference equation: values[k] = phi(k)."""
 
     values: np.ndarray
     E: float
     theta: Optional[float] = None
-    cumulative_sq: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.cumulative_sq is None:
-            cs = np.zeros_like(self.values)
-            cs[1:] = np.cumsum(self.values[1:] ** 2)
-            self.cumulative_sq = cs
 
     @property
     def n_max(self) -> int:
@@ -238,7 +229,7 @@ def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
 
     Elliptic traces go through the angle form; the phase m*theta is reduced
     with extended precision once m is large enough for double precision to
-    lose it.
+    lose it. Hyperbolic traces (|t| > 2) raise.
     """
     x = 0.5 * t
     if abs(abs(x) - 1.0) <= 1e-12:
@@ -247,34 +238,29 @@ def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
         p = (s ** (m - 1)) * m
         q = (s ** m) * (m - 1)
         return float(p), float(q)
-    if abs(x) < 1.0:
-        if m <= 10 ** 6:
-            th = math.acos(x)
-            s = math.sin(th)
-            return math.sin(m * th) / s, math.sin((m - 1) * th) / s
-        import mpmath  # loaded only for blocks this long
-        with mpmath.workprec(int(m).bit_length() + 96):
-            th = mpmath.acos(mpmath.mpf(x))
-            s = mpmath.sin(th)
-            p = mpmath.sin(m * th) / s
-            q = mpmath.sin((m - 1) * th) / s
-            return float(p), float(q)
-    # hyperbolic
-    lam = abs(x) + math.sqrt(x * x - 1.0)
-    if m * math.log(lam) > 340.0:
-        raise OverflowSiteError(m, "hyperbolic block power overflows")
-    sgn = 1.0 if x > 0 else -1.0
-    denom = lam - 1.0 / lam
-    p = (lam ** m - lam ** (-m)) / denom
-    q = (lam ** (m - 1) - lam ** (1 - m)) / denom
-    return (sgn ** (m - 1)) * p, (sgn ** m) * q
+    if abs(x) > 1.0:
+        raise InvalidArgumentError(
+            f"constant-step powers need |tr S| <= 2, got {t}")
+    if m <= 10 ** 6:
+        th = math.acos(x)
+        s = math.sin(th)
+        return math.sin(m * th) / s, math.sin((m - 1) * th) / s
+    import mpmath  # loaded only for blocks this long
+    with mpmath.workprec(int(m).bit_length() + 96):
+        th = mpmath.acos(mpmath.mpf(x))
+        s = mpmath.sin(th)
+        p = mpmath.sin(m * th) / s
+        q = mpmath.sin((m - 1) * th) / s
+        return float(p), float(q)
 
 
 def fast_const_power(S: Mat2, m: int) -> Mat2:
     """S^m for a det-1 matrix, in O(log m) or via the closed Chebyshev form.
 
     Cayley-Hamilton gives S^m = U_{m-1}(tr S / 2) S - U_{m-2}(tr S / 2) I
-    for any unimodular S, which covers block exponents up to 2^127.
+    for any unimodular S, which covers block exponents up to 2^127. Only
+    elliptic and parabolic S (|tr S| <= 2) are supported: for m >= 2 a
+    hyperbolic S raises InvalidArgumentError.
     """
     if m < 0:
         raise InvalidArgumentError("exponent must be nonnegative")

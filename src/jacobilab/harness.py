@@ -262,6 +262,9 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
         elif isinstance(val, dict):
             for k2, v2 in val.items():
                 out[key].setdefault(k2, json.loads(json.dumps(v2)))
+    if out["experiment"] == "sparse" and out["spec"]["type"] != "sparse":
+        raise ConfigError(f"experiment 'sparse' needs spec type 'sparse', "
+                          f"got {out['spec']['type']!r}", ("spec", "type"))
     for k, v in _SPEC_DEFAULTS[out["spec"]["type"]].items():
         out["spec"].setdefault(k, v)
     for k, v in _GRID_DEFAULTS.items():
@@ -362,7 +365,7 @@ def _lane_cells(config: Dict[str, Any],
     model, N_max = build_model(config), max(g["n_max"], 1000)
     scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]), model,
                        N_max)
-    verdicts = gamma_membership(spec, model, energies, N_max, scan=scan)
+    verdicts = gamma_membership(N_max, scan)
     return [{"rows": [[E, rep.liminf_proxy, int(rep.bounded_flag),
                        int(member), psum]], "traces": {}}
             for E, rep, (member, psum) in zip(energies, scan.reports,

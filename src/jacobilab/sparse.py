@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .randpert import PerturbationModel, SiteDistribution, sample
-from .singular import SANDWICH_EPS
+from .singular import sandwich_holds
 from .subordinacy import minimize_boundary_angle, solve_pair
 from .variation import (
     _reversed_rows,
@@ -267,7 +267,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     raises, for s <= 1/2. The perturbed growing solution's envelope
     exponents are compared with the unperturbed fit, and the unperturbed
     pair's fitted L-norm exponents are tested against the beta-sandwich
-    with slack SANDWICH_EPS.
+    (singular.sandwich_holds).
     """
     if s <= 0.0:
         raise InvalidArgumentError("s must be positive")
@@ -287,11 +287,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     exp1 = float(np.polyfit(lx[win], logn1[win], 1)[0])
     exp2 = float(np.polyfit(lx[win], logn2[win], 1)[0])
     beta_proxy = exp1 / exp2 if exp2 > 0.0 else 0.0
-    sandwich = False
-    if beta_proxy > 0.0:
-        eps = SANDWICH_EPS
-        sandwich = (1.0 - 1.0 / (2.0 * beta_proxy) - eps <= exp1 <= 0.5 + eps
-                    and 0.5 - eps <= exp2 <= 1.0 / (2.0 * beta_proxy) + eps)
+    sandwich = beta_proxy > 0.0 and sandwich_holds(beta_proxy, exp1, exp2)
 
     # dense window: the boundary pair and its nilpotent generator array
     spec = sspec.to_operator_spec()
@@ -309,8 +305,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     beta1s, beta2s = [], []
     for seed in seeds:
         real = sample(model, seed, n_cut + 1)
-        d, _ = neumann_layers(real.b_tilde, rows, 0, columns=(1,),
-                              sites=at_bump)
+        d, _ = neumann_layers(real.b_tilde, rows, 0, at_bump, columns=(1,))
         d_plus = d[:, :, 0]
         v2 = d_plus[:, :1] * prop.states1 + d_plus[:, 1:] * prop.states2
         fit = envelope_exponents(prop.bump_sites, np.array(

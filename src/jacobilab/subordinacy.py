@@ -30,17 +30,24 @@ def default_l_grid(l_max: float = 1e4, decades: int = 4) -> np.ndarray:
                         decades * POINTS_PER_DECADE + 1)
 
 
-def l_norm(f: Trajectory, L: float) -> float:
-    """Interpolated L'th norm: sum_{n<=floor(L)} f(n)^2 + frac * f(floor(L)+1)^2."""
-    if L < 1.0:
+def l_norms(f: Trajectory, L_grid: Sequence[float]) -> np.ndarray:
+    """Interpolated L-norms of f at every L of the grid.
+
+    ||f||_L^2 = sum_{1<=n<=floor(L)} f(n)^2 + frac(L) f(floor(L)+1)^2,
+    from one running square sum over the sites the largest L needs.
+    """
+    Ls = np.asarray(L_grid, dtype=float)
+    if np.any(Ls < 1.0):
         raise InvalidArgumentError("L must be >= 1")
-    fl = int(math.floor(L))
-    if f.n_max < fl + 1:
+    fl = np.floor(Ls).astype(int)
+    need = int(fl.max()) + 1
+    if f.n_max < need:
         raise InsufficientDataError(
-            f"trajectory has {f.n_max} sites, L = {L} needs {fl + 1}"
+            f"trajectory has {f.n_max} sites, L = {Ls.max()} needs {need}"
         )
-    frac = L - fl
-    return math.sqrt(f.cumulative_sq[fl] + frac * f.values[fl + 1] ** 2)
+    sums = np.zeros(need)
+    np.cumsum(f.values[1:need] ** 2, out=sums[1:])
+    return np.sqrt(sums[fl] + (Ls - fl) * f.values[fl + 1] ** 2)
 
 
 def solve_pair(spec: OperatorSpec, E: float, theta: float,

@@ -14,10 +14,10 @@ infinity: its columns d^-(n) and d^+(n) are sums of Neumann layers of
 tail sums from the terminal vectors (1, 0) and (0, 1), and the perturbed
 solutions are (psi1, psi2)(n) = (phi1, phi2)(n) D(n). One pass sums the
 columns a caller asks for: both for the perturbed pair, d^+ alone for
-the sparse envelope. It keeps the sums at every site, for the perturbed
-pair, or only at the sites asked for, the bumps of the sparse envelope.
-The reversed generator rows it reads depend on u alone, so a seed
-ensemble builds them once. One layer step serves this single-realization
+the sparse envelope. It keeps the sums at the sites asked for: every
+site for the perturbed pair, the bumps for the sparse envelope. The
+reversed generator rows it reads depend on u alone, so a seed ensemble
+builds them once. One layer step serves this single-realization
 sum and the seed ensemble of neumann_series; the decay condition uses
 the shared decade-ratio test (randpert.decade_log_sums and
 randpert.decade_ratios_pass, last ratio <= 0.95).
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .randpert import (
     decade_ratios_pass,
     sample,
 )
-from .subordinacy import l_norm
 
 K_MAX_DEFAULT = 12
 LAYER_STOP = 1e-12      # early stop when a sampled layer norm falls below this
@@ -341,10 +340,10 @@ def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int) -> _Rows:
 
 
 def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
-                   K_max: int = K_MAX_DEFAULT, columns: Sequence[int] = (0, 1),
-                   sites: Optional[Sequence[int]] = None
+                   sites: Sequence[int], K_max: int = K_MAX_DEFAULT,
+                   columns: Sequence[int] = (0, 1)
                    ) -> Tuple[np.ndarray, List[float]]:
-    """Amplitude columns D(n) of one realization, at every site or at sites.
+    """Amplitude columns D(n) of one realization at the given sites.
 
     Column 0 of the amplitude matrix is d^-(n), the Neumann sum from the
     terminal vector (1, 0); column 1 is d^+(n), from (0, 1); so
@@ -355,54 +354,42 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     the layer iteration serves every requested column; each column stops
     after K_max layers or after its first layer whose sup-norm is below
     LAYER_STOP, so it does not depend on which others are summed with it.
-    Layers span every site; the sums are kept at the sites asked for.
-
-    With ``sites`` None, D is indexed by absolute site, shape
-    (n_max+1, 2, len(columns)), zero below n_start, and is a view of the
-    reversed-order sum. Otherwise D[i] is D(sites[i]), shape
-    (len(sites), 2, len(columns)); sites may repeat. An entry is the same
-    sum, added in the same order, either way. Returns (D, sups), where
-    sups[k] is the largest sup-norm of layer k over the columns that
-    take it.
+    Layers span every site n_start..n_max; the sums are kept at the sites
+    asked for, which may repeat. Returns (D, sups): D[i] is D(sites[i]),
+    shape (len(sites), 2, len(columns)), and sups[k] is the largest
+    sup-norm of layer k over the columns that take it.
     """
     n_max = len(b_tilde) - 1
     if (rows.n_start, rows.n_max) != (n_start, n_max):
         raise InvalidArgumentError(
             f"rows span sites {rows.n_start}..{rows.n_max}, "
             f"not {n_start}..{n_max}")
+    sites = np.asarray(sites, dtype=np.intp)
+    outside = sites[(sites < n_start) | (sites > n_max)]
+    if len(outside):
+        raise InvalidArgumentError(
+            f"site {outside[0]} outside {n_start}..{n_max}")
+    pick = n_max - sites  # the sites' positions in reversed order
     bt = np.ascontiguousarray(b_tilde[n_start:][::-1])
-    count = len(bt)
-    if sites is None:
-        # every site as slices: each layer adds as a view, not a gather,
-        # and total's entries from count on (sites below n_start) stay zero
-        keep, pick, width = slice(count), slice(None), n_max + 1
-    else:
-        sites = np.asarray(sites, dtype=np.intp)
-        outside = sites[(sites < n_start) | (sites > n_max)]
-        if len(outside):
-            raise InvalidArgumentError(
-                f"site {outside[0]} outside {n_start}..{n_max}")
-        # reversed positions, last site first, so that D reads in order
-        keep, pick, width = slice(None), n_max - sites[::-1], len(sites)
     unit = np.eye(2)[list(columns), :, None]
-    # total[column, component, j]: site n_max - j, or site sites[-1 - j]
-    total = np.zeros((len(columns), 2, width))
-    total[:, :, keep] = unit
-    layer = np.broadcast_to(unit, (len(columns), 2, count)).copy()
+    # total[column, component, i] and layer[column, component, j]: sums at
+    # site sites[i] and layer k at site n_max - j
+    total = np.broadcast_to(unit, (len(columns), 2, len(sites))).copy()
+    layer = np.broadcast_to(unit, (len(columns), 2, len(bt))).copy()
     active = list(range(len(columns)))
     sups = [1.0]  # the terminal vectors are unit vectors
     for _ in range(K_max):
         _advance_layer(bt, rows.u, layer)
         col_sups = [float(max(col.max(), -col.min())) for col in layer]
         for c, col in zip(active, layer):
-            total[c, :, keep] += col[:, pick]
+            total[c] += col[:, pick]
         sups.append(max(col_sups))
         going = [k for k, sup in enumerate(col_sups) if not sup < LAYER_STOP]
         if not going:
             break
         if len(going) < len(active):
             active, layer = [active[k] for k in going], layer[going]
-    return total.transpose(2, 1, 0)[::-1], sups
+    return total.transpose(2, 1, 0), sups
 
 
 @dataclass
@@ -485,24 +472,24 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 
 def perturbed_solutions(spec: OperatorSpec,
                         coefficients: Tuple[np.ndarray, np.ndarray],
-                        realization: Realization,
-                        phi1: Trajectory, phi2: Trajectory,
-                        L_grid: Optional[np.ndarray] = None):
-    """(psi1, psi2, ratios) built from the amplitude matrices D(n).
+                        rows: _Rows, realization: Realization,
+                        phi1: Trajectory, phi2: Trajectory
+                        ) -> Tuple[Trajectory, Trajectory]:
+    """(psi1, psi2) built from the amplitude matrices D(n).
 
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
     pair phi1, phi2 (from solve_pair), which fixes E, the angle and n_max.
-    ``coefficients`` is spec.coefficients(n_max), built once by the caller
-    for every realization and left unmodified. Verifies the perturbed
-    difference-equation residual at every interior site and reports the
-    L-norm ratio traces ||psi_i||_L / ||phi_i||_L when a grid is given.
+    ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
+    _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max),
+    both built once by the caller for every realization and left
+    unmodified. Verifies the perturbed difference-equation residual at
+    every interior site.
     """
     n_max = phi1.n_max
     if n_max > realization.n_max:
         raise InsufficientDataError("realization shorter than the pair")
-    u_arr = subordinate_generator_array(phi1, phi2)
-    d, _ = neumann_layers(realization.b_tilde[:n_max + 1],
-                          _reversed_rows(u_arr, 0, n_max), 0)
+    d, _ = neumann_layers(realization.b_tilde[:n_max + 1], rows, 0,
+                          range(n_max + 1))
     psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
     psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta)
                   for v in psi_vals)
@@ -523,12 +510,4 @@ def perturbed_solutions(spec: OperatorSpec,
             n = int(sites[bad[0]])
             raise InternalConsistencyError(
                 f"perturbed residual {res[bad[0]]} at site {n}", site=n)
-    ratios = None
-    if L_grid is not None:
-        ratios = {"L": np.asarray(L_grid, dtype=float),
-                  "psi1": np.empty(len(L_grid)),
-                  "psi2": np.empty(len(L_grid))}
-        for i, L in enumerate(L_grid):
-            ratios["psi1"][i] = l_norm(psi1, L) / l_norm(phi1, L)
-            ratios["psi2"][i] = l_norm(psi2, L) / l_norm(phi2, L)
-    return psi1, psi2, ratios
+    return psi1, psi2

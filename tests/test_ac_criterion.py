@@ -178,7 +178,7 @@ def test_cesaro_rejects_bad_grid():
 def gamma(spec, model, energies, N_max=10 ** 5):
     """gamma_membership fed by the cesaro_scan that sums its decades."""
     scan = cesaro_scan(spec, energies, default_n_grid(30), model, N_max)
-    return gamma_membership(spec, model, energies, N_max, scan=scan)
+    return gamma_membership(N_max, scan)
 
 
 def test_gamma_zero_model_member():
@@ -289,13 +289,12 @@ def test_scan_decades_do_not_depend_on_the_n_grid(N_max):
     assert np.array_equal(scans[0].decades, scans[1].decades)
     for grid, scan in zip((short, long), scans):
         assert scan.reports == cesaro_scan(spec, energies, grid).reports
-    assert gamma_membership(spec, model, energies, N_max, scan=scans[0]) \
-        == gamma_membership(spec, model, energies, N_max, scan=scans[1])
+    assert gamma_membership(N_max, scans[0]) \
+        == gamma_membership(N_max, scans[1])
     with pytest.raises(InvalidArgumentError):
-        gamma_membership(spec, model, energies, N_max + 1, scan=scans[0])
+        gamma_membership(N_max + 1, scans[0])
     with pytest.raises(InvalidArgumentError):  # a scan with no decade sums
-        gamma_membership(spec, model, energies, N_max,
-                         scan=cesaro_scan(spec, energies, short))
+        gamma_membership(N_max, cesaro_scan(spec, energies, short))
 
 
 def test_ac_scan_chunk_builds_and_walks_its_sites_once(monkeypatch):

@@ -221,7 +221,7 @@ def test_criterion_06_neumann_construction():
     for seed in range(20):
         real = sample(model, seed, 400)
         d_plus = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, 400),
-                                0)[0][:, :, 1]
+                                0, range(401))[0][:, :, 1]
         D = correction_recursion(spec, real, E, 400)[-1].D
         recon = np.array(D.apply(*d_plus[0]))
         errs.append(np.linalg.norm(d_plus[400] - recon)

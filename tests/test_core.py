@@ -25,6 +25,7 @@ from jacobilab.core import (
     transfer_product,
 )
 from jacobilab.errors import InvalidArgumentError, OverflowSiteError
+from jacobilab.subordinacy import l_norms
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -205,9 +206,11 @@ def test_fast_power_huge_elliptic_exponent():
 
 
 def test_fast_power_hyperbolic_overflow_raises():
+    # only elliptic and parabolic blocks are supported
     S = single_step(3.0, 0.0, 1.0, 1.0)
-    with pytest.raises(OverflowSiteError):
-        fast_const_power(S, 10 ** 4)
+    for m in (2, 10 ** 4):
+        with pytest.raises(InvalidArgumentError, match="tr S"):
+            fast_const_power(S, m)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +390,12 @@ def test_propagate_rejects_short_coefficient_arrays():
         propagate(a, b, 0.5, 0.0, 1.0, 12)
 
 
-def test_trajectory_cumulative_sq_nondecreasing():
+def test_trajectory_l_norms_nondecreasing():
     a, b = free_laplacian().coefficients(100)
     t = solve_forward(a, b, 0.9, 1.0, 0.5, 100)
-    assert np.all(np.diff(t.cumulative_sq) >= 0.0)
-    assert t.cumulative_sq[3] == pytest.approx(np.sum(t.values[1:4] ** 2))
+    norms = l_norms(t, np.arange(1.0, 100.0))
+    assert np.all(np.diff(norms) >= 0.0)
+    assert norms[2] ** 2 == pytest.approx(np.sum(t.values[1:4] ** 2))
 
 
 def test_a_min_floor_enforced():

@@ -217,10 +217,10 @@ def test_lane_chunk_failure_stays_with_its_energy(monkeypatch):
     # an energy that raises on its own fails alone, not its whole chunk
     real = harness.gamma_membership
 
-    def gamma_membership(spec, model, energies, N_max, scan):
-        if 0.0 in energies:
+    def gamma_membership(N_max, scan):
+        if any(rep.E == 0.0 for rep in scan.reports):
             raise InvalidArgumentError("no verdict at E = 0")
-        return real(spec, model, energies, N_max, scan=scan)
+        return real(N_max, scan)
 
     monkeypatch.setattr(harness, "gamma_membership", gamma_membership)
     rep = run({"experiment": "ac-scan", "E_grid": [1.0, 0.0, -1.0],
@@ -317,6 +317,21 @@ def test_cli_schema_error_names_path(tmp_path, capsys):
     rc = main(["transfer", "--config", cfg])
     assert rc == 2
     assert "grids/N_j_max" in capsys.readouterr().err
+
+
+def test_cli_sparse_needs_a_sparse_spec_exits_2(tmp_path, capsys):
+    # the sparse experiment reads v, gamma and j_max of a sparse spec
+    for spec in ({"type": "free"}, {"type": "constant"}, None):
+        cfg = write_config(tmp_path, {"E_grid": [0.6]} if spec is None
+                           else {"spec": spec, "E_grid": [0.6]})
+        rc = main(["sparse", "--config", cfg,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error at spec/type" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as exc:
+        materialize({"experiment": "sparse", "spec": {"type": "free"}})
+    assert exc.value.path == ("spec", "type")
 
 
 def test_cli_numeric_error_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jacobilab import harness, singular, variation
 from jacobilab.core import OperatorSpec, Trajectory
 from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
@@ -23,7 +24,7 @@ from jacobilab.singular import (
     terminal_ratio_verdict,
 )
 from jacobilab.sparse import SparseSpec
-from jacobilab.subordinacy import detect_subordinate, l_norm, solve_pair
+from jacobilab.subordinacy import detect_subordinate, l_norms, solve_pair
 from jacobilab.variation import (
     _reversed_rows,
     neumann_layers,
@@ -191,6 +192,41 @@ def test_stability_builds_the_coefficients_three_times(monkeypatch, n_seeds):
     assert len(builds) == 3
 
 
+# a 4-seed singular-stability cell on a sparse spec with 14 bumps
+SINGULAR_CELL = {
+    "experiment": "singular-stability",
+    "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+    "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
+    "grids": {"L_max": 1e3}, "workers": 1}
+
+
+def test_stability_builds_generator_rows_once_per_cell(monkeypatch):
+    # u and its reversed rows depend on the unperturbed pair alone, so
+    # every seed of the cell reads the same rows
+    calls = {"subordinate_generator_array": 0, "_reversed_rows": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(variation, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        # both bindings, so a build inside perturbed_solutions counts too
+        for module in (singular, variation):
+            monkeypatch.setattr(module, name, spy)
+    rows_seen = []
+    perturbed = singular.perturbed_solutions
+
+    def perturbed_spy(spec, coefficients, rows, *args):
+        rows_seen.append(rows)
+        return perturbed(spec, coefficients, rows, *args)
+
+    monkeypatch.setattr(singular, "perturbed_solutions", perturbed_spy)
+    report = harness.run(SINGULAR_CELL)
+    assert report.failures == [] and len(report.rows) == 1
+    assert calls == {"subordinate_generator_array": 1, "_reversed_rows": 1}
+    assert len(rows_seen) == 4
+    assert all(rows is rows_seen[0] for rows in rows_seen)
+
+
 def test_stability_refuses_without_candidate():
     # strongly hyperbolic energy on the free Laplacian: beta proxy -> ~1
     # here, but inside the band there is no decaying branch at all
@@ -227,21 +263,21 @@ def test_summation_by_parts_bound_chain():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
     real = sample(model, 17, n_max)
-    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0)
+    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0,
+                          range(n_max + 1))
     d_minus = d[:, :, 0]
     d2 = d_minus[:, 1]
 
     prod = Trajectory(values=d2 * phi2.values, E=E_TEST, theta=theta)
     L_grid = np.geomspace(10.0, float(n_max - 2), 60)
-    L0 = L_grid[0]
     n = np.arange(1, n_max + 1, dtype=float)
     eps = float(np.max(np.abs(d2[1:]) * n ** eta_tilde))
-    D = max(l_norm(phi2, L) / (l_norm(phi1, L) * L ** eta) for L in L_grid)
-    first = l_norm(prod, L0)
-    for L in L_grid:
-        lhs = l_norm(prod, L) / l_norm(phi1, L)
+    norm1, norm2, norm_prod = (l_norms(f, L_grid) for f in (phi1, phi2, prod))
+    D = float(np.max(norm2 / (norm1 * L_grid ** eta)))
+    first = norm_prod[0]  # at the smallest L
+    for L, n1, n_prod in zip(L_grid, norm1, norm_prod):
+        lhs = n_prod / n1
         tail_sum = float(np.sum(n[n <= L] ** (-1.0 - 2.0 *
                                               (eta_tilde - eta))))
-        rhs = (first / l_norm(phi1, L) + D * eps
-               + D * eps * math.sqrt(tail_sum))
+        rhs = (first / n1 + D * eps + D * eps * math.sqrt(tail_sum))
         assert lhs <= rhs * (1.0 + 1e-9)

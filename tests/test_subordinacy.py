@@ -17,7 +17,7 @@ from jacobilab.subordinacy import (
     default_l_grid,
     detect_subordinate,
     fitted_growth_exponent,
-    l_norm,
+    l_norms,
     pair_log_lnorms,
     solve_pair,
     wronskian,
@@ -29,38 +29,69 @@ def const_trajectory(value, n_max, E=0.0):
 
 
 # ---------------------------------------------------------------------------
-# l_norm
+# l_norms
 # ---------------------------------------------------------------------------
 
 def test_l_norm_fractional():
     f = const_trajectory(1.0, 10)
-    assert l_norm(f, 2.5) == pytest.approx(math.sqrt(2.5))
+    assert l_norms(f, [2.5])[0] == pytest.approx(math.sqrt(2.5))
 
 
 def test_l_norm_integer_continuous():
     f = const_trajectory(1.0, 10)
-    assert l_norm(f, 3.0) == pytest.approx(math.sqrt(3.0))
-    assert l_norm(f, 3.0 - 1e-9) == pytest.approx(math.sqrt(3.0), abs=1e-8)
+    at, below = l_norms(f, [3.0, 3.0 - 1e-9])
+    assert at == pytest.approx(math.sqrt(3.0))
+    assert below == pytest.approx(math.sqrt(3.0), abs=1e-8)
 
 
 def test_l_norm_linear_values():
     f = Trajectory(values=np.arange(6, dtype=float), E=0.0)
-    assert l_norm(f, 2.0) == pytest.approx(math.sqrt(5.0))  # 1 + 4
+    assert l_norms(f, [2.0])[0] == pytest.approx(math.sqrt(5.0))  # 1 + 4
 
 
 def test_l_norm_too_short_raises():
     f = const_trajectory(1.0, 3)
     with pytest.raises(InsufficientDataError):
-        l_norm(f, 3.5)
+        l_norms(f, [2.0, 3.5])
     with pytest.raises(InvalidArgumentError):
-        l_norm(f, 0.5)
+        l_norms(f, [0.5, 2.0])
 
 
 def test_l_norm_nondecreasing_in_L():
     f = Trajectory(values=np.sin(np.arange(200) * 0.7), E=0.0)
     Ls = np.linspace(1.0, 150.0, 400)
-    vals = [l_norm(f, L) for L in Ls]
-    assert np.all(np.diff(vals) >= -1e-12)
+    assert np.all(np.diff(l_norms(f, Ls)) >= -1e-12)
+
+
+def _direct_l_norm(values, L):
+    """sqrt(sum_{n<=floor(L)} f(n)^2 + frac(L) f(floor(L)+1)^2), site by site."""
+    fl = math.floor(L)
+    total = 0.0
+    for n in range(1, fl + 1):
+        total += values[n] * values[n]
+    return math.sqrt(total + (L - fl) * (values[fl + 1] * values[fl + 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_l_norms_match_a_direct_sum(data):
+    n_max = data.draw(st.integers(3, 60))
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_max + 1,
+                                max_size=n_max + 1))
+    f = Trajectory(values=np.array(values), E=0.0)
+    Ls = data.draw(st.lists(st.one_of(
+        st.integers(1, n_max - 1).map(float),
+        st.floats(1.0, n_max, exclude_max=True),
+        # just below an integer: floor(L) is one less, frac(L) near 1
+        st.integers(2, n_max - 1).map(lambda k: math.nextafter(k, 0.0)),
+    ), min_size=1, max_size=8))
+    # the same additions in the same order: equal, not merely close
+    assert l_norms(f, Ls).tolist() == [_direct_l_norm(values, L) for L in Ls]
+    with pytest.raises(InvalidArgumentError):
+        l_norms(f, Ls + [data.draw(st.floats(0.0, 1.0, exclude_max=True))])
+    # L >= n_max needs site floor(L) + 1 > n_max
+    with pytest.raises(InsufficientDataError):
+        l_norms(f, Ls + [data.draw(st.floats(n_max, 2.0 * n_max))])
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +135,8 @@ def test_pair_log_lnorms_match_direct():
     Ls = [10.0, 33.7, 100.0, 450.0]
     _, logn1, logn2 = pair_log_lnorms(*spec.coefficients(450), E, th, Ls)
     phi1, phi2 = solve_pair(spec, E, th, 500)
-    for i, L in enumerate(Ls):
-        assert logn1[i] == pytest.approx(math.log(l_norm(phi1, L)), abs=1e-9)
-        assert logn2[i] == pytest.approx(math.log(l_norm(phi2, L)), abs=1e-9)
+    assert logn1 == pytest.approx(np.log(l_norms(phi1, Ls)), abs=1e-9)
+    assert logn2 == pytest.approx(np.log(l_norms(phi2, Ls)), abs=1e-9)
 
 
 def test_pair_log_lnorms_exponential_orbit_no_overflow():

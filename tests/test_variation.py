@@ -22,7 +22,7 @@ from jacobilab.randpert import (
     uniform_over_n,
     zero_distribution,
 )
-from jacobilab.subordinacy import solve_pair
+from jacobilab.subordinacy import l_norms, solve_pair
 from jacobilab.variation import (
     _reversed_rows,
     conjugated_generators,
@@ -308,7 +308,8 @@ def test_neumann_layers_zero_model():
     u_arr = np.zeros((n_max + 1, 2, 2))
     u_arr[:, 0, 1] = 1.0
     d, sups = neumann_layers(np.zeros(n_max + 1),
-                             _reversed_rows(u_arr, 0, n_max), 0)
+                             _reversed_rows(u_arr, 0, n_max), 0,
+                             range(n_max + 1))
     d_minus, d_plus = d[:, :, 0], d[:, :, 1]
     assert np.allclose(d_plus[:, 0], 0.0)
     assert np.allclose(d_plus[:, 1], 1.0)
@@ -341,21 +342,23 @@ def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
 
 
 def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
-    """Both columns bit for bit, from the two-column call and from a
-    one-column call each; returns the layer counts of (d-, d+)."""
+    """Both columns bit for bit at every site n_start..n_max, from the
+    two-column call and from a one-column call each; returns the layer
+    counts of (d-, d+)."""
+    sites = range(n_start, len(b_tilde))
     rows = _reversed_rows(u_arr, n_start, len(b_tilde) - 1)
-    d, sups = neumann_layers(b_tilde, rows, n_start, K_max)
+    d, sups = neumann_layers(b_tilde, rows, n_start, sites, K_max)
     ref = [single_branch_layers(b_tilde, u_arr, n_start, K_max, e)
            for e in ((1.0, 0.0), (0.0, 1.0))]
     for col, (total, ref_sups) in enumerate(ref):
-        assert np.array_equal(d[:, :, col], total)
+        assert np.array_equal(d[:, :, col], total[n_start:])
         # a one-column call is that column alone: same values, same
         # layer count and the column's own per-layer sups
-        d_col, sups_col = neumann_layers(b_tilde, rows, n_start, K_max,
-                                         columns=(col,))
-        assert d_col.shape == (len(b_tilde), 2, 1)
+        d_col, sups_col = neumann_layers(b_tilde, rows, n_start, sites,
+                                         K_max, columns=(col,))
+        assert d_col.shape == (len(sites), 2, 1)
         assert np.array_equal(d_col[:, :, 0], d[:, :, col])
-        assert np.array_equal(d_col[:, :, 0], total)
+        assert np.array_equal(d_col[:, :, 0], total[n_start:])
         assert sups_col == ref_sups
     assert sups == [max(s[k] for _, s in ref if k < len(s))
                     for k in range(max(len(s) for _, s in ref))]
@@ -416,11 +419,12 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
                                 max_size=3))  # repeated sites
     sites = data.draw(st.permutations(sites))
     rows = _reversed_rows(u_arr, n_start, n_max)
-    d_all, sups_all = neumann_layers(b_tilde, rows, n_start, K_max, columns)
-    d, sups = neumann_layers(b_tilde, rows, n_start, K_max, columns,
-                             sites=sites)
+    d_all, sups_all = neumann_layers(b_tilde, rows, n_start,
+                                     range(n_start, n_max + 1), K_max,
+                                     columns)
+    d, sups = neumann_layers(b_tilde, rows, n_start, sites, K_max, columns)
     assert d.shape == (len(sites), 2, len(columns))
-    assert np.array_equal(d, d_all[sites])
+    assert np.array_equal(d, d_all[np.array(sites) - n_start])
     assert sups == sups_all
 
 
@@ -432,7 +436,7 @@ def test_neumann_layers_rejects_rows_of_another_span():
     for rows_start, rows_max in ((0, n_max), (2, n_max), (1, n_max - 1)):
         with pytest.raises(InvalidArgumentError, match="rows span"):
             neumann_layers(b_tilde, _reversed_rows(u_arr, rows_start,
-                                                   rows_max), 1)
+                                                   rows_max), 1, [n_max])
 
 
 def test_neumann_layers_rejects_sites_outside_the_window():
@@ -443,7 +447,7 @@ def test_neumann_layers_rejects_sites_outside_the_window():
     rows = _reversed_rows(u_arr, 5, n_max)
     for site in (4, n_max + 1, -1):
         with pytest.raises(InvalidArgumentError, match=f"site {site} "):
-            neumann_layers(b_tilde, rows, 5, sites=[5, site, n_max])
+            neumann_layers(b_tilde, rows, 5, [5, site, n_max])
 
 
 def test_layer_one_is_plain_tail_sum():
@@ -456,7 +460,7 @@ def test_layer_one_is_plain_tail_sum():
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
     d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0,
-                          K_max=1)
+                          range(n_max + 1), K_max=1)
     d_tot = d[:, :, 1]
     for n in (0, 13, 150):
         manual = d0.copy()
@@ -519,18 +523,20 @@ def test_neumann_series_contraction():
 # perturbed solutions
 # ---------------------------------------------------------------------------
 
+def pair_and_rows(spec, E, theta, n_max):
+    """solve_pair's boundary pair and the reversed rows of its generator."""
+    phi1, phi2 = solve_pair(spec, E, theta, n_max)
+    u_arr = subordinate_generator_array(phi1, phi2)
+    return _reversed_rows(u_arr, 0, n_max), phi1, phi2
+
+
 def test_perturbed_solutions_zero_model_exact():
     spec = free_laplacian()
-    E, th = 0.5, 0.3
-    real = zero_realization(300)
-    phi1, phi2 = solve_pair(spec, E, th, 300)
-    psi1, psi2, ratios = perturbed_solutions(
-        spec, spec.coefficients(300), real, phi1, phi2,
-        L_grid=np.array([10.0, 100.0, 250.0]))
+    rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.3, 300)
+    psi1, psi2 = perturbed_solutions(spec, spec.coefficients(300), rows,
+                                     zero_realization(300), phi1, phi2)
     assert np.array_equal(psi1.values, phi1.values)
     assert np.array_equal(psi2.values, phi2.values)
-    assert np.allclose(ratios["psi1"], 1.0)
-    assert np.allclose(ratios["psi2"], 1.0)
 
 
 def test_perturbed_solutions_satisfy_perturbed_recursion():
@@ -541,8 +547,9 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
     # raises on failure; reaching here is the assertion
     coefficients = spec.coefficients(400)
     kept = [c.copy() for c in coefficients]
-    psi1, psi2, _ = perturbed_solutions(spec, coefficients, real,
-                                        *solve_pair(spec, 0.5, 0.1, 400))
+    rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, 400)
+    psi1, psi2 = perturbed_solutions(spec, coefficients, rows, real,
+                                     phi1, phi2)
     # the unperturbed arrays serve every realization, so stay unmodified
     assert all(np.array_equal(c, k) for c, k in zip(coefficients, kept))
     a, b = perturbed_spec(spec, real).coefficients(400)
@@ -558,13 +565,13 @@ def test_perturbed_solutions_check_floor_and_length():
     a_tilde[17] = -1.0  # a + ~a = 0 at site 17
     real = Realization(seed=0, n_max=n_max, b_tilde=np.zeros(n_max + 1),
                        a_tilde=a_tilde)
+    rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, n_max)
     with pytest.raises(InvalidArgumentError, match=r"a\(17\) = 0\.0 below"):
-        perturbed_solutions(spec, spec.coefficients(n_max), real,
-                            *solve_pair(spec, 0.5, 0.1, n_max))
+        perturbed_solutions(spec, spec.coefficients(n_max), rows, real,
+                            phi1, phi2)
     with pytest.raises(InsufficientDataError):
-        perturbed_solutions(spec, spec.coefficients(n_max),
-                            zero_realization(n_max - 1),
-                            *solve_pair(spec, 0.5, 0.1, n_max))
+        perturbed_solutions(spec, spec.coefficients(n_max), rows,
+                            zero_realization(n_max - 1), phi1, phi2)
 
 
 def test_perturbed_solutions_ratio_near_one_small_noise():
@@ -573,12 +580,12 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
         b_dist=SiteDistribution(kind="uniform", amplitude=0.1, decay=1.5),
         exp_id="psr")
     coefficients = spec.coefficients(500)
+    rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.0, 500)
     terminal = []
     for seed in range(20):
         real = sample(model, seed, 500)
-        _, _, ratios = perturbed_solutions(
-            spec, coefficients, real, *solve_pair(spec, 0.5, 0.0, 500),
-            L_grid=np.array([400.0]))
-        terminal.append(ratios["psi2"][0])
+        _, psi2 = perturbed_solutions(spec, coefficients, rows, real,
+                                      phi1, phi2)
+        terminal.append(l_norms(psi2, [400.0])[0] / l_norms(phi2, [400.0])[0])
     med = float(np.median(terminal))
     assert 0.9 <= med <= 1.1
