@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -166,31 +166,6 @@ def free_laplacian() -> OperatorSpec:
 
 def constant_spec(a_const: float = 1.0, b_const: float = 0.0) -> OperatorSpec:
     return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
-
-
-@dataclass
-class Trajectory:
-    """A solution phi(n) of the difference equation: values[k] = phi(k)."""
-
-    values: np.ndarray
-    E: float
-    theta: Optional[float] = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def residual(self, a: np.ndarray, b: np.ndarray, n):
-        """Three-term recursion residual at site n (1 <= n <= n_max-1).
-
-        a and b are coefficient arrays (OperatorSpec.coefficients) holding
-        sites 0..n; n may be an int or an integer index array.
-        """
-        v = self.values
-        return a[n] * v[n + 1] + a[n - 1] * v[n - 1] + (b[n] - self.E) * v[n]
 
 
 def single_step(E: float, b_n: float, a_n: float, a_prev: float) -> Mat2:
@@ -438,12 +413,11 @@ def resume_state(m: np.ndarray, k: np.ndarray):
 
 
 def solve_forward(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
-                  phi1: float, n_max: int,
-                  theta: Optional[float] = None) -> Trajectory:
+                  phi1: float, n_max: int) -> np.ndarray:
     """Solve the three-term recursion forward from (phi(0), phi(1)).
 
-    a and b are coefficient arrays (OperatorSpec.coefficients) holding at
-    least sites 0..n_max-1.
+    a and b are coefficient arrays (OperatorSpec.coefficients) holding
+    at least sites 0..n_max-1. Returns the values phi(0..n_max).
     """
     if phi0 == 0.0 and phi1 == 0.0:
         raise InvalidArgumentError("initial data must be nonzero")
@@ -454,4 +428,14 @@ def solve_forward(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
     bad = np.flatnonzero(~(np.abs(values[2:]) <= ENTRY_LIMIT))
     if len(bad):
         raise OverflowSiteError(int(bad[0]) + 2)
-    return Trajectory(values=values, E=E, theta=theta)
+    return values
+
+
+def residual(phi: np.ndarray, a: np.ndarray, b: np.ndarray, E: float, n):
+    """Three-term recursion residual of the solution phi at site n.
+
+    1 <= n <= len(phi) - 2; a and b are coefficient arrays
+    (OperatorSpec.coefficients) holding sites 0..n; n may be an int or an
+    integer index array.
+    """
+    return a[n] * phi[n + 1] + a[n - 1] * phi[n - 1] + (b[n] - E) * phi[n]

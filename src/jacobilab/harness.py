@@ -53,6 +53,10 @@ EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
 # experiments whose energies share one lane pass (ac_criterion)
 LANE_EXPERIMENTS = ("transfer", "ac-scan")
+# experiments that draw only b~ from the model; a model.a would be dropped
+# (variation) or break the perturbed residual (singular-stability)
+B_ONLY_EXPERIMENTS = ("variation", "singular-stability", "inequality",
+                      "series")
 
 _DIST_SCHEMA = {
     "type": "object",
@@ -265,6 +269,9 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     if out["experiment"] == "sparse" and out["spec"]["type"] != "sparse":
         raise ConfigError(f"experiment 'sparse' needs spec type 'sparse', "
                           f"got {out['spec']['type']!r}", ("spec", "type"))
+    if "a" in out["model"] and out["experiment"] in B_ONLY_EXPERIMENTS:
+        raise ConfigError(f"experiment {out['experiment']!r} draws only b~ "
+                          "from the model", ("model", "a"))
     for k, v in _SPEC_DEFAULTS[out["spec"]["type"]].items():
         out["spec"].setdefault(k, v)
     for k, v in _GRID_DEFAULTS.items():
@@ -621,7 +628,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seeds", type=int, help="override seed count")
     parser.add_argument("--workers", type=int,
-                        help="worker processes (default: LAB_WORKERS or 1)")
+                        help="worker processes (default: the config's "
+                             "workers, else 1)")
     parser.add_argument("--out", help="override output directory")
     args = parser.parse_args(argv)
 
@@ -636,16 +644,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config.setdefault("seeds", {})["count"] = args.seeds
     if args.out is not None:
         config["output"] = args.out
-    workers = args.workers
-    if workers is None:
-        env_workers = os.environ.get("LAB_WORKERS", "1")
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            print(f"config error: LAB_WORKERS must be an integer, "
-                  f"got {env_workers!r}", file=sys.stderr)
-            return 2
-    config["workers"] = workers
+    if args.workers is not None:
+        config["workers"] = args.workers
 
     try:
         config = materialize(config)

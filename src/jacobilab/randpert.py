@@ -298,11 +298,13 @@ def decade_ratios_pass(log_sums: Sequence[float], threshold: float,
     each <= threshold.
 
     A ratio is 0 when its later decade is empty and inf when only its
-    earlier decade is empty.
+    earlier decade is empty. A NaN sum fails the test.
     """
     if len(log_sums) <= window:
         return False
     tail = log_sums[len(log_sums) - window - 1:]
+    if any(math.isnan(s) for s in tail):
+        return False
     for a, b in zip(tail[:-1], tail[1:]):
         if b == -math.inf:
             continue

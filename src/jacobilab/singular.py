@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import OperatorSpec, Trajectory
+from .core import OperatorSpec
 from .errors import InvalidArgumentError
 from .randpert import (
     PerturbationModel,
@@ -64,28 +64,32 @@ class SingularEnergyReport:
     n_seeds: int = 0
 
 
-def r_sequence(phi1: Trajectory, phi2: Trajectory, eta_tilde: float,
+def r_sequence(phi1: np.ndarray, phi2: np.ndarray, eta_tilde: float,
                n_max: int) -> np.ndarray:
-    """r(n) = |phi1(n)|^4 n^{2 eta~} + |phi2(n)|^4 for n = 0..n_max."""
+    """ln r(n), r(n) = |phi1(n)|^4 n^{2 eta~} + |phi2(n)|^4, for n = 0..n_max.
+
+    Formed in the log domain, where n^{2 eta~} cannot overflow against a
+    decaying phi1; r(0) = 0, so entry 0 is -inf.
+    """
     if eta_tilde <= 0.0:
         raise InvalidArgumentError("eta~ must be positive")
-    if phi1.theta is None:
-        raise InvalidArgumentError("trajectories must carry a boundary angle")
-    if phi1.n_max < n_max or phi2.n_max < n_max:
-        raise InvalidArgumentError("trajectories shorter than n_max")
+    if len(phi1) <= n_max or len(phi2) <= n_max:
+        raise InvalidArgumentError("solutions shorter than n_max")
     n = np.arange(n_max + 1, dtype=float)
     n[0] = 1.0
-    r = phi1.values[:n_max + 1] ** 4 * n ** (2.0 * eta_tilde) \
-        + phi2.values[:n_max + 1] ** 4
-    r[0] = 0.0
-    return r
+    with np.errstate(divide="ignore"):
+        log1, log2 = (4.0 * np.log(np.abs(phi[:n_max + 1]))
+                      for phi in (phi1, phi2))
+    log_r = np.logaddexp(log1 + 2.0 * eta_tilde * np.log(n), log2)
+    log_r[0] = -math.inf
+    return log_r
 
 
 def default_eta_grid(eta: float) -> np.ndarray:
     return np.geomspace(eta + 0.01, eta + ETA_GRID_SPAN, ETA_GRID_POINTS)
 
 
-def lambda_membership(phi1: Trajectory, phi2: Trajectory, eta: float,
+def lambda_membership(phi1: np.ndarray, phi2: np.ndarray, eta: float,
                       model: PerturbationModel) -> Tuple[bool, float]:
     """Scan eta~ > eta for a convergent sum r_eta~(n) <~b(n)^2>.
 
@@ -95,14 +99,13 @@ def lambda_membership(phi1: Trajectory, phi2: Trajectory, eta: float,
     monotonicity of r in eta~).
     """
     eta_grid = default_eta_grid(eta)
-    n_max = min(phi1.n_max, phi2.n_max)
-    b2 = model.b_dist.moments_array(2, n_max)
+    n_max = min(len(phi1), len(phi2)) - 1
+    with np.errstate(divide="ignore"):
+        log_b2 = np.log(model.b_dist.moments_array(2, n_max))
     for et in eta_grid:
         if et <= eta:  # eta + 0.01 rounds to eta only for huge eta
             continue
-        terms = r_sequence(phi1, phi2, et, n_max) * b2
-        with np.errstate(divide="ignore"):
-            log_sums = decade_log_sums(np.log(terms))
+        log_sums = decade_log_sums(r_sequence(phi1, phi2, et, n_max) + log_b2)
         if decade_ratios_pass(log_sums, DECADE_RATIO, 2):
             return True, float(et)
     return False, float(eta_grid[0])
@@ -126,10 +129,11 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     """Per-seed perturbed-pair L-norm ratios plus the exponent sandwich.
 
     The unperturbed boundary pair is found by the subordinacy scan;
-    requires a subordinate solution with beta > 0. The pair's L-norms
+    requires a subordinate solution with beta > 0. One build of the
+    coefficient arrays serves the pair and every seed. The pair's L-norms
     serve both the sandwich fits and the denominators of every seed's
-    ratios ||psi_i||_L / ||phi_i||_L; they, the coefficient arrays and
-    the reversed generator rows are built once for all seeds.
+    ratios ||psi_i||_L / ||phi_i||_L; they and the reversed generator
+    rows are built once for all seeds.
     """
     if L_grid is None:
         L_grid = default_l_grid(l_max=1e3, decades=3)
@@ -147,7 +151,8 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
              else subordinacy.theta_best)
     n_max = int(math.floor(L_grid[-1])) + 2
 
-    phi1, phi2 = solve_pair(spec, E, theta, n_max)
+    coefficients = spec.coefficients(n_max)
+    phi1, phi2 = solve_pair(*coefficients, E, theta, n_max)
     member, eta_tilde = lambda_membership(phi1, phi2, eta, model)
 
     norm1, norm2 = l_norms(phi1, L_grid), l_norms(phi2, L_grid)
@@ -155,13 +160,13 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     exp1, exp2 = (fitted_growth_exponent(L_grid, [math.log(x) for x in n])
                   for n in (norm1, norm2))
 
-    coefficients = spec.coefficients(n_max)
     rows = _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max)
     r1 = np.empty((len(seeds), len(L_grid)))
     r2 = np.empty((len(seeds), len(L_grid)))
     for i, s in enumerate(seeds):
         psi1, psi2 = perturbed_solutions(spec, coefficients, rows,
-                                         sample(model, s, n_max), phi1, phi2)
+                                         sample(model, s, n_max), E,
+                                         phi1, phi2)
         r1[i] = l_norms(psi1, L_grid) / norm1
         r2[i] = l_norms(psi2, L_grid) / norm2
     med1 = np.median(r1, axis=0)

@@ -101,8 +101,6 @@ class SparsePropagation:
     states1: np.ndarray      # pre-bump states (phi(n_j), phi(n_j - 1))
     states2: np.ndarray
     wronskian: np.ndarray
-    theta: float
-    E: float
 
 
 def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
@@ -131,8 +129,7 @@ def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
     wron = st1[:, 0] * st2[:, 1] - st1[:, 1] * st2[:, 0]
     return SparsePropagation(
         bump_sites=list(sspec.bump_sites), amp1=amp1, amp2=amp2,
-        states1=st1, states2=st2, wronskian=wron, theta=theta, E=E,
-    )
+        states1=st1, states2=st2, wronskian=wron)
 
 
 def find_subordinate_angle(sspec: SparseSpec, E: float,
@@ -290,8 +287,8 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     sandwich = beta_proxy > 0.0 and sandwich_holds(beta_proxy, exp1, exp2)
 
     # dense window: the boundary pair and its nilpotent generator array
-    spec = sspec.to_operator_spec()
-    phi1, phi2 = solve_pair(spec, E, theta, n_cut + 1)
+    phi1, phi2 = solve_pair(
+        *sspec.to_operator_spec().coefficients(n_cut + 1), E, theta, n_cut + 1)
     u_arr = subordinate_generator_array(phi1, phi2)
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=s),

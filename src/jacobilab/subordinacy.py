@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import LN2, OperatorSpec, Trajectory, propagate, solve_forward
+from .core import LN2, OperatorSpec, propagate, solve_forward
 from .errors import InsufficientDataError, InvalidArgumentError
 
 TAU_SUB = 1e-3
@@ -30,8 +30,8 @@ def default_l_grid(l_max: float = 1e4, decades: int = 4) -> np.ndarray:
                         decades * POINTS_PER_DECADE + 1)
 
 
-def l_norms(f: Trajectory, L_grid: Sequence[float]) -> np.ndarray:
-    """Interpolated L-norms of f at every L of the grid.
+def l_norms(f: np.ndarray, L_grid: Sequence[float]) -> np.ndarray:
+    """Interpolated L-norms of the solution f(0..) at every L of the grid.
 
     ||f||_L^2 = sum_{1<=n<=floor(L)} f(n)^2 + frac(L) f(floor(L)+1)^2,
     from one running square sum over the sites the largest L needs.
@@ -41,36 +41,32 @@ def l_norms(f: Trajectory, L_grid: Sequence[float]) -> np.ndarray:
         raise InvalidArgumentError("L must be >= 1")
     fl = np.floor(Ls).astype(int)
     need = int(fl.max()) + 1
-    if f.n_max < need:
+    if len(f) <= need:
         raise InsufficientDataError(
-            f"trajectory has {f.n_max} sites, L = {Ls.max()} needs {need}"
+            f"solution has {len(f) - 1} sites, L = {Ls.max()} needs {need}"
         )
     sums = np.zeros(need)
-    np.cumsum(f.values[1:need] ** 2, out=sums[1:])
-    return np.sqrt(sums[fl] + (Ls - fl) * f.values[fl + 1] ** 2)
+    np.cumsum(f[1:need] ** 2, out=sums[1:])
+    return np.sqrt(sums[fl] + (Ls - fl) * f[fl + 1] ** 2)
 
 
-def solve_pair(spec: OperatorSpec, E: float, theta: float,
-               n_max: int) -> tuple[Trajectory, Trajectory]:
-    """Solutions for boundary angle theta and its orthogonal companion.
+def solve_pair(a: np.ndarray, b: np.ndarray, E: float, theta: float,
+               n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions phi(0..n_max) for boundary angle theta and its companion.
 
+    a and b are coefficient arrays holding at least sites 0..n_max-1.
     phi1 has (phi(0), phi(1)) = (-sin theta, cos theta); phi2 uses
     theta - pi/2, i.e. (cos theta, sin theta).
     """
     if not (-math.pi / 2 <= theta < math.pi / 2):
         raise InvalidArgumentError("theta must lie in [-pi/2, pi/2)")
-    a, b = spec.coefficients(n_max)
-    phi1 = solve_forward(a, b, E, -math.sin(theta), math.cos(theta),
-                         n_max, theta=theta)
-    phi2 = solve_forward(a, b, E, math.cos(theta), math.sin(theta),
-                         n_max, theta=theta - math.pi / 2)
-    return phi1, phi2
+    return (solve_forward(a, b, E, -math.sin(theta), math.cos(theta), n_max),
+            solve_forward(a, b, E, math.cos(theta), math.sin(theta), n_max))
 
 
-def wronskian(phi1: Trajectory, phi2: Trajectory, n: int) -> float:
+def wronskian(phi1: np.ndarray, phi2: np.ndarray, n: int) -> float:
     """phi1(n) phi2(n-1) - phi1(n-1) phi2(n); constant 1 when a == 1."""
-    return (phi1.values[n] * phi2.values[n - 1]
-            - phi1.values[n - 1] * phi2.values[n])
+    return phi1[n] * phi2[n - 1] - phi1[n - 1] * phi2[n]
 
 
 def pair_log_lnorms(a: np.ndarray, b: np.ndarray, E: float, theta: float,

@@ -31,7 +31,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .core import Mat2, OperatorSpec, Trajectory, single_step, solve_forward
+from .core import Mat2, OperatorSpec, residual, single_step, solve_forward
 from .errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -128,14 +128,14 @@ def diagonal_generator_array(spec: OperatorSpec, E: float,
         raise InvalidArgumentError(
             "diagonal mode requires off-diagonal coefficients == 1"
         )
-    alpha = solve_forward(a, b, E, 0.0, 1.0, n_max)
-    gamma = solve_forward(a, b, E, 1.0, 0.0, n_max)
-    return nilpotent_generator_array(alpha.values, gamma.values)
+    return nilpotent_generator_array(solve_forward(a, b, E, 0.0, 1.0, n_max),
+                                     solve_forward(a, b, E, 1.0, 0.0, n_max))
 
 
-def subordinate_generator_array(phi1: Trajectory, phi2: Trajectory) -> np.ndarray:
+def subordinate_generator_array(phi1: np.ndarray,
+                                phi2: np.ndarray) -> np.ndarray:
     """Generator array in the basis of a boundary-condition solution pair."""
-    return nilpotent_generator_array(phi1.values, phi2.values)
+    return nilpotent_generator_array(phi1, phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,27 +472,25 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 
 def perturbed_solutions(spec: OperatorSpec,
                         coefficients: Tuple[np.ndarray, np.ndarray],
-                        rows: _Rows, realization: Realization,
-                        phi1: Trajectory, phi2: Trajectory
-                        ) -> Tuple[Trajectory, Trajectory]:
+                        rows: _Rows, realization: Realization, E: float,
+                        phi1: np.ndarray, phi2: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
     """(psi1, psi2) built from the amplitude matrices D(n).
 
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
-    pair phi1, phi2 (from solve_pair), which fixes E, the angle and n_max.
+    pair phi1, phi2 at energy E (from solve_pair), which fixes n_max.
     ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
     _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max),
     both built once by the caller for every realization and left
     unmodified. Verifies the perturbed difference-equation residual at
     every interior site.
     """
-    n_max = phi1.n_max
+    n_max = len(phi1) - 1
     if n_max > realization.n_max:
         raise InsufficientDataError("realization shorter than the pair")
     d, _ = neumann_layers(realization.b_tilde[:n_max + 1], rows, 0,
                           range(n_max + 1))
-    psi_vals = phi1.values * d[:, 0].T + phi2.values * d[:, 1].T
-    psi1, psi2 = (Trajectory(values=v, E=phi1.E, theta=phi1.theta)
-                  for v in psi_vals)
+    psi1, psi2 = phi1 * d[:, 0].T + phi2 * d[:, 1].T
     a, b = (c.copy() for c in coefficients)
     a[1:] += realization.a_tilde_or_zeros()[1:n_max + 1]
     b[1:] += realization.b_tilde[1:n_max + 1]
@@ -503,8 +501,8 @@ def perturbed_solutions(spec: OperatorSpec,
             f"a({n}) = {a[n]} below declared floor a_min = {spec.a_min}")
     sites = np.arange(1, n_max)
     for psi in (psi1, psi2):
-        scale = float(np.max(np.abs(psi.values))) or 1.0
-        res = psi.residual(a, b, sites)
+        scale = float(np.max(np.abs(psi))) or 1.0
+        res = residual(psi, a, b, E, sites)
         bad = np.flatnonzero(np.abs(res) > RESIDUAL_TOL * scale)
         if len(bad):
             n = int(sites[bad[0]])

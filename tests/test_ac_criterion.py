@@ -20,6 +20,7 @@ from jacobilab.ac_criterion import (
 from jacobilab.core import (
     OperatorSpec,
     free_laplacian,
+    residual,
     solve_forward,
     transfer_product,
 )
@@ -94,11 +95,10 @@ def test_array_paths_match_scalar_oracle(table, E, data):
         [float(np.mean(t2[:N])) for N in N_grid], rel=1e-10)
 
     coef = spec.coefficients(n)
-    traj = solve_forward(*coef, E, 1.0, 0.3, n)
+    v = solve_forward(*coef, E, 1.0, 0.3, n)
     sites = np.arange(1, n)
-    res = traj.residual(*coef, sites)
-    assert res.tolist() == [traj.residual(*coef, int(k)) for k in sites]
-    v = traj.values
+    res = residual(v, *coef, E, sites)
+    assert res.tolist() == [residual(v, *coef, E, int(k)) for k in sites]
     a0 = [1.0] + a_tab[1:]  # a(0) = 1 by convention
     assert res.tolist() == [a0[k] * v[k + 1] + a0[k - 1] * v[k - 1]
                             + (b_tab[k] - E) * v[k] for k in sites]

@@ -116,10 +116,11 @@ def test_criterion_01_algebraic_identities():
         E = rng.uniform(-1.5, 1.5)
         ok &= abs(k_conjugate(spec, real, E, n).det() - 1.0) <= 1e-10
     # Wronskian of the canonical pair, 1000 random (theta, E)
+    coefficients = spec.coefficients(25)
     for _ in range(1000):
         E = rng.uniform(-2.0, 2.0)
         theta = rng.uniform(-math.pi / 2, math.pi / 2 - 1e-9)
-        phi1, phi2 = solve_pair(spec, E, theta, 25)
+        phi1, phi2 = solve_pair(*coefficients, E, theta, 25)
         ok &= all(abs(wronskian(phi1, phi2, n) - 1.0) <= 1e-9
                   for n in (1, 12, 25))
     verdict(1, "algebraic identity suite", ok, t0, 30.0)
@@ -143,7 +144,7 @@ def test_criterion_02_fast_power_oracle():
         phi = solve_forward(*s.to_operator_spec().coefficients(n), E,
                             -math.sin(theta), math.cos(theta), n)
         for j, nj in enumerate(s.bump_sites):
-            naive_amp = math.hypot(phi.values[nj], phi.values[nj - 1])
+            naive_amp = math.hypot(phi[nj], phi[nj - 1])
             ok &= abs(prop.amp1[j] - naive_amp) <= 1e-9 * naive_amp
     verdict(2, "fast-power oracle equivalence", ok, t0, 20.0)
 

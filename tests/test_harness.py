@@ -355,11 +355,10 @@ def test_cli_delta_constraint_violation_exits_3(tmp_path, capsys):
     assert "delta constraint fails at site 1" in capsys.readouterr().err
 
 
-def test_cli_seed_and_worker_overrides(tmp_path, monkeypatch):
+def test_cli_seed_and_worker_overrides(tmp_path):
     cfg = write_config(tmp_path, {"E_grid": [0.0],
                                   "grids": {"N_j_max": 12}})
-    monkeypatch.setenv("LAB_WORKERS", "2")
-    rc = main(["transfer", "--config", cfg, "--seeds", "7",
+    rc = main(["transfer", "--config", cfg, "--seeds", "7", "--workers", "2",
                "--out", str(tmp_path / "o")])
     assert rc == 0
     prov = json.loads((tmp_path / "o" / "config.json").read_text())
@@ -367,15 +366,38 @@ def test_cli_seed_and_worker_overrides(tmp_path, monkeypatch):
     assert prov["workers"] == 2
 
 
-def test_cli_malformed_lab_workers_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, {"E_grid": [0.0],
-                                  "grids": {"N_j_max": 12}})
-    monkeypatch.setenv("LAB_WORKERS", "two")
+def test_cli_config_workers_reach_config_json(tmp_path):
+    # without --workers the config file's own worker count is used
+    cfg = write_config(tmp_path, {"E_grid": [0.0, 0.5],
+                                  "grids": {"N_j_max": 12}, "workers": 2})
     rc = main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    prov = json.loads((tmp_path / "o" / "config.json").read_text())
+    assert prov["workers"] == 2
+
+
+# small configs of the experiments that draw only b~ from the model
+B_ONLY_CONFIGS = {
+    # an a~ would fail every cell's perturbed residual check
+    "singular-stability": {
+        "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+        "E_grid": [0.6], "seeds": {"count": 2}, "grids": {"L_max": 1e3}},
+    # an a~ would be dropped: its rows equal those without it
+    "variation": {"E_grid": [0.5], "seeds": {"count": 2},
+                  "grids": {"checkpoints": [100]}},
+    "inequality": {"grids": {"trials": 200}},
+    "series": {"grids": {"trials": 200, "n_max": 1000, "n_tail": 50}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(B_ONLY_CONFIGS))
+def test_cli_model_a_where_only_b_is_drawn_exits_2(tmp_path, capsys,
+                                                   experiment):
+    cfg = write_config(tmp_path, dict(B_ONLY_CONFIGS[experiment], model={
+        "a": {"kind": "uniform", "amplitude": 0.1}}))
+    rc = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "LAB_WORKERS" in err
-    assert len(err.splitlines()) == 1
+    assert "config error at model/a" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

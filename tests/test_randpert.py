@@ -334,3 +334,13 @@ def test_decade_helpers_match_direct_loop(n_max, seed, zero_share, zero_upto,
     expect = (len(ratios) >= window
               and all(r <= threshold for r in ratios[-window:]))
     assert decade_ratios_pass(log_sums, threshold, window) == expect
+
+
+def test_decade_ratios_fail_on_nan():
+    # every comparison with NaN is false, so a NaN sum must not read as a
+    # ratio within the threshold
+    nan = math.nan
+    assert not decade_ratios_pass([0.0, nan, nan], 0.9, 2)
+    assert not decade_ratios_pass([0.0, -1.0, nan], 0.9, 2)
+    assert not decade_ratios_pass([nan, -1.0, -2.0], 0.9, 2)
+    assert decade_ratios_pass([0.0, -1.0, -2.0], 0.9, 2)

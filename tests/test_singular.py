@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacobilab import harness, singular, variation
-from jacobilab.core import OperatorSpec, Trajectory
+from jacobilab.core import OperatorSpec
 from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
     PerturbationModel,
@@ -36,9 +36,7 @@ E_TEST = 0.6
 
 
 def synthetic_pair(n_max, vals1, vals2):
-    t1 = Trajectory(values=np.asarray(vals1, dtype=float), E=0.0, theta=0.0)
-    t2 = Trajectory(values=np.asarray(vals2, dtype=float), E=0.0, theta=0.0)
-    return t1, t2
+    return (np.asarray(vals1, dtype=float), np.asarray(vals2, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +47,7 @@ def test_r_sequence_trivial():
     n_max = 20
     phi1, phi2 = synthetic_pair(n_max, np.zeros(n_max + 1),
                                 np.ones(n_max + 1))
-    r = r_sequence(phi1, phi2, 1.0, n_max)
+    r = np.exp(r_sequence(phi1, phi2, 1.0, n_max))
     assert r[0] == 0.0
     assert np.allclose(r[1:], 1.0)
 
@@ -60,7 +58,7 @@ def test_r_sequence_synthetic_powers():
     n[0] = 1.0
     p, q, et = 0.3, 0.4, 1.2
     phi1, phi2 = synthetic_pair(n_max, n ** (-p), n ** q)
-    r = r_sequence(phi1, phi2, et, n_max)
+    r = np.exp(r_sequence(phi1, phi2, et, n_max))
     expect = n ** (2 * et - 4 * p) + n ** (4 * q)
     assert np.allclose(r[1:], expect[1:], rtol=1e-12)
 
@@ -90,9 +88,8 @@ def test_r_sequence_validation():
                                 np.ones(n_max + 1))
     with pytest.raises(InvalidArgumentError):
         r_sequence(phi1, phi2, 0.0, n_max)
-    phi1.theta = None
     with pytest.raises(InvalidArgumentError):
-        r_sequence(phi1, phi2, 1.0, n_max)
+        r_sequence(phi1, phi2, 1.0, n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +106,8 @@ def test_default_eta_grid_range():
 
 def test_lambda_membership_zero_model():
     n_max = 500
-    phi1, phi2 = solve_pair(SPARSE.to_operator_spec(), E_TEST, 0.2, n_max)
+    phi1, phi2 = solve_pair(*SPARSE.to_operator_spec().coefficients(n_max),
+                            E_TEST, 0.2, n_max)
     model = PerturbationModel(b_dist=zero_distribution())
     member, et = lambda_membership(phi1, phi2, 1.0, model)
     assert member and et > 1.0
@@ -121,7 +119,7 @@ def test_lambda_membership_convergent_vs_divergent():
     res = detect_subordinate(spec, E_TEST,
                              L_grid=np.geomspace(10.0, float(n_max - 2), 100))
     theta = res.theta_best
-    phi1, phi2 = solve_pair(spec, E_TEST, theta, n_max)
+    phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, theta, n_max)
     eta = res.eta if res.eta is not None else 1.0
     fast = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=4.0))
@@ -133,14 +131,31 @@ def test_lambda_membership_convergent_vs_divergent():
     assert not member2
 
 
+# phi1 = n^-p1, phi2 = n^q at 3,000 sites, eta = 150, b~ ~ X/n: n^(2 eta~)
+# overflows a double from n = 11 on, and with p1 = 80 phi1^4 underflows to
+# 0, so linear-scale weights read inf or 0 * inf = nan
+@pytest.mark.parametrize("p1, q, member", [
+    (20.0, 0.0, False),  # sum grows like n^218
+    (80.0, 1.0, False),  # sum grows like n^2
+    (80.0, 0.0, True),   # terms n^-22 + n^-2
+])
+def test_lambda_membership_large_eta_tilde(p1, q, member):
+    n_max = 3000
+    n = np.arange(n_max + 1, dtype=float)
+    n[0] = 1.0
+    model = PerturbationModel(b_dist=uniform_over_n(1.0, 1.0))
+    got = lambda_membership(n ** -p1, n ** q, 150.0, model)
+    assert got == (member, pytest.approx(150.01))
+
+
 def test_lambda_sum_monotone_in_eta_tilde():
     n_max = 1000
     spec = SPARSE.to_operator_spec()
-    phi1, phi2 = solve_pair(spec, E_TEST, 0.3, n_max)
+    phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, 0.3, n_max)
     model = PerturbationModel(b_dist=uniform_over_n())
     b2 = model.b_dist.moments_array(2, n_max)
-    lo = float((r_sequence(phi1, phi2, 1.1, n_max) * b2).sum())
-    hi = float((r_sequence(phi1, phi2, 1.9, n_max) * b2).sum())
+    lo = float((np.exp(r_sequence(phi1, phi2, 1.1, n_max)) * b2).sum())
+    hi = float((np.exp(r_sequence(phi1, phi2, 1.9, n_max)) * b2).sum())
     assert lo <= hi
 
 
@@ -174,9 +189,9 @@ def test_stability_sparse_configuration():
 
 
 @pytest.mark.parametrize("n_seeds", [2, 5])
-def test_stability_builds_the_coefficients_three_times(monkeypatch, n_seeds):
-    # one build each for detect_subordinate, solve_pair and the seed loop,
-    # whatever the number of seeds
+def test_stability_builds_the_coefficients_twice(monkeypatch, n_seeds):
+    # one build for detect_subordinate and one that serves solve_pair and
+    # the seed loop, whatever the number of seeds
     builds = []
     coefficients = OperatorSpec.coefficients
 
@@ -189,7 +204,7 @@ def test_stability_builds_the_coefficients_three_times(monkeypatch, n_seeds):
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="stab")
     stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
                          seeds=range(n_seeds))
-    assert len(builds) == 3
+    assert len(builds) == 2
 
 
 # a 4-seed singular-stability cell on a sparse spec with 14 bumps
@@ -258,7 +273,7 @@ def test_summation_by_parts_bound_chain():
     beta = max(res.beta, 1e-3)
     eta = (1.0 - beta) / beta
     eta_tilde = eta + 0.75
-    phi1, phi2 = solve_pair(spec, E_TEST, theta, n_max)
+    phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, theta, n_max)
     u_arr = subordinate_generator_array(phi1, phi2)
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
@@ -268,7 +283,7 @@ def test_summation_by_parts_bound_chain():
     d_minus = d[:, :, 0]
     d2 = d_minus[:, 1]
 
-    prod = Trajectory(values=d2 * phi2.values, E=E_TEST, theta=theta)
+    prod = d2 * phi2
     L_grid = np.geomspace(10.0, float(n_max - 2), 60)
     n = np.arange(1, n_max + 1, dtype=float)
     eps = float(np.max(np.abs(d2[1:]) * n ** eta_tilde))

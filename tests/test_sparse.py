@@ -112,7 +112,7 @@ def test_propagation_matches_naive():
     phi = solve_forward(*spec.coefficients(n), E, -math.sin(theta),
                         math.cos(theta), n)
     for j, nj in enumerate(s.bump_sites):
-        naive_amp = math.hypot(phi.values[nj], phi.values[nj - 1])
+        naive_amp = math.hypot(phi[nj], phi[nj - 1])
         assert prop.amp1[j] == pytest.approx(naive_amp, rel=1e-9)
 
 
@@ -231,7 +231,8 @@ def test_block_lnorms_match_dense():
     E, theta = 0.6, 0.3
     prop = sparse_propagate(s, E, theta)
     blk = block_log_lnorms(prop.bump_sites, prop.amp1)
-    phi1, _ = solve_pair(s.to_operator_spec(), E, theta, s.bump_sites[-1] + 1)
+    n = s.bump_sites[-1] + 1
+    phi1, _ = solve_pair(*s.to_operator_spec().coefficients(n), E, theta, n)
     dense = np.log(l_norms(phi1, prop.bump_sites))
     assert np.all(np.abs(blk - dense) <= 0.25)  # block approximation
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import Trajectory, constant_spec, free_laplacian
+from jacobilab.core import constant_spec, free_laplacian
 from jacobilab.errors import InsufficientDataError, InvalidArgumentError
 from jacobilab.sparse import SparseSpec
 from jacobilab.subordinacy import (
@@ -24,8 +24,8 @@ from jacobilab.subordinacy import (
 )
 
 
-def const_trajectory(value, n_max, E=0.0):
-    return Trajectory(values=np.full(n_max + 1, float(value)), E=E, theta=0.0)
+def const_solution(value, n_max):
+    return np.full(n_max + 1, float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -33,24 +33,24 @@ def const_trajectory(value, n_max, E=0.0):
 # ---------------------------------------------------------------------------
 
 def test_l_norm_fractional():
-    f = const_trajectory(1.0, 10)
+    f = const_solution(1.0, 10)
     assert l_norms(f, [2.5])[0] == pytest.approx(math.sqrt(2.5))
 
 
 def test_l_norm_integer_continuous():
-    f = const_trajectory(1.0, 10)
+    f = const_solution(1.0, 10)
     at, below = l_norms(f, [3.0, 3.0 - 1e-9])
     assert at == pytest.approx(math.sqrt(3.0))
     assert below == pytest.approx(math.sqrt(3.0), abs=1e-8)
 
 
 def test_l_norm_linear_values():
-    f = Trajectory(values=np.arange(6, dtype=float), E=0.0)
+    f = np.arange(6, dtype=float)
     assert l_norms(f, [2.0])[0] == pytest.approx(math.sqrt(5.0))  # 1 + 4
 
 
 def test_l_norm_too_short_raises():
-    f = const_trajectory(1.0, 3)
+    f = const_solution(1.0, 3)
     with pytest.raises(InsufficientDataError):
         l_norms(f, [2.0, 3.5])
     with pytest.raises(InvalidArgumentError):
@@ -58,7 +58,7 @@ def test_l_norm_too_short_raises():
 
 
 def test_l_norm_nondecreasing_in_L():
-    f = Trajectory(values=np.sin(np.arange(200) * 0.7), E=0.0)
+    f = np.sin(np.arange(200) * 0.7)
     Ls = np.linspace(1.0, 150.0, 400)
     assert np.all(np.diff(l_norms(f, Ls)) >= -1e-12)
 
@@ -78,7 +78,7 @@ def test_l_norms_match_a_direct_sum(data):
     n_max = data.draw(st.integers(3, 60))
     values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_max + 1,
                                 max_size=n_max + 1))
-    f = Trajectory(values=np.array(values), E=0.0)
+    f = np.array(values)
     Ls = data.draw(st.lists(st.one_of(
         st.integers(1, n_max - 1).map(float),
         st.floats(1.0, n_max, exclude_max=True),
@@ -100,27 +100,27 @@ def test_l_norms_match_a_direct_sum(data):
 
 def test_solve_pair_initial_conditions():
     th = 0.4
-    phi1, phi2 = solve_pair(free_laplacian(), 0.5, th, 10)
-    assert phi1.values[0] == pytest.approx(-math.sin(th))
-    assert phi1.values[1] == pytest.approx(math.cos(th))
-    assert phi2.values[0] == pytest.approx(math.cos(th))
-    assert phi2.values[1] == pytest.approx(math.sin(th))
+    phi1, phi2 = solve_pair(*free_laplacian().coefficients(10), 0.5, th, 10)
+    assert phi1[0] == pytest.approx(-math.sin(th))
+    assert phi1[1] == pytest.approx(math.cos(th))
+    assert phi2[0] == pytest.approx(math.cos(th))
+    assert phi2[1] == pytest.approx(math.sin(th))
 
 
 def test_solve_pair_theta_zero_free_E0():
-    phi1, _ = solve_pair(free_laplacian(), 0.0, 0.0, 6)
-    assert np.allclose(phi1.values, [0, 1, 0, -1, 0, 1, 0])
+    phi1, _ = solve_pair(*free_laplacian().coefficients(6), 0.0, 0.0, 6)
+    assert np.allclose(phi1, [0, 1, 0, -1, 0, 1, 0])
 
 
 def test_solve_pair_rejects_theta_outside_range():
     with pytest.raises(InvalidArgumentError):
-        solve_pair(free_laplacian(), 0.0, math.pi / 2, 5)
+        solve_pair(*free_laplacian().coefficients(5), 0.0, math.pi / 2, 5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1.9, 1.9), st.floats(-math.pi / 2, math.pi / 2 - 1e-6))
 def test_wronskian_constant_one(E, theta):
-    phi1, phi2 = solve_pair(free_laplacian(), E, theta, 40)
+    phi1, phi2 = solve_pair(*free_laplacian().coefficients(40), E, theta, 40)
     for n in (1, 5, 17, 40):
         assert wronskian(phi1, phi2, n) == pytest.approx(1.0, abs=1e-9)
 
@@ -134,7 +134,7 @@ def test_pair_log_lnorms_match_direct():
     E, th = 0.5, 0.3
     Ls = [10.0, 33.7, 100.0, 450.0]
     _, logn1, logn2 = pair_log_lnorms(*spec.coefficients(450), E, th, Ls)
-    phi1, phi2 = solve_pair(spec, E, th, 500)
+    phi1, phi2 = solve_pair(*spec.coefficients(500), E, th, 500)
     assert logn1 == pytest.approx(np.log(l_norms(phi1, Ls)), abs=1e-9)
     assert logn2 == pytest.approx(np.log(l_norms(phi2, Ls)), abs=1e-9)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import Mat2, free_laplacian, single_step
+from jacobilab.core import Mat2, free_laplacian, residual, single_step
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -525,7 +525,7 @@ def test_neumann_series_contraction():
 
 def pair_and_rows(spec, E, theta, n_max):
     """solve_pair's boundary pair and the reversed rows of its generator."""
-    phi1, phi2 = solve_pair(spec, E, theta, n_max)
+    phi1, phi2 = solve_pair(*spec.coefficients(n_max), E, theta, n_max)
     u_arr = subordinate_generator_array(phi1, phi2)
     return _reversed_rows(u_arr, 0, n_max), phi1, phi2
 
@@ -534,9 +534,9 @@ def test_perturbed_solutions_zero_model_exact():
     spec = free_laplacian()
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.3, 300)
     psi1, psi2 = perturbed_solutions(spec, spec.coefficients(300), rows,
-                                     zero_realization(300), phi1, phi2)
-    assert np.array_equal(psi1.values, phi1.values)
-    assert np.array_equal(psi2.values, phi2.values)
+                                     zero_realization(300), 0.5, phi1, phi2)
+    assert np.array_equal(psi1, phi1)
+    assert np.array_equal(psi2, phi2)
 
 
 def test_perturbed_solutions_satisfy_perturbed_recursion():
@@ -548,14 +548,14 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
     coefficients = spec.coefficients(400)
     kept = [c.copy() for c in coefficients]
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, 400)
-    psi1, psi2 = perturbed_solutions(spec, coefficients, rows, real,
+    psi1, psi2 = perturbed_solutions(spec, coefficients, rows, real, 0.5,
                                      phi1, phi2)
     # the unperturbed arrays serve every realization, so stay unmodified
     assert all(np.array_equal(c, k) for c, k in zip(coefficients, kept))
     a, b = perturbed_spec(spec, real).coefficients(400)
-    scale = float(np.max(np.abs(psi2.values)))
+    scale = float(np.max(np.abs(psi2)))
     for n in (1, 200, 399):
-        assert abs(psi2.residual(a, b, n)) <= 1e-9 * scale
+        assert abs(residual(psi2, a, b, 0.5, n)) <= 1e-9 * scale
 
 
 def test_perturbed_solutions_check_floor_and_length():
@@ -567,11 +567,11 @@ def test_perturbed_solutions_check_floor_and_length():
                        a_tilde=a_tilde)
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, n_max)
     with pytest.raises(InvalidArgumentError, match=r"a\(17\) = 0\.0 below"):
-        perturbed_solutions(spec, spec.coefficients(n_max), rows, real,
+        perturbed_solutions(spec, spec.coefficients(n_max), rows, real, 0.5,
                             phi1, phi2)
     with pytest.raises(InsufficientDataError):
         perturbed_solutions(spec, spec.coefficients(n_max), rows,
-                            zero_realization(n_max - 1), phi1, phi2)
+                            zero_realization(n_max - 1), 0.5, phi1, phi2)
 
 
 def test_perturbed_solutions_ratio_near_one_small_noise():
@@ -584,7 +584,7 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
     terminal = []
     for seed in range(20):
         real = sample(model, seed, 500)
-        _, psi2 = perturbed_solutions(spec, coefficients, rows, real,
+        _, psi2 = perturbed_solutions(spec, coefficients, rows, real, 0.5,
                                       phi1, phi2)
         terminal.append(l_norms(psi2, [400.0])[0] / l_norms(phi2, [400.0])[0])
     med = float(np.median(terminal))
