@@ -1,11 +1,11 @@
 """Configuration, orchestration, and data emission for all experiments.
 
-A single JSON config file drives every experiment. The schema rejects
-unknown keys; defaults are materialized before hashing so the provenance
-copy pins the exact run. All emitted files are written atomically and are
-byte-deterministic for a given config: floats are serialized with their
-shortest round-trip representation and cells are reduced in key order
-regardless of worker count.
+A single JSON config file drives every experiment. Each experiment accepts
+only the keys it reads (READS), and their defaults are materialized before
+hashing, so the provenance copy pins the exact run. All emitted files are
+written atomically and are byte-deterministic for a given config: floats
+are serialized with their shortest round-trip representation and cells
+are reduced in key order regardless of worker count.
 """
 
 from __future__ import annotations
@@ -53,10 +53,25 @@ EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
 # experiments whose energies share one lane pass (ac_criterion)
 LANE_EXPERIMENTS = ("transfer", "ac-scan")
-# experiments that draw only b~ from the model; a model.a would be dropped
-# (variation) or break the perturbed residual (singular-stability)
-B_ONLY_EXPERIMENTS = ("variation", "singular-stability", "inequality",
-                      "series")
+# the config keys each experiment reads besides experiment, output and
+# workers; a dotted name is one key of a block. materialize refuses every
+# other key and fills defaults for these alone
+READS: Dict[str, Tuple[str, ...]] = {
+    "transfer": ("spec", "E_grid", "grids.N_j_max"),
+    "ac-scan": ("spec", "E_grid", "model.b", "model.a", "model.delta",
+                "grids.N_j_max", "grids.n_max"),
+    "subordinacy": ("spec", "E_grid", "grids.L_max", "grids.L_decades"),
+    "variation": ("spec", "E_grid", "model.b", "seeds.base", "seeds.count",
+                  "grids.checkpoints"),
+    "singular-stability": ("spec", "E_grid", "model.b", "seeds.base",
+                           "seeds.count", "grids.L_max", "grids.L_decades"),
+    "sparse": ("spec", "E_grid", "seeds.base", "seeds.count", "grids.s",
+               "grids.n_cut"),
+    "inequality": ("model.b", "seeds.base", "grids.N1", "grids.N2",
+                   "grids.r", "grids.trials"),
+    "series": ("model.b", "seeds.base", "grids.trials", "grids.n_max",
+               "grids.n_tail"),
+}
 
 _DIST_SCHEMA = {
     "type": "object",
@@ -137,7 +152,8 @@ CONFIG_SCHEMA = {
                 "s": {"type": "number", "exclusiveMinimum": 0},
                 "n_cut": {"type": "integer", "minimum": 100},
                 "checkpoints": {"type": "array",
-                                "items": {"type": "integer", "minimum": 1}},
+                                "items": {"type": "integer", "minimum": 1},
+                                "minItems": 1},
             },
         },
         "output": {"type": "string"},
@@ -233,54 +249,67 @@ def _validate(value: Any, schema: Dict[str, Any],
                                   f"{schema[key]!r}", path)
 
 
+# the default of each key of READS but model.a, and of output and workers
 _DEFAULTS: Dict[str, Any] = {
-    "spec": {"type": "free"},
-    "model": {"b": {"kind": "uniform", "amplitude": 1.0, "decay": 1.0},
-              "delta": 0.5},
-    "E_grid": [0.5],
-    "seeds": {"base": 0, "count": 20},
-    "grids": {},
-    "output": "out",
-    "workers": 1,
+    "spec": {"type": "free"}, "E_grid": [0.5],
+    "model.b": {"kind": "uniform", "amplitude": 1.0, "decay": 1.0},
+    "model.delta": 0.5, "seeds.base": 0, "seeds.count": 20,
+    "grids.N_j_max": 30, "grids.L_max": 1e4, "grids.L_decades": 4,
+    "grids.n_max": 10 ** 4, "grids.N1": 1, "grids.N2": 10, "grids.r": 3.0,
+    "grids.trials": 10 ** 4, "grids.n_tail": 100, "grids.s": 1.0,
+    "grids.n_cut": 10 ** 5, "grids.checkpoints": [100, 1000, 10000],
+    "output": "out", "workers": 1,
 }
 
+# the keys of each spec type, with their defaults
 _SPEC_DEFAULTS: Dict[str, Dict[str, Any]] = {
     "free": {}, "constant": {"a": 1.0, "b": 0.0},
     "sparse": {"v": 0.2, "gamma": 8, "j_max": 30},
 }
 
-_GRID_DEFAULTS: Dict[str, Any] = {
-    "N_j_max": 30, "L_max": 1e4, "L_decades": 4, "n_max": 10 ** 4,
-    "N1": 1, "N2": 10, "r": 3.0, "trials": 10 ** 4, "n_tail": 100,
-    "s": 1.0, "n_cut": 10 ** 5,
-}
+_DIST_DEFAULTS = {"amplitude": 1.0, "decay": 1.0, "trunc": 2.0}
 
 
 def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate and fill in every default; returns the canonical config."""
+    """Validate and fill in every default; returns the canonical config.
+
+    A key the experiment does not read (READS), or a spec key of another
+    spec type, raises ConfigError at its path.
+    """
     _validate(config, CONFIG_SCHEMA)
     out = json.loads(json.dumps(config))
-    for key, val in _DEFAULTS.items():
-        if key not in out:
-            out[key] = json.loads(json.dumps(val))
-        elif isinstance(val, dict):
-            for k2, v2 in val.items():
-                out[key].setdefault(k2, json.loads(json.dumps(v2)))
-    if out["experiment"] == "sparse" and out["spec"]["type"] != "sparse":
-        raise ConfigError(f"experiment 'sparse' needs spec type 'sparse', "
-                          f"got {out['spec']['type']!r}", ("spec", "type"))
-    if "a" in out["model"] and out["experiment"] in B_ONLY_EXPERIMENTS:
-        raise ConfigError(f"experiment {out['experiment']!r} draws only b~ "
-                          "from the model", ("model", "a"))
-    for k, v in _SPEC_DEFAULTS[out["spec"]["type"]].items():
-        out["spec"].setdefault(k, v)
-    for k, v in _GRID_DEFAULTS.items():
-        out["grids"].setdefault(k, v)
+    exp = out["experiment"]
+    names = READS[exp] + ("experiment", "output", "workers")
+    tops = {name.split(".")[0] for name in names}
+    for key, val in out.items():
+        if key not in tops:
+            raise ConfigError(f"experiment {exp!r} does not read {key!r}",
+                              (key,))
+        if key not in names:  # a block whose keys are read one by one
+            for sub in val:
+                if f"{key}.{sub}" not in names:
+                    raise ConfigError(f"experiment {exp!r} does not read "
+                                      f"{key}.{sub}", (key, sub))
+    for name in names:
+        *block, key = name.split(".")
+        parent = out.setdefault(block[0], {}) if block else out
+        if name in _DEFAULTS:
+            parent.setdefault(key, json.loads(json.dumps(_DEFAULTS[name])))
+    if "spec" in out:
+        sd = out["spec"]
+        if exp == "sparse" and sd["type"] != "sparse":
+            raise ConfigError(f"experiment 'sparse' needs spec type "
+                              f"'sparse', got {sd['type']!r}", ("spec", "type"))
+        for k in sd:
+            if k != "type" and k not in _SPEC_DEFAULTS[sd["type"]]:
+                raise ConfigError(f"spec type {sd['type']!r} has no key "
+                                  f"{k!r}", ("spec", k))
+        for k, v in _SPEC_DEFAULTS[sd["type"]].items():
+            sd.setdefault(k, v)
     for dist in ("b", "a"):
-        if dist in out["model"]:
-            out["model"][dist].setdefault("amplitude", 1.0)
-            out["model"][dist].setdefault("decay", 1.0)
-            out["model"][dist].setdefault("trunc", 2.0)
+        if dist in out.get("model", {}):
+            for k, v in _DIST_DEFAULTS.items():
+                out["model"][dist].setdefault(k, v)
     return out
 
 
@@ -312,18 +341,11 @@ def sparse_spec_of(config: Dict[str, Any]) -> SparseSpec:
 
 
 def build_model(config: Dict[str, Any]) -> PerturbationModel:
-    md = config["model"]
-
-    def dist(d):
-        return SiteDistribution(kind=d["kind"], amplitude=d["amplitude"],
-                                decay=d["decay"], trunc=d["trunc"])
-
-    return PerturbationModel(
-        b_dist=dist(md["b"]),
-        a_dist=dist(md["a"]) if "a" in md else None,
-        delta=md["delta"],
-        exp_id=config["experiment"],
-    )
+    """The model of the materialized block: the keys its experiment reads."""
+    fields = {"b": "b_dist", "a": "a_dist", "delta": "delta"}
+    return PerturbationModel(exp_id=config["experiment"], **{
+        fields[k]: v if k == "delta" else SiteDistribution(**v)
+        for k, v in config["model"].items()})
 
 
 def energy_grid(config: Dict[str, Any]) -> List[float]:
@@ -379,20 +401,22 @@ def _lane_cells(config: Dict[str, Any],
                                               verdicts)]
 
 
+def _seeds(config: Dict[str, Any]) -> List[int]:
+    base = config["seeds"]["base"]
+    return list(range(base, base + config["seeds"]["count"]))
+
+
 def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
     """One (experiment, E) cell; returns rows plus optional traces."""
     exp = config["experiment"]
     if exp in LANE_EXPERIMENTS:
         return _lane_cells(config, [E])[0]
     g = config["grids"]
-    seeds = range(config["seeds"]["base"],
-                  config["seeds"]["base"] + config["seeds"]["count"])
-    spec = build_spec(config)
     out: Dict[str, Any] = {"rows": [], "traces": {}}
 
     if exp == "subordinacy":
         L_grid = default_l_grid(g["L_max"], g["L_decades"])
-        res = detect_subordinate(spec, E, L_grid=L_grid)
+        res = detect_subordinate(build_spec(config), E, L_grid=L_grid)
         out["rows"].append([
             E, res.classification,
             res.theta_star if res.theta_star is not None else math.nan,
@@ -401,10 +425,10 @@ def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
         ])
         out["traces"][f"ratio_E{E}"] = [(L, r) for L, r in res.ratio_trace]
     elif exp == "variation":
-        model = build_model(config)
-        base = g.get("checkpoints") or [10 ** k for k in range(2, 5)]
+        base = g["checkpoints"]
         cps = sorted(set(base) | {2 * c for c in base})
-        snaps = correction_ensemble(spec, model, E, list(seeds), cps)
+        snaps = correction_ensemble(build_spec(config), build_model(config),
+                                    E, _seeds(config), cps)
         for c in sorted(set(base)):
             i, j = cps.index(c), cps.index(2 * c)
             dev = np.linalg.norm(snaps[:, j] - snaps[:, i], axis=(1, 2))
@@ -412,10 +436,9 @@ def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
                                 float(np.mean(snaps[:, i, 0, 0])),
                                 float(np.mean(snaps[:, i, 1, 1]))])
     elif exp == "singular-stability":
-        model = build_model(config)
         L_grid = default_l_grid(g["L_max"], g["L_decades"])
-        rep = stability_experiment(spec, model, E, seeds=list(seeds),
-                                   L_grid=L_grid)
+        rep = stability_experiment(build_spec(config), build_model(config),
+                                   E, seeds=_seeds(config), L_grid=L_grid)
         out["rows"].append([E, rep.beta, rep.eta, rep.eta_tilde,
                             int(rep.lambda_member),
                             rep.ratio_psi1[-1][1], rep.ratio_psi2[-1][1],
@@ -424,9 +447,8 @@ def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
         out["traces"][f"psi1_E{E}"] = rep.ratio_psi1
         out["traces"][f"psi2_E{E}"] = rep.ratio_psi2
     elif exp == "sparse":
-        ssp = sparse_spec_of(config)
-        rep = perturbed_sparse_experiment(ssp, g["s"], list(seeds), E,
-                                          n_cut=g["n_cut"])
+        rep = perturbed_sparse_experiment(sparse_spec_of(config), g["s"],
+                                          _seeds(config), E, n_cut=g["n_cut"])
         out["rows"].append([E, rep.s, rep.s_thr, rep.theta_star,
                             rep.fit_unpert.beta1_hat, rep.fit_unpert.beta2_hat,
                             rep.beta1_pert_median, rep.beta2_pert_median,
@@ -482,9 +504,9 @@ def _guarded_chunk(config: Dict[str, Any], energies: List[float]
 def run(config: Dict[str, Any]) -> EnsembleReport:
     """Dispatch, compute all cells, and assemble the deterministic report."""
     config = materialize(config)
-    if "a" in config["model"]:
-        build_model(config).validate_against(build_spec(config))
     exp = config["experiment"]
+    if exp == "ac-scan":  # the one experiment that reads model.a
+        build_model(config).validate_against(build_spec(config))
     g = config["grids"]
     chash = config_hash(config)
     provenance = {"config": config, "config_hash": chash,

@@ -148,7 +148,6 @@ class PerturbationModel:
 class Realization:
     """One drawn perturbation sequence (the omega of the ensemble)."""
 
-    seed: int
     n_max: int
     b_tilde: np.ndarray
     a_tilde: Optional[np.ndarray] = None
@@ -186,7 +185,7 @@ def sample(model: PerturbationModel, seed: int, n_max: int) -> Realization:
         u_a = stream_uniforms(model.exp_id, "a", seed, n_max)
         a_tilde = model.a_dist.transform(u_a, sites)
         a_tilde[0] = 0.0
-    return Realization(seed=seed, n_max=n_max, b_tilde=b_tilde, a_tilde=a_tilde)
+    return Realization(n_max=n_max, b_tilde=b_tilde, a_tilde=a_tilde)
 
 
 # ---------------------------------------------------------------------------

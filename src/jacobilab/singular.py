@@ -164,7 +164,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     r1 = np.empty((len(seeds), len(L_grid)))
     r2 = np.empty((len(seeds), len(L_grid)))
     for i, s in enumerate(seeds):
-        psi1, psi2 = perturbed_solutions(spec, coefficients, rows,
+        psi1, psi2 = perturbed_solutions(coefficients, rows,
                                          sample(model, s, n_max), E,
                                          phi1, phi2)
         r1[i] = l_norms(psi1, L_grid) / norm1

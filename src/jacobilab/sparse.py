@@ -226,7 +226,6 @@ class SparseStabilityReport:
     exp1: float
     exp2: float
     sandwich_ok: bool
-    n_cut: int
     tail_bound: float
     n_seeds: int
 
@@ -320,6 +319,5 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         theta_star=theta, fit_unpert=fit_unpert,
         beta1_pert_median=b1_med, beta2_pert_median=b2_med,
         max_median_diff=diff, exp1=exp1, exp2=exp2,
-        sandwich_ok=sandwich,
-        n_cut=n_cut, tail_bound=tail_bound, n_seeds=len(seeds),
+        sandwich_ok=sandwich, tail_bound=tail_bound, n_seeds=len(seeds),
     )

@@ -200,8 +200,7 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
     Tt0 = [Mat2.identity()]
     Ttw = [Mat2.identity()]
     a = memoryview(spec.coefficients(n_max)[0])
-    zero_real = Realization(seed=-1, n_max=n_max,
-                            b_tilde=np.zeros(n_max + 1))
+    zero_real = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1))
     states = [CorrectionState(Mat2.identity(), 0)]
     D = Mat2.identity()
     for n in range(1, n_max + 1):
@@ -470,8 +469,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 # perturbed solutions
 # ---------------------------------------------------------------------------
 
-def perturbed_solutions(spec: OperatorSpec,
-                        coefficients: Tuple[np.ndarray, np.ndarray],
+def perturbed_solutions(coefficients: Tuple[np.ndarray, np.ndarray],
                         rows: _Rows, realization: Realization, E: float,
                         phi1: np.ndarray, phi2: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -482,23 +480,20 @@ def perturbed_solutions(spec: OperatorSpec,
     ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
     _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max),
     both built once by the caller for every realization and left
-    unmodified. Verifies the perturbed difference-equation residual at
-    every interior site.
+    unmodified. D(n) carries b~ alone, so a nonzero a~ is refused.
+    Verifies the perturbed difference-equation residual at every
+    interior site.
     """
     n_max = len(phi1) - 1
     if n_max > realization.n_max:
         raise InsufficientDataError("realization shorter than the pair")
+    if np.any(realization.a_tilde_or_zeros()[1:n_max + 1] != 0.0):
+        raise InvalidArgumentError("D(n) carries no a~ perturbation")
     d, _ = neumann_layers(realization.b_tilde[:n_max + 1], rows, 0,
                           range(n_max + 1))
     psi1, psi2 = phi1 * d[:, 0].T + phi2 * d[:, 1].T
-    a, b = (c.copy() for c in coefficients)
-    a[1:] += realization.a_tilde_or_zeros()[1:n_max + 1]
+    a, b = coefficients[0], coefficients[1].copy()
     b[1:] += realization.b_tilde[1:n_max + 1]
-    low = np.flatnonzero(a[1:] < spec.a_min)
-    if len(low):
-        n = int(low[0]) + 1
-        raise InvalidArgumentError(
-            f"a({n}) = {a[n]} below declared floor a_min = {spec.a_min}")
     sites = np.arange(1, n_max)
     for psi in (psi1, psi2):
         scale = float(np.max(np.abs(psi))) or 1.0

@@ -35,9 +35,12 @@ def test_materialize_fills_defaults():
     cfg = materialize({"experiment": "transfer"})
     assert cfg["spec"] == {"type": "free"}
     assert cfg["E_grid"] == [0.5]
-    assert cfg["seeds"] == {"base": 0, "count": 20}
     assert cfg["grids"]["N_j_max"] == 30
     assert cfg["workers"] == 1
+    assert "seeds" not in cfg  # transfer reads no seeds
+    cfg = materialize({"experiment": "variation"})
+    assert cfg["seeds"] == {"base": 0, "count": 20}
+    assert cfg["grids"]["checkpoints"] == [100, 1000, 10000]
 
 
 def test_materialize_rejects_unknown_keys():
@@ -75,6 +78,29 @@ def test_spec_defaults_filled_before_hashing(tmp_path, short, full):
             for f in ("config.json", "transfer.csv")}
 
     assert emitted(short, "short") == emitted(full, "full")
+
+
+def test_checkpoints_default_filled_before_hashing(tmp_path, capsys):
+    # variation's default checkpoints are materialized, so the implicit
+    # and the explicit default give one config hash and config.json
+    def emitted(grids, name):
+        cfg = write_config(tmp_path, {"E_grid": [0.5], "seeds": {"count": 2},
+                                      "grids": grids}, f"{name}.json")
+        assert main(["variation", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        return {f: (tmp_path / "out" / f).read_bytes()
+                for f in ("config.json", "variation.csv")}
+
+    implicit = emitted({}, "implicit")
+    assert implicit == emitted({"checkpoints": [100, 1000, 10000]},
+                               "explicit")
+    assert len(implicit["variation.csv"].splitlines()) == 4 + 3
+    # an empty list is refused, not replaced by the default
+    cfg = write_config(tmp_path, {"grids": {"checkpoints": []}})
+    assert main(["variation", "--config", cfg,
+                 "--out", str(tmp_path / "empty")]) == 2
+    assert "config error at grids/checkpoints:" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_energy_grid_range_form():
@@ -355,15 +381,26 @@ def test_cli_delta_constraint_violation_exits_3(tmp_path, capsys):
     assert "delta constraint fails at site 1" in capsys.readouterr().err
 
 
-def test_cli_seed_and_worker_overrides(tmp_path):
+def test_cli_seed_and_worker_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, {"E_grid": [0.0],
-                                  "grids": {"N_j_max": 12}})
-    rc = main(["transfer", "--config", cfg, "--seeds", "7", "--workers", "2",
-               "--out", str(tmp_path / "o")])
+                                  "grids": {"checkpoints": [100]}})
+    rc = main(["variation", "--config", cfg, "--seeds", "7", "--workers",
+               "2", "--out", str(tmp_path / "o")])
     assert rc == 0
     prov = json.loads((tmp_path / "o" / "config.json").read_text())
     assert prov["seeds"]["count"] == 7
     assert prov["workers"] == 2
+    # experiments that read no seed count
+    cfg = write_config(tmp_path, {}, "empty.json")
+    for experiment, path in (("transfer", "seeds"), ("ac-scan", "seeds"),
+                             ("subordinacy", "seeds"),
+                             ("inequality", "seeds/count"),
+                             ("series", "seeds/count")):
+        rc = main([experiment, "--config", cfg, "--seeds", "7",
+                   "--out", str(tmp_path / experiment)])
+        assert rc == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+        assert not (tmp_path / experiment).exists()
 
 
 def test_cli_config_workers_reach_config_json(tmp_path):
@@ -376,24 +413,207 @@ def test_cli_config_workers_reach_config_json(tmp_path):
     assert prov["workers"] == 2
 
 
-# small configs of the experiments that draw only b~ from the model
-B_ONLY_CONFIGS = {
-    # an a~ would fail every cell's perturbed residual check
+# a small config of each experiment that sets every key it reads
+SMALL_CONFIGS = {
+    "transfer": {"spec": {"type": "free"}, "E_grid": [0.5],
+                 "grids": {"N_j_max": 8}},
+    "ac-scan": {"spec": {"type": "constant", "a": 1.0, "b": 0.1},
+                "E_grid": [-0.5, 0.5],
+                "model": {"b": {"kind": "rademacher"},
+                          "a": {"kind": "uniform", "amplitude": 0.1},
+                          "delta": 0.4},
+                "grids": {"N_j_max": 8, "n_max": 1000}},
+    "subordinacy": {"spec": {"type": "free"}, "E_grid": [0.3],
+                    "grids": {"L_max": 300.0, "L_decades": 2}},
+    "variation": {"spec": {"type": "free"}, "E_grid": [0.5],
+                  "model": {"b": {"kind": "uniform"}},
+                  "seeds": {"base": 3, "count": 2},
+                  "grids": {"checkpoints": [100]}},
     "singular-stability": {
         "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
-        "E_grid": [0.6], "seeds": {"count": 2}, "grids": {"L_max": 1e3}},
-    # an a~ would be dropped: its rows equal those without it
-    "variation": {"E_grid": [0.5], "seeds": {"count": 2},
-                  "grids": {"checkpoints": [100]}},
-    "inequality": {"grids": {"trials": 200}},
-    "series": {"grids": {"trials": 200, "n_max": 1000, "n_tail": 50}},
+        "E_grid": [0.6], "model": {"b": {"kind": "uniform"}},
+        "seeds": {"base": 0, "count": 2},
+        "grids": {"L_max": 1e3, "L_decades": 3}},
+    "sparse": {"spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+               "E_grid": [0.6], "seeds": {"base": 0, "count": 2},
+               "grids": {"s": 2.0, "n_cut": 1000}},
+    "inequality": {"model": {"b": {"kind": "rademacher"}},
+                   "seeds": {"base": 0},
+                   "grids": {"N1": 1, "N2": 10, "r": 3.0, "trials": 200}},
+    "series": {"model": {"b": {"kind": "uniform"}}, "seeds": {"base": 0},
+               "grids": {"trials": 200, "n_max": 1000, "n_tail": 50}},
+}
+# the experiments that draw only b~ from the model
+B_ONLY = ("inequality", "series", "singular-stability", "variation")
+RUNTIME = {"experiment", "output", "workers"}
+# the config blocks whose keys harness.READS names one by one
+BLOCKS = ("model", "seeds", "grids")
+
+
+def names_of(config):
+    """The table names of the keys a config sets: a block key by key."""
+    names = set()
+    for key, val in config.items():
+        if key in BLOCKS:
+            names.update(f"{key}.{sub}" for sub in val)
+        else:
+            names.add(key)
+    return names
+
+
+# every settable key of CONFIG_SCHEMA (a block key by key), with a value
+SCHEMA_VALUES = {
+    "spec": {"type": "free"}, "E_grid": [0.5],
+    "model.b": {"kind": "zero"}, "model.a": {"kind": "zero"},
+    "model.delta": 0.5, "seeds.base": 0, "seeds.count": 2,
+    "grids.N_j_max": 8, "grids.L_max": 100.0, "grids.L_decades": 2,
+    "grids.n_max": 1000, "grids.N1": 1, "grids.N2": 10, "grids.r": 3.0,
+    "grids.trials": 10, "grids.n_tail": 10, "grids.s": 2.0,
+    "grids.n_cut": 1000, "grids.checkpoints": [100],
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(B_ONLY_CONFIGS))
+def test_schema_values_cover_the_schema():
+    props = harness.CONFIG_SCHEMA["properties"]
+    keys = {f"{key}.{sub}" for key in BLOCKS
+            for sub in props[key]["properties"]}
+    assert set(SCHEMA_VALUES) == keys | {"spec", "E_grid"}
+    assert set(props) == {"spec", "E_grid", "model", "seeds", "grids",
+                          "experiment", "output", "workers"}
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment in harness.EXPERIMENTS
+    for name in SCHEMA_VALUES if name not in harness.READS[experiment]])
+def test_unread_key_is_refused_at_its_path(tmp_path, capsys, experiment,
+                                           name):
+    # the path is the key itself, or its block when the experiment reads
+    # no key of that block
+    block, _, key = name.partition(".")
+    cfg = json.loads(json.dumps(SMALL_CONFIGS[experiment]))
+    if key:
+        cfg.setdefault(block, {})[key] = SCHEMA_VALUES[name]
+    else:
+        cfg[block] = SCHEMA_VALUES[name]
+    reads_block = any(n.startswith(block + ".")
+                      for n in harness.READS[experiment])
+    path = (block, key) if key and reads_block else (block,)
+    with pytest.raises(ConfigError) as exc:
+        materialize(dict(cfg, experiment=experiment))
+    assert exc.value.path == path
+    rc = main([experiment, "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error at {'/'.join(path)}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"type": "free", "a": 2.0}, "a"),
+    ({"type": "free", "j_max": 3}, "j_max"),
+    ({"type": "constant", "v": 0.5}, "v"),
+    ({"type": "sparse", "b": 0.1}, "b"),
+])
+def test_spec_key_of_another_type_is_refused(tmp_path, capsys, spec, key):
+    # a free spec has no a; accepting one would run a = 1 silently
+    with pytest.raises(ConfigError) as exc:
+        materialize({"experiment": "transfer", "spec": spec})
+    assert exc.value.path == ("spec", key)
+    cfg = write_config(tmp_path, {"spec": spec, "E_grid": [0.5]})
+    assert main(["subordinacy", "--config", cfg]) == 2
+    assert f"config error at spec/{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_materialize_is_idempotent_and_fills_only_read_keys(experiment):
+    cfg = {"experiment": experiment}
+    if experiment == "sparse":
+        cfg["spec"] = {"type": "sparse"}
+    for given in (cfg, dict(SMALL_CONFIGS[experiment], **cfg)):
+        full = materialize(given)
+        assert materialize(full) == full
+        # model.a alone has no default
+        assert names_of(full) - RUNTIME == (
+            (set(harness.READS[experiment]) - {"model.a"})
+            | (names_of(given) - RUNTIME))
+
+
+class Recorder(dict):
+    """A config whose reads are recorded in `seen` as table names.
+
+    The blocks model, seeds and grids are Recorders too, so a read of a
+    block's key records the key's dotted name; a read of the block alone
+    records nothing.
+    """
+
+    def __init__(self, data, seen, prefix=""):
+        super().__init__({k: Recorder(v, seen, k + ".")
+                          if not prefix and k in BLOCKS else v
+                          for k, v in data.items()})
+        self.seen, self.prefix = seen, prefix
+
+    def _read(self, key):
+        if self.prefix or key not in BLOCKS:
+            self.seen.add(self.prefix + key)
+
+    def __getitem__(self, key):
+        self._read(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._read(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._read(key)
+        return super().__contains__(key)
+
+    def items(self):
+        for key in self.keys():
+            self._read(key)
+        return super().items()
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_runs_read_exactly_the_table(monkeypatch, experiment):
+    # a key the table lists but the run ignores would be accepted and
+    # hashed without changing a result
+    seen = set()
+    config = Recorder(materialize(dict(SMALL_CONFIGS[experiment],
+                                       experiment=experiment)), seen)
+    # both read every key by design: materialize copies, the hash digests
+    monkeypatch.setattr(harness, "materialize", lambda c: c)
+    monkeypatch.setattr(harness, "config_hash", lambda c: "0" * 16)
+    report = run(config)
+    assert report.rows and not report.failures
+    assert seen - RUNTIME == set(harness.READS[experiment])
+
+
+def test_config_json_pins_the_run(tmp_path):
+    # each experiment's config.json holds exactly its keys, and rerunning
+    # lab on it reproduces the CSV and trace bodies
+    assert sorted(SMALL_CONFIGS) == sorted(harness.EXPERIMENTS)
+    for experiment, cfg in SMALL_CONFIGS.items():
+        assert names_of(cfg) == set(harness.READS[experiment])
+        first, second = tmp_path / experiment, tmp_path / f"{experiment}-2"
+        assert main([experiment, "--config", write_config(tmp_path, cfg),
+                     "--out", str(first)]) == 0
+        pinned = json.loads((first / "config.json").read_text())
+        assert pinned == materialize(dict(cfg, experiment=experiment,
+                                          output=str(first)))
+        assert names_of(pinned) - RUNTIME == set(harness.READS[experiment])
+        assert main([experiment, "--config", str(first / "config.json"),
+                     "--out", str(second)]) == 0
+        bodies = [{p.name: p.read_bytes() for p in out.iterdir()
+                   if p.suffix in (".csv", ".dat")}
+                  for out in (first, second)]
+        assert bodies[0] and bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("experiment", B_ONLY)
 def test_cli_model_a_where_only_b_is_drawn_exits_2(tmp_path, capsys,
                                                    experiment):
-    cfg = write_config(tmp_path, dict(B_ONLY_CONFIGS[experiment], model={
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[experiment], model={
         "a": {"kind": "uniform", "amplitude": 0.1}}))
     rc = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2

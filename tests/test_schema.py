@@ -55,7 +55,8 @@ valid_configs = st.fixed_dictionaries(
             r=st.floats(0.0, 10.0), trials=st.integers(1, 10 ** 4),
             n_tail=st.integers(1, 100), s=positive,
             n_cut=st.integers(100, 10 ** 5),
-            checkpoints=st.lists(st.integers(1, 1000), max_size=3)),
+            checkpoints=st.lists(st.integers(1, 1000), min_size=1,
+                                max_size=3)),
         "output": st.text(max_size=4),
         "workers": st.integers(1, 8),
     })

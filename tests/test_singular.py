@@ -230,9 +230,9 @@ def test_stability_builds_generator_rows_once_per_cell(monkeypatch):
     rows_seen = []
     perturbed = singular.perturbed_solutions
 
-    def perturbed_spy(spec, coefficients, rows, *args):
+    def perturbed_spy(coefficients, rows, *args):
         rows_seen.append(rows)
-        return perturbed(spec, coefficients, rows, *args)
+        return perturbed(coefficients, rows, *args)
 
     monkeypatch.setattr(singular, "perturbed_solutions", perturbed_spy)
     report = harness.run(SINGULAR_CELL)

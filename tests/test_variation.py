@@ -50,7 +50,7 @@ def random_unimodular(rng):
 
 
 def zero_realization(n_max):
-    return Realization(seed=0, n_max=n_max, b_tilde=np.zeros(n_max + 1))
+    return Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_single_site_perturbation():
     n_max, m, eps = 40, 7, 0.01
     bt = np.zeros(n_max + 1)
     bt[m] = eps
-    real = Realization(seed=0, n_max=n_max, b_tilde=bt)
+    real = Realization(n_max=n_max, b_tilde=bt)
     spec = free_laplacian()
     E = 0.5
     states = correction_recursion(spec, real, E, n_max)
@@ -533,7 +533,7 @@ def pair_and_rows(spec, E, theta, n_max):
 def test_perturbed_solutions_zero_model_exact():
     spec = free_laplacian()
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.3, 300)
-    psi1, psi2 = perturbed_solutions(spec, spec.coefficients(300), rows,
+    psi1, psi2 = perturbed_solutions(spec.coefficients(300), rows,
                                      zero_realization(300), 0.5, phi1, phi2)
     assert np.array_equal(psi1, phi1)
     assert np.array_equal(psi2, phi2)
@@ -548,7 +548,7 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
     coefficients = spec.coefficients(400)
     kept = [c.copy() for c in coefficients]
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, 400)
-    psi1, psi2 = perturbed_solutions(spec, coefficients, rows, real, 0.5,
+    psi1, psi2 = perturbed_solutions(coefficients, rows, real, 0.5,
                                      phi1, phi2)
     # the unperturbed arrays serve every realization, so stay unmodified
     assert all(np.array_equal(c, k) for c, k in zip(coefficients, kept))
@@ -558,19 +558,26 @@ def test_perturbed_solutions_satisfy_perturbed_recursion():
         assert abs(residual(psi2, a, b, 0.5, n)) <= 1e-9 * scale
 
 
-def test_perturbed_solutions_check_floor_and_length():
+def test_perturbed_solutions_refuse_a_tilde_and_short_realization():
+    # D(n) carries b~ alone: a nonzero a~ is refused up front, before it
+    # could fail the residual check; an all-zero a~ changes nothing
     spec = free_laplacian()
     n_max = 50
-    a_tilde = np.zeros(n_max + 1)
-    a_tilde[17] = -1.0  # a + ~a = 0 at site 17
-    real = Realization(seed=0, n_max=n_max, b_tilde=np.zeros(n_max + 1),
-                       a_tilde=a_tilde)
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, n_max)
-    with pytest.raises(InvalidArgumentError, match=r"a\(17\) = 0\.0 below"):
-        perturbed_solutions(spec, spec.coefficients(n_max), rows, real, 0.5,
+    a_tilde = np.zeros(n_max + 1)
+    zero_a = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1),
+                         a_tilde=a_tilde.copy())
+    psi1, psi2 = perturbed_solutions(spec.coefficients(n_max), rows, zero_a,
+                                     0.5, phi1, phi2)
+    assert np.array_equal(psi1, phi1) and np.array_equal(psi2, phi2)
+    a_tilde[5] = 0.01
+    real = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1),
+                       a_tilde=a_tilde)
+    with pytest.raises(InvalidArgumentError, match="no a~"):
+        perturbed_solutions(spec.coefficients(n_max), rows, real, 0.5,
                             phi1, phi2)
     with pytest.raises(InsufficientDataError):
-        perturbed_solutions(spec, spec.coefficients(n_max), rows,
+        perturbed_solutions(spec.coefficients(n_max), rows,
                             zero_realization(n_max - 1), 0.5, phi1, phi2)
 
 
@@ -584,7 +591,7 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
     terminal = []
     for seed in range(20):
         real = sample(model, seed, 500)
-        _, psi2 = perturbed_solutions(spec, coefficients, rows, real, 0.5,
+        _, psi2 = perturbed_solutions(coefficients, rows, real, 0.5,
                                       phi1, phi2)
         terminal.append(l_norms(psi2, [400.0])[0] / l_norms(phi2, [400.0])[0])
     med = float(np.median(terminal))
