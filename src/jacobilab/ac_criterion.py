@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LN2, OperatorSpec, growth_check, propagate, resume_state
+from .core import (LN2, OperatorSpec, growth_check, ldexp, propagate,
+                   resume_state)
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .randpert import (LOG_SAT, PerturbationModel, decade_ends,
                        decade_ratios_pass)
@@ -52,15 +53,31 @@ def _log_t2(alpha, gamma, inv_a) -> np.ndarray:
     T(n) = [[alpha(n+1), gamma(n+1)], [alpha(n), gamma(n)]];
     ||T||^2 = (g + sqrt(g^2 - 4 det^2)) / 2 from the entry-square sum g and
     det T(n) = 1/a(n), all on the exponent of site n+1 (the larger one).
+    Each row is shifted and squared once, on the exponent of the site it
+    is row n+1 of (row n0 on that of site n0), and again as row n only
+    where the exponent of its own site differs (moved).
     """
     top = np.maximum(alpha[1][1:], gamma[1][1:])
+    row_top = np.concatenate([top[:1], top])
+    moved = np.unravel_index(np.flatnonzero(top != row_top[:-1]), top.shape)
     g = np.zeros(top.shape)
-    for m, k in (alpha, gamma):
-        for rows in (slice(1, None), slice(None, -1)):
-            g += np.ldexp(m[rows], k[rows] - top) ** 2
-    det = np.ldexp(inv_a, -2 * top)
-    t2 = 0.5 * (g + np.sqrt(np.maximum(g * g - 4.0 * det * det, 0.0)))
-    return np.log(t2) + 2.0 * LN2 * top
+    for m, k in (alpha, gamma):  # g adds rows n+1 and n of alpha, then gamma
+        sq = ldexp(m, k - row_top) ** 2
+        g += sq[1:]
+        low = sq[:-1]
+        low[moved] = ldexp(m[:-1][moved], k[:-1][moved] - top[moved]) ** 2
+        g += low
+    # ln((g + sqrt(max(g^2 - 4 det^2, 0))) / 2) + 2 ln 2 top, in place
+    det = ldexp(inv_a, -2 * top)
+    det *= 4.0 * det
+    t2 = g * g
+    t2 -= det
+    np.sqrt(np.maximum(t2, 0.0, out=t2), out=t2)
+    t2 += g
+    t2 *= 0.5
+    np.log(t2, out=t2)
+    t2 += 2.0 * LN2 * top
+    return t2
 
 
 def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,

@@ -30,14 +30,22 @@ LN2 = math.log(2.0)
 # multiplies and divides by a); the latter sets it
 MIN_LANES = 16
 
-# The lane loop tests for rescales once per GROUP sites. Dividing a lane by
-# 2^e is exact through a step while its values are 0 or >= EXACT_MIN, a is
-# in [COEF_MIN, 1/COEF_MIN] and |E - b| is 0 or >= COEF_MIN: nonzero
-# products are then >= 2^-860, differences >= 2^-912 and quotients
-# >= 2^-972, all normal.
-GROUP = 64
+# The lane loop tests for rescales once per group of sites (_group_length).
+# Dividing a lane by 2^e is exact through a step while its values are 0 or
+# >= EXACT_MIN, a is in [COEF_MIN, 1/COEF_MIN] and |E - b| is 0 or
+# >= COEF_MIN: nonzero products are then >= 2^-860, differences >= 2^-912
+# and quotients >= 2^-972, all normal.
 EXACT_MIN = 2.0 ** -800
 COEF_MIN = 2.0 ** -60
+
+# A group's raw steps may multiply a state at RESCALE_LIMIT by 2^823: the
+# result stays below 2^1022, a bit under the largest finite double, which
+# covers the rounding of the steps and of the growth bound.
+GROUP_BITS = 823
+
+# For finite nonzero x, x * 2^e is +-inf at e >= 2098 and +-0 at e <= -2099,
+# so ldexp clips e to +-SHIFT_CLIP without changing any result.
+SHIFT_CLIP = 2099
 
 DEFAULT_A_MIN = 1e-6
 
@@ -160,6 +168,15 @@ def growth_check(a: np.ndarray) -> bool:
     return float(np.mean(1.0 / a[1:])) >= GAMMA_GROWTH
 
 
+def ldexp(x, e):
+    """np.ldexp(x, e) for int64 exponents e, bit for bit, at int32 speed.
+
+    numpy runs ldexp on int32 exponents about 10x faster per element than
+    on int64 ones. Clipping e to +-SHIFT_CLIP first changes no result.
+    """
+    return np.ldexp(x, np.clip(e, -SHIFT_CLIP, SHIFT_CLIP).astype(np.int32))
+
+
 def free_laplacian() -> OperatorSpec:
     return OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0)
 
@@ -278,9 +295,9 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
     rescaled on its own, so lane j of the (n_max + 1, lanes) arrays m and
     k is bit for bit the scalar call on (E[j], phi0[j], phi1[j]). Below
     MIN_LANES lanes, the scalar calls themselves are faster and are made;
-    from there on a numpy loop tests for rescales once per GROUP sites and
-    redoes with the scalar call a lane whose group leaves the range where
-    that is exact (_propagate_lanes).
+    from there on a numpy loop tests for rescales once per group of sites
+    (_group_length) and redoes with the scalar call a lane whose group
+    leaves the range where that is exact (_propagate_lanes).
     """
     if min(len(a), len(b)) < n_max:
         raise InvalidArgumentError(
@@ -307,20 +324,21 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
 def _propagate_lanes(a, b, E, phi0, phi1, n_max):
     """propagate over lanes: the scalar loop's arithmetic, one row per site.
 
-    Rows are computed GROUP sites at a time with no rescale test; a step
-    skips its multiply or divide by a(n) = 1.0, which is exact. A lane
-    that stays within RESCALE_LIMIT through the group has made the scalar
-    loop's steps. For the others, _rescale_group finds the first row past
-    the limit, gives it the scalar loop's exponent e and divides the rest
-    of the group by 2^e, again while the lane passes the limit. That is
-    the scalar loop bit for bit, since dividing by 2^e commutes exactly
-    with the step's *, - and / while no operand or result overflows or
-    turns subnormal. The range check makes sure of that: the lane's group
-    is finite, each of its scaled values (and the prev of each step after
-    a rescale) is 0 or at least EXACT_MIN, every a in the group lies in
-    [COEF_MIN, 1/COEF_MIN] and every nonzero |E - b| is at least
-    COEF_MIN. A lane that fails the check is recomputed from the group's
-    start state by the scalar call, which tests every site.
+    Rows are computed one group of sites at a time (_group_length) with
+    no rescale test; a step skips its multiply or divide by a(n) = 1.0,
+    which is exact. A lane that stays within RESCALE_LIMIT through the
+    group has made the scalar loop's steps. For the others,
+    _rescale_group finds the first row past the limit, gives it the
+    scalar loop's exponent e and divides the rest of the group by 2^e,
+    again while the lane passes the limit. That is the scalar loop bit
+    for bit, since dividing by 2^e commutes exactly with the step's *, -
+    and / while no operand or result overflows or turns subnormal. The
+    range check makes sure of that: the lane's group is finite, each of
+    its scaled values (and the prev of each step after a rescale) is 0 or
+    at least EXACT_MIN, every a in the group lies in [COEF_MIN,
+    1/COEF_MIN] and every nonzero |E - b| is at least COEF_MIN. A lane
+    that fails the check is recomputed from the group's start state by
+    the scalar call, which tests every site.
     """
     E, prev, cur = (np.array(x, dtype=float)
                     for x in np.broadcast_arrays(E, phi0, phi1))
@@ -334,27 +352,52 @@ def _propagate_lanes(a, b, E, phi0, phi1, n_max):
     shift = E - b[1:n_max, None]  # row n-2 holds E - b(n-1)
     # row n-2 holds (a(n-2), a(n-1)), the coefficients of the step to n
     steps = list(zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()))
+    group = _group_length(a[:n_max], b[1:n_max], E)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(2, n_max + 1, GROUP):
-            stop = min(start + GROUP, n_max + 1)
-            rows, group = m[start:stop], slice(start - 2, stop - 2)
+        for start in range(2, n_max + 1, group):
+            stop = min(start + group, n_max + 1)
+            rows, sites = m[start:stop], slice(start - 2, stop - 2)
             p, c = prev, cur
-            for row, s, (a_prev, a_n) in zip(rows, shift[group],
-                                              steps[group]):
+            for row, s, (a_prev, a_n) in zip(rows, shift[sites],
+                                              steps[sites]):
                 np.multiply(s, c, out=row)
                 row -= p if a_prev == 1.0 else a_prev * p
                 if a_n != 1.0:
                     row /= a_n
                 p, c = c, row
-            for j in _rescale_group(rows, k[start:stop], cur, shift[group],
+            for j in _rescale_group(rows, k[start:stop], cur, shift[sites],
                                     a[start - 2:stop - 1]):
                 m_j, k_j = propagate(
                     a[start - 2:stop - 1], b[start - 2:stop - 1],
                     *map(float, (E[j], prev[j], cur[j])), stop - start + 1)
                 rows[:, j], k[start:stop, j] = m_j[2:], np.diff(k_j)[1:]
             # the state goes onto the exponent of the group's last row
-            prev, cur = np.ldexp(m[stop - 2], -k[stop - 1]), m[stop - 1]
+            prev, cur = ldexp(m[stop - 2], -k[stop - 1]), m[stop - 1]
     return m, np.cumsum(k, axis=0, out=k)
+
+
+def _group_length(a, b, E):
+    """Raw steps per lane group: as many as a bound on growth allows.
+
+    a holds a(n-2) and b holds b(n-1) for the steps to every site n of
+    the call, E the lanes' energies. A step takes max(|phi(n-1)|,
+    |phi(n-2)|) to at most (max |E - b| + max a) / min(min a, 1) times
+    it, and so does each of its products, so GROUP_BITS / log2 of that
+    many steps keep a state at RESCALE_LIMIT finite. A lane that starts
+    a group within the limit, keeps its coefficients in the exact range
+    and stays finite under the scalar call is then never redone. Energies
+    that are nan are skipped. The length is at least 1 and at most the
+    call's steps.
+    """
+    steps = len(b)
+    if not steps:
+        return 1
+    reach = max(abs(np.fmax.reduce(E) - b.min()),
+                abs(np.fmin.reduce(E) - b.max()))
+    growth = (reach + a.max()) / min(a.min(), 1.0)
+    if not growth > 1.0:  # no growth, or no energy but nan
+        return steps
+    return max(1, min(steps, int(GROUP_BITS / math.log2(growth))))
 
 
 def _rescale_group(rows, k, cur, shift, a):
@@ -383,10 +426,10 @@ def _rescale_group(rows, k, cur, shift, a):
         r = over[:, lanes].argmax(axis=0)  # the first row past the limit
         e = np.frexp(sub[r, lanes])[1]
         sub_k[r, lanes] = e
-        before = np.ldexp(np.where(r > 0, sub[r - 1, lanes], cur[hot[lanes]]),
-                          -e)
+        before = ldexp(np.where(r > 0, sub[r - 1, lanes], cur[hot[lanes]]),
+                       -e)
         exact[lanes] &= _exact_range(before)
-        sub[:, lanes] = np.ldexp(sub[:, lanes], np.where(row >= r, -e, 0))
+        sub[:, lanes] = ldexp(sub[:, lanes], np.where(row >= r, -e, 0))
     exact &= _exact_range(sub).all(axis=0)
     s = np.abs(shift[:, hot])
     exact &= ((s >= COEF_MIN) | (s == 0.0)).all(axis=0)
@@ -409,7 +452,7 @@ def resume_state(m: np.ndarray, k: np.ndarray):
     cur, n) then gives rows 1..n of the uninterrupted run, sites s..s+n-1,
     bit for bit, with exponents k_cur + k. Rows are lanes or scalars.
     """
-    return np.ldexp(m[-2], k[-2] - k[-1]), m[-1], k[-1]
+    return ldexp(m[-2], k[-2] - k[-1]), m[-1], k[-1]
 
 
 def solve_forward(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
@@ -423,7 +466,7 @@ def solve_forward(a: np.ndarray, b: np.ndarray, E: float, phi0: float,
         raise InvalidArgumentError("initial data must be nonzero")
     m, k = propagate(a, b, E, phi0, phi1, n_max)
     with np.errstate(over="ignore"):
-        values = np.ldexp(m, k)
+        values = ldexp(m, k)
     # first computed site outside the representable range (nan included)
     bad = np.flatnonzero(~(np.abs(values[2:]) <= ENTRY_LIMIT))
     if len(bad):

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import LN2, OperatorSpec, propagate, solve_forward
+from .core import LN2, OperatorSpec, ldexp, propagate, solve_forward
 from .errors import InsufficientDataError, InvalidArgumentError
 
 TAU_SUB = 1e-3
@@ -122,8 +122,8 @@ def _grid_log_ratio(a: np.ndarray, b: np.ndarray, E: float,
                               for phi0, phi1 in ((0.0, 1.0), (1.0, 0.0)))
     # k is nondecreasing: the last site carries the largest exponent
     top = max(k_a[-1], k_g[-1])
-    alpha = np.ldexp(m_a[1:], k_a[1:] - top)
-    gamma = np.ldexp(m_g[1:], k_g[1:] - top)
+    alpha = ldexp(m_a[1:], k_a[1:] - top)
+    gamma = ldexp(m_g[1:], k_g[1:] - top)
     g_aa, g_ag, g_gg = alpha @ alpha, alpha @ gamma, gamma @ gamma
     c, s = np.cos(thetas), np.sin(thetas)
     sq1 = c * c * g_aa - 2.0 * c * s * g_ag + s * s * g_gg

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jacobilab import ac_criterion, harness
 from jacobilab.ac_criterion import (
     BLOCK,
+    _log_t2,
     _log_t2_blocks,
     cesaro_scan,
     default_n_grid,
@@ -18,6 +19,7 @@ from jacobilab.ac_criterion import (
     log_t2_stream,
 )
 from jacobilab.core import (
+    LN2,
     OperatorSpec,
     free_laplacian,
     residual,
@@ -125,6 +127,48 @@ def test_energy_lanes_match_scalar_stream_bit_for_bit(seed, n, n_E, data):
     assert all(len(block) <= BLOCK for _, block in blocks)
     assert {last for last, _ in blocks} >= set(stops)
     assert np.array_equal(np.concatenate([block for _, block in blocks]), lt2)
+
+
+def log_t2_four_terms(alpha, gamma, inv_a):
+    """_log_t2 with each row shifted and squared on both of its sites."""
+    top = np.maximum(alpha[1][1:], gamma[1][1:])
+    g = np.zeros(top.shape)
+    for m, k in (alpha, gamma):
+        for rows in (slice(1, None), slice(None, -1)):
+            g += np.ldexp(m[rows], k[rows] - top) ** 2
+    det = np.ldexp(inv_a, -2 * top)
+    t2 = 0.5 * (g + np.sqrt(np.maximum(g * g - 4.0 * det * det, 0.0)))
+    return np.log(t2) + 2.0 * LN2 * top
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([(), (1,), (4,)]), st.data())
+def test_log_t2_is_the_four_term_sum_bit_for_bit(n, lanes, data):
+    # rows 0..n of alpha and gamma, with rescales (exponent steps) drawn on
+    # rows apart for each and per lane; rows 1, 2 and n (the first and the
+    # last rows whose step moves the exponent between two sites) are drawn
+    # more often
+    shape, width = (n + 1, *lanes), int(np.prod(lanes))
+    edges = st.sampled_from(sorted({1, min(2, n), n}))
+    base = data.draw(st.integers(0, 10 ** 6))
+    pair = []
+    for _ in range(2):
+        m = np.array(data.draw(st.lists(
+            st.floats(-(2.0 ** 199), 2.0 ** 199) | st.just(0.0),
+            min_size=(n + 1) * width, max_size=(n + 1) * width)))
+        steps = np.zeros((n + 1, width), dtype=np.int64)
+        for row in data.draw(st.sets(st.integers(1, n)) | st.sets(edges)):
+            steps[row] = data.draw(st.lists(st.integers(0, 400),
+                                            min_size=width, max_size=width))
+        k = base + data.draw(st.integers(0, 400)) + np.cumsum(steps, axis=0)
+        pair.append((m.reshape(shape), k.reshape(shape)))
+    inv_a = 1.0 / np.array(data.draw(st.lists(
+        st.floats(1e-6, 1e6), min_size=n, max_size=n)))
+    if lanes:
+        inv_a = inv_a[:, None]
+    with np.errstate(divide="ignore"):
+        assert (_log_t2(*pair, inv_a).tobytes()
+                == log_t2_four_terms(*pair, inv_a).tobytes())
 
 
 def test_cesaro_free_E0_all_ones():

@@ -1,22 +1,26 @@
 """Transfer-matrix kernel: 2x2 algebra, products, fast constant powers."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jacobilab import core
 from jacobilab.core import (
-    GROUP,
+    COEF_MIN,
     MIN_LANES,
     RESCALE_LIMIT,
     Mat2,
     OperatorSpec,
+    _group_length,
     constant_spec,
     fast_const_power,
     free_laplacian,
     growth_check,
+    ldexp,
     naive_power,
     propagate,
     residual,
@@ -306,28 +310,29 @@ def random_coefficients(rng, n, wide):
     return a, rng.uniform(-1.0, 1.0, n + 1)
 
 
-# the last row of the lane loop's first group of sites (rows 2..GROUP+1)
-LAST_ROW = GROUP + 1
-
-
 def random_lanes(rng, n_lanes, a, b):
-    """(E, phi0, phi1) and a kind per lane; lanes 0-3 and the last are set.
+    """(E, phi0, phi1) and a kind per lane; lanes 0-4 and the last are set.
 
-    For a in [0.3, 3]:
+    For a in [0.3, 3], where kind 4 sets the group length to 14-17 sites:
     0. elliptic-range E, mixed initial vectors;
     1. |E| in [30, 50], phi1 = 1: grows by >= 8 per site, so passes the
        rescale threshold within 70 sites (lane 0);
-    2. starts at 1e308, turns to inf (|E - b| >= 3), then nan (last lane);
-    3. |E| in [1e3, 1e4]: passes the threshold every 17 to 24 sites, two
-       to four times in each group of sites (lane 1);
-    4. |E| in [1e14, 1e16]: a group overflows unscaled, so its rows are
-       recomputed site by site (lane 2);
+    2. starts at 1e308, turns to inf (|E - b| >= 3), then nan (last lane):
+       its first group is redone by the scalar call;
+    3. |E| in [1e3, 1e4]: passes the threshold every 17 to 24 sites
+       (lane 1);
+    4. |E| in [1e14, 1e16]: passes the threshold every 4 to 5 sites, two
+       to four times in each group (lane 2);
     5. kind 1 with phi0 = 0 and phi1 the power of two that puts the first
-       rescale on LAST_ROW, the last row of a group (lane 3).
+       rescale on the last row of the first group (lane 3);
+    6. kind 3 from phi1 = 2^1000, past the threshold: the scalar call
+       rescales it at site 2, while its first group overflows unscaled
+       and is redone (lane 4).
+    Returns the lanes, their kinds and the last row of the first group.
     """
     kind = rng.integers(0, 2, n_lanes)
-    kind[:4], kind[-1] = (1, 3, 4, 5), 2
-    size = np.select([kind == 0, kind == 2, kind == 3, kind == 4],
+    kind[:5], kind[-1] = (1, 3, 4, 5, 6), 2
+    size = np.select([kind == 0, kind == 2, np.isin(kind, (3, 6)), kind == 4],
                      [rng.uniform(0.0, 4.0, n_lanes), 4.0,
                       10.0 ** rng.uniform(3.0, 4.0, n_lanes),
                       10.0 ** rng.uniform(14.0, 16.0, n_lanes)],
@@ -336,43 +341,67 @@ def random_lanes(rng, n_lanes, a, b):
     E[kind == 2] = 4.0
     phi0 = np.where(np.isin(kind, (2, 5)), 0.0,
                     rng.uniform(-1.0, 1.0, n_lanes))
-    phi1 = np.select([kind == 0, kind == 2], [rng.uniform(-1.0, 1.0, n_lanes),
-                                              1e308], 1.0)
-    if len(a) > LAST_ROW:
+    phi1 = np.select([kind == 0, kind == 2, kind == 6],
+                     [rng.uniform(-1.0, 1.0, n_lanes), 1e308, 2.0 ** 1000],
+                     1.0)
+    n = len(a) - 1
+    last_row = _group_length(a[:n], b[1:n], E) + 1  # rows 2..last_row
+    if n > last_row:
         # the plain solution scales exactly with phi1 = 2^j
-        u = np.abs(np.ldexp(*propagate(a, b, E[3], 0.0, 1.0, LAST_ROW)))
+        u = np.abs(np.ldexp(*propagate(a, b, E[3], 0.0, 1.0, last_row)))
         if np.isfinite(u[-1]) and u[-1] > 0.0:
             j = 200 - math.frexp(u[-1])[1]  # u[-1] * 2^j in [2^199, 2^200)
             if abs(j) < 900 and u[-1] * 2.0 ** j > RESCALE_LIMIT >= np.max(
                     u[2:-1]) * 2.0 ** j:
                 phi1[3] = 2.0 ** j
-    return E, phi0, phi1, kind
+    return E, phi0, phi1, kind, last_row
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 600),
-       st.integers(max(MIN_LANES, 5), 2 * MIN_LANES), st.booleans(),
+       st.integers(max(MIN_LANES, 6), 2 * MIN_LANES), st.booleans(),
        st.data())
 def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
                                                        wide, data):
     rng = np.random.default_rng(seed)
     a, b = random_coefficients(rng, n, wide)
-    E, phi0, phi1, kind = random_lanes(rng, n_lanes, a, b)
-    m, k = propagate(a, b, E, phi0, phi1, n)
+    E, phi0, phi1, kind, last_row = random_lanes(rng, n_lanes, a, b)
+    redo_energies = []  # E of each scalar call the lane loop makes
+
+    def spy(a, b, E, *state):
+        redo_energies.append(E)
+        return propagate(a, b, E, *state)
+
+    with patch.object(core, "propagate", spy):
+        m, k = propagate(a, b, E, phi0, phi1, n)
     assert m.shape == k.shape == (n + 1, n_lanes)
-    scalar_k = []
+    scalar_m, scalar_k = [], []
     for j in range(n_lanes):
         m_j, k_j = propagate(a, b, float(E[j]), float(phi0[j]),
                              float(phi1[j]), n)
         assert np.array_equal(m[:, j], m_j, equal_nan=True)
         assert np.array_equal(k[:, j], k_j)
+        scalar_m.append(m_j)
         scalar_k.append(k_j)
         if not wide and kind[j] == 1 and n >= 100:
             assert k_j[-1] > 0  # the lane was rescaled
-    if not wide and n > LAST_ROW:
-        first_group = np.diff(scalar_k[1][:LAST_ROW + 1]) > 0
+    if not wide and n > last_row:
+        first_group = np.diff(scalar_k[2][:last_row + 1]) > 0
         assert np.count_nonzero(first_group) >= 2
-        assert scalar_k[3][LAST_ROW] > scalar_k[3][LAST_ROW - 1] == 0
+        assert scalar_k[3][last_row] > scalar_k[3][last_row - 1] == 0
+
+    # the scalar call redoes the inf lane, and no lane that starts within
+    # the limit, has its coefficients in the exact range and stays finite
+    redone = np.isin(E, redo_energies)
+    assert redone[-1]
+    shift = np.abs(E - b[1:n, None])
+    exact_coefficients = (((shift == 0.0) | (shift >= COEF_MIN)).all(axis=0)
+                          & (COEF_MIN <= a[:n].min())
+                          & (a[:n].max() <= 1.0 / COEF_MIN))
+    kept = (np.isfinite(scalar_m).all(axis=1)
+            & (np.maximum(np.abs(phi0), np.abs(phi1)) <= RESCALE_LIMIT)
+            & exact_coefficients)
+    assert not (redone & kept).any()
 
     # a run resumed from resume_state at site s is the unbroken run
     s = data.draw(st.integers(2, n))
@@ -382,6 +411,27 @@ def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
     assert np.array_equal(m1, m[:s + 1], equal_nan=True)
     assert np.array_equal(m2[1:], m[s:], equal_nan=True)
     assert np.array_equal(k_s + k2[1:], k[s:])
+
+
+# values and exponents where np.ldexp changes behaviour: signed zeros,
+# subnormals, the rescale limit, the largest double, inf and nan
+shift_values = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 2.0 ** 199, -(2.0 ** 199),
+    1.7976931348623157e308, math.inf, -math.inf, math.nan])
+shift_exponents = (st.integers(-(2 ** 40), 2 ** 40) | st.integers(-2200, 2200)
+                   | st.sampled_from([-2099, -2098, 2098, 2099, -(2 ** 31),
+                                      2 ** 31 - 1, 2 ** 31]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(shift_values, shift_exponents), min_size=1,
+                max_size=40))
+def test_ldexp_is_numpy_ldexp_of_int64_exponents_bit_for_bit(pairs):
+    x, e = np.array(pairs, dtype=object).T
+    x, e = x.astype(float), e.astype(np.int64)
+    with np.errstate(over="ignore", under="ignore"):
+        assert ldexp(x, e).tobytes() == np.ldexp(x, e).tobytes()
+        assert ldexp(x[0], e[0]).tobytes() == np.ldexp(x[0], e[0]).tobytes()
 
 
 def test_propagate_rejects_short_coefficient_arrays():
