@@ -443,6 +443,8 @@ SMALL_CONFIGS = {
     "series": {"model": {"b": {"kind": "uniform"}}, "seeds": {"base": 0},
                "grids": {"trials": 200, "n_max": 1000, "n_tail": 50}},
 }
+# the experiments that draw only b~ from the model
+B_ONLY = ("inequality", "series", "singular-stability", "variation")
 RUNTIME = {"experiment", "output", "workers"}
 # the config blocks whose keys harness.READS names one by one
 BLOCKS = ("model", "seeds", "grids")
@@ -609,6 +611,17 @@ def test_config_json_pins_the_run(tmp_path):
                    if p.suffix in (".csv", ".dat")}
                   for out in (first, second)]
         assert bodies[0] and bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("experiment", B_ONLY)
+def test_cli_model_a_where_only_b_is_drawn_exits_2(tmp_path, capsys,
+                                                   experiment):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[experiment], model={
+        "a": {"kind": "uniform", "amplitude": 0.1}}))
+    rc = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error at model/a" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
