@@ -88,8 +88,9 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
     energies[j]. A block holds at most BLOCK sites and ends at every site
     in stops. One lane call of propagate per block carries the canonical
     pair of every energy on from the state of the block before
-    (resume_state), so each column is bit for bit the scalar
-    log_t2_stream, in O(BLOCK x energies) memory.
+    (resume_state), so each column is bit for bit one scalar pass of its
+    energy over all sites (log_t2_stream in tests/oracles.py), in
+    O(BLOCK x energies) memory.
     """
     E = np.asarray(energies, dtype=float)
     n_E, n_max = len(E), len(a) - 1
@@ -107,19 +108,6 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
                             1.0 / a[first:last + 1, None])
         prev, cur, base = resume_state(m, k)
         first = last + 1
-
-
-def log_t2_stream(a: np.ndarray, b: np.ndarray, E) -> np.ndarray:
-    """ln t^E(n)^2 for n = 1..len(a)-1 (entry n-1 holds site n).
-
-    a, b hold sites 0..n_max. For a 1-D array of energies, column j holds
-    energies[j], from one lane pass (_log_t2_blocks).
-    """
-    if np.ndim(E):
-        return np.concatenate([lt2 for _, lt2 in _log_t2_blocks(a, b, E)])
-    alpha, gamma = ((m[1:], k[1:]) for m, k in (
-        propagate(a, b, E, phi0, phi1, len(a)) for phi0, phi1 in CANONICAL))
-    return _log_t2(alpha, gamma, 1.0 / a[1:])
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Jacobi difference-equation and transfer-matrix kernel.
 
-Real 2x2 matrices, one-step and n-step transfer products for a Jacobi
+One-step transfer matrices, as (2, 2) float arrays, for a Jacobi
 operator with off-diagonal a(n) > 0 and diagonal b(n), the one forward
 propagation of the three-term recursion (exactly rescaled by powers of
 two), and an O(log m) power for constant unimodular blocks (used for
@@ -47,86 +47,11 @@ GROUP_BITS = 823
 # so ldexp clips e to +-SHIFT_CLIP without changing any result.
 SHIFT_CLIP = 2099
 
+# Floor every a(n) must reach (OperatorSpec.a_at).
 DEFAULT_A_MIN = 1e-6
 
 # Floor on the growth proxy (1/L) sum 1/a(n) of a finite truncation.
 GAMMA_GROWTH = 1e-3
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """Real 2x2 matrix with the handful of operations the cocycle needs."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def apply(self, v1: float, v2: float) -> tuple[float, float]:
-        return (self.m11 * v1 + self.m12 * v2, self.m21 * v1 + self.m22 * v2)
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def inv_unimodular(self) -> "Mat2":
-        """Inverse assuming det = 1 (exact adjugate, no division)."""
-        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
-
-    def norm(self) -> float:
-        """Spectral norm: the larger singular value, in closed form.
-
-        (|(m11 + m22, m12 - m21)| + |(m11 - m22, m12 + m21)|) / 2 adds two
-        nonnegative terms, so it keeps full relative precision where the
-        singular values nearly coincide (there g^2 - 4 det^2 cancels).
-        """
-        m = self.max_abs()
-        if m > 1e300:  # keep the entry sums finite
-            return m * self.scaled(1.0 / m).norm()
-        return 0.5 * (math.hypot(self.m11 + self.m22, self.m12 - self.m21)
-                      + math.hypot(self.m11 - self.m22, self.m12 + self.m21))
-
-    def max_abs(self) -> float:
-        return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
-
-    def scaled(self, c: float) -> "Mat2":
-        return Mat2(c * self.m11, c * self.m12, c * self.m21, c * self.m22)
-
-    def sub(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 - other.m11,
-            self.m12 - other.m12,
-            self.m21 - other.m21,
-            self.m22 - other.m22,
-        )
-
-    def isfinite(self) -> bool:
-        return all(
-            math.isfinite(x) for x in (self.m11, self.m12, self.m21, self.m22)
-        )
-
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [[self.m11, self.m12], [self.m21, self.m22]], dtype=float
-        )
-
-    @staticmethod
-    def from_array(a) -> "Mat2":
-        return Mat2(float(a[0][0]), float(a[0][1]), float(a[1][0]), float(a[1][1]))
 
 
 @dataclass
@@ -138,15 +63,14 @@ class OperatorSpec:
 
     a: Callable[[int], float]
     b: Callable[[int], float]
-    a_min: float = DEFAULT_A_MIN
 
     def a_at(self, n: int) -> float:
         if n == 0:
             return 1.0
         an = self.a(n)
-        if an < self.a_min:
+        if an < DEFAULT_A_MIN:
             raise InvalidArgumentError(
-                f"a({n}) = {an} below declared floor a_min = {self.a_min}"
+                f"a({n}) = {an} below declared floor a_min = {DEFAULT_A_MIN}"
             )
         return an
 
@@ -185,35 +109,12 @@ def constant_spec(a_const: float = 1.0, b_const: float = 0.0) -> OperatorSpec:
     return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
 
 
-def single_step(E: float, b_n: float, a_n: float, a_prev: float) -> Mat2:
+def single_step(E: float, b_n: float, a_n: float,
+                a_prev: float) -> np.ndarray:
     """One-step transfer matrix [[(E-b)/a_n, -a_prev/a_n], [1, 0]]."""
     if a_n <= 0.0 or a_prev <= 0.0:
         raise InvalidArgumentError("off-diagonal entries must be positive")
-    return Mat2((E - b_n) / a_n, -a_prev / a_n, 1.0, 0.0)
-
-
-def transfer_product(spec: OperatorSpec, E: float, n: int,
-                     return_norms: bool = False):
-    """Product S(n) ... S(1) of single-step matrices.
-
-    With return_norms, also returns the list [t(1), ..., t(n)] of spectral
-    norms of the partial products. Raises OverflowSiteError when entries
-    leave the representable range.
-    """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    a, b = map(memoryview, spec.coefficients(n))
-    T = Mat2.identity()
-    norms = [] if return_norms else None
-    for k in range(1, n + 1):
-        T = single_step(E, b[k], a[k], a[k - 1]) @ T
-        if T.max_abs() > ENTRY_LIMIT or not T.isfinite():
-            raise OverflowSiteError(k)
-        if return_norms:
-            norms.append(T.norm())
-    if return_norms:
-        return T, norms
-    return T
+    return np.array([[(E - b_n) / a_n, -a_prev / a_n], [1.0, 0.0]])
 
 
 def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
@@ -246,7 +147,7 @@ def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
         return float(p), float(q)
 
 
-def fast_const_power(S: Mat2, m: int) -> Mat2:
+def fast_const_power(S: np.ndarray, m: int) -> np.ndarray:
     """S^m for a det-1 matrix, in O(log m) or via the closed Chebyshev form.
 
     Cayley-Hamilton gives S^m = U_{m-1}(tr S / 2) S - U_{m-2}(tr S / 2) I
@@ -256,27 +157,17 @@ def fast_const_power(S: Mat2, m: int) -> Mat2:
     """
     if m < 0:
         raise InvalidArgumentError("exponent must be nonnegative")
-    if abs(S.det() - 1.0) > 1e-12:
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    if abs(det - 1.0) > 1e-12:
         raise InvalidArgumentError(
-            f"fast_const_power needs det = 1, got {S.det()}"
+            f"fast_const_power needs det = 1, got {det}"
         )
     if m == 0:
-        return Mat2.identity()
+        return np.eye(2)
     if m == 1:
         return S
-    p, q = _cheb_u_pair(S.trace(), m)
-    return Mat2(
-        p * S.m11 - q, p * S.m12,
-        p * S.m21, p * S.m22 - q,
-    )
-
-
-def naive_power(S: Mat2, m: int) -> Mat2:
-    """Repeated multiplication; the oracle fast_const_power is tested against."""
-    T = Mat2.identity()
-    for _ in range(m):
-        T = S @ T
-    return T
+    p, q = _cheb_u_pair(S[0, 0] + S[1, 1], m)
+    return p * S - q * np.eye(2)
 
 
 def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,

@@ -101,14 +101,6 @@ class SiteDistribution:
         return self.amplitude * x / np.asarray(n, dtype=float) ** self.decay
 
 
-def zero_distribution() -> SiteDistribution:
-    return SiteDistribution(kind="zero", amplitude=0.0)
-
-
-def uniform_over_n(amplitude: float = 1.0, decay: float = 1.0) -> SiteDistribution:
-    return SiteDistribution(kind="uniform", amplitude=amplitude, decay=decay)
-
-
 @dataclass(frozen=True)
 class PerturbationModel:
     """Independent zero-mean per-site perturbations of b (and optionally a)."""

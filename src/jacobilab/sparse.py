@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Mat2, OperatorSpec, fast_const_power, single_step
+from .core import OperatorSpec, fast_const_power, single_step
 from .errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -68,7 +68,7 @@ class EnvelopeFit:
     residual: float
 
 
-def _free_block(E: float) -> Mat2:
+def _free_block(E: float) -> np.ndarray:
     if not -2.0 < E < 2.0:
         raise UnsupportedModelError(
             "fast sparse propagation requires |E| < 2 (elliptic free blocks)"
@@ -76,7 +76,8 @@ def _free_block(E: float) -> Mat2:
     return single_step(E, 0.0, 1.0, 1.0)
 
 
-def block_matrices(sspec: SparseSpec, E: float) -> List[Tuple[Mat2, Mat2]]:
+def block_matrices(sspec: SparseSpec,
+                   E: float) -> List[Tuple[np.ndarray, np.ndarray]]:
     """(free-gap power, bump step) per bump, in propagation order.
 
     The free factor carries the state from just after bump j-1 to just
@@ -100,12 +101,11 @@ class SparsePropagation:
     amp2: np.ndarray
     states1: np.ndarray      # pre-bump states (phi(n_j), phi(n_j - 1))
     states2: np.ndarray
-    wronskian: np.ndarray
 
 
 def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
-                     blocks: Optional[List[Tuple[Mat2, Mat2]]] = None
-                     ) -> SparsePropagation:
+                     blocks: Optional[List[Tuple[np.ndarray, np.ndarray]]]
+                     = None) -> SparsePropagation:
     """Amplitudes (|phi(n_j - 1)|^2 + |phi(n_j)|^2)^{1/2} at every bump.
 
     phi1 starts from (phi(0), phi(1)) = (-sin t, cos t); phi2 from the
@@ -113,27 +113,26 @@ def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
     """
     if blocks is None:
         blocks = block_matrices(sspec, E)
-    s1 = np.array([math.cos(theta), -math.sin(theta)])
-    s2 = np.array([math.sin(theta), math.cos(theta)])
-    J = len(blocks)
-    st1 = np.empty((J, 2))
-    st2 = np.empty((J, 2))
+    pair = [(math.cos(theta), -math.sin(theta)),
+            (math.sin(theta), math.cos(theta))]
+    st1, st2 = states = np.empty((2, len(blocks), 2))
     for j, (F, B) in enumerate(blocks):
-        for s, st in ((s1, st1), (s2, st2)):
-            x, y = F.apply(s[0], s[1])
-            st[j, 0], st[j, 1] = x, y
-        s1 = np.array(B.apply(st1[j, 0], st1[j, 1]))
-        s2 = np.array(B.apply(st2[j, 0], st2[j, 1]))
+        (f11, f12), (f21, f22) = F.tolist()
+        (b11, b12), (b21, b22) = B.tolist()
+        for i, (x, y) in enumerate(pair):
+            x, y = f11 * x + f12 * y, f21 * x + f22 * y
+            states[i, j] = x, y
+            pair[i] = b11 * x + b12 * y, b21 * x + b22 * y
     amp1 = np.sqrt(st1[:, 0] ** 2 + st1[:, 1] ** 2)
     amp2 = np.sqrt(st2[:, 0] ** 2 + st2[:, 1] ** 2)
-    wron = st1[:, 0] * st2[:, 1] - st1[:, 1] * st2[:, 0]
     return SparsePropagation(
         bump_sites=list(sspec.bump_sites), amp1=amp1, amp2=amp2,
-        states1=st1, states2=st2, wronskian=wron)
+        states1=st1, states2=st2)
 
 
 def find_subordinate_angle(sspec: SparseSpec, E: float,
-                           blocks: Optional[List[Tuple[Mat2, Mat2]]] = None
+                           blocks: Optional[List[Tuple[np.ndarray,
+                                                       np.ndarray]]] = None
                            ) -> float:
     """Boundary angle minimizing the terminal bump amplitude of phi1."""
     if blocks is None:
@@ -143,9 +142,9 @@ def find_subordinate_angle(sspec: SparseSpec, E: float,
         x = np.cos(theta_arr)
         y = -np.sin(theta_arr)
         for F, B in blocks:
-            x, y = F.m11 * x + F.m12 * y, F.m21 * x + F.m22 * y
+            x, y = F[0, 0] * x + F[0, 1] * y, F[1, 0] * x + F[1, 1] * y
             amp = np.hypot(x, y)
-            x, y = B.m11 * x + B.m12 * y, B.m21 * x + B.m22 * y
+            x, y = B[0, 0] * x + B[0, 1] * y, B[1, 0] * x + B[1, 1] * y
         return amp  # amplitude at the last bump, pre-step
 
     return minimize_boundary_angle(

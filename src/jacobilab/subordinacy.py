@@ -64,11 +64,6 @@ def solve_pair(a: np.ndarray, b: np.ndarray, E: float, theta: float,
             solve_forward(a, b, E, math.cos(theta), math.sin(theta), n_max))
 
 
-def wronskian(phi1: np.ndarray, phi2: np.ndarray, n: int) -> float:
-    """phi1(n) phi2(n-1) - phi1(n-1) phi2(n); constant 1 when a == 1."""
-    return phi1[n] * phi2[n - 1] - phi1[n - 1] * phi2[n]
-
-
 def pair_log_lnorms(a: np.ndarray, b: np.ndarray, E: float, theta: float,
                     L_grid: Sequence[float]):
     """log ||phi1||_L and log ||phi2||_L on a grid of L values.

@@ -16,7 +16,6 @@ from jacobilab.ac_criterion import (
     cesaro_scan,
     default_n_grid,
     gamma_membership,
-    log_t2_stream,
 )
 from jacobilab.core import (
     LN2,
@@ -24,18 +23,19 @@ from jacobilab.core import (
     free_laplacian,
     residual,
     solve_forward,
-    transfer_product,
 )
-from jacobilab.errors import InvalidArgumentError, UnsupportedModelError
+from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
     LOG_SAT,
     PerturbationModel,
     SiteDistribution,
     decade_log_sums,
     decade_ratios_pass,
-    uniform_over_n,
-    zero_distribution,
 )
+from oracles import log_t2_stream, spectral_norm, transfer_product
+
+ZERO = SiteDistribution(kind="zero", amplitude=0.0)
+UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 
 
 def test_default_n_grid_shape():
@@ -49,7 +49,7 @@ def test_log_t2_stream_matches_norms():
     for E in (0.5, 1.7, 2.0):
         logs = list(log_t2_stream(*spec.coefficients(40), E))
         for n in (1, 7, 40):
-            t = transfer_product(spec, E, n).norm()
+            t = spectral_norm(transfer_product(spec, E, n))
             assert logs[n - 1] == pytest.approx(2.0 * math.log(t), abs=1e-9)
 
 
@@ -226,14 +226,14 @@ def gamma(spec, model, energies, N_max=10 ** 5):
 
 
 def test_gamma_zero_model_member():
-    model = PerturbationModel(b_dist=zero_distribution())
+    model = PerturbationModel(b_dist=ZERO)
     [(member, psum)] = gamma(free_laplacian(), model, [0.5])
     assert member and psum == 0.0
 
 
 def test_gamma_member_interior_energy():
     # b~ = X/n uniform: <b~^2> = 1/(3n^2), t bounded -> convergent
-    model = PerturbationModel(b_dist=uniform_over_n())
+    model = PerturbationModel(b_dist=UNIFORM)
     [(member, psum)] = gamma(free_laplacian(), model, [0.5],
                              N_max=10 ** 4)
     assert member
@@ -248,7 +248,7 @@ def test_gamma_member_interior_energy():
 
 def test_gamma_nonmember_band_edge():
     # E = 2: t ~ 2n, terms ~ n^2 / n^2 -> decade sums grow
-    model = PerturbationModel(b_dist=uniform_over_n())
+    model = PerturbationModel(b_dist=UNIFORM)
     [(member, psum)] = gamma(free_laplacian(), model, [2.0],
                              N_max=10 ** 4)
     assert not member
@@ -260,8 +260,9 @@ def test_gamma_monotone_in_moments():
     # must stay non-member, and membership of the scaled model implies
     # membership of the base model
     for E in (0.5, 2.0):
-        base = PerturbationModel(b_dist=uniform_over_n(amplitude=1.0))
-        big = PerturbationModel(b_dist=uniform_over_n(amplitude=2.0))
+        base = PerturbationModel(b_dist=UNIFORM)
+        big = PerturbationModel(b_dist=SiteDistribution(
+            kind="uniform", amplitude=2.0, decay=1.0))
         [(m_base, s_base)] = gamma(free_laplacian(), base, [E], 10 ** 4)
         [(m_big, s_big)] = gamma(free_laplacian(), big, [E], 10 ** 4)
         assert m_base == m_big  # scalar scaling never flips the ratio verdict
@@ -273,7 +274,7 @@ def test_gamma0_subset_gamma():
     for E in (-1.5, 0.0, 0.5, 1.5):
         [rep] = cesaro_scan(free_laplacian(), [E], default_n_grid(30)).reports
         assert rep.bounded_flag
-        model = PerturbationModel(b_dist=uniform_over_n())
+        model = PerturbationModel(b_dist=UNIFORM)
         [(member, _)] = gamma(free_laplacian(), model, [E], 10 ** 4)
         assert member
 
@@ -301,7 +302,7 @@ def test_gamma_decades_match_whole_stream_oracle(N_max, n_decades,
         return decade_ratios_pass(log_sums, threshold, window)
 
     monkeypatch.setattr(ac_criterion, "decade_ratios_pass", spy)
-    spec, model = free_laplacian(), PerturbationModel(b_dist=uniform_over_n())
+    spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
     energies = [0.5, -1.0, 2.0, 2.6]
     a, b = spec.coefficients(N_max)
     b2 = model.b_dist.moments_array(2, N_max)
@@ -325,7 +326,7 @@ def test_scan_decades_do_not_depend_on_the_n_grid(N_max):
     # the pass runs over max(N_grid[-1], N_max) sites: an N-grid ending
     # before or after N_max leaves the decade sums and the Cesaro records
     # as they are without a model
-    spec, model = free_laplacian(), PerturbationModel(b_dist=uniform_over_n())
+    spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
     energies = [float(E) for E in np.linspace(-2.6, 2.6, 12)]
     short, long = default_n_grid(12), default_n_grid(30)  # 64, 32768 sites
     scans = [cesaro_scan(spec, energies, grid, model, N_max)
@@ -368,6 +369,6 @@ def test_ac_scan_chunk_builds_and_walks_its_sites_once(monkeypatch):
 
 
 def test_gamma_requires_small_N_max_guard():
-    model = PerturbationModel(b_dist=uniform_over_n())
+    model = PerturbationModel(b_dist=UNIFORM)
     with pytest.raises(InvalidArgumentError):
         gamma(free_laplacian(), model, [0.5], N_max=50)

@@ -9,27 +9,21 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from jacobilab.core import (
-    Mat2,
     OperatorSpec,
     fast_const_power,
     free_laplacian,
-    naive_power,
     single_step,
     solve_forward,
-    transfer_product,
 )
 from jacobilab.harness import emit, run
 from jacobilab.randpert import (
     PerturbationModel,
-    Realization,
     SiteDistribution,
     maximal_inequality_check,
     sample,
     series_convergence_check,
-    uniform_over_n,
 )
 from jacobilab.sparse import (
     SparseSpec,
@@ -37,20 +31,27 @@ from jacobilab.sparse import (
     s_threshold,
     sparse_propagate,
 )
-from jacobilab.subordinacy import detect_subordinate, solve_pair, wronskian
+from jacobilab.subordinacy import detect_subordinate, solve_pair
 from jacobilab.variation import (
     _reversed_rows,
-    conjugated_generators,
     correction_ensemble,
-    correction_recursion,
     diagonal_generator_array,
-    k_conjugate,
     neumann_layers,
+)
+from oracles import (
+    conjugated_generators,
+    correction_recursion,
+    k_conjugate,
+    naive_power,
     neumann_series,
     perturbed_spec,
+    spectral_norm,
+    transfer_product,
+    wronskian,
 )
 
 GOLDEN_RATE = (3.0 + math.sqrt(5.0)) / 2.0
+UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 
 
 def verdict(num: int, name: str, ok: bool, t0: float, budget: float) -> None:
@@ -73,7 +74,11 @@ def random_unimodular(rng):
     a = rng.standard_normal()
     a = a if abs(a) > 0.2 else 1.0
     b, c = rng.standard_normal(2)
-    return Mat2(a, b, c, (1.0 + b * c) / a)
+    return np.array([[a, b], [c, (1.0 + b * c) / a]])
+
+
+def max_abs(X):
+    return float(np.abs(X).max())
 
 
 def test_criterion_01_algebraic_identities():
@@ -86,35 +91,35 @@ def test_criterion_01_algebraic_identities():
         E = rng.uniform(-2.0, 2.0)
         n = int(rng.integers(5, 30))
         T = transfer_product(spec, E, n)
-        ok &= abs(T.det() - 1.0 / spec.a_at(n)) <= 1e-9 * max(
-            1.0, T.max_abs() ** 2)
+        ok &= abs(np.linalg.det(T) - 1.0 / spec.a_at(n)) <= 1e-9 * max(
+            1.0, max_abs(T) ** 2)
     # factorization T_w = T_0 D, 1000 random realizations (free base)
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="acc1")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="acc1")
     for i in range(1000):
         E = rng.uniform(-1.5, 1.5)
         real = sample(model, i, 20)
         D = correction_recursion(spec, real, E, 20)[-1].D
         T0 = transfer_product(spec, E, 20)
         Tw = transfer_product(perturbed_spec(spec, real), E, 20)
-        ok &= ((T0 @ D).sub(Tw)).max_abs() <= 1e-9 * max(1.0, Tw.max_abs())
+        ok &= max_abs(T0 @ D - Tw) <= 1e-9 * max(1.0, max_abs(Tw))
     # generator identities, 1000 random unimodular T
     for _ in range(1000):
         T = random_unimodular(rng)
         U, V, W = conjugated_generators(T)
-        tol = 1e-12 * max(1.0, T.norm() ** 4)
-        ok &= (U @ U).max_abs() <= tol
-        ok &= (V @ V).sub(type(T).identity()).max_abs() <= tol
-        ok &= (W @ W).sub(W).max_abs() <= tol
+        tol = 1e-12 * max(1.0, spectral_norm(T) ** 4)
+        ok &= max_abs(U @ U) <= tol
+        ok &= max_abs(V @ V - np.eye(2)) <= tol
+        ok &= max_abs(W @ W - W) <= tol
     # conjugated one-step unimodularity with a- and b-noise, 1000 sites
     model_ab = PerturbationModel(
-        b_dist=uniform_over_n(),
+        b_dist=UNIFORM,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
         exp_id="acc1ab")
     real = sample(model_ab, 7, 1000)
     for n in range(1, 1001):
         E = rng.uniform(-1.5, 1.5)
-        ok &= abs(k_conjugate(spec, real, E, n).det() - 1.0) <= 1e-10
+        ok &= abs(np.linalg.det(k_conjugate(spec, real, E, n)) - 1.0) <= 1e-10
     # Wronskian of the canonical pair, 1000 random (theta, E)
     coefficients = spec.coefficients(25)
     for _ in range(1000):
@@ -135,7 +140,7 @@ def test_criterion_02_fast_power_oracle():
         m = int(rng.integers(1, 10 ** 4 + 1))
         S = single_step(E, 0.0, 1.0, 1.0)
         fast, naive = fast_const_power(S, m), naive_power(S, m)
-        ok &= (fast.sub(naive)).max_abs() <= 1e-10 * max(1.0, naive.max_abs())
+        ok &= max_abs(fast - naive) <= 1e-10 * max(1.0, max_abs(naive))
     # sparse block propagation vs dense site-by-site recursion
     s = SparseSpec(v=0.2, gamma=4, j_max=6)
     for E, theta in ((0.3, 0.1), (0.6, 0.4), (1.2, -0.7)):
@@ -176,13 +181,13 @@ def test_criterion_04_tail_second_moment():
 
 
 def uniform_model():
-    return PerturbationModel(b_dist=uniform_over_n(), exp_id="acc4")
+    return PerturbationModel(b_dist=UNIFORM, exp_id="acc4")
 
 
 def test_criterion_05_correction_cauchy_and_martingale():
     t0 = time.monotonic()
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="acc5")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="acc5")
     base = [1000, 2500, 6300, 16000, 40000]
     cps = sorted(set(base) | {2 * c for c in base} | {10 ** 4})
     ok = True
@@ -208,7 +213,7 @@ def test_criterion_06_neumann_construction():
     spec = free_laplacian()
     E, n_max = 0.5, 4000
     u_arr = diagonal_generator_array(spec, E, n_max)
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="acc6")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="acc6")
     rep = neumann_series(model, u_arr, lambda n: 1.0, 0, seeds=range(60))
     ok = rep.contraction_ok
     m, se = rep.layer_moments, rep.layer_moment_se
@@ -224,7 +229,7 @@ def test_criterion_06_neumann_construction():
         d_plus = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, 400),
                                 0, range(401))[0][:, :, 1]
         D = correction_recursion(spec, real, E, 400)[-1].D
-        recon = np.array(D.apply(*d_plus[0]))
+        recon = D @ d_plus[0]
         errs.append(np.linalg.norm(d_plus[400] - recon)
                     / max(np.linalg.norm(d_plus[400]), 1e-300))
     ok &= float(np.median(errs)) <= 0.05

@@ -2,7 +2,6 @@
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -625,68 +624,11 @@ def test_cli_model_a_where_only_b_is_drawn_exits_2(tmp_path, capsys,
 
 
 # ---------------------------------------------------------------------------
-# script wrappers
+# cold start
 # ---------------------------------------------------------------------------
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RADEMACHER = {"b": {"kind": "rademacher", "amplitude": 1.0, "decay": 1.0}}
 
-
-def _file_bodies(out_dir):
-    return {os.path.relpath(os.path.join(root, name), out_dir):
-            open(os.path.join(root, name), "rb").read()
-            for root, _, names in os.walk(out_dir) for name in names}
-
-
-@pytest.mark.parametrize("script, args, invocations", [
-    ("run_ac_scan.py",
-     ["--e-min", "-0.5", "--e-max", "0.5", "--e-step", "0.5",
-      "--n-j-max", "8", "--n-max", "1000"],
-     [("ac-scan", "", {
-         "spec": {"type": "free"},
-         "model": {"b": {"kind": "uniform", "amplitude": 1.0,
-                         "decay": 1.0}},
-         "E_grid": {"start": -0.5, "stop": 0.5, "step": 0.5},
-         "grids": {"N_j_max": 8, "n_max": 1000}})]),
-    ("run_sparse_stability.py",
-     ["--j-max", "14", "--n-cut", "1000", "--seeds", "2"],
-     [("sparse", "", {
-         "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
-         "E_grid": [0.6], "seeds": {"base": 0, "count": 2},
-         "grids": {"s": 2.0, "n_cut": 1000}})]),
-    ("run_inequality.py",
-     ["--kind", "rademacher", "--n2", "10", "--r", "3.0",
-      "--trials", "200"],
-     [("inequality", "inequality", {
-         "model": RADEMACHER,
-         "grids": {"N1": 1, "N2": 10, "r": 3.0, "trials": 200}}),
-      ("series", "series", {
-          "model": RADEMACHER,
-          "grids": {"trials": 200, "n_tail": 100, "n_max": 10 ** 4}})]),
-])
-def test_script_wrappers_match_lab_invocation(tmp_path, script, args,
-                                              invocations):
-    out = tmp_path / "out"
-    src = os.path.join(REPO, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    subprocess.run([sys.executable, os.path.join(REPO, "scripts", script),
-                    *args, "--out", str(out)],
-                   env=env, check=True, capture_output=True, timeout=300)
-    from_script = _file_bodies(out)
-    assert from_script
-    shutil.rmtree(out)
-    for experiment, sub, cfg in invocations:
-        rc = main([experiment, "--config",
-                   write_config(tmp_path, cfg, f"{experiment}.json"),
-                   "--out", str(out / sub)])
-        assert rc == 0
-    assert _file_bodies(out) == from_script
-
-
-# ---------------------------------------------------------------------------
-# cold start
-# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("config, unused", [
     # the tiny ac-scan benchmark config

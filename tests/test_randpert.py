@@ -23,9 +23,10 @@ from jacobilab.randpert import (
     sample,
     series_convergence_check,
     stream_uniforms,
-    uniform_over_n,
-    zero_distribution,
 )
+
+ZERO = SiteDistribution(kind="zero", amplitude=0.0)
+UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +102,14 @@ def test_support_bound_contains_samples():
 # ---------------------------------------------------------------------------
 
 def test_zero_model_all_zeros():
-    model = PerturbationModel(b_dist=zero_distribution())
+    model = PerturbationModel(b_dist=ZERO)
     real = sample(model, 0, 100)
     assert np.all(real.b_tilde == 0.0)
     assert real.a_tilde is None
 
 
 def test_sampling_bit_determinism_and_prefix():
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="t")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="t")
     r1 = sample(model, 11, 1000)
     r2 = sample(model, 11, 1000)
     assert np.array_equal(r1.b_tilde, r2.b_tilde)
@@ -119,7 +120,7 @@ def test_sampling_bit_determinism_and_prefix():
 
 def test_distinct_seeds_and_streams_differ():
     model = PerturbationModel(
-        b_dist=uniform_over_n(),
+        b_dist=UNIFORM,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.1, decay=1.0),
         exp_id="t")
     r = sample(model, 0, 200)
@@ -130,7 +131,7 @@ def test_distinct_seeds_and_streams_differ():
 
 
 def test_sample_mean_near_zero():
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="mean")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="mean")
     vals = np.array([sample(model, s, 7).b_tilde[7] for s in range(10 ** 4)])
     sigma = math.sqrt(1.0 / (3.0 * 49.0))
     assert abs(vals.mean()) <= 4.0 * sigma / math.sqrt(len(vals))
@@ -145,18 +146,18 @@ def test_stream_uniforms_in_unit_interval():
 def test_delta_constraint_validation():
     spec = free_laplacian()
     ok = PerturbationModel(
-        b_dist=zero_distribution(),
+        b_dist=ZERO,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.2, decay=1.0),
         delta=0.5)
     ok.validate_against(spec)  # 0.5 < 1/(1 +- 0.2) < 2
     bad = PerturbationModel(
-        b_dist=zero_distribution(),
+        b_dist=ZERO,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.9, decay=0.0),
         delta=0.6)
     with pytest.raises(InvalidArgumentError):
         bad.validate_against(spec)
     with pytest.raises(InvalidArgumentError):
-        PerturbationModel(b_dist=zero_distribution(), delta=1.5)
+        PerturbationModel(b_dist=ZERO, delta=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_uniform_closed_form_bound():
 
 
 def test_monte_carlo_respects_bound_with_slack():
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="mi")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="mi")
     rep = maximal_inequality_check(model, 1, 50, 1.0, trials=4000)
     slack = 3.0 * math.sqrt(
         max(rep.empirical_prob * (1 - rep.empirical_prob), 1e-12) / rep.trials)
@@ -238,7 +239,7 @@ def test_inequality_argument_validation():
 # ---------------------------------------------------------------------------
 
 def test_series_zero_model_all_tails_zero():
-    model = PerturbationModel(b_dist=zero_distribution())
+    model = PerturbationModel(b_dist=ZERO)
     rep = series_convergence_check(model, 100, trials=50, n_max=1000)
     assert np.all(rep.tail_sup_median == 0.0)
     assert np.all(rep.tail_sup_p95 == 0.0)
@@ -249,7 +250,7 @@ def test_series_zero_model_all_tails_zero():
 def test_series_tail_moment_within_bound():
     # z = X(n)/n: full-series variance sum is pi^2/18; the tail beyond any
     # n_tail is below it
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ser")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="ser")
     rep = series_convergence_check(model, 100, trials=2000, n_max=10 ** 4)
     assert rep.variance_bound <= math.pi ** 2 / 18.0 + 1e-9
     assert rep.tail_second_moment <= math.pi ** 2 / 18.0 \
@@ -280,7 +281,7 @@ def test_series_divergent_variances_refused():
 
 
 def test_series_determinism():
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="det")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="det")
     r1 = series_convergence_check(model, 50, trials=200, n_max=2000)
     r2 = series_convergence_check(model, 50, trials=200, n_max=2000)
     assert np.array_equal(r1.tail_sup_median, r2.tail_sup_median)

@@ -12,8 +12,6 @@ from jacobilab.randpert import (
     PerturbationModel,
     SiteDistribution,
     sample,
-    uniform_over_n,
-    zero_distribution,
 )
 from jacobilab.singular import (
     RATIO_BAND,
@@ -31,6 +29,8 @@ from jacobilab.variation import (
     subordinate_generator_array,
 )
 
+ZERO = SiteDistribution(kind="zero", amplitude=0.0)
+UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 SPARSE = SparseSpec(v=0.2, gamma=8, j_max=10)
 E_TEST = 0.6
 
@@ -108,7 +108,7 @@ def test_lambda_membership_zero_model():
     n_max = 500
     phi1, phi2 = solve_pair(*SPARSE.to_operator_spec().coefficients(n_max),
                             E_TEST, 0.2, n_max)
-    model = PerturbationModel(b_dist=zero_distribution())
+    model = PerturbationModel(b_dist=ZERO)
     member, et = lambda_membership(phi1, phi2, 1.0, model)
     assert member and et > 1.0
 
@@ -143,7 +143,7 @@ def test_lambda_membership_large_eta_tilde(p1, q, member):
     n_max = 3000
     n = np.arange(n_max + 1, dtype=float)
     n[0] = 1.0
-    model = PerturbationModel(b_dist=uniform_over_n(1.0, 1.0))
+    model = PerturbationModel(b_dist=UNIFORM)
     got = lambda_membership(n ** -p1, n ** q, 150.0, model)
     assert got == (member, pytest.approx(150.01))
 
@@ -152,7 +152,7 @@ def test_lambda_sum_monotone_in_eta_tilde():
     n_max = 1000
     spec = SPARSE.to_operator_spec()
     phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, 0.3, n_max)
-    model = PerturbationModel(b_dist=uniform_over_n())
+    model = PerturbationModel(b_dist=UNIFORM)
     b2 = model.b_dist.moments_array(2, n_max)
     lo = float((np.exp(r_sequence(phi1, phi2, 1.1, n_max)) * b2).sum())
     hi = float((np.exp(r_sequence(phi1, phi2, 1.9, n_max)) * b2).sum())
@@ -164,7 +164,7 @@ def test_lambda_sum_monotone_in_eta_tilde():
 # ---------------------------------------------------------------------------
 
 def test_stability_zero_model_ratios_exactly_one():
-    model = PerturbationModel(b_dist=zero_distribution())
+    model = PerturbationModel(b_dist=ZERO)
     rep = stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
                                seeds=range(3))
     assert all(r == 1.0 for _, r in rep.ratio_psi1)
@@ -246,7 +246,7 @@ def test_stability_refuses_without_candidate():
     # strongly hyperbolic energy on the free Laplacian: beta proxy -> ~1
     # here, but inside the band there is no decaying branch at all
     from jacobilab.core import free_laplacian
-    model = PerturbationModel(b_dist=uniform_over_n())
+    model = PerturbationModel(b_dist=UNIFORM)
     rep = stability_experiment(free_laplacian(), model, 0.5, seeds=range(2))
     # free Laplacian: beta = 1 (no subordinate solution, both norms equal
     # order); experiment still runs with the minimizing angle

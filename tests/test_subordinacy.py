@@ -20,8 +20,8 @@ from jacobilab.subordinacy import (
     l_norms,
     pair_log_lnorms,
     solve_pair,
-    wronskian,
 )
+from oracles import wronskian
 
 
 def const_solution(value, n_max):

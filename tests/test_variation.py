@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import Mat2, free_laplacian, residual, single_step
+from jacobilab.core import free_laplacian, residual, single_step
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
-    InternalConsistencyError,
     InvalidArgumentError,
 )
 from jacobilab.randpert import (
@@ -19,26 +18,32 @@ from jacobilab.randpert import (
     Realization,
     SiteDistribution,
     sample,
-    uniform_over_n,
-    zero_distribution,
 )
 from jacobilab.subordinacy import l_norms, solve_pair
 from jacobilab.variation import (
     _reversed_rows,
-    conjugated_generators,
     correction_ensemble,
-    correction_recursion,
-    decay_condition_check,
     diagonal_generator_array,
-    k_conjugate,
-    n_quarter_site,
     neumann_layers,
-    neumann_series,
     nilpotent_generator_array,
     perturbed_solutions,
-    perturbed_spec,
     subordinate_generator_array,
 )
+from oracles import (
+    conjugated_generators,
+    correction_recursion,
+    decay_condition_check,
+    k_conjugate,
+    n_quarter_site,
+    neumann_series,
+    perturbed_spec,
+    spectral_norm,
+    transfer_product,
+)
+
+ZERO = SiteDistribution(kind="zero", amplitude=0.0)
+UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
+HALF_UNIFORM = SiteDistribution(kind="uniform", amplitude=0.5, decay=1.0)
 
 
 def random_unimodular(rng):
@@ -46,7 +51,11 @@ def random_unimodular(rng):
     a = a if abs(a) > 0.2 else 1.0
     b, c = rng.standard_normal(2)
     d = (1.0 + b * c) / a
-    return Mat2(a, b, c, d)
+    return np.array([[a, b], [c, d]])
+
+
+def max_abs(X):
+    return float(np.abs(X).max())
 
 
 def zero_realization(n_max):
@@ -58,15 +67,15 @@ def zero_realization(n_max):
 # ---------------------------------------------------------------------------
 
 def test_generators_at_identity():
-    U, V, W = conjugated_generators(Mat2.identity())
-    assert U == Mat2(0.0, 1.0, 0.0, 0.0)
-    assert V == Mat2(1.0, 0.0, 0.0, -1.0)
-    assert W == Mat2(0.0, 0.0, 0.0, 1.0)
+    U, V, W = conjugated_generators(np.eye(2))
+    assert np.array_equal(U, [[0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(V, [[1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(W, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_generators_reject_non_unimodular():
     with pytest.raises(InvalidArgumentError):
-        conjugated_generators(Mat2(2.0, 0.0, 0.0, 1.0))
+        conjugated_generators(np.diag([2.0, 1.0]))
 
 
 def test_generator_identities_random():
@@ -74,13 +83,13 @@ def test_generator_identities_random():
     for _ in range(300):
         T = random_unimodular(rng)
         U, V, W = conjugated_generators(T)
-        tol = 1e-12 * max(1.0, T.norm() ** 4)
-        assert (U @ U).max_abs() <= tol
-        assert (V @ V).sub(Mat2.identity()).max_abs() <= tol
-        assert (W @ W).sub(W).max_abs() <= tol
-        assert abs(U.trace()) <= tol
-        assert abs(V.trace()) <= tol
-        assert abs(W.trace() - 1.0) <= tol
+        tol = 1e-12 * max(1.0, spectral_norm(T) ** 4)
+        assert max_abs(U @ U) <= tol
+        assert max_abs(V @ V - np.eye(2)) <= tol
+        assert max_abs(W @ W - W) <= tol
+        assert abs(np.trace(U)) <= tol
+        assert abs(np.trace(V)) <= tol
+        assert abs(np.trace(W) - 1.0) <= tol
 
 
 def test_generator_norm_bound():
@@ -88,7 +97,7 @@ def test_generator_norm_bound():
     for _ in range(1000):
         T = random_unimodular(rng)
         U, _, _ = conjugated_generators(T)
-        assert U.norm() <= T.norm() ** 2 * (1.0 + 1e-9)
+        assert spectral_norm(U) <= spectral_norm(T) ** 2 * (1.0 + 1e-9)
 
 
 def test_nilpotent_generator_array_structure():
@@ -105,11 +114,10 @@ def test_nilpotent_generator_array_structure():
     spec = free_laplacian()
     E = 0.7
     u_arr = diagonal_generator_array(spec, E, 30)
-    from jacobilab.core import transfer_product
     for n in (1, 7, 30):
         T = transfer_product(spec, E, n)
         U, _, _ = conjugated_generators(T)
-        assert np.allclose(u_arr[n], U.to_array(), atol=1e-10)
+        assert np.allclose(u_arr[n], U, atol=1e-10)
 
 
 def test_diagonal_generator_requires_unit_a():
@@ -127,25 +135,25 @@ def test_k_conjugate_reduces_to_single_step():
     real = zero_realization(10)
     for n in (1, 5):
         S = k_conjugate(spec, real, 0.5, n)
-        assert S.sub(single_step(0.5, 0.0, 1.0, 1.0)).max_abs() < 1e-14
+        assert max_abs(S - single_step(0.5, 0.0, 1.0, 1.0)) < 1e-14
 
 
 def test_k_conjugate_unimodular_with_a_noise():
     spec = free_laplacian()
     model = PerturbationModel(
-        b_dist=uniform_over_n(0.5),
+        b_dist=HALF_UNIFORM,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
         exp_id="kc")
     real = sample(model, 2, 50)
     for n in (1, 9, 50):
         S = k_conjugate(spec, real, 0.5, n)
-        assert abs(S.det() - 1.0) < 1e-12
+        assert abs(np.linalg.det(S) - 1.0) < 1e-12
 
 
 def test_k_transfer_equals_k_times_plain_product():
     spec = free_laplacian()
     model = PerturbationModel(
-        b_dist=uniform_over_n(0.5),
+        b_dist=HALF_UNIFORM,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
         exp_id="kt")
     real = sample(model, 5, 40)
@@ -153,14 +161,13 @@ def test_k_transfer_equals_k_times_plain_product():
     pspec = perturbed_spec(spec, real)
     for n in (3, 17, 40):
         # oracle: K(n) (product of perturbed single steps)
-        from jacobilab.core import transfer_product
         Tw = transfer_product(pspec, E, n)
-        lhs = Mat2.identity()
+        lhs = np.eye(2)
         for m in range(1, n + 1):
             lhs = k_conjugate(spec, real, E, m) @ lhs
-        K = Mat2(1.0, 0.0, 0.0, spec.a_at(n) + real.a_tilde[n])
+        K = np.diag([1.0, spec.a_at(n) + real.a_tilde[n]])
         rhs = K @ Tw
-        assert lhs.sub(rhs).max_abs() <= 1e-10 * max(1.0, rhs.max_abs())
+        assert max_abs(lhs - rhs) <= 1e-10 * max(1.0, max_abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +178,7 @@ def test_zero_realization_gives_identity():
     states = correction_recursion(free_laplacian(), zero_realization(50),
                                   0.5, 50)
     for st_ in states:
-        assert st_.D.sub(Mat2.identity()).max_abs() < 1e-14
+        assert max_abs(st_.D - np.eye(2)) < 1e-14
 
 
 def test_single_site_perturbation():
@@ -182,29 +189,28 @@ def test_single_site_perturbation():
     spec = free_laplacian()
     E = 0.5
     states = correction_recursion(spec, real, E, n_max)
-    u = Mat2.from_array(diagonal_generator_array(spec, E, n_max)[m])
-    expect = Mat2.identity().sub(u.scaled(eps))
-    assert states[m].D.sub(expect).max_abs() < 1e-12
+    u = diagonal_generator_array(spec, E, n_max)[m]
+    expect = np.eye(2) - eps * u
+    assert max_abs(states[m].D - expect) < 1e-12
     for n in range(m, n_max + 1):  # constant past the single site
-        assert states[n].D.sub(expect).max_abs() < 1e-12
+        assert max_abs(states[n].D - expect) < 1e-12
     for n in range(0, m):
-        assert states[n].D.sub(Mat2.identity()).max_abs() < 1e-14
+        assert max_abs(states[n].D - np.eye(2)) < 1e-14
 
 
 def test_correction_unimodular_and_dual_path():
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="cr")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="cr")
     real = sample(model, 3, 200)
     # internal dual-path check runs at every site; no exception == agreement
     states = correction_recursion(spec, real, 0.5, 200)
     for st_ in states[::20]:
-        assert abs(st_.D.det() - 1.0) < 1e-10
+        assert abs(np.linalg.det(st_.D) - 1.0) < 1e-10
 
 
 def test_correction_factorization_explicit():
-    from jacobilab.core import transfer_product
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="cf")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="cf")
     real = sample(model, 9, 100)
     E = 1.1
     states = correction_recursion(spec, real, E, 100)
@@ -213,37 +219,37 @@ def test_correction_factorization_explicit():
         Tw = transfer_product(pspec, E, n)
         T0 = transfer_product(spec, E, n)
         recon = T0 @ states[n].D
-        assert recon.sub(Tw).max_abs() <= 1e-10 * max(1.0, Tw.max_abs())
+        assert max_abs(recon - Tw) <= 1e-10 * max(1.0, max_abs(Tw))
 
 
 def test_general_mode_with_a_perturbation():
     spec = free_laplacian()
     model = PerturbationModel(
-        b_dist=uniform_over_n(0.5),
+        b_dist=HALF_UNIFORM,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
         exp_id="gm")
     real = sample(model, 1, 100)
     states = correction_recursion(spec, real, 0.5, 100,
                                   mode="general-jacobi-conjugated")
     assert len(states) == 101
-    assert abs(states[-1].D.det() - 1.0) < 1e-8
+    assert abs(np.linalg.det(states[-1].D) - 1.0) < 1e-8
 
 
 def test_general_mode_agrees_with_diagonal_mode():
     # pure-b perturbation: both modes compute the same D (K = I throughout)
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="gmd")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="gmd")
     real = sample(model, 4, 80)
     d1 = correction_recursion(spec, real, 0.5, 80)[-1].D
     d2 = correction_recursion(spec, real, 0.5, 80,
                               mode="general-jacobi-conjugated")[-1].D
-    assert d1.sub(d2).max_abs() < 1e-9
+    assert max_abs(d1 - d2) < 1e-9
 
 
 def test_diagonal_mode_rejects_a_noise():
     spec = free_laplacian()
     model = PerturbationModel(
-        b_dist=zero_distribution(),
+        b_dist=ZERO,
         a_dist=SiteDistribution(kind="uniform", amplitude=0.2, decay=1.0),
         exp_id="rej")
     real = sample(model, 0, 20)
@@ -253,14 +259,14 @@ def test_diagonal_mode_rejects_a_noise():
 
 def test_correction_ensemble_matches_recursion():
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ce")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="ce")
     snaps = correction_ensemble(spec, model, 0.5, [0, 1, 2], [50, 100])
     assert snaps.shape == (3, 2, 2, 2)
     for i, seed in enumerate([0, 1, 2]):
         real = sample(model, seed, 100)
         states = correction_recursion(spec, real, 0.5, 100)
-        assert np.allclose(snaps[i, 0], states[50].D.to_array(), atol=1e-10)
-        assert np.allclose(snaps[i, 1], states[100].D.to_array(), atol=1e-10)
+        assert np.allclose(snaps[i, 0], states[50].D, atol=1e-10)
+        assert np.allclose(snaps[i, 1], states[100].D, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +278,16 @@ def test_weighted_bound_nondecreasing_f():
     for _ in range(100):
         f = np.cumsum(rng.random(20)) + 0.5  # positive nondecreasing
         n, m = sorted(rng.choice(20, size=2, replace=False))
-        X_n = Mat2(1.0, 0.0, 0.0, float(f[n]))
-        X_m_inv = Mat2(1.0, 0.0, 0.0, 1.0 / float(f[m]))
-        assert (X_n @ X_m_inv).norm() <= 1.0 + 1e-12
+        X_n = np.diag([1.0, float(f[n])])
+        X_m_inv = np.diag([1.0, 1.0 / float(f[m])])
+        assert spectral_norm(X_n @ X_m_inv) <= 1.0 + 1e-12
 
 
 def test_decay_condition_pass_and_fail():
     n_max = 10 ** 4
     u_arr = np.broadcast_to(np.eye(2), (n_max + 1, 2, 2)).copy()
     f_plus = np.ones(n_max + 1)
-    good = uniform_over_n().moments_array(2, n_max)        # ~ n^-2
+    good = UNIFORM.moments_array(2, n_max)        # ~ n^-2
     sums = decay_condition_check(good, u_arr, f_plus)
     assert sums[-1] < sums[-2]
     bad = SiteDistribution(kind="uniform", amplitude=1.0,
@@ -455,7 +461,7 @@ def test_layer_one_is_plain_tail_sum():
     E = 0.5
     n_max = 200
     u_arr = diagonal_generator_array(spec, E, n_max)
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="l1")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="l1")
     real = sample(model, 7, n_max)
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
@@ -473,7 +479,7 @@ def test_neumann_series_matches_direct_loop():
     spec = free_laplacian()
     E, n_max = 0.5, 5000
     u_arr = diagonal_generator_array(spec, E, n_max)
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ns")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="ns")
     seeds = range(20)
     rep = neumann_series(model, u_arr, lambda n: 1.0, 0, seeds=seeds)
     probe = rep.probe_site
@@ -509,7 +515,7 @@ def test_neumann_series_contraction():
     E = 0.5
     n_max = 5000
     u_arr = diagonal_generator_array(spec, E, n_max)
-    model = PerturbationModel(b_dist=uniform_over_n(), exp_id="ns")
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="ns")
     rep = neumann_series(model, u_arr, lambda n: 1.0, 0, seeds=range(60))
     assert rep.contraction_ok
     assert rep.layer_moments[0] == pytest.approx(1.0)
@@ -541,7 +547,7 @@ def test_perturbed_solutions_zero_model_exact():
 
 def test_perturbed_solutions_satisfy_perturbed_recursion():
     spec = free_laplacian()
-    model = PerturbationModel(b_dist=uniform_over_n(0.5), exp_id="ps")
+    model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="ps")
     real = sample(model, 11, 400)
     # the constructor verifies the residual at every interior site and
     # raises on failure; reaching here is the assertion
