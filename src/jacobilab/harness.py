@@ -290,6 +290,9 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
                 if f"{key}.{sub}" not in names:
                     raise ConfigError(f"experiment {exp!r} does not read "
                                       f"{key}.{sub}", (key, sub))
+    eg = out.get("E_grid")
+    if isinstance(eg, dict) and eg["stop"] < eg["start"]:
+        raise ConfigError("stop is below start", ("E_grid", "stop"))
     for name in names:
         *block, key = name.split(".")
         parent = out.setdefault(block[0], {}) if block else out
@@ -353,13 +356,13 @@ def energy_grid(config: Dict[str, Any]) -> List[float]:
 
     start + i*step in binary floating point drifts (-2.5 + 7*0.1 gives
     -1.7999999999999998), so range points are computed from the shortest
-    decimal forms of start, stop and step and rounded once.
+    decimal forms of start, stop and step, rounded once; none passes stop.
     """
     eg = config["E_grid"]
     if isinstance(eg, dict):
         start, stop, step = (Decimal(repr(float(eg[k])))
                              for k in ("start", "stop", "step"))
-        n = round((stop - start) / step)
+        n = int((stop - start) // step)
         return [float(start + i * step) for i in range(n + 1)]
     return [float(e) for e in eg]
 

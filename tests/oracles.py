@@ -41,7 +41,6 @@ from jacobilab.randpert import (
     sample,
 )
 from jacobilab.variation import (
-    K_MAX_DEFAULT,
     LAYER_STOP,
     _advance_layer,
     _reversed_rows,
@@ -49,6 +48,7 @@ from jacobilab.variation import (
 )
 
 CORRECTION_TOL = 1e-10  # relative disagreement allowed between D(n) paths
+SERIES_LAYERS = 12      # layers neumann_series sums at most per seed
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 DIAG_PM = np.array([[1.0, 0.0], [0.0, -1.0]])
 DIAG_01 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -316,7 +316,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
                    seeds: Sequence[int] = range(100)) -> NeumannReport:
     """Ensemble Neumann construction (plus branch) with contraction diagnostics.
 
-    Per seed, layers are summed from the probe site up until K_MAX_DEFAULT
+    Per seed, layers are summed from the probe site up until SERIES_LAYERS
     layers or the first layer whose norm at the probe site is below
     LAYER_STOP.
     """
@@ -331,8 +331,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     checkpoints = np.unique(
         np.geomspace(max(probe, 10), n_max, 8).astype(int))
 
-    K_max = K_MAX_DEFAULT
-    layer_sq = np.full((len(seeds), K_max + 1), np.nan)
+    layer_sq = np.full((len(seeds), SERIES_LAYERS + 1), np.nan)
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
     u = _reversed_rows(u_arr, probe, n_max).u
     for i, s in enumerate(seeds):
@@ -341,7 +340,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
         layer[0, 1] = 1.0
         total = layer.copy()
         layer_sq[i, 0] = 1.0  # the terminal vector is a unit vector
-        for k in range(1, K_max + 1):
+        for k in range(1, SERIES_LAYERS + 1):
             _advance_layer(bt, u, layer)
             total += layer
             at_probe = layer[0, :, -1]
@@ -351,8 +350,8 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
         d_vals[i] = total[0][:, n_max - checkpoints].T
 
     counts = np.sum(~np.isnan(layer_sq), axis=0)
-    moments = np.full(K_max + 1, np.nan)
-    se = np.zeros(K_max + 1)
+    moments = np.full(SERIES_LAYERS + 1, np.nan)
+    se = np.zeros(SERIES_LAYERS + 1)
     valid = counts > 0
     moments[valid] = np.nanmean(layer_sq[:, valid], axis=0)
     se[valid] = (np.nanstd(layer_sq[:, valid], axis=0)

@@ -106,6 +106,19 @@ def test_energy_grid_range_form():
     cfg = materialize({"experiment": "transfer",
                        "E_grid": {"start": -1.0, "stop": 1.0, "step": 0.5}})
     assert energy_grid(cfg) == pytest.approx([-1.0, -0.5, 0.0, 0.5, 1.0])
+    # 1/0.6 rounds to 2, but the range stops at the last point before stop
+    cfg = materialize({"experiment": "transfer",
+                       "E_grid": {"start": 0.0, "stop": 1.0, "step": 0.6}})
+    assert energy_grid(cfg) == [0.0, 0.6]
+
+
+def test_cli_energy_range_stop_below_start_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "E_grid": {"start": 1.0, "stop": 0.5, "step": 0.1}})
+    rc = main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error at E_grid/stop:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_energy_grid_range_has_no_drift(tmp_path):
@@ -367,6 +380,21 @@ def test_cli_numeric_error_exits_3(tmp_path, capsys):
     rc = main(["series", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_cli_unconverged_neumann_sum_fails_its_cell_exit_4(tmp_path, capsys):
+    # undecayed b~ up to 3 on 200 sites: the layers still grow at the
+    # layer cap, so the amplitude sum of the cell did not converge
+    cfg = write_config(tmp_path, {
+        "E_grid": [0.5], "seeds": {"base": 0, "count": 1},
+        "grids": {"L_max": 200},
+        "model": {"b": {"kind": "uniform", "amplitude": 3, "decay": 0}}})
+    rc = main(["singular-stability", "--config", cfg,
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert ("failed cell: E=0.5: DivergentSeriesError('Neumann sum of "
+            "column [0, 1] did not converge in 100 layers: last sups [") \
+        in capsys.readouterr().err
 
 
 def test_cli_delta_constraint_violation_exits_3(tmp_path, capsys):

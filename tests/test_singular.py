@@ -1,5 +1,6 @@
 """Singular-spectrum stability: r-weights, membership scan, ratio traces."""
 
+import json
 import math
 
 import numpy as np
@@ -240,6 +241,24 @@ def test_stability_builds_generator_rows_once_per_cell(monkeypatch):
     assert calls == {"subordinate_generator_array": 1, "_reversed_rows": 1}
     assert len(rows_seen) == 4
     assert all(rows is rows_seen[0] for rows in rows_seen)
+
+
+@pytest.mark.parametrize("decay", [0.75, 0.6])
+def test_hilbert_schmidt_perturbation_cells_run(tmp_path, decay):
+    # X(n)/n^s with s > 1/2 is a Hilbert-Schmidt perturbation: both cells
+    # need more than 12 Neumann layers (18 to 30) before the last one is
+    # below LAYER_STOP, and a sum cut short fails the residual check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "spec": {"type": "sparse", "v": 3, "gamma": 2, "j_max": 14},
+        "E_grid": [0.6, 1.2], "seeds": {"base": 0, "count": 2},
+        "grids": {"L_max": 1000},
+        "model": {"b": {"kind": "uniform", "amplitude": 1, "decay": decay}}}))
+    out = tmp_path / "o"
+    assert harness.main(["singular-stability", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+    rows = (out / "singular-stability.csv").read_text().splitlines()[4:]
+    assert [row.split(",")[0] for row in rows] == ["0.6", "1.2"]
 
 
 def test_stability_refuses_without_candidate():

@@ -329,6 +329,24 @@ def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
     assert calls == [(1,)] * 4
 
 
+def test_seed_ensemble_sums_reach_layer_stop_at_s_three_quarters(monkeypatch):
+    # at s = 0.75 each seed's d+ sum takes 15 or 16 layers to fall below
+    # LAYER_STOP; a sum cut at 12 layers still has a last layer near 1e-8
+    last = []
+    neumann_layers = sparse.neumann_layers
+
+    def spy(*args, **kwargs):
+        d, sups = neumann_layers(*args, **kwargs)
+        last.append((len(sups) - 1, sups[-1]))
+        return d, sups
+
+    monkeypatch.setattr(sparse, "neumann_layers", spy)
+    report = harness.run({**TINY_SPARSE, "grids": {"s": 0.75, "n_cut": 3000}})
+    assert report.failures == [] and len(report.rows) == 1
+    assert len(last) == 4
+    assert all(k > 12 and sup < variation.LAYER_STOP for k, sup in last)
+
+
 def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
     # the reversed generator rows depend on u alone, and the envelope
     # reads d+ at the bump sites alone

@@ -21,6 +21,9 @@ from jacobilab.randpert import (
 )
 from jacobilab.subordinacy import l_norms, solve_pair
 from jacobilab.variation import (
+    LAYER_CAP,
+    LAYER_STOP,
+    _advance_layer,
     _reversed_rows,
     correction_ensemble,
     diagonal_generator_array,
@@ -323,10 +326,12 @@ def test_neumann_layers_zero_model():
     assert np.allclose(d_minus, np.broadcast_to([1.0, 0.0], (n_max + 1, 2)))
 
 
-def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
+def single_branch_layers(b_tilde, u_arr, n_start, terminal):
     """One amplitude column by the per-branch loop that neumann_layers
     replaced: layers in site order, suffix sums as reversed cumsums, stop
-    after K_max layers or the first layer with sup-norm below 1e-12."""
+    after the first layer with sup-norm below LAYER_STOP or after
+    LAYER_CAP layers; the column diverged if its last sup is not below
+    LAYER_STOP."""
     n_max = len(b_tilde) - 1
     bt = b_tilde[n_start:]
     u = u_arr[n_start:n_max + 1]
@@ -334,7 +339,7 @@ def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
     layer[n_start:] = terminal
     total = layer.copy()
     sups = [1.0]
-    for _ in range(K_max):
+    for _ in range(LAYER_CAP):
         x, y = layer[n_start:, 0], layer[n_start:, 1]
         layer = np.zeros((n_max + 1, 2))
         for i in range(2):
@@ -342,30 +347,40 @@ def single_branch_layers(b_tilde, u_arr, n_start, K_max, terminal):
             layer[n_start:n_max, i] = np.cumsum(w[::-1])[::-1][1:]
         total += layer
         sups.append(float(np.max(np.abs(layer))))
-        if sups[-1] < 1e-12:
+        if sups[-1] < LAYER_STOP:
             break
     return total, sups
 
 
-def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
+def assert_columns_match_single_branch(b_tilde, u_arr, n_start):
     """Both columns bit for bit at every site n_start..n_max, from the
-    two-column call and from a one-column call each; returns the layer
-    counts of (d-, d+)."""
+    two-column call and from a one-column call each, or
+    DivergentSeriesError from every call that sums a column the loop
+    leaves at or above LAYER_STOP; returns the layer counts of (d-, d+),
+    or None if a column diverged."""
     sites = range(n_start, len(b_tilde))
     rows = _reversed_rows(u_arr, n_start, len(b_tilde) - 1)
-    d, sups = neumann_layers(b_tilde, rows, n_start, sites, K_max)
-    ref = [single_branch_layers(b_tilde, u_arr, n_start, K_max, e)
+    ref = [single_branch_layers(b_tilde, u_arr, n_start, e)
            for e in ((1.0, 0.0), (0.0, 1.0))]
     for col, (total, ref_sups) in enumerate(ref):
-        assert np.array_equal(d[:, :, col], total[n_start:])
         # a one-column call is that column alone: same values, same
         # layer count and the column's own per-layer sups
+        if not ref_sups[-1] < LAYER_STOP:
+            with pytest.raises(DivergentSeriesError, match="did not converge"):
+                neumann_layers(b_tilde, rows, n_start, sites, columns=(col,))
+            continue
         d_col, sups_col = neumann_layers(b_tilde, rows, n_start, sites,
-                                         K_max, columns=(col,))
+                                         columns=(col,))
         assert d_col.shape == (len(sites), 2, 1)
-        assert np.array_equal(d_col[:, :, 0], d[:, :, col])
         assert np.array_equal(d_col[:, :, 0], total[n_start:])
         assert sups_col == ref_sups
+    if any(not s[-1] < LAYER_STOP for _, s in ref):
+        with pytest.raises(DivergentSeriesError, match="did not converge"):
+            neumann_layers(b_tilde, rows, n_start, sites)
+        return None
+    d, sups = neumann_layers(b_tilde, rows, n_start, sites)
+    for col, (total, _) in enumerate(ref):
+        assert np.array_equal(d[:, :, col], total[n_start:])
     assert sups == [max(s[k] for _, s in ref if k < len(s))
                     for k in range(max(len(s) for _, s in ref))]
     return tuple(len(s) - 1 for _, s in ref)
@@ -376,7 +391,6 @@ def assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max):
 def test_neumann_layers_columns_match_single_branch_loop(data):
     n_max = data.draw(st.integers(1, 150))
     n_start = data.draw(st.integers(0, n_max))
-    K_max = data.draw(st.integers(0, 12))
     scale = data.draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
@@ -390,7 +404,7 @@ def test_neumann_layers_columns_match_single_branch_loop(data):
         # u = c(n) E12 sends d- to zero at layer 1 and d+ at layer 2
         u_arr = np.zeros((n_max + 1, 2, 2))
         u_arr[:, 0, 1] = rng.standard_normal(n_max + 1)
-    assert_columns_match_single_branch(b_tilde, u_arr, n_start, K_max)
+    assert_columns_match_single_branch(b_tilde, u_arr, n_start)
 
 
 def test_neumann_layers_columns_stop_separately():
@@ -398,11 +412,22 @@ def test_neumann_layers_columns_stop_separately():
     u_arr = np.zeros((n_max + 1, 2, 2))
     u_arr[:, 0, 1] = 1.0
     b_tilde = np.full(n_max + 1, 0.01)
-    assert assert_columns_match_single_branch(b_tilde, u_arr, 0, 12) == (1, 2)
+    assert assert_columns_match_single_branch(b_tilde, u_arr, 0) == (1, 2)
     rng = np.random.default_rng(6)
     u_arr = nilpotent_generator_array(*rng.standard_normal((2, n_max + 1)))
     assert assert_columns_match_single_branch(
-        0.1 * b_tilde, u_arr, 0, 12) == (6, 7)
+        0.1 * b_tilde, u_arr, 0) == (6, 7)
+    # on 121 sites with b~ up to 2, d- is still at 2.2e-11 at the cap of
+    # 100 layers while d+ is at 5.5e-13: d+ alone is summed, d- and the
+    # pair raise
+    n_max = 120
+    rng = np.random.default_rng(12)
+    u_arr = nilpotent_generator_array(*rng.standard_normal((2, n_max + 1)))
+    b_tilde = 2.0 * rng.uniform(-1.0, 1.0, n_max + 1)
+    last = [single_branch_layers(b_tilde, u_arr, 0, e)[1][-1]
+            for e in ((1.0, 0.0), (0.0, 1.0))]
+    assert last[0] >= LAYER_STOP > last[1]
+    assert assert_columns_match_single_branch(b_tilde, u_arr, 0) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,7 +435,6 @@ def test_neumann_layers_columns_stop_separately():
 def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
     n_max = data.draw(st.integers(1, 150))
     n_start = data.draw(st.integers(1, n_max))
-    K_max = data.draw(st.integers(0, 12))
     columns = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))
     scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -425,10 +449,17 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
                                 max_size=3))  # repeated sites
     sites = data.draw(st.permutations(sites))
     rows = _reversed_rows(u_arr, n_start, n_max)
+    terminals = ((1.0, 0.0), (0.0, 1.0))
+    if any(not single_branch_layers(b_tilde, u_arr, n_start,
+                                    terminals[c])[1][-1] < LAYER_STOP
+           for c in columns):
+        for at in (range(n_start, n_max + 1), sites):
+            with pytest.raises(DivergentSeriesError, match="did not converge"):
+                neumann_layers(b_tilde, rows, n_start, at, columns)
+        return
     d_all, sups_all = neumann_layers(b_tilde, rows, n_start,
-                                     range(n_start, n_max + 1), K_max,
-                                     columns)
-    d, sups = neumann_layers(b_tilde, rows, n_start, sites, K_max, columns)
+                                     range(n_start, n_max + 1), columns)
+    d, sups = neumann_layers(b_tilde, rows, n_start, sites, columns)
     assert d.shape == (len(sites), 2, len(columns))
     assert np.array_equal(d, d_all[np.array(sites) - n_start])
     assert sups == sups_all
@@ -465,9 +496,11 @@ def test_layer_one_is_plain_tail_sum():
     real = sample(model, 7, n_max)
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
-    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0,
-                          range(n_max + 1), K_max=1)
-    d_tot = d[:, :, 1]
+    layer = np.zeros((1, 2, n_max + 1))
+    layer[0, 1] = 1.0  # the terminal vector d0, in reversed site order
+    _advance_layer(real.b_tilde[::-1].copy(),
+                   _reversed_rows(u_arr, 0, n_max).u, layer)
+    d_tot = d0 + layer[0, :, ::-1].T
     for n in (0, 13, 150):
         manual = d0.copy()
         for j in range(n + 1, n_max + 1):
