@@ -49,6 +49,7 @@ from .sparse import SparseSpec, perturbed_sparse_experiment
 from .subordinacy import default_l_grid, detect_subordinate
 from .variation import correction_ensemble
 
+E_GRID_POINTS_MAX = 10 ** 5  # range-form energies; a typo in step is refused
 EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
 # experiments whose energies share one lane pass (ac_criterion)
@@ -291,8 +292,8 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
                     raise ConfigError(f"experiment {exp!r} does not read "
                                       f"{key}.{sub}", (key, sub))
     eg = out.get("E_grid")
-    if isinstance(eg, dict) and eg["stop"] < eg["start"]:
-        raise ConfigError("stop is below start", ("E_grid", "stop"))
+    if isinstance(eg, dict):
+        _energy_range(eg)  # refuses a stop below start and too many points
     for name in names:
         *block, key = name.split(".")
         parent = out.setdefault(block[0], {}) if block else out
@@ -351,6 +352,18 @@ def build_model(config: Dict[str, Any]) -> PerturbationModel:
         for k, v in config["model"].items()})
 
 
+def _energy_range(eg: Dict[str, Any]) -> Tuple[Decimal, Decimal, int]:
+    """start, step and point count of a range-form E_grid, in decimal."""
+    start, stop, step = (Decimal(repr(float(eg[k])))
+                         for k in ("start", "stop", "step"))
+    if stop < start:
+        raise ConfigError("stop is below start", ("E_grid", "stop"))
+    if stop - start >= E_GRID_POINTS_MAX * step:  # count > the cap
+        raise ConfigError(f"step {eg['step']!r} gives more than "
+                          f"{E_GRID_POINTS_MAX} energies", ("E_grid", "step"))
+    return start, step, int((stop - start) // step) + 1
+
+
 def energy_grid(config: Dict[str, Any]) -> List[float]:
     """The energies of a run; a range is stepped in decimal arithmetic.
 
@@ -360,10 +373,8 @@ def energy_grid(config: Dict[str, Any]) -> List[float]:
     """
     eg = config["E_grid"]
     if isinstance(eg, dict):
-        start, stop, step = (Decimal(repr(float(eg[k])))
-                             for k in ("start", "stop", "step"))
-        n = int((stop - start) // step)
-        return [float(start + i * step) for i in range(n + 1)]
+        start, step, count = _energy_range(eg)
+        return [float(start + i * step) for i in range(count)]
     return [float(e) for e in eg]
 
 

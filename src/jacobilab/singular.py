@@ -35,11 +35,7 @@ from .subordinacy import (
     l_norms,
     solve_pair,
 )
-from .variation import (
-    _reversed_rows,
-    perturbed_solutions,
-    subordinate_generator_array,
-)
+from .variation import perturbed_solutions, subordinate_generator_array
 
 ETA_GRID_POINTS = 16
 ETA_GRID_SPAN = 2.0
@@ -132,8 +128,8 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     requires a subordinate solution with beta > 0. One build of the
     coefficient arrays serves the pair and every seed. The pair's L-norms
     serve both the sandwich fits and the denominators of every seed's
-    ratios ||psi_i||_L / ||phi_i||_L; they and the reversed generator
-    rows are built once for all seeds.
+    ratios ||psi_i||_L / ||phi_i||_L; they and the generator rows are
+    built once for all seeds.
     """
     if L_grid is None:
         L_grid = default_l_grid(l_max=1e3, decades=3)
@@ -160,7 +156,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     exp1, exp2 = (fitted_growth_exponent(L_grid, [math.log(x) for x in n])
                   for n in (norm1, norm2))
 
-    rows = _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max)
+    rows = subordinate_generator_array(phi1, phi2, 0, n_max)
     r1 = np.empty((len(seeds), len(L_grid)))
     r2 = np.empty((len(seeds), len(L_grid)))
     for i, s in enumerate(seeds):

@@ -27,11 +27,7 @@ from .errors import (
 from .randpert import PerturbationModel, SiteDistribution, sample
 from .singular import sandwich_holds
 from .subordinacy import minimize_boundary_angle, solve_pair
-from .variation import (
-    _reversed_rows,
-    neumann_layers,
-    subordinate_generator_array,
-)
+from .variation import neumann_layers, subordinate_generator_array
 
 ENVELOPE_DISCARD = 5      # transient bumps excluded from every fit window
 SITE_LIMIT = 2 ** 127
@@ -138,14 +134,17 @@ def find_subordinate_angle(sspec: SparseSpec, E: float,
     if blocks is None:
         blocks = block_matrices(sspec, E)
 
+    # the entries as Python floats, read once for every angle evaluation
+    steps = [F.ravel().tolist() + B.ravel().tolist() for F, B in blocks]
+
     def terminal_amp(theta_arr: np.ndarray) -> np.ndarray:
         x = np.cos(theta_arr)
         y = -np.sin(theta_arr)
-        for F, B in blocks:
-            x, y = F[0, 0] * x + F[0, 1] * y, F[1, 0] * x + F[1, 1] * y
-            amp = np.hypot(x, y)
-            x, y = B[0, 0] * x + B[0, 1] * y, B[1, 0] * x + B[1, 1] * y
-        return amp  # amplitude at the last bump, pre-step
+        for f11, f12, f21, f22, b11, b12, b21, b22 in steps[:-1]:
+            x, y = f11 * x + f12 * y, f21 * x + f22 * y
+            x, y = b11 * x + b12 * y, b21 * x + b22 * y
+        f11, f12, f21, f22 = steps[-1][:4]  # the last bump, pre-step
+        return np.hypot(f11 * x + f12 * y, f21 * x + f22 * y)
 
     return minimize_boundary_angle(
         terminal_amp,
@@ -255,7 +254,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
 
     The amplitude column d^+ of the growing solution is summed densely
     up to n_cut (d^- is not needed) and frozen beyond it. The generator
-    rows are reversed once for the whole ensemble, and each seed's sums
+    rows are built once for the whole ensemble, and each seed's sums
     are kept only at the bump sites min(n_j, n_cut). The discarded
     tail is certified by the closed-form weighted variance sum over all
     n > n_cut, reported as ``tail_bound``; it diverges, and the call
@@ -284,10 +283,10 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     beta_proxy = exp1 / exp2 if exp2 > 0.0 else 0.0
     sandwich = beta_proxy > 0.0 and sandwich_holds(beta_proxy, exp1, exp2)
 
-    # dense window: the boundary pair and its nilpotent generator array
+    # dense window: the boundary pair and its generator rows
     phi1, phi2 = solve_pair(
         *sspec.to_operator_spec().coefficients(n_cut + 1), E, theta, n_cut + 1)
-    u_arr = subordinate_generator_array(phi1, phi2)
+    rows = subordinate_generator_array(phi1, phi2, 0, n_cut + 1)
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=s),
         exp_id=f"sparse-s{s}",
@@ -296,7 +295,6 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
 
     # d+ at each bump, frozen at its n_cut value beyond the dense window
     at_bump = [min(nj, n_cut) for nj in prop.bump_sites]
-    rows = _reversed_rows(u_arr, 0, n_cut + 1)
     beta1s, beta2s = [], []
     for seed in seeds:
         real = sample(model, seed, n_cut + 1)

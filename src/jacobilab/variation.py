@@ -13,9 +13,8 @@ tail sums from the terminal vectors (1, 0) and (0, 1), and the perturbed
 solutions are (psi1, psi2)(n) = (phi1, phi2)(n) D(n). One pass sums the
 columns a caller asks for: both for the perturbed pair, d^+ alone for
 the sparse envelope. It keeps the sums at the sites asked for: every
-site for the perturbed pair, the bumps for the sparse envelope. The
-reversed generator rows it reads depend on u alone, so a seed ensemble
-builds them once.
+site for the perturbed pair, the bumps for the sparse envelope. It
+reads u in factored form, from two rows that a seed ensemble builds once.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ LAYER_STOP = 1e-12      # early stop when a sampled layer norm falls below this
 LAYER_CAP = 100         # 2.5x the deepest sum seen (38 layers at s = 1/2)
 RESIDUAL_TOL = 1e-9     # relative recursion residual of perturbed solutions
 SEED_CHUNK = 50         # realizations propagated together
+BLOCK = 2 ** 14         # sites per block of a layer step: ~1 MiB, in cache
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +74,6 @@ def diagonal_generator_array(spec: OperatorSpec, E: float,
                                      solve_forward(a, b, E, 1.0, 0.0, n_max))
 
 
-def subordinate_generator_array(phi1: np.ndarray,
-                                phi2: np.ndarray) -> np.ndarray:
-    """Generator array in the basis of a boundary-condition solution pair."""
-    return nilpotent_generator_array(phi1, phi2)
-
-
 # ---------------------------------------------------------------------------
 # correction matrices D(n) of a seed ensemble
 # ---------------------------------------------------------------------------
@@ -115,50 +109,51 @@ def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
 # Neumann layers and amplitude pairs
 # ---------------------------------------------------------------------------
 
-def _advance_layer(bt: np.ndarray,
-                   u: Sequence[Tuple[np.ndarray, np.ndarray]],
+class _Rows(NamedTuple):
+    """Reversed rows of phi1, phi2 and the sites n_start..n_max they cover."""
+
+    n_start: int
+    n_max: int
+    phi: Tuple[np.ndarray, np.ndarray]
+
+
+def subordinate_generator_array(phi1: np.ndarray, phi2: np.ndarray,
+                                n_start: int, n_max: int) -> _Rows:
+    """The generator of a boundary pair in factored form: contiguous
+    copies of phi1, phi2 for sites n_max down to n_start, as u(n) =
+    nilpotent_generator_array(phi1, phi2)[n] = (phi2, -phi1)^T (phi1, phi2).
+    A seed ensemble builds them once; neumann_layers checks their span.
+    """
+    return _Rows(n_start, n_max, tuple(
+        np.ascontiguousarray(phi[n_start:n_max + 1][::-1])
+        for phi in (phi1, phi2)))
+
+
+def _advance_layer(v: Tuple[np.ndarray, np.ndarray],
+                   phi: Tuple[np.ndarray, np.ndarray],
                    layer: np.ndarray) -> None:
     """Overwrite Neumann layer k with layer k+1, in reversed site order.
 
     Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
-    d^k(j') is a plain cumsum. layer has shape (columns, 2, sites): one
-    2-vector per amplitude column and site; bt and the u rows are
-    reversed alike.
+    d^k(j') is a plain cumsum. layer holds a 2-vector (x, y) per column and
+    site; ~b u d^k = v q for v = (~b phi2, -~b phi1), folded once per
+    realization, and q = phi1 x + phi2 y. v and phi are reversed alike.
     """
+    p1, p2 = phi
+    last = len(p1) - 1
     for col in layer:
-        x, y = col
-        w = []
-        for ux, uy in u:
-            wi = ux * x
-            wi += uy * y
-            wi *= bt  # ~b (u d^k), rounded as bt * (ux x + uy y)
-            w.append(wi)
-        for row, wi in zip(col, w):
-            row[0] = 0.0  # no site beyond n_max
-            np.cumsum(wi[:-1], out=row[1:])
-
-
-class _Rows(NamedTuple):
-    """The reversed rows of u and the sites n_start..n_max they cover."""
-
-    n_start: int
-    n_max: int
-    u: Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-
-def _reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int) -> _Rows:
-    """Rows (u_i0, u_i1) of u for sites n_max down to n_start.
-
-    Each entry is a contiguous copy: a strided view of u_arr would skip
-    the other three entries of every 2x2 block in each layer pass. The
-    rows depend on u alone, so a seed ensemble builds them once and
-    passes them to every neumann_layers call; the span they cover goes
-    with them, so a call can check it.
-    """
-    u = u_arr[n_start:n_max + 1][::-1]
-    return _Rows(n_start, n_max, tuple(
-        tuple(np.ascontiguousarray(u[:, i, j]) for j in (0, 1))
-        for i in (0, 1)))
+        # BLOCK sites at a time, so that the rows stay in cache; the last
+        # block first, as each one writes the first site of the next
+        for a in reversed(range(0, last, BLOCK)):
+            s = slice(a, min(a + BLOCK, last))
+            q = p1[s] * col[s, 0]
+            q += p2[s] * col[s, 1]
+            for i, vi in enumerate(v):
+                np.multiply(vi[s], q, out=col[s.start + 1:s.stop + 1, i])
+        col[0] = 0.0  # no site beyond n_max
+        # as x + iy: one complex cumsum sums x and y apart, at the cost of one
+        z = col.view(np.complex128)[:, 0]
+        np.cumsum(z[1:], out=z[1:])
 
 
 def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
@@ -170,12 +165,13 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     terminal vector (1, 0); column 1 is d^+(n), from (0, 1); so
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n). Column c of the result is
     column ``columns[c]``: the default (0, 1) gives the whole matrix, (1,)
-    gives d^+ alone. ``rows`` is _reversed_rows(u_arr, n_start, n_max),
-    n_max = len(b_tilde) - 1, built by the caller once per u. One pass of
-    the layer iteration serves every requested column; each column stops
-    after its first layer whose sup-norm is below LAYER_STOP, so it does
-    not depend on which others are summed with it. A column that has not
-    stopped after LAYER_CAP layers raises DivergentSeriesError.
+    gives d^+ alone. ``rows`` is subordinate_generator_array(phi1, phi2,
+    n_start, n_max), n_max = len(b_tilde) - 1, built by the caller once
+    per pair. One pass of the layer iteration serves every requested
+    column; each column stops after its first layer whose sup-norm is
+    below LAYER_STOP, so it does not depend on which others are summed
+    with it. A column that has not stopped after LAYER_CAP layers raises
+    DivergentSeriesError.
     Layers span every site n_start..n_max; the sums are kept at the sites
     asked for, which may repeat. Returns (D, sups): D[i] is D(sites[i]),
     shape (len(sites), 2, len(columns)), and sups[k] is the largest
@@ -192,19 +188,19 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         raise InvalidArgumentError(
             f"site {outside[0]} outside {n_start}..{n_max}")
     pick = n_max - sites  # the sites' positions in reversed order
-    bt = np.ascontiguousarray(b_tilde[n_start:][::-1])
-    unit = np.eye(2)[list(columns), :, None]
-    # total[column, component, i] and layer[column, component, j]: sums at
-    # site sites[i] and layer k at site n_max - j
-    total = np.broadcast_to(unit, (len(columns), 2, len(sites))).copy()
-    layer = np.broadcast_to(unit, (len(columns), 2, len(bt))).copy()
+    bt = b_tilde[n_start:][::-1]
+    v = (bt * rows.phi[1], -(bt * rows.phi[0]))
+    unit = np.eye(2)[list(columns), None, :]
+    # total[column, i] and layer[column, j]: the sum at site sites[i] and
+    # layer k at site n_max - j, as 2-vectors
+    total, layer = (np.repeat(unit, m, axis=1) for m in (len(sites), len(bt)))
     active = list(range(len(columns)))
     sups = [1.0]  # the terminal vectors are unit vectors
     for _ in range(LAYER_CAP):
-        _advance_layer(bt, rows.u, layer)
+        _advance_layer(v, rows.phi, layer)
         col_sups = [float(max(col.max(), -col.min())) for col in layer]
         for c, col in zip(active, layer):
-            total[c] += col[:, pick]
+            total[c] += col[pick]
         sups.append(max(col_sups))
         going = [k for k, sup in enumerate(col_sups) if not sup < LAYER_STOP]
         if not going:
@@ -215,7 +211,7 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         raise DivergentSeriesError(
             f"Neumann sum of column {[columns[c] for c in active]} did not "
             f"converge in {LAYER_CAP} layers: last sups {sups[-3:]}")
-    return total.transpose(2, 1, 0), sups
+    return total.transpose(1, 2, 0), sups
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +227,10 @@ def perturbed_solutions(coefficients: Tuple[np.ndarray, np.ndarray],
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
     pair phi1, phi2 at energy E (from solve_pair), which fixes n_max.
     ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
-    _reversed_rows(subordinate_generator_array(phi1, phi2), 0, n_max),
-    both built once by the caller for every realization and left
-    unmodified. D(n) carries b~ alone, so a nonzero a~ is refused.
-    Verifies the perturbed difference-equation residual at every
-    interior site.
+    subordinate_generator_array(phi1, phi2, 0, n_max), both built once
+    by the caller for every realization and left unmodified. D(n)
+    carries b~ alone, so a nonzero a~ is refused. Verifies the perturbed
+    difference-equation residual at every interior site.
     """
     n_max = len(phi1) - 1
     if n_max > realization.n_max:

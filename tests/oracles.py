@@ -10,8 +10,10 @@ time, what src/ computes by array code, and a test compares the two:
 - wronskian: the Wronskian of a solution pair at one site;
 - correction_recursion: D(n) two ways, by definition and by the one-site
   recursion (variation.correction_ensemble);
+- advance_layer: one Neumann layer step through the full 2x2 generator
+  u(n) (variation.neumann_layers, which applies u in factored form);
 - neumann_series: the plus-branch Neumann layers of a seed ensemble with
-  contraction diagnostics (variation.neumann_layers).
+  contraction diagnostics, by advance_layer.
 
 2x2 matrices are (2, 2) float arrays, as in src/.
 """
@@ -40,12 +42,7 @@ from jacobilab.randpert import (
     decade_ratios_pass,
     sample,
 )
-from jacobilab.variation import (
-    LAYER_STOP,
-    _advance_layer,
-    _reversed_rows,
-    diagonal_generator_array,
-)
+from jacobilab.variation import LAYER_STOP, diagonal_generator_array
 
 CORRECTION_TOL = 1e-10  # relative disagreement allowed between D(n) paths
 SERIES_LAYERS = 12      # layers neumann_series sums at most per seed
@@ -300,6 +297,41 @@ def n_quarter_site(var_b2: np.ndarray, u_arr: np.ndarray) -> int:
     return int(ok[0])
 
 
+def reversed_rows(u_arr: np.ndarray, n_start: int, n_max: int
+                  ) -> Tuple[Tuple[np.ndarray, np.ndarray],
+                             Tuple[np.ndarray, np.ndarray]]:
+    """Rows (u_i0, u_i1) of the 2x2 array u for sites n_max down to n_start.
+
+    Each entry is a contiguous copy, as advance_layer reads them.
+    """
+    u = u_arr[n_start:n_max + 1][::-1]
+    return tuple(tuple(np.ascontiguousarray(u[:, i, j]) for j in (0, 1))
+                 for i in (0, 1))
+
+
+def advance_layer(bt: np.ndarray,
+                  u: Sequence[Tuple[np.ndarray, np.ndarray]],
+                  layer: np.ndarray) -> None:
+    """Overwrite Neumann layer k with layer k+1, in reversed site order.
+
+    Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
+    d^k(j') is a plain cumsum. layer has shape (columns, 2, sites): one
+    2-vector per amplitude column and site; bt and the u rows are
+    reversed alike.
+    """
+    for col in layer:
+        x, y = col
+        w = []
+        for ux, uy in u:
+            wi = ux * x
+            wi += uy * y
+            wi *= bt  # ~b (u d^k), rounded as bt * (ux x + uy y)
+            w.append(wi)
+        for row, wi in zip(col, w):
+            row[0] = 0.0  # no site beyond n_max
+            np.cumsum(wi[:-1], out=row[1:])
+
+
 @dataclass
 class NeumannReport:
     probe_site: int
@@ -333,7 +365,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
 
     layer_sq = np.full((len(seeds), SERIES_LAYERS + 1), np.nan)
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
-    u = _reversed_rows(u_arr, probe, n_max).u
+    u = reversed_rows(u_arr, probe, n_max)
     for i, s in enumerate(seeds):
         bt = sample(model, s, n_max).b_tilde[probe:][::-1]
         layer = np.zeros((1, 2, len(bt)))
@@ -341,7 +373,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
         total = layer.copy()
         layer_sq[i, 0] = 1.0  # the terminal vector is a unit vector
         for k in range(1, SERIES_LAYERS + 1):
-            _advance_layer(bt, u, layer)
+            advance_layer(bt, u, layer)
             total += layer
             at_probe = layer[0, :, -1]
             layer_sq[i, k] = float(at_probe @ at_probe)

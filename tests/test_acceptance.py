@@ -33,10 +33,10 @@ from jacobilab.sparse import (
 )
 from jacobilab.subordinacy import detect_subordinate, solve_pair
 from jacobilab.variation import (
-    _reversed_rows,
     correction_ensemble,
     diagonal_generator_array,
     neumann_layers,
+    subordinate_generator_array,
 )
 from oracles import (
     conjugated_generators,
@@ -222,12 +222,17 @@ def test_criterion_06_neumann_construction():
             break
         ok &= m[k + 1] <= 0.5 * m[k] + 3.0 * se[k + 1]
     # d+ reconstruction against the definitional correction path:
-    # both satisfy the same one-site recursion, so d+(n) = D(n) d+(0)
+    # both satisfy the same one-site recursion, so d+(n) = D(n) d+(0);
+    # the rows are those of u_arr's canonical pair
+    a, b = spec.coefficients(400)
+    rows = subordinate_generator_array(solve_forward(a, b, E, 0.0, 1.0, 400),
+                                       solve_forward(a, b, E, 1.0, 0.0, 400),
+                                       0, 400)
     errs = []
     for seed in range(20):
         real = sample(model, seed, 400)
-        d_plus = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, 400),
-                                0, range(401))[0][:, :, 1]
+        d_plus = neumann_layers(real.b_tilde, rows, 0,
+                                range(401))[0][:, :, 1]
         D = correction_recursion(spec, real, E, 400)[-1].D
         recon = D @ d_plus[0]
         errs.append(np.linalg.norm(d_plus[400] - recon)

@@ -121,6 +121,37 @@ def test_cli_energy_range_stop_below_start_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_energy_range_of_too_many_points_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    # 10^12 + 1 energies are refused from the decimal range before any
+    # list is built; a run that got past the check would reach
+    # energy_grid, which raises here instead of listing them
+    def no_list(config):
+        raise AssertionError("energy_grid reached")
+
+    monkeypatch.setattr(harness, "energy_grid", no_list)
+    cfg = write_config(tmp_path, {
+        "E_grid": {"start": 0, "stop": 1, "step": 1e-12}})
+    rc = main(["ac-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("config error at E_grid/step: step 1e-12 gives more than "
+            f"{harness.E_GRID_POINTS_MAX} energies") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_energy_range_cap_counts_points():
+    top = harness.E_GRID_POINTS_MAX
+    cfg = materialize({"experiment": "transfer",
+                       "E_grid": {"start": 0, "stop": top - 1, "step": 1}})
+    assert len(energy_grid(cfg)) == top  # exactly the cap passes
+    # one point more, and a quotient beyond 28 decimal digits
+    for stop, step in ((top, 1), (1, 5e-324)):
+        with pytest.raises(ConfigError) as exc:
+            materialize({"experiment": "transfer",
+                         "E_grid": {"start": 0, "stop": stop, "step": step}})
+        assert exc.value.path == ("E_grid", "step")
+
+
 def test_energy_grid_range_has_no_drift(tmp_path):
     cfg = materialize({"experiment": "ac-scan",
                        "E_grid": {"start": -2.5, "stop": 2.5, "step": 0.1}})

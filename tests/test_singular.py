@@ -24,11 +24,7 @@ from jacobilab.singular import (
 )
 from jacobilab.sparse import SparseSpec
 from jacobilab.subordinacy import detect_subordinate, l_norms, solve_pair
-from jacobilab.variation import (
-    _reversed_rows,
-    neumann_layers,
-    subordinate_generator_array,
-)
+from jacobilab.variation import neumann_layers, subordinate_generator_array
 
 ZERO = SiteDistribution(kind="zero", amplitude=0.0)
 UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
@@ -217,17 +213,18 @@ SINGULAR_CELL = {
 
 
 def test_stability_builds_generator_rows_once_per_cell(monkeypatch):
-    # u and its reversed rows depend on the unperturbed pair alone, so
-    # every seed of the cell reads the same rows
-    calls = {"subordinate_generator_array": 0, "_reversed_rows": 0}
-    for name in calls:
-        def spy(*args, _real=getattr(variation, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    # the generator rows depend on the unperturbed pair alone, so every
+    # seed of the cell reads the same rows
+    built = []
+    generator_rows = variation.subordinate_generator_array
 
-        # both bindings, so a build inside perturbed_solutions counts too
-        for module in (singular, variation):
-            monkeypatch.setattr(module, name, spy)
+    def spy(*args):
+        built.append(generator_rows(*args))
+        return built[-1]
+
+    # both bindings, so a build inside perturbed_solutions counts too
+    for module in (singular, variation):
+        monkeypatch.setattr(module, "subordinate_generator_array", spy)
     rows_seen = []
     perturbed = singular.perturbed_solutions
 
@@ -238,9 +235,9 @@ def test_stability_builds_generator_rows_once_per_cell(monkeypatch):
     monkeypatch.setattr(singular, "perturbed_solutions", perturbed_spy)
     report = harness.run(SINGULAR_CELL)
     assert report.failures == [] and len(report.rows) == 1
-    assert calls == {"subordinate_generator_array": 1, "_reversed_rows": 1}
+    assert len(built) == 1
     assert len(rows_seen) == 4
-    assert all(rows is rows_seen[0] for rows in rows_seen)
+    assert all(rows is built[0] for rows in rows_seen)
 
 
 @pytest.mark.parametrize("decay", [0.75, 0.6])
@@ -293,12 +290,12 @@ def test_summation_by_parts_bound_chain():
     eta = (1.0 - beta) / beta
     eta_tilde = eta + 0.75
     phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, theta, n_max)
-    u_arr = subordinate_generator_array(phi1, phi2)
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
     real = sample(model, 17, n_max)
-    d, _ = neumann_layers(real.b_tilde, _reversed_rows(u_arr, 0, n_max), 0,
-                          range(n_max + 1))
+    d, _ = neumann_layers(real.b_tilde,
+                          subordinate_generator_array(phi1, phi2, 0, n_max),
+                          0, range(n_max + 1))
     d_minus = d[:, :, 0]
     d2 = d_minus[:, 1]
 

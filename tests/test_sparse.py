@@ -348,15 +348,15 @@ def test_seed_ensemble_sums_reach_layer_stop_at_s_three_quarters(monkeypatch):
 
 
 def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
-    # the reversed generator rows depend on u alone, and the envelope
-    # reads d+ at the bump sites alone
+    # the reversed generator rows depend on the pair alone, and the
+    # envelope reads d+ at the bump sites alone
     built, calls = [], []
-    reversed_rows = variation._reversed_rows
+    generator_rows = variation.subordinate_generator_array
     neumann_layers = sparse.neumann_layers
     signature = inspect.signature(neumann_layers)
 
     def rows_spy(*args):
-        built.append(reversed_rows(*args))
+        built.append(generator_rows(*args))
         return built[-1]
 
     def layers_spy(*args, **kwargs):
@@ -366,7 +366,7 @@ def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
 
     # both bindings, so rows built inside neumann_layers would count too
     for module in (sparse, variation):
-        monkeypatch.setattr(module, "_reversed_rows", rows_spy)
+        monkeypatch.setattr(module, "subordinate_generator_array", rows_spy)
     monkeypatch.setattr(sparse, "neumann_layers", layers_spy)
     n_cut = TINY_SPARSE["grids"]["n_cut"]
     report = harness.run(TINY_SPARSE)

@@ -1,13 +1,15 @@
 """Correction-matrix factorization, conjugated generators, Neumann layers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacobilab.core import free_laplacian, residual, single_step
+from jacobilab import variation
+from jacobilab.core import free_laplacian, residual, single_step, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -21,10 +23,10 @@ from jacobilab.randpert import (
 )
 from jacobilab.subordinacy import l_norms, solve_pair
 from jacobilab.variation import (
+    BLOCK,
     LAYER_CAP,
     LAYER_STOP,
     _advance_layer,
-    _reversed_rows,
     correction_ensemble,
     diagonal_generator_array,
     neumann_layers,
@@ -33,6 +35,7 @@ from jacobilab.variation import (
     subordinate_generator_array,
 )
 from oracles import (
+    advance_layer,
     conjugated_generators,
     correction_recursion,
     decay_condition_check,
@@ -40,6 +43,7 @@ from oracles import (
     n_quarter_site,
     neumann_series,
     perturbed_spec,
+    reversed_rows,
     spectral_norm,
     transfer_product,
 )
@@ -314,11 +318,10 @@ def test_n_quarter_closed_form():
 
 def test_neumann_layers_zero_model():
     n_max = 50
-    u_arr = np.zeros((n_max + 1, 2, 2))
-    u_arr[:, 0, 1] = 1.0
-    d, sups = neumann_layers(np.zeros(n_max + 1),
-                             _reversed_rows(u_arr, 0, n_max), 0,
-                             range(n_max + 1))
+    # phi1 = 0, phi2 = 1: u = E12 at every site
+    rows = subordinate_generator_array(np.zeros(n_max + 1),
+                                       np.ones(n_max + 1), 0, n_max)
+    d, sups = neumann_layers(np.zeros(n_max + 1), rows, 0, range(n_max + 1))
     d_minus, d_plus = d[:, :, 0], d[:, :, 1]
     assert np.allclose(d_plus[:, 0], 0.0)
     assert np.allclose(d_plus[:, 1], 1.0)
@@ -326,25 +329,26 @@ def test_neumann_layers_zero_model():
     assert np.allclose(d_minus, np.broadcast_to([1.0, 0.0], (n_max + 1, 2)))
 
 
-def single_branch_layers(b_tilde, u_arr, n_start, terminal):
-    """One amplitude column by the per-branch loop that neumann_layers
-    replaced: layers in site order, suffix sums as reversed cumsums, stop
-    after the first layer with sup-norm below LAYER_STOP or after
-    LAYER_CAP layers; the column diverged if its last sup is not below
-    LAYER_STOP."""
+def single_branch_layers(b_tilde, phi1, phi2, n_start, terminal):
+    """One amplitude column by a per-branch loop with the factored step of
+    neumann_layers: u = (phi2, -phi1)^T (phi1, phi2), so ~b u d^k is
+    (~b phi2, -~b phi1) q with q = phi1 x + phi2 y. Layers in site order,
+    suffix sums as reversed cumsums, stop after the first layer with
+    sup-norm below LAYER_STOP or after LAYER_CAP layers; the column
+    diverged if its last sup is not below LAYER_STOP."""
     n_max = len(b_tilde) - 1
     bt = b_tilde[n_start:]
-    u = u_arr[n_start:n_max + 1]
+    p1, p2 = phi1[n_start:n_max + 1], phi2[n_start:n_max + 1]
     layer = np.zeros((n_max + 1, 2))
     layer[n_start:] = terminal
     total = layer.copy()
     sups = [1.0]
     for _ in range(LAYER_CAP):
         x, y = layer[n_start:, 0], layer[n_start:, 1]
+        q = p1 * x + p2 * y
         layer = np.zeros((n_max + 1, 2))
-        for i in range(2):
-            w = bt * (u[:, i, 0] * x + u[:, i, 1] * y)
-            layer[n_start:n_max, i] = np.cumsum(w[::-1])[::-1][1:]
+        for i, v in enumerate((bt * p2, -(bt * p1))):
+            layer[n_start:n_max, i] = np.cumsum((v * q)[::-1])[::-1][1:]
         total += layer
         sups.append(float(np.max(np.abs(layer))))
         if sups[-1] < LAYER_STOP:
@@ -352,15 +356,15 @@ def single_branch_layers(b_tilde, u_arr, n_start, terminal):
     return total, sups
 
 
-def assert_columns_match_single_branch(b_tilde, u_arr, n_start):
+def assert_columns_match_single_branch(b_tilde, phi1, phi2, n_start):
     """Both columns bit for bit at every site n_start..n_max, from the
     two-column call and from a one-column call each, or
     DivergentSeriesError from every call that sums a column the loop
     leaves at or above LAYER_STOP; returns the layer counts of (d-, d+),
     or None if a column diverged."""
     sites = range(n_start, len(b_tilde))
-    rows = _reversed_rows(u_arr, n_start, len(b_tilde) - 1)
-    ref = [single_branch_layers(b_tilde, u_arr, n_start, e)
+    rows = subordinate_generator_array(phi1, phi2, n_start, len(b_tilde) - 1)
+    ref = [single_branch_layers(b_tilde, phi1, phi2, n_start, e)
            for e in ((1.0, 0.0), (0.0, 1.0))]
     for col, (total, ref_sups) in enumerate(ref):
         # a one-column call is that column alone: same values, same
@@ -386,6 +390,25 @@ def assert_columns_match_single_branch(b_tilde, u_arr, n_start):
     return tuple(len(s) - 1 for _, s in ref)
 
 
+def draw_block(data):
+    """A block length for the layer step's products: short ones put block
+    edges inside the 1..150 sites the tests draw."""
+    return mock.patch.object(variation, "BLOCK",
+                             data.draw(st.sampled_from([1, 2, 7, 64, BLOCK])))
+
+
+def draw_pair(data, rng, n_max):
+    """A boundary pair (phi1, phi2) on sites 0..n_max: a random one,
+    possibly tilted, or phi1 = 0, for which u = phi2^2 E12."""
+    if data.draw(st.booleans()):
+        # a small phi1 makes d- contract faster than d+, so the columns
+        # tend to stop at different layers
+        phi1, phi2 = rng.standard_normal((2, n_max + 1))
+        return data.draw(st.sampled_from([1.0, 1e-2, 1e-4])) * phi1, phi2
+    # u = phi2^2 E12 sends d- to zero at layer 1 and d+ at layer 2
+    return np.zeros(n_max + 1), rng.standard_normal(n_max + 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_neumann_layers_columns_match_single_branch_loop(data):
@@ -394,40 +417,86 @@ def test_neumann_layers_columns_match_single_branch_loop(data):
     scale = data.draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
-    if data.draw(st.booleans()):
-        # a small s1 makes d- contract faster than d+, so the columns tend
-        # to stop at different layers
-        s1, s2 = rng.standard_normal((2, n_max + 1))
-        tilt = data.draw(st.sampled_from([1.0, 1e-2, 1e-4]))
-        u_arr = nilpotent_generator_array(tilt * s1, s2)
-    else:
-        # u = c(n) E12 sends d- to zero at layer 1 and d+ at layer 2
-        u_arr = np.zeros((n_max + 1, 2, 2))
-        u_arr[:, 0, 1] = rng.standard_normal(n_max + 1)
-    assert_columns_match_single_branch(b_tilde, u_arr, n_start)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    with draw_block(data):
+        assert_columns_match_single_branch(b_tilde, phi1, phi2, n_start)
 
 
 def test_neumann_layers_columns_stop_separately():
     n_max = 40
-    u_arr = np.zeros((n_max + 1, 2, 2))
-    u_arr[:, 0, 1] = 1.0
     b_tilde = np.full(n_max + 1, 0.01)
-    assert assert_columns_match_single_branch(b_tilde, u_arr, 0) == (1, 2)
-    rng = np.random.default_rng(6)
-    u_arr = nilpotent_generator_array(*rng.standard_normal((2, n_max + 1)))
+    # phi1 = 0, phi2 = 1: u = E12
     assert assert_columns_match_single_branch(
-        0.1 * b_tilde, u_arr, 0) == (6, 7)
+        b_tilde, np.zeros(n_max + 1), np.ones(n_max + 1), 0) == (1, 2)
+    rng = np.random.default_rng(6)
+    assert assert_columns_match_single_branch(
+        0.1 * b_tilde, *rng.standard_normal((2, n_max + 1)), 0) == (6, 7)
     # on 121 sites with b~ up to 2, d- is still at 2.2e-11 at the cap of
     # 100 layers while d+ is at 5.5e-13: d+ alone is summed, d- and the
     # pair raise
     n_max = 120
     rng = np.random.default_rng(12)
-    u_arr = nilpotent_generator_array(*rng.standard_normal((2, n_max + 1)))
+    phi1, phi2 = rng.standard_normal((2, n_max + 1))
     b_tilde = 2.0 * rng.uniform(-1.0, 1.0, n_max + 1)
-    last = [single_branch_layers(b_tilde, u_arr, 0, e)[1][-1]
+    last = [single_branch_layers(b_tilde, phi1, phi2, 0, e)[1][-1]
             for e in ((1.0, 0.0), (0.0, 1.0))]
     assert last[0] >= LAYER_STOP > last[1]
-    assert assert_columns_match_single_branch(b_tilde, u_arr, 0) is None
+    assert assert_columns_match_single_branch(b_tilde, phi1, phi2, 0) is None
+
+
+def unfactored_layers(b_tilde, u_arr, n_start, terminal):
+    """One amplitude column through the full 2x2 generator array, by the
+    oracle's layer step, with the stop rule of neumann_layers; returns
+    the sums at sites n_start..n_max and the per-layer sups."""
+    bt = b_tilde[n_start:][::-1].copy()
+    u = reversed_rows(u_arr, n_start, len(b_tilde) - 1)
+    layer = np.zeros((1, 2, len(bt)))
+    layer[0] = np.asarray(terminal)[:, None]
+    total = layer[0].copy()
+    sups = [1.0]
+    for _ in range(LAYER_CAP):
+        advance_layer(bt, u, layer)
+        total += layer[0]
+        sups.append(float(np.max(np.abs(layer))))
+        if sups[-1] < LAYER_STOP:
+            break
+    return total[:, ::-1].T, sups
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_neumann_layers_match_the_unfactored_generator(data):
+    # the factored step rounds differently from the 2x2 one, so the sums
+    # agree to roundoff, and a stop decision may flip only for a sup
+    # within roundoff of LAYER_STOP
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    columns = data.draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    scale = data.draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    u_arr = nilpotent_generator_array(phi1, phi2)
+    ref = [unfactored_layers(b_tilde, u_arr, n_start, np.eye(2)[c])
+           for c in columns]
+    assume(all(abs(sup / LAYER_STOP - 1.0) > 1e-6
+               for _, sups in ref for sup in sups))
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    sites = range(n_start, n_max + 1)
+    with draw_block(data):
+        if any(not sups[-1] < LAYER_STOP for _, sups in ref):
+            with pytest.raises(DivergentSeriesError, match="did not converge"):
+                neumann_layers(b_tilde, rows, n_start, sites, columns)
+            return
+        d, sups = neumann_layers(b_tilde, rows, n_start, sites, columns)
+        one = [neumann_layers(b_tilde, rows, n_start, sites, (c,))
+               for c in columns]
+    assert len(sups) == max(len(s) for _, s in ref)
+    for c, ((total, ref_sups), (d_col, sups_col)) in enumerate(zip(ref, one)):
+        assert len(sups_col) == len(ref_sups)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(total))))
+        assert float(np.max(np.abs(d[:, :, c] - total))) <= tol
+        assert np.array_equal(d_col[:, :, 0], d[:, :, c])
 
 
 @settings(max_examples=80, deadline=None)
@@ -440,17 +509,16 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
     # u(n) = T(n)^{-1} E12 T(n) for a random unimodular T(n), of which
-    # only the row (s1, s2)(n) enters
-    s1, s2 = rng.standard_normal((2, n_max + 1))
-    u_arr = nilpotent_generator_array(s1, s2)
+    # only the row (phi1, phi2)(n) enters
+    phi1, phi2 = rng.standard_normal((2, n_max + 1))
     inner = st.integers(n_start, n_max)
     sites = data.draw(st.lists(inner, max_size=8)) + [n_start, n_max]
     sites += data.draw(st.lists(st.sampled_from(sites), min_size=1,
                                 max_size=3))  # repeated sites
     sites = data.draw(st.permutations(sites))
-    rows = _reversed_rows(u_arr, n_start, n_max)
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
     terminals = ((1.0, 0.0), (0.0, 1.0))
-    if any(not single_branch_layers(b_tilde, u_arr, n_start,
+    if any(not single_branch_layers(b_tilde, phi1, phi2, n_start,
                                     terminals[c])[1][-1] < LAYER_STOP
            for c in columns):
         for at in (range(n_start, n_max + 1), sites):
@@ -459,7 +527,8 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
         return
     d_all, sups_all = neumann_layers(b_tilde, rows, n_start,
                                      range(n_start, n_max + 1), columns)
-    d, sups = neumann_layers(b_tilde, rows, n_start, sites, columns)
+    with draw_block(data):
+        d, sups = neumann_layers(b_tilde, rows, n_start, sites, columns)
     assert d.shape == (len(sites), 2, len(columns))
     assert np.array_equal(d, d_all[np.array(sites) - n_start])
     assert sups == sups_all
@@ -467,21 +536,19 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
 
 def test_neumann_layers_rejects_rows_of_another_span():
     n_max = 20
-    u_arr = nilpotent_generator_array(
-        *np.random.default_rng(3).standard_normal((2, n_max + 1)))
+    phi1, phi2 = np.random.default_rng(3).standard_normal((2, n_max + 1))
     b_tilde = np.full(n_max + 1, 0.01)
     for rows_start, rows_max in ((0, n_max), (2, n_max), (1, n_max - 1)):
         with pytest.raises(InvalidArgumentError, match="rows span"):
-            neumann_layers(b_tilde, _reversed_rows(u_arr, rows_start,
-                                                   rows_max), 1, [n_max])
+            neumann_layers(b_tilde, subordinate_generator_array(
+                phi1, phi2, rows_start, rows_max), 1, [n_max])
 
 
 def test_neumann_layers_rejects_sites_outside_the_window():
     n_max = 20
-    u_arr = nilpotent_generator_array(
-        *np.random.default_rng(4).standard_normal((2, n_max + 1)))
+    phi1, phi2 = np.random.default_rng(4).standard_normal((2, n_max + 1))
     b_tilde = np.full(n_max + 1, 0.01)
-    rows = _reversed_rows(u_arr, 5, n_max)
+    rows = subordinate_generator_array(phi1, phi2, 5, n_max)
     for site in (4, n_max + 1, -1):
         with pytest.raises(InvalidArgumentError, match=f"site {site} "):
             neumann_layers(b_tilde, rows, 5, [5, site, n_max])
@@ -491,16 +558,21 @@ def test_layer_one_is_plain_tail_sum():
     spec = free_laplacian()
     E = 0.5
     n_max = 200
+    # the canonical pair of diagonal_generator_array, in factored form
+    a, b = spec.coefficients(n_max)
+    s1, s2 = (solve_forward(a, b, E, f0, f1, n_max)
+              for f0, f1 in ((0.0, 1.0), (1.0, 0.0)))
     u_arr = diagonal_generator_array(spec, E, n_max)
     model = PerturbationModel(b_dist=UNIFORM, exp_id="l1")
     real = sample(model, 7, n_max)
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
-    layer = np.zeros((1, 2, n_max + 1))
-    layer[0, 1] = 1.0  # the terminal vector d0, in reversed site order
-    _advance_layer(real.b_tilde[::-1].copy(),
-                   _reversed_rows(u_arr, 0, n_max).u, layer)
-    d_tot = d0 + layer[0, :, ::-1].T
+    layer = np.zeros((1, n_max + 1, 2))
+    layer[0, :, 1] = 1.0  # the terminal vector d0, in reversed site order
+    phi = subordinate_generator_array(s1, s2, 0, n_max).phi
+    bt = real.b_tilde[::-1]
+    _advance_layer((bt * phi[1], -(bt * phi[0])), phi, layer)
+    d_tot = d0 + layer[0, ::-1]
     for n in (0, 13, 150):
         manual = d0.copy()
         for j in range(n + 1, n_max + 1):
@@ -563,10 +635,9 @@ def test_neumann_series_contraction():
 # ---------------------------------------------------------------------------
 
 def pair_and_rows(spec, E, theta, n_max):
-    """solve_pair's boundary pair and the reversed rows of its generator."""
+    """solve_pair's boundary pair and its generator rows."""
     phi1, phi2 = solve_pair(*spec.coefficients(n_max), E, theta, n_max)
-    u_arr = subordinate_generator_array(phi1, phi2)
-    return _reversed_rows(u_arr, 0, n_max), phi1, phi2
+    return subordinate_generator_array(phi1, phi2, 0, n_max), phi1, phi2
 
 
 def test_perturbed_solutions_zero_model_exact():
