@@ -21,7 +21,7 @@ class InsufficientDataError(ValueError):
 
 
 class UnsupportedModelError(ValueError):
-    """The perturbation model lacks a required closed-form ingredient."""
+    """The perturbation model is unsupported: an unknown kind or a~ to draw."""
 
 
 class InternalConsistencyError(RuntimeError):

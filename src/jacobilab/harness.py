@@ -250,6 +250,20 @@ def _validate(value: Any, schema: Dict[str, Any],
                                   f"{schema[key]!r}", path)
 
 
+def _integral_ints(value: Any, schema: Dict[str, Any]) -> Any:
+    """`value`, valid under `schema`, with the numbers at its integer
+    nodes made ints: JSON Schema takes 2.0 for an integer, range() not.
+    It walks properties and items; no oneOf form holds an integer."""
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _integral_ints(v, schema.get("properties", {}).get(k, {}))
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_ints(v, schema.get("items", {})) for v in value]
+    return value
+
+
 # the default of each key of READS but model.a, and of output and workers
 _DEFAULTS: Dict[str, Any] = {
     "spec": {"type": "free"}, "E_grid": [0.5],
@@ -274,11 +288,12 @@ _DIST_DEFAULTS = {"amplitude": 1.0, "decay": 1.0, "trunc": 2.0}
 def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and fill in every default; returns the canonical config.
 
-    A key the experiment does not read (READS), or a spec key of another
-    spec type, raises ConfigError at its path.
+    A number at an integer key becomes an int, so 2.0 and 2 run and hash
+    alike. A key the experiment does not read (READS), or a spec key of
+    another spec type, raises ConfigError at its path.
     """
     _validate(config, CONFIG_SCHEMA)
-    out = json.loads(json.dumps(config))
+    out = _integral_ints(json.loads(json.dumps(config)), CONFIG_SCHEMA)
     exp = out["experiment"]
     names = READS[exp] + ("experiment", "output", "workers")
     tops = {name.split(".")[0] for name in names}

@@ -3,8 +3,8 @@
 The perturbed n-step transfer matrix factors as T_w(n) = T_0(n) D(n); D
 satisfies the backward recursion D(n-1) = (I + U_w(n)) D(n) where, for a
 diagonal (Schrodinger-type) perturbation, U_w(n) = ~b(n) u(n) with a
-nilpotent generator u(n) conjugated through the unperturbed cocycle;
-correction_ensemble runs it for a seed ensemble.
+rank-one nilpotent generator u(n) conjugated through the unperturbed
+cocycle; correction_ensemble runs it for a seed ensemble.
 
 The amplitude matrix D(n) of neumann_layers solves the same backward
 recursion in the basis of a boundary solution pair, but tends to I at
@@ -30,48 +30,13 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .randpert import PerturbationModel, Realization, sample
+from .randpert import PerturbationModel, sample
 
 LAYER_STOP = 1e-12      # early stop when a sampled layer norm falls below this
 LAYER_CAP = 100         # 2.5x the deepest sum seen (38 layers at s = 1/2)
 RESIDUAL_TOL = 1e-9     # relative recursion residual of perturbed solutions
 SEED_CHUNK = 50         # realizations propagated together
 BLOCK = 2 ** 14         # sites per block of a layer step: ~1 MiB, in cache
-
-
-# ---------------------------------------------------------------------------
-# generator arrays (vectorized nilpotent conjugates along an orbit)
-# ---------------------------------------------------------------------------
-
-def nilpotent_generator_array(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """u(n) = T(n)^{-1} E12 T(n) from a unimodular solution pair.
-
-    s1, s2 are value arrays (site-indexed from 0) of the two solutions
-    whose columns form T(n); entry n of the result is
-    [[s2 s1, s2^2], [-s1^2, -s1 s2]](n). Nilpotent with zero trace.
-    """
-    u = np.empty((len(s1), 2, 2))
-    u[:, 0, 0] = s2 * s1
-    u[:, 0, 1] = s2 * s2
-    u[:, 1, 0] = -s1 * s1
-    u[:, 1, 1] = -s2 * s1
-    return u
-
-
-def diagonal_generator_array(spec: OperatorSpec, E: float,
-                             n_max: int) -> np.ndarray:
-    """Generator array for diagonal perturbations of a Schrodinger operator.
-
-    Uses the canonical unimodular solution pair with (f(0), f(1)) = (0, 1)
-    and (1, 0); requires a == 1 so the unperturbed cocycle is unimodular.
-    """
-    a, b = spec.coefficients(n_max)
-    if np.any(np.abs(a - 1.0) > 1e-12):
-        raise InvalidArgumentError(
-            "diagonal mode requires off-diagonal coefficients == 1"
-        )
-    return nilpotent_generator_array(solve_forward(a, b, E, 0.0, 1.0, n_max),
-                                     solve_forward(a, b, E, 1.0, 0.0, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -83,25 +48,35 @@ def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
                         ) -> np.ndarray:
     """D snapshots, shape (len(seeds), len(checkpoints), 2, 2).
 
-    Vectorized over realizations; diagonal (Schrodinger) mode only, using
-    the exact nilpotent-inverse forward factors.
+    Vectorized over realizations; diagonal (Schrodinger) mode only, on
+    the canonical unimodular pair s1, s2 of (f(0), f(1)) = (0, 1), (1, 0)
+    (so a == 1), whose generator is u = w r with r = (s1, s2) and w =
+    (s2, -s1)^T. u is nilpotent, so (I + ~b u)^{-1} = I - ~b u exactly:
+    D -= w(n) (~b(n) r(n) D).
     """
     checkpoints = sorted(checkpoints)
     n_max = checkpoints[-1]
-    u_arr = diagonal_generator_array(spec, E, n_max)
+    a, b = spec.coefficients(n_max)
+    if np.any(np.abs(a - 1.0) > 1e-12):
+        raise InvalidArgumentError(
+            "diagonal mode requires off-diagonal coefficients == 1"
+        )
+    s1, s2 = (solve_forward(a, b, E, f0, f1, n_max)
+              for f0, f1 in ((0.0, 1.0), (1.0, 0.0)))
+    r, w = np.stack((s1, s2), axis=1), np.stack((s2, -s1), axis=1)[:, :, None]
     out = np.empty((len(seeds), len(checkpoints), 2, 2))
     for lo in range(0, len(seeds), SEED_CHUNK):
         batch = seeds[lo:lo + SEED_CHUNK]
-        bt = np.stack([sample(model, s, n_max).b_tilde for s in batch])
-        D = np.broadcast_to(np.eye(2), (len(batch), 2, 2)).copy()
-        ci = 0
-        # count how many checkpoints already filled for this batch
-        for n in range(1, n_max + 1):
-            uD = np.matmul(u_arr[n], D)
-            D = D - bt[:, n, None, None] * uD
-            while ci < len(checkpoints) and checkpoints[ci] == n:
-                out[lo:lo + len(batch), ci] = D
-                ci += 1
+        # the columns of every D side by side, seed k's as columns 2k and
+        # 2k + 1 of X, each with its seed's ~b: one product r(n) X a step
+        bt = np.repeat(np.stack([sample(model, s, n_max) for s in batch],
+                                axis=1), 2, axis=1)
+        X = np.tile(np.eye(2), len(batch))
+        D = X.reshape(2, -1, 2).swapaxes(0, 1)  # a view: D[k] is seed k's
+        for ci, (prev, c) in enumerate(zip([0] + checkpoints, checkpoints)):
+            for n in range(prev + 1, c + 1):
+                X -= w[n] * (bt[n] * (r[n] @ X))
+            out[lo:lo + len(batch), ci] = D
     return out
 
 
@@ -121,8 +96,9 @@ def subordinate_generator_array(phi1: np.ndarray, phi2: np.ndarray,
                                 n_start: int, n_max: int) -> _Rows:
     """The generator of a boundary pair in factored form: contiguous
     copies of phi1, phi2 for sites n_max down to n_start, as u(n) =
-    nilpotent_generator_array(phi1, phi2)[n] = (phi2, -phi1)^T (phi1, phi2).
-    A seed ensemble builds them once; neumann_layers checks their span.
+    T(n)^{-1} E12 T(n) = (phi2, -phi1)^T (phi1, phi2)(n) for the matrix
+    T(n) of the pair. A seed ensemble builds them once; neumann_layers
+    checks their span.
     """
     return _Rows(n_start, n_max, tuple(
         np.ascontiguousarray(phi[n_start:n_max + 1][::-1])
@@ -219,29 +195,27 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
 # ---------------------------------------------------------------------------
 
 def perturbed_solutions(coefficients: Tuple[np.ndarray, np.ndarray],
-                        rows: _Rows, realization: Realization, E: float,
+                        rows: _Rows, b_tilde: np.ndarray, E: float,
                         phi1: np.ndarray, phi2: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """(psi1, psi2) built from the amplitude matrices D(n).
 
     (psi1, psi2)(n) = (phi1, phi2)(n) D(n) for the unperturbed boundary
-    pair phi1, phi2 at energy E (from solve_pair), which fixes n_max.
-    ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
+    pair phi1, phi2 at energy E (from solve_pair), which fixes n_max, and
+    the b~ draw b_tilde (from sample), which covers sites 0..n_max at
+    least. ``coefficients`` is spec.coefficients(n_max) and ``rows`` is
     subordinate_generator_array(phi1, phi2, 0, n_max), both built once
-    by the caller for every realization and left unmodified. D(n)
-    carries b~ alone, so a nonzero a~ is refused. Verifies the perturbed
-    difference-equation residual at every interior site.
+    by the caller for every realization and left unmodified. Verifies
+    the perturbed difference-equation residual at every interior site.
     """
     n_max = len(phi1) - 1
-    if n_max > realization.n_max:
-        raise InsufficientDataError("realization shorter than the pair")
-    if np.any(realization.a_tilde_or_zeros()[1:n_max + 1] != 0.0):
-        raise InvalidArgumentError("D(n) carries no a~ perturbation")
-    d, _ = neumann_layers(realization.b_tilde[:n_max + 1], rows, 0,
-                          range(n_max + 1))
+    if n_max >= len(b_tilde):
+        raise InsufficientDataError("b~ shorter than the pair")
+    b_tilde = b_tilde[:n_max + 1]
+    d, _ = neumann_layers(b_tilde, rows, 0, range(n_max + 1))
     psi1, psi2 = phi1 * d[:, 0].T + phi2 * d[:, 1].T
     a, b = coefficients[0], coefficients[1].copy()
-    b[1:] += realization.b_tilde[1:n_max + 1]
+    b[1:] += b_tilde[1:]
     sites = np.arange(1, n_max)
     for psi in (psi1, psi2):
         scale = float(np.max(np.abs(psi))) or 1.0

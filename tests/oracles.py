@@ -8,6 +8,10 @@ time, what src/ computes by array code, and a test compares the two:
 - log_t2_stream: ln t^E(n)^2 of one energy at a time (the lane pass of
   ac_criterion);
 - wronskian: the Wronskian of a solution pair at one site;
+- nilpotent_generator_array and diagonal_generator_array: the generator
+  u(n) as a full (n, 2, 2) array (variation, which applies it in
+  factored form);
+- a_tilde_draw: a draw of ~a, which no experiment makes (sample draws ~b);
 - correction_recursion: D(n) two ways, by definition and by the one-site
   recursion (variation.correction_ensemble);
 - advance_layer: one Neumann layer step through the full 2x2 generator
@@ -22,12 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from jacobilab.ac_criterion import CANONICAL, _log_t2, _log_t2_blocks
-from jacobilab.core import ENTRY_LIMIT, OperatorSpec, propagate, single_step
+from jacobilab.core import (
+    ENTRY_LIMIT,
+    OperatorSpec,
+    propagate,
+    single_step,
+    solve_forward,
+)
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -37,12 +47,12 @@ from jacobilab.errors import (
 )
 from jacobilab.randpert import (
     PerturbationModel,
-    Realization,
+    SiteDistribution,
     decade_log_sums,
     decade_ratios_pass,
     sample,
 )
-from jacobilab.variation import LAYER_STOP, diagonal_generator_array
+from jacobilab.variation import LAYER_STOP
 
 CORRECTION_TOL = 1e-10  # relative disagreement allowed between D(n) paths
 SERIES_LAYERS = 12      # layers neumann_series sums at most per seed
@@ -130,7 +140,7 @@ def wronskian(phi1: np.ndarray, phi2: np.ndarray, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# conjugated generators and the K-conjugation
+# conjugated generators and the generator arrays
 # ---------------------------------------------------------------------------
 
 def conjugated_generators(T: np.ndarray
@@ -143,33 +153,75 @@ def conjugated_generators(T: np.ndarray
     return (Ti @ E12 @ T, Ti @ DIAG_PM @ T, Ti @ DIAG_01 @ T)
 
 
-def perturbed_spec(spec: OperatorSpec, realization: Realization) -> OperatorSpec:
-    """The operator with coefficients a+~a, b+~b."""
-    at = realization.a_tilde_or_zeros()
-    bt = realization.b_tilde
-    n_max = realization.n_max
+def nilpotent_generator_array(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """u(n) = T(n)^{-1} E12 T(n) from a unimodular solution pair.
+
+    s1, s2 are value arrays (site-indexed from 0) of the two solutions
+    whose columns form T(n); entry n of the result is
+    [[s2 s1, s2^2], [-s1^2, -s1 s2]](n). Nilpotent with zero trace.
+    """
+    u = np.empty((len(s1), 2, 2))
+    u[:, 0, 0] = s2 * s1
+    u[:, 0, 1] = s2 * s2
+    u[:, 1, 0] = -s1 * s1
+    u[:, 1, 1] = -s2 * s1
+    return u
+
+
+def diagonal_generator_array(spec: OperatorSpec, E: float,
+                             n_max: int) -> np.ndarray:
+    """Generator array for diagonal perturbations of a Schrodinger operator.
+
+    Uses the canonical unimodular solution pair with (f(0), f(1)) = (0, 1)
+    and (1, 0); requires a == 1 so the unperturbed cocycle is unimodular.
+    """
+    a, b = spec.coefficients(n_max)
+    if np.any(np.abs(a - 1.0) > 1e-12):
+        raise InvalidArgumentError(
+            "diagonal mode requires off-diagonal coefficients == 1"
+        )
+    return nilpotent_generator_array(solve_forward(a, b, E, 0.0, 1.0, n_max),
+                                     solve_forward(a, b, E, 1.0, 0.0, n_max))
+
+
+# ---------------------------------------------------------------------------
+# perturbations of a: the ~a draw, the perturbed operator, the K-conjugation
+# ---------------------------------------------------------------------------
+
+def a_tilde_draw(dist: SiteDistribution, exp_id: str, seed: int,
+                 n_max: int) -> np.ndarray:
+    """~a(n) for sites 0..n_max, ~a(0) = 0: dist drawn by sample from the
+    "a" stream (sample's model has no a~; dist stands in its b slot)."""
+    return sample(PerturbationModel(b_dist=dist, exp_id=exp_id), seed, n_max,
+                  "a")
+
+
+def perturbed_spec(spec: OperatorSpec, b_tilde: np.ndarray,
+                   a_tilde: Optional[np.ndarray] = None) -> OperatorSpec:
+    """The operator with coefficients a+~a, b+~b; the draws hold sites
+    0..n_max and leave the coefficients beyond n_max unperturbed."""
+    n_max = len(b_tilde) - 1
+    at = np.zeros(n_max + 1) if a_tilde is None else a_tilde
 
     def a(n, _base=spec.a, _at=at, _m=n_max):
         return _base(n) + (_at[n] if 0 < n <= _m else 0.0)
 
-    def b(n, _base=spec.b, _bt=bt, _m=n_max):
+    def b(n, _base=spec.b, _bt=b_tilde, _m=n_max):
         return _base(n) + (_bt[n] if 0 < n <= _m else 0.0)
 
     return OperatorSpec(a=a, b=b)
 
 
-def k_conjugate(spec: OperatorSpec, realization: Realization, E: float,
-                n: int) -> np.ndarray:
+def k_conjugate(spec: OperatorSpec, b_tilde: np.ndarray, E: float, n: int,
+                a_tilde: Optional[np.ndarray] = None) -> np.ndarray:
     """The conjugated one-step matrix S~(n) = K(n) S_w(n) K(n-1)^{-1}.
 
     Unimodular and dependent only on site-n perturbation values.
     """
-    at = realization.a_tilde_or_zeros()
-    bt = realization.b_tilde
-    alpha = spec.a_at(n) + at[n]
+    alpha = spec.a_at(n) + (0.0 if a_tilde is None else a_tilde[n])
     if alpha <= 0.0:
         raise InvalidArgumentError(f"a+~a not positive at site {n}")
-    return np.array([[(E - spec.b(n) - bt[n]) / alpha, -1.0 / alpha],
+    return np.array([[(E - spec.b(n) - b_tilde[n]) / alpha, -1.0 / alpha],
                      [alpha, 0.0]])
 
 
@@ -185,23 +237,25 @@ class CorrectionState:
     n: int
 
 
-def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
-                         n_max: int, mode: str = "schrodinger-diagonal"
+def correction_recursion(spec: OperatorSpec, b_tilde: np.ndarray, E: float,
+                         n_max: int, mode: str = "schrodinger-diagonal",
+                         a_tilde: Optional[np.ndarray] = None
                          ) -> List[CorrectionState]:
     """D(n) for n = 0..n_max, computed two independent ways.
 
     Path (i) is definitional: D(n) = T_0(n)^{-1} T_w(n) (conjugated
     variants in general mode). Path (ii) applies the one-site recursion
     factors. Disagreement beyond ``CORRECTION_TOL`` (relative, scaled by
-    the factor conditioning) raises with the offending site.
+    the factor conditioning) raises with the offending site. The draws
+    b_tilde and a_tilde (None for no ~a) cover sites 0..n_max at least.
     """
     if mode not in ("schrodinger-diagonal", "general-jacobi-conjugated"):
         raise InvalidArgumentError(f"unknown mode {mode}")
-    if n_max > realization.n_max:
-        raise InsufficientDataError("realization shorter than n_max")
-    pspec = perturbed_spec(spec, realization)
-    bt = realization.b_tilde
-    at = realization.a_tilde_or_zeros()
+    if n_max >= len(b_tilde):
+        raise InsufficientDataError("draw shorter than n_max")
+    pspec = perturbed_spec(spec, b_tilde, a_tilde)
+    bt = b_tilde
+    at = np.zeros(len(b_tilde)) if a_tilde is None else a_tilde
 
     def transfer_sequence(s: OperatorSpec) -> List[np.ndarray]:
         a, b = map(memoryview, s.coefficients(n_max))
@@ -234,12 +288,12 @@ def correction_recursion(spec: OperatorSpec, realization: Realization, E: float,
     Tt0 = [np.eye(2)]
     Ttw = [np.eye(2)]
     a = memoryview(spec.coefficients(n_max)[0])
-    zero_real = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1))
+    zero = np.zeros(n_max + 1)
     states = [CorrectionState(np.eye(2), 0)]
     D = np.eye(2)
     for n in range(1, n_max + 1):
-        Tt0.append(k_conjugate(spec, zero_real, E, n) @ Tt0[-1])
-        Ttw.append(k_conjugate(spec, realization, E, n) @ Ttw[-1])
+        Tt0.append(k_conjugate(spec, zero, E, n) @ Tt0[-1])
+        Ttw.append(k_conjugate(spec, bt, E, n, at) @ Ttw[-1])
         a_n = a[n]
         U, V, W = conjugated_generators(Tt0[n])
         c_u = bt[n] / (a_n * (a_n + at[n]))
@@ -367,7 +421,7 @@ def neumann_series(model: PerturbationModel, u_arr: np.ndarray,
     d_vals = np.empty((len(seeds), len(checkpoints), 2))
     u = reversed_rows(u_arr, probe, n_max)
     for i, s in enumerate(seeds):
-        bt = sample(model, s, n_max).b_tilde[probe:][::-1]
+        bt = sample(model, s, n_max)[probe:][::-1]
         layer = np.zeros((1, 2, len(bt)))
         layer[0, 1] = 1.0
         total = layer.copy()

@@ -34,13 +34,14 @@ from jacobilab.sparse import (
 from jacobilab.subordinacy import detect_subordinate, solve_pair
 from jacobilab.variation import (
     correction_ensemble,
-    diagonal_generator_array,
     neumann_layers,
     subordinate_generator_array,
 )
 from oracles import (
+    a_tilde_draw,
     conjugated_generators,
     correction_recursion,
+    diagonal_generator_array,
     k_conjugate,
     naive_power,
     neumann_series,
@@ -98,10 +99,10 @@ def test_criterion_01_algebraic_identities():
     model = PerturbationModel(b_dist=UNIFORM, exp_id="acc1")
     for i in range(1000):
         E = rng.uniform(-1.5, 1.5)
-        real = sample(model, i, 20)
-        D = correction_recursion(spec, real, E, 20)[-1].D
+        bt = sample(model, i, 20)
+        D = correction_recursion(spec, bt, E, 20)[-1].D
         T0 = transfer_product(spec, E, 20)
-        Tw = transfer_product(perturbed_spec(spec, real), E, 20)
+        Tw = transfer_product(perturbed_spec(spec, bt), E, 20)
         ok &= max_abs(T0 @ D - Tw) <= 1e-9 * max(1.0, max_abs(Tw))
     # generator identities, 1000 random unimodular T
     for _ in range(1000):
@@ -112,14 +113,13 @@ def test_criterion_01_algebraic_identities():
         ok &= max_abs(V @ V - np.eye(2)) <= tol
         ok &= max_abs(W @ W - W) <= tol
     # conjugated one-step unimodularity with a- and b-noise, 1000 sites
-    model_ab = PerturbationModel(
-        b_dist=UNIFORM,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
-        exp_id="acc1ab")
-    real = sample(model_ab, 7, 1000)
+    bt = sample(PerturbationModel(b_dist=UNIFORM, exp_id="acc1ab"), 7, 1000)
+    at = a_tilde_draw(SiteDistribution(kind="uniform", amplitude=0.3,
+                                       decay=1.0), "acc1ab", 7, 1000)
     for n in range(1, 1001):
         E = rng.uniform(-1.5, 1.5)
-        ok &= abs(np.linalg.det(k_conjugate(spec, real, E, n)) - 1.0) <= 1e-10
+        S = k_conjugate(spec, bt, E, n, at)
+        ok &= abs(np.linalg.det(S) - 1.0) <= 1e-10
     # Wronskian of the canonical pair, 1000 random (theta, E)
     coefficients = spec.coefficients(25)
     for _ in range(1000):
@@ -230,10 +230,9 @@ def test_criterion_06_neumann_construction():
                                        0, 400)
     errs = []
     for seed in range(20):
-        real = sample(model, seed, 400)
-        d_plus = neumann_layers(real.b_tilde, rows, 0,
-                                range(401))[0][:, :, 1]
-        D = correction_recursion(spec, real, E, 400)[-1].D
+        bt = sample(model, seed, 400)
+        d_plus = neumann_layers(bt, rows, 0, range(401))[0][:, :, 1]
+        D = correction_recursion(spec, bt, E, 400)[-1].D
         recon = D @ d_plus[0]
         errs.append(np.linalg.norm(d_plus[400] - recon)
                     / max(np.linalg.norm(d_plus[400]), 1e-300))

@@ -102,6 +102,59 @@ def test_checkpoints_default_filled_before_hashing(tmp_path, capsys):
     assert not (tmp_path / "empty").exists()
 
 
+def test_materialize_makes_integral_floats_at_integer_keys_ints():
+    cfg = materialize({"experiment": "variation", "seeds": {"count": 4.0},
+                       "grids": {"checkpoints": [100.0, 1000]},
+                       "E_grid": [1.0], "workers": 2.0})
+    assert [type(v) for v in (cfg["seeds"]["count"], cfg["workers"],
+                              *cfg["grids"]["checkpoints"])] == [int] * 4
+    assert type(cfg["E_grid"][0]) is float  # a number key keeps its float
+    assert cfg == materialize({"experiment": "variation",
+                               "seeds": {"count": 4},
+                               "grids": {"checkpoints": [100, 1000]},
+                               "E_grid": [1.0], "workers": 2})
+
+
+def test_no_one_of_form_holds_an_integer():
+    # materialize makes ints along properties and items alone
+    def one_of_forms(node):
+        if isinstance(node, dict):
+            yield from node.get("oneOf", ())
+            for value in node.values():
+                yield from one_of_forms(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from one_of_forms(value)
+
+    forms = list(one_of_forms(harness.CONFIG_SCHEMA))
+    assert forms and '"integer"' not in json.dumps(forms)
+
+
+@pytest.mark.parametrize("experiment, int_form, float_form", [
+    ("inequality", {"grids": {"trials": 200}},
+     {"grids": {"trials": 200.0}}),
+    ("sparse",
+     {"spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
+      "E_grid": [0.6], "seeds": {"count": 2}, "grids": {"n_cut": 3000}},
+     {"spec": {"type": "sparse", "v": 0.2, "gamma": 8.0, "j_max": 14},
+      "E_grid": [0.6], "seeds": {"count": 2}, "grids": {"n_cut": 3000}}),
+    ("variation", {"seeds": {"count": 4}, "grids": {"checkpoints": [100]}},
+     {"seeds": {"count": 4.0}, "grids": {"checkpoints": [100]}}),
+])
+def test_cli_integral_float_at_an_integer_key_runs_as_its_int(
+        tmp_path, experiment, int_form, float_form):
+    # JSON Schema takes 2.0 for an integer: the run is that of 2, and the
+    # CSV body, config_hash header included, is the int form's
+    bodies = []
+    for name, cfg in (("int", int_form), ("float", float_form)):
+        out = tmp_path / name
+        assert main([experiment, "--config",
+                     write_config(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        bodies.append((out / f"{experiment}.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_energy_grid_range_form():
     cfg = materialize({"experiment": "transfer",
                        "E_grid": {"start": -1.0, "stop": 1.0, "step": 0.5}})

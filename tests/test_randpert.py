@@ -91,10 +91,10 @@ def test_moments_array_matches_scalar():
 def test_support_bound_contains_samples():
     d = SiteDistribution(kind="tgauss", amplitude=1.0, decay=0.5, trunc=1.5)
     model = PerturbationModel(b_dist=d)
-    real = sample(model, 3, 5000)
+    b_tilde = sample(model, 3, 5000)
     n = np.arange(1, 5001)
     bounds = np.array([d.support_bound(int(k)) for k in n])
-    assert np.all(np.abs(real.b_tilde[1:]) <= bounds + 1e-12)
+    assert np.all(np.abs(b_tilde[1:]) <= bounds + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -103,36 +103,42 @@ def test_support_bound_contains_samples():
 
 def test_zero_model_all_zeros():
     model = PerturbationModel(b_dist=ZERO)
-    real = sample(model, 0, 100)
-    assert np.all(real.b_tilde == 0.0)
-    assert real.a_tilde is None
+    b_tilde = sample(model, 0, 100)
+    assert b_tilde.shape == (101,)
+    assert np.all(b_tilde == 0.0)
 
 
 def test_sampling_bit_determinism_and_prefix():
     model = PerturbationModel(b_dist=UNIFORM, exp_id="t")
     r1 = sample(model, 11, 1000)
     r2 = sample(model, 11, 1000)
-    assert np.array_equal(r1.b_tilde, r2.b_tilde)
+    assert np.array_equal(r1, r2)
     # value at a site is independent of n_max (counter-based streams)
     r3 = sample(model, 11, 250)
-    assert np.array_equal(r3.b_tilde, r1.b_tilde[:251])
+    assert np.array_equal(r3, r1[:251])
 
 
 def test_distinct_seeds_and_streams_differ():
-    model = PerturbationModel(
-        b_dist=UNIFORM,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.1, decay=1.0),
-        exp_id="t")
-    r = sample(model, 0, 200)
-    s = sample(model, 1, 200)
-    assert not np.array_equal(r.b_tilde, s.b_tilde)
-    # a and b streams are independent (different tags), not scaled copies
-    assert not np.allclose(r.a_tilde * 10.0, r.b_tilde)
+    model = PerturbationModel(b_dist=UNIFORM, exp_id="t")
+    assert not np.array_equal(sample(model, 0, 200), sample(model, 1, 200))
+    # each tag is its own stream: the draw is stream_uniforms of the tag
+    # through the transform, and the draws of one seed differ
+    sites = np.arange(201, dtype=float)
+    sites[0] = 1.0
+    draws = []
+    for tag in ("b", "ineq", "series"):
+        draw = sample(model, 0, 200, tag)
+        direct = UNIFORM.transform(stream_uniforms("t", tag, 0, 200), sites)
+        direct[0] = 0.0
+        assert np.array_equal(draw, direct)
+        assert all(not np.allclose(draw[1:], d[1:]) for d in draws)
+        draws.append(draw)
+    assert np.array_equal(draws[0], sample(model, 0, 200))  # tag "b"
 
 
 def test_sample_mean_near_zero():
     model = PerturbationModel(b_dist=UNIFORM, exp_id="mean")
-    vals = np.array([sample(model, s, 7).b_tilde[7] for s in range(10 ** 4)])
+    vals = np.array([sample(model, s, 7)[7] for s in range(10 ** 4)])
     sigma = math.sqrt(1.0 / (3.0 * 49.0))
     assert abs(vals.mean()) <= 4.0 * sigma / math.sqrt(len(vals))
 
@@ -230,6 +236,8 @@ def test_monte_carlo_respects_bound_with_slack():
 def test_inequality_argument_validation():
     with pytest.raises(InvalidArgumentError):
         maximal_inequality_check(rademacher_model(), 5, 5, 1.0)
+    with pytest.raises(InvalidArgumentError):  # site 0 carries no value
+        maximal_inequality_check(rademacher_model(), 0, 5, 1.0)
     with pytest.raises(InvalidArgumentError):
         maximal_inequality_check(rademacher_model(), 1, 5, -1.0)
 

@@ -292,8 +292,7 @@ def test_summation_by_parts_bound_chain():
     phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, theta, n_max)
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="sbp")
-    real = sample(model, 17, n_max)
-    d, _ = neumann_layers(real.b_tilde,
+    d, _ = neumann_layers(sample(model, 17, n_max),
                           subordinate_generator_array(phi1, phi2, 0, n_max),
                           0, range(n_max + 1))
     d_minus = d[:, :, 0]

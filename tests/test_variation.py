@@ -9,18 +9,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobilab import variation
-from jacobilab.core import free_laplacian, residual, single_step, solve_forward
+from jacobilab.core import (
+    constant_spec,
+    free_laplacian,
+    residual,
+    single_step,
+    solve_forward,
+)
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
     InvalidArgumentError,
+    UnsupportedModelError,
 )
-from jacobilab.randpert import (
-    PerturbationModel,
-    Realization,
-    SiteDistribution,
-    sample,
-)
+from jacobilab.randpert import PerturbationModel, SiteDistribution, sample
+from jacobilab.singular import stability_experiment
 from jacobilab.subordinacy import l_norms, solve_pair
 from jacobilab.variation import (
     BLOCK,
@@ -28,20 +31,21 @@ from jacobilab.variation import (
     LAYER_STOP,
     _advance_layer,
     correction_ensemble,
-    diagonal_generator_array,
     neumann_layers,
-    nilpotent_generator_array,
     perturbed_solutions,
     subordinate_generator_array,
 )
 from oracles import (
+    a_tilde_draw,
     advance_layer,
     conjugated_generators,
     correction_recursion,
     decay_condition_check,
+    diagonal_generator_array,
     k_conjugate,
     n_quarter_site,
     neumann_series,
+    nilpotent_generator_array,
     perturbed_spec,
     reversed_rows,
     spectral_norm,
@@ -51,6 +55,7 @@ from oracles import (
 ZERO = SiteDistribution(kind="zero", amplitude=0.0)
 UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 HALF_UNIFORM = SiteDistribution(kind="uniform", amplitude=0.5, decay=1.0)
+A_NOISE = SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0)
 
 
 def random_unimodular(rng):
@@ -63,10 +68,6 @@ def random_unimodular(rng):
 
 def max_abs(X):
     return float(np.abs(X).max())
-
-
-def zero_realization(n_max):
-    return Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +129,11 @@ def test_nilpotent_generator_array_structure():
 
 
 def test_diagonal_generator_requires_unit_a():
-    from jacobilab.core import constant_spec
     with pytest.raises(InvalidArgumentError):
         diagonal_generator_array(constant_spec(2.0), 0.5, 10)
+    with pytest.raises(InvalidArgumentError, match="coefficients == 1"):
+        correction_ensemble(constant_spec(2.0), PerturbationModel(
+            b_dist=UNIFORM), 0.5, [0], [10])
 
 
 # ---------------------------------------------------------------------------
@@ -139,40 +142,33 @@ def test_diagonal_generator_requires_unit_a():
 
 def test_k_conjugate_reduces_to_single_step():
     spec = free_laplacian()
-    real = zero_realization(10)
     for n in (1, 5):
-        S = k_conjugate(spec, real, 0.5, n)
+        S = k_conjugate(spec, np.zeros(11), 0.5, n)
         assert max_abs(S - single_step(0.5, 0.0, 1.0, 1.0)) < 1e-14
 
 
 def test_k_conjugate_unimodular_with_a_noise():
     spec = free_laplacian()
-    model = PerturbationModel(
-        b_dist=HALF_UNIFORM,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
-        exp_id="kc")
-    real = sample(model, 2, 50)
+    model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="kc")
+    bt, at = sample(model, 2, 50), a_tilde_draw(A_NOISE, "kc", 2, 50)
     for n in (1, 9, 50):
-        S = k_conjugate(spec, real, 0.5, n)
+        S = k_conjugate(spec, bt, 0.5, n, at)
         assert abs(np.linalg.det(S) - 1.0) < 1e-12
 
 
 def test_k_transfer_equals_k_times_plain_product():
     spec = free_laplacian()
-    model = PerturbationModel(
-        b_dist=HALF_UNIFORM,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
-        exp_id="kt")
-    real = sample(model, 5, 40)
+    model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="kt")
+    bt, at = sample(model, 5, 40), a_tilde_draw(A_NOISE, "kt", 5, 40)
     E = 0.8
-    pspec = perturbed_spec(spec, real)
+    pspec = perturbed_spec(spec, bt, at)
     for n in (3, 17, 40):
         # oracle: K(n) (product of perturbed single steps)
         Tw = transfer_product(pspec, E, n)
         lhs = np.eye(2)
         for m in range(1, n + 1):
-            lhs = k_conjugate(spec, real, E, m) @ lhs
-        K = np.diag([1.0, spec.a_at(n) + real.a_tilde[n]])
+            lhs = k_conjugate(spec, bt, E, m, at) @ lhs
+        K = np.diag([1.0, spec.a_at(n) + at[n]])
         rhs = K @ Tw
         assert max_abs(lhs - rhs) <= 1e-10 * max(1.0, max_abs(rhs))
 
@@ -182,8 +178,7 @@ def test_k_transfer_equals_k_times_plain_product():
 # ---------------------------------------------------------------------------
 
 def test_zero_realization_gives_identity():
-    states = correction_recursion(free_laplacian(), zero_realization(50),
-                                  0.5, 50)
+    states = correction_recursion(free_laplacian(), np.zeros(51), 0.5, 50)
     for st_ in states:
         assert max_abs(st_.D - np.eye(2)) < 1e-14
 
@@ -192,10 +187,9 @@ def test_single_site_perturbation():
     n_max, m, eps = 40, 7, 0.01
     bt = np.zeros(n_max + 1)
     bt[m] = eps
-    real = Realization(n_max=n_max, b_tilde=bt)
     spec = free_laplacian()
     E = 0.5
-    states = correction_recursion(spec, real, E, n_max)
+    states = correction_recursion(spec, bt, E, n_max)
     u = diagonal_generator_array(spec, E, n_max)[m]
     expect = np.eye(2) - eps * u
     assert max_abs(states[m].D - expect) < 1e-12
@@ -208,9 +202,9 @@ def test_single_site_perturbation():
 def test_correction_unimodular_and_dual_path():
     spec = free_laplacian()
     model = PerturbationModel(b_dist=UNIFORM, exp_id="cr")
-    real = sample(model, 3, 200)
+    bt = sample(model, 3, 200)
     # internal dual-path check runs at every site; no exception == agreement
-    states = correction_recursion(spec, real, 0.5, 200)
+    states = correction_recursion(spec, bt, 0.5, 200)
     for st_ in states[::20]:
         assert abs(np.linalg.det(st_.D) - 1.0) < 1e-10
 
@@ -218,10 +212,10 @@ def test_correction_unimodular_and_dual_path():
 def test_correction_factorization_explicit():
     spec = free_laplacian()
     model = PerturbationModel(b_dist=UNIFORM, exp_id="cf")
-    real = sample(model, 9, 100)
+    bt = sample(model, 9, 100)
     E = 1.1
-    states = correction_recursion(spec, real, E, 100)
-    pspec = perturbed_spec(spec, real)
+    states = correction_recursion(spec, bt, E, 100)
+    pspec = perturbed_spec(spec, bt)
     for n in (10, 55, 100):
         Tw = transfer_product(pspec, E, n)
         T0 = transfer_product(spec, E, n)
@@ -231,13 +225,10 @@ def test_correction_factorization_explicit():
 
 def test_general_mode_with_a_perturbation():
     spec = free_laplacian()
-    model = PerturbationModel(
-        b_dist=HALF_UNIFORM,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0),
-        exp_id="gm")
-    real = sample(model, 1, 100)
-    states = correction_recursion(spec, real, 0.5, 100,
-                                  mode="general-jacobi-conjugated")
+    model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="gm")
+    states = correction_recursion(spec, sample(model, 1, 100), 0.5, 100,
+                                  mode="general-jacobi-conjugated",
+                                  a_tilde=a_tilde_draw(A_NOISE, "gm", 1, 100))
     assert len(states) == 101
     assert abs(np.linalg.det(states[-1].D) - 1.0) < 1e-8
 
@@ -246,22 +237,19 @@ def test_general_mode_agrees_with_diagonal_mode():
     # pure-b perturbation: both modes compute the same D (K = I throughout)
     spec = free_laplacian()
     model = PerturbationModel(b_dist=UNIFORM, exp_id="gmd")
-    real = sample(model, 4, 80)
-    d1 = correction_recursion(spec, real, 0.5, 80)[-1].D
-    d2 = correction_recursion(spec, real, 0.5, 80,
+    bt = sample(model, 4, 80)
+    d1 = correction_recursion(spec, bt, 0.5, 80)[-1].D
+    d2 = correction_recursion(spec, bt, 0.5, 80,
                               mode="general-jacobi-conjugated")[-1].D
     assert max_abs(d1 - d2) < 1e-9
 
 
 def test_diagonal_mode_rejects_a_noise():
     spec = free_laplacian()
-    model = PerturbationModel(
-        b_dist=ZERO,
-        a_dist=SiteDistribution(kind="uniform", amplitude=0.2, decay=1.0),
-        exp_id="rej")
-    real = sample(model, 0, 20)
+    at = a_tilde_draw(SiteDistribution(kind="uniform", amplitude=0.2,
+                                       decay=1.0), "rej", 0, 20)
     with pytest.raises(InvalidArgumentError):
-        correction_recursion(spec, real, 0.5, 20)
+        correction_recursion(spec, np.zeros(21), 0.5, 20, a_tilde=at)
 
 
 def test_correction_ensemble_matches_recursion():
@@ -270,10 +258,15 @@ def test_correction_ensemble_matches_recursion():
     snaps = correction_ensemble(spec, model, 0.5, [0, 1, 2], [50, 100])
     assert snaps.shape == (3, 2, 2, 2)
     for i, seed in enumerate([0, 1, 2]):
-        real = sample(model, seed, 100)
-        states = correction_recursion(spec, real, 0.5, 100)
+        bt = sample(model, seed, 100)
+        states = correction_recursion(spec, bt, 0.5, 100)
         assert np.allclose(snaps[i, 0], states[50].D, atol=1e-10)
         assert np.allclose(snaps[i, 1], states[100].D, atol=1e-10)
+    # checkpoints are sorted; site 0 holds D = I, a repeated site repeats D
+    again = correction_ensemble(spec, model, 0.5, [1], [100, 0, 50, 50])
+    assert np.array_equal(again[0, 0], np.eye(2))
+    assert np.array_equal(again[0, 1], again[0, 2])
+    assert np.allclose(again[0, 3], snaps[1, 1], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +557,19 @@ def test_layer_one_is_plain_tail_sum():
               for f0, f1 in ((0.0, 1.0), (1.0, 0.0)))
     u_arr = diagonal_generator_array(spec, E, n_max)
     model = PerturbationModel(b_dist=UNIFORM, exp_id="l1")
-    real = sample(model, 7, n_max)
+    bt = sample(model, 7, n_max)
     # manual layer 1 at a few sites: sum_{j>n} b~(j) u(j) (0,1)^T
     d0 = np.array([0.0, 1.0])
     layer = np.zeros((1, n_max + 1, 2))
     layer[0, :, 1] = 1.0  # the terminal vector d0, in reversed site order
     phi = subordinate_generator_array(s1, s2, 0, n_max).phi
-    bt = real.b_tilde[::-1]
-    _advance_layer((bt * phi[1], -(bt * phi[0])), phi, layer)
+    rev = bt[::-1]
+    _advance_layer((rev * phi[1], -(rev * phi[0])), phi, layer)
     d_tot = d0 + layer[0, ::-1]
     for n in (0, 13, 150):
         manual = d0.copy()
         for j in range(n + 1, n_max + 1):
-            manual = manual + real.b_tilde[j] * (u_arr[j] @ d0)
+            manual = manual + bt[j] * (u_arr[j] @ d0)
         assert np.allclose(d_tot[n], manual, atol=1e-12)
 
 
@@ -593,7 +586,7 @@ def test_neumann_series_matches_direct_loop():
     layer_sq = np.full((len(seeds), 13), np.nan)
     d_vals = []
     for i, s in enumerate(seeds):
-        bt = sample(model, s, n_max).b_tilde
+        bt = sample(model, s, n_max)
         layer = np.zeros((n_max + 1, 2))
         layer[probe:, 1] = 1.0
         total = layer.copy()
@@ -644,7 +637,7 @@ def test_perturbed_solutions_zero_model_exact():
     spec = free_laplacian()
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.3, 300)
     psi1, psi2 = perturbed_solutions(spec.coefficients(300), rows,
-                                     zero_realization(300), 0.5, phi1, phi2)
+                                     np.zeros(301), 0.5, phi1, phi2)
     assert np.array_equal(psi1, phi1)
     assert np.array_equal(psi2, phi2)
 
@@ -652,43 +645,53 @@ def test_perturbed_solutions_zero_model_exact():
 def test_perturbed_solutions_satisfy_perturbed_recursion():
     spec = free_laplacian()
     model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="ps")
-    real = sample(model, 11, 400)
+    bt = sample(model, 11, 400)
     # the constructor verifies the residual at every interior site and
     # raises on failure; reaching here is the assertion
     coefficients = spec.coefficients(400)
     kept = [c.copy() for c in coefficients]
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, 400)
-    psi1, psi2 = perturbed_solutions(coefficients, rows, real, 0.5,
+    psi1, psi2 = perturbed_solutions(coefficients, rows, bt, 0.5,
                                      phi1, phi2)
     # the unperturbed arrays serve every realization, so stay unmodified
     assert all(np.array_equal(c, k) for c, k in zip(coefficients, kept))
-    a, b = perturbed_spec(spec, real).coefficients(400)
+    a, b = perturbed_spec(spec, bt).coefficients(400)
     scale = float(np.max(np.abs(psi2)))
     for n in (1, 200, 399):
         assert abs(residual(psi2, a, b, 0.5, n)) <= 1e-9 * scale
 
 
-def test_perturbed_solutions_refuse_a_tilde_and_short_realization():
-    # D(n) carries b~ alone: a nonzero a~ is refused up front, before it
-    # could fail the residual check; an all-zero a~ changes nothing
+def test_perturbed_solutions_refuse_a_short_draw():
     spec = free_laplacian()
     n_max = 50
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.1, n_max)
-    a_tilde = np.zeros(n_max + 1)
-    zero_a = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1),
-                         a_tilde=a_tilde.copy())
-    psi1, psi2 = perturbed_solutions(spec.coefficients(n_max), rows, zero_a,
-                                     0.5, phi1, phi2)
-    assert np.array_equal(psi1, phi1) and np.array_equal(psi2, phi2)
-    a_tilde[5] = 0.01
-    real = Realization(n_max=n_max, b_tilde=np.zeros(n_max + 1),
-                       a_tilde=a_tilde)
-    with pytest.raises(InvalidArgumentError, match="no a~"):
-        perturbed_solutions(spec.coefficients(n_max), rows, real, 0.5,
-                            phi1, phi2)
-    with pytest.raises(InsufficientDataError):
-        perturbed_solutions(spec.coefficients(n_max), rows,
-                            zero_realization(n_max - 1), 0.5, phi1, phi2)
+    with pytest.raises(InsufficientDataError, match="shorter"):
+        perturbed_solutions(spec.coefficients(n_max), rows, np.zeros(n_max),
+                            0.5, phi1, phi2)
+    # a longer draw is cut to the pair's sites
+    model = PerturbationModel(b_dist=HALF_UNIFORM, exp_id="ps")
+    kept = perturbed_solutions(spec.coefficients(n_max), rows,
+                               sample(model, 3, n_max), 0.5, phi1, phi2)
+    cut = perturbed_solutions(spec.coefficients(n_max), rows,
+                              sample(model, 3, 2 * n_max), 0.5, phi1, phi2)
+    assert all(np.array_equal(k, c) for k, c in zip(kept, cut))
+
+
+def test_nonzero_a_tilde_is_refused():
+    # every experiment draws b~ alone: sample refuses a nonzero a~, and
+    # with it each routine that draws, before a~ could be dropped; an
+    # all-zero a~ draws b~ as no a~ does
+    spec = free_laplacian()
+    b_only = PerturbationModel(b_dist=UNIFORM, exp_id="ra")
+    zero_a = PerturbationModel(b_dist=UNIFORM, a_dist=ZERO, exp_id="ra")
+    assert np.array_equal(sample(zero_a, 4, 30), sample(b_only, 4, 30))
+    with_a = PerturbationModel(b_dist=UNIFORM, a_dist=A_NOISE, exp_id="ra")
+    with pytest.raises(UnsupportedModelError, match="a~"):
+        sample(with_a, 4, 30)
+    with pytest.raises(UnsupportedModelError, match="a~"):
+        correction_ensemble(spec, with_a, 0.5, [0, 1], [50])
+    with pytest.raises(UnsupportedModelError, match="a~"):
+        stability_experiment(spec, with_a, 0.5, seeds=[0])
 
 
 def test_perturbed_solutions_ratio_near_one_small_noise():
@@ -700,8 +703,8 @@ def test_perturbed_solutions_ratio_near_one_small_noise():
     rows, phi1, phi2 = pair_and_rows(spec, 0.5, 0.0, 500)
     terminal = []
     for seed in range(20):
-        real = sample(model, seed, 500)
-        _, psi2 = perturbed_solutions(coefficients, rows, real, 0.5,
+        bt = sample(model, seed, 500)
+        _, psi2 = perturbed_solutions(coefficients, rows, bt, 0.5,
                                       phi1, phi2)
         terminal.append(l_norms(psi2, [400.0])[0] / l_norms(phi2, [400.0])[0])
     med = float(np.median(terminal))
