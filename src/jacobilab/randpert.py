@@ -86,19 +86,22 @@ class SiteDistribution:
         return b / n ** self.decay
 
     def transform(self, u: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0, 1) to per-site values (one draw per site)."""
+        """Map uniforms in [0, 1) to per-site values, in place of u."""
         if self.kind == "zero":
-            x = np.zeros_like(u)
+            u.fill(0.0)
         elif self.kind == "uniform":
-            x = 2.0 * u - 1.0
+            u *= 2.0
+            u -= 1.0
         elif self.kind == "rademacher":
-            x = np.where(u < 0.5, -1.0, 1.0)
+            u[:] = np.where(u < 0.5, -1.0, 1.0)
         else:
             from scipy.special import ndtr, ndtri  # tgauss alone needs scipy
-            lo = ndtr(-self.trunc)
-            hi = ndtr(self.trunc)
-            x = ndtri(lo + u * (hi - lo))
-        return self.amplitude * x / np.asarray(n, dtype=float) ** self.decay
+            lo, hi = ndtr(-self.trunc), ndtr(self.trunc)
+            u *= hi - lo
+            ndtri(np.add(u, lo, out=u), out=u)
+        u *= self.amplitude
+        u /= np.asarray(n, dtype=float) ** self.decay
+        return u
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def stream_uniforms(exp_id: str, tag: str, seed: int, n_max: int) -> np.ndarray:
     """u[n] for sites n = 1..n_max; u[0] is unused (zero)."""
     gen = np.random.Generator(np.random.Philox(key=_philox_key(exp_id, tag, seed)))
     u = np.zeros(n_max + 1)
-    u[1:] = gen.random(n_max)
+    gen.random(out=u[1:])
     return u
 
 
@@ -318,7 +321,6 @@ def series_convergence_check(model: PerturbationModel, n_tail: int,
     sups = np.empty((trials, len(checkpoints)))
     tail_sq = np.empty(trials)
     for t in range(trials):
-        # a draw freed as a temporary measured ~40 % slower: keep it named
         b = sample(model, seed + t, n_max, "series")
         S = np.cumsum(b)  # S[k] = sum_{n<=k}
         final = S[-1]

@@ -297,7 +297,6 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     at_bump = [min(nj, n_cut) for nj in prop.bump_sites]
     beta1s, beta2s = [], []
     for seed in seeds:
-        # a draw freed as a temporary measured ~10 % slower: keep it named
         b_tilde = sample(model, seed, n_cut + 1)
         d, _ = neumann_layers(b_tilde, rows, 0, at_bump, columns=(1,))
         d_plus = d[:, :, 0]

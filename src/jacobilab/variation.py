@@ -15,10 +15,16 @@ columns a caller asks for: both for the perturbed pair, d^+ alone for
 the sparse envelope. It keeps the sums at the sites asked for: every
 site for the perturbed pair, the bumps for the sparse envelope. It
 reads u in factored form, from two rows that a seed ensemble builds once.
+D factors as D(lo) = M(lo, hi) D(hi) over the sites lo < m <= hi, so the
+sums run segment by segment from the top, cut where SEGMENT_MIN sites or
+more lie below: a far segment stops after a layer or two, and a layer's
+sup is its largest over the segments. A segment's layers carry only its
+own share of sum |~b| |u|, so a sum that diverged over the span may converge.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +43,8 @@ LAYER_CAP = 100         # 2.5x the deepest sum seen (38 layers at s = 1/2)
 RESIDUAL_TOL = 1e-9     # relative recursion residual of perturbed solutions
 SEED_CHUNK = 50         # realizations propagated together
 BLOCK = 2 ** 14         # sites per block of a layer step: ~1 MiB, in cache
+SEGMENT_MIN = 2 ** 10   # fewest sites below a segment cut: a layer step has
+                        # ~15 us of fixed cost, the work of ~2,000 sites
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +151,17 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     column ``columns[c]``: the default (0, 1) gives the whole matrix, (1,)
     gives d^+ alone. ``rows`` is subordinate_generator_array(phi1, phi2,
     n_start, n_max), n_max = len(b_tilde) - 1, built by the caller once
-    per pair. One pass of the layer iteration serves every requested
-    column; each column stops after its first layer whose sup-norm is
-    below LAYER_STOP, so it does not depend on which others are summed
-    with it. A column that has not stopped after LAYER_CAP layers raises
-    DivergentSeriesError.
-    Layers span every site n_start..n_max; the sums are kept at the sites
-    asked for, which may repeat. Returns (D, sups): D[i] is D(sites[i]),
-    shape (len(sites), 2, len(columns)), and sups[k] is the largest
-    sup-norm of layer k over the columns that take it.
+    per pair. The span is summed one segment [lo, hi] at a time, top
+    first, cut at n_max//2, n_max//4, ... while SEGMENT_MIN sites or more
+    lie below: there D = M(., hi) D(hi), so a segment's layers run over
+    its sites only, from the sums D(hi) of the segment above. Per
+    segment, each column stops after its first layer whose sup-norm is
+    below LAYER_STOP, whichever others are summed with it, and raises
+    DivergentSeriesError if it has not stopped after LAYER_CAP layers.
+    The sums are kept at the sites asked for, which may repeat. Returns
+    (D, sups): D[i] is D(sites[i]), shape (len(sites), 2, len(columns)),
+    and sups[k] is the largest sup-norm of layer k over the columns and
+    segments that take it.
     """
     n_max = len(b_tilde) - 1
     if (rows.n_start, rows.n_max) != (n_start, n_max):
@@ -166,27 +176,44 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     pick = n_max - sites  # the sites' positions in reversed order
     bt = b_tilde[n_start:][::-1]
     v = (bt * rows.phi[1], -(bt * rows.phi[0]))
-    unit = np.eye(2)[list(columns), None, :]
-    # total[column, i] and layer[column, j]: the sum at site sites[i] and
-    # layer k at site n_max - j, as 2-vectors
-    total, layer = (np.repeat(unit, m, axis=1) for m in (len(sites), len(bt)))
-    active = list(range(len(columns)))
-    sups = [1.0]  # the terminal vectors are unit vectors
-    for _ in range(LAYER_CAP):
-        _advance_layer(v, rows.phi, layer)
-        col_sups = [float(max(col.max(), -col.min())) for col in layer]
-        for c, col in zip(active, layer):
-            total[c] += col[pick]
-        sups.append(max(col_sups))
-        going = [k for k, sup in enumerate(col_sups) if not sup < LAYER_STOP]
-        if not going:
-            break
-        if len(going) < len(active):
-            active, layer = [active[k] for k in going], layer[going]
-    else:
-        raise DivergentSeriesError(
-            f"Neumann sum of column {[columns[c] for c in active]} did not "
-            f"converge in {LAYER_CAP} layers: last sups {sups[-3:]}")
+    total = np.empty((len(columns), len(sites), 2))
+    carry = np.eye(2)[list(columns)]  # terminal vectors of a segment
+    sups: List[float] = []
+    bottoms = [n_max >> k for k in range(1, n_max.bit_length())
+               if (n_max >> k) - n_start >= SEGMENT_MIN]
+    start = 0  # first reversed position that no segment above has kept
+    for bottom in bottoms + [n_start]:
+        end = n_max - bottom + 1
+        seg = slice(max(start - 1, 0), end)
+        here = np.flatnonzero((pick >= start) & (pick < end))
+        # sums[column, i] and layer[column, j]: the sum at the i-th site
+        # kept, the segment's bottom last, and layer k at position j
+        at = np.append(pick[here], end - 1) - seg.start
+        sums, layer = (np.repeat(carry[:, None], m, axis=1)
+                       for m in (len(at), end - seg.start))
+        active = list(range(len(columns)))
+        seg_sups = [float(np.abs(carry).max())]
+        seg_v, seg_phi = (tuple(x[seg] for x in xs) for xs in (v, rows.phi))
+        for _ in range(LAYER_CAP):
+            _advance_layer(seg_v, seg_phi, layer)
+            col_sups = [float(max(col.max(), -col.min())) for col in layer]
+            for c, col in zip(active, layer):
+                sums[c] += col[at]
+            seg_sups.append(max(col_sups))
+            going = [k for k, s in enumerate(col_sups) if not s < LAYER_STOP]
+            if not going:
+                break
+            if len(going) < len(active):
+                active, layer = [active[k] for k in going], layer[going]
+        else:
+            raise DivergentSeriesError(
+                f"Neumann sum of column {[columns[c] for c in active]} did "
+                f"not converge in {LAYER_CAP} layers: last sups "
+                f"{seg_sups[-3:]}")
+        total[:, here], carry = sums[:, :-1], sums[:, -1]
+        sups = [max(pair) for pair in
+                itertools.zip_longest(sups, seg_sups, fillvalue=0.0)]
+        start = end
     return total.transpose(1, 2, 0), sups
 
 

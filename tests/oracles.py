@@ -17,7 +17,10 @@ time, what src/ computes by array code, and a test compares the two:
 - advance_layer: one Neumann layer step through the full 2x2 generator
   u(n) (variation.neumann_layers, which applies u in factored form);
 - neumann_series: the plus-branch Neumann layers of a seed ensemble with
-  contraction diagnostics, by advance_layer.
+  contraction diagnostics, by advance_layer;
+- tail_product: the amplitude matrix D(n) as the ordered product of the
+  one-site factors, with no layers (variation.neumann_layers, which sums
+  it as Neumann series, segment by segment).
 
 2x2 matrices are (2, 2) float arrays, as in src/.
 """
@@ -384,6 +387,21 @@ def advance_layer(bt: np.ndarray,
         for row, wi in zip(col, w):
             row[0] = 0.0  # no site beyond n_max
             np.cumsum(wi[:-1], out=row[1:])
+
+
+def tail_product(b_tilde: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+                 n_start: int) -> np.ndarray:
+    """D(n) for sites n_start..n_max = len(b_tilde) - 1, shape (sites, 2, 2).
+
+    D(n_max) = I and D(n) = (I + ~b(n+1) u(n+1)) D(n+1), one site at a
+    time, for u = (phi2, -phi1)^T (phi1, phi2) of the boundary pair.
+    """
+    u_arr = nilpotent_generator_array(phi1, phi2)
+    n_max = len(b_tilde) - 1
+    D = [np.eye(2)]
+    for n in range(n_max, n_start, -1):
+        D.append((np.eye(2) + b_tilde[n] * u_arr[n]) @ D[-1])
+    return np.array(D[::-1])
 
 
 @dataclass

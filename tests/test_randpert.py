@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from jacobilab.core import constant_spec, free_laplacian
 from jacobilab.errors import (
@@ -22,6 +23,7 @@ from jacobilab.randpert import (
     maximal_inequality_check,
     sample,
     series_convergence_check,
+    _philox_key,
     stream_uniforms,
 )
 
@@ -134,6 +136,45 @@ def test_distinct_seeds_and_streams_differ():
         assert all(not np.allclose(draw[1:], d[1:]) for d in draws)
         draws.append(draw)
     assert np.array_equal(draws[0], sample(model, 0, 200))  # tag "b"
+
+
+def out_of_place_draw(model, seed, n_max, tag="b"):
+    """The draw written out with fresh arrays: uniforms from the Philox
+    stream, the variate X, then amplitude * X / n^decay, b~(0) = 0."""
+    gen = np.random.Generator(np.random.Philox(
+        key=_philox_key(model.exp_id, tag, seed)))
+    u = np.zeros(n_max + 1)
+    u[1:] = gen.random(n_max)
+    dist = model.b_dist
+    if dist.kind == "zero":
+        x = np.zeros_like(u)
+    elif dist.kind == "uniform":
+        x = 2.0 * u - 1.0
+    elif dist.kind == "rademacher":
+        x = np.where(u < 0.5, -1.0, 1.0)
+    else:
+        lo, hi = ndtr(-dist.trunc), ndtr(dist.trunc)
+        x = ndtri(lo + u * (hi - lo))
+    sites = np.arange(n_max + 1, dtype=float)
+    sites[0] = 1.0
+    b_tilde = dist.amplitude * x / sites ** dist.decay
+    b_tilde[0] = 0.0
+    return b_tilde
+
+
+@pytest.mark.parametrize("kind", ["zero", "uniform", "rademacher", "tgauss"])
+def test_sample_is_the_out_of_place_draw_bit_for_bit(kind):
+    # sample fills the stream and transforms it in place, in the same
+    # order of operations, so every bit (and the sign of zero) is kept
+    for amplitude, decay, trunc in ((1.0, 0.0, 2.0), (0.3, 0.75, 1.5),
+                                    (-2.5, 2.0, 3.0), (0.0, 0.6, 2.0)):
+        model = PerturbationModel(exp_id="oop", b_dist=SiteDistribution(
+            kind=kind, amplitude=amplitude, decay=decay, trunc=trunc))
+        for seed, tag in ((0, "b"), (7, "series")):
+            draw = sample(model, seed, 3000, tag)
+            expected = out_of_place_draw(model, seed, 3000, tag)
+            assert np.array_equal(draw, expected)
+            assert np.array_equal(np.signbit(draw), np.signbit(expected))
 
 
 def test_sample_mean_near_zero():

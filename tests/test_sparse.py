@@ -271,6 +271,20 @@ def test_perturbed_experiment_far_above_threshold():
     assert rep.n_seeds == 5
 
 
+def test_sparse_verdict_sees_its_perturbation():
+    # gamma 2 puts the fitted bumps 2^6..2^13 inside the dense window, one
+    # or more in each of its four Neumann segments, so the perturbed fit
+    # reads perturbed amplitudes: at s = 0.6 it moves ~1,400x as far as at
+    # s = 2 (2.4e-2 against 1.8e-5). With gamma 8 and n_cut 1e5 every
+    # fitted bump lies beyond n_cut, and only d+(n_cut) is ever read.
+    sspec = SparseSpec(v=0.2, gamma=2, j_max=30)
+    diff = {s: perturbed_sparse_experiment(sspec, s, range(16), 0.6,
+                                           n_cut=10 ** 4).max_median_diff
+            for s in (0.6, 2.0)}
+    assert diff[2.0] > 0.0
+    assert diff[0.6] >= 100.0 * diff[2.0]
+
+
 def test_perturbed_experiment_validation():
     s = SparseSpec(v=0.2, gamma=8, j_max=12)
     with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,6 @@
 """Correction-matrix factorization, conjugated generators, Neumann layers."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -49,6 +50,7 @@ from oracles import (
     perturbed_spec,
     reversed_rows,
     spectral_norm,
+    tail_product,
     transfer_product,
 )
 
@@ -525,6 +527,77 @@ def test_neumann_layers_at_sites_are_rows_of_the_all_sites_call(data):
     assert d.shape == (len(sites), 2, len(columns))
     assert np.array_equal(d, d_all[np.array(sites) - n_start])
     assert sups == sups_all
+
+
+def draw_segments(data):
+    """A floor for the segment breaks of neumann_layers: low ones cut the
+    1..150 sites the tests draw into segments of a few sites."""
+    return mock.patch.object(variation, "SEGMENT_MIN",
+                             data.draw(st.sampled_from([1, 2, 7, 64])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_segmented_sums_are_the_tail_product(data):
+    # D(lo) = M(lo, hi) D(hi): wherever the full-span loop stops, the
+    # segments stop too, and both are the one-site product to roundoff
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    scale = data.draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    product = tail_product(b_tilde, phi1, phi2, n_start)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(product))))
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    for col, terminal in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        total, sups = single_branch_layers(b_tilde, phi1, phi2, n_start,
+                                           terminal)
+        if not sups[-1] < LAYER_STOP:
+            continue
+        assert np.max(np.abs(total[n_start:] - product[:, :, col])) <= tol
+        with draw_segments(data), draw_block(data):
+            d, _ = neumann_layers(b_tilde, rows, n_start,
+                                  range(n_start, n_max + 1), (col,))
+        assert np.max(np.abs(d[:, :, 0] - product[:, :, col])) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_segmented_sums_keep_rows_and_columns_bit_for_bit(data):
+    # the breaks depend on the span alone: sums at some sites are rows of
+    # the all-sites call, and a one-column call is that column
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    sites = np.array(data.draw(st.lists(st.integers(n_start, n_max),
+                                        min_size=1, max_size=8)))
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    every = range(n_start, n_max + 1)
+    with draw_segments(data):
+        one = []
+        for col in (0, 1):
+            try:
+                one.append(neumann_layers(b_tilde, rows, n_start, every,
+                                          (col,)))
+            except DivergentSeriesError:
+                one.append(None)
+        if None in one:
+            for at in (every, sites):
+                with pytest.raises(DivergentSeriesError):
+                    neumann_layers(b_tilde, rows, n_start, at)
+            return
+        d_all, sups_all = neumann_layers(b_tilde, rows, n_start, every)
+        d, sups = neumann_layers(b_tilde, rows, n_start, sites)
+    assert np.array_equal(d, d_all[sites - n_start])
+    assert sups == sups_all
+    for col, (d_col, _) in enumerate(one):
+        assert np.array_equal(d_col[:, :, 0], d_all[:, :, col])
+    assert sups_all == [max(k_sups) for k_sups in itertools.zip_longest(
+        one[0][1], one[1][1], fillvalue=0.0)]
 
 
 def test_neumann_layers_rejects_rows_of_another_span():
