@@ -118,8 +118,6 @@ class CesaroReport:
     averages: List[float]
     liminf_proxy: float
     bounded_flag: bool
-    saturated: bool = False
-    max_log_t: float = 0.0
 
 
 @dataclass
@@ -138,14 +136,11 @@ class CesaroScan:
 
 def _cesaro_report(E: float, N_grid: List[int], log_avgs: List[float],
                    max_log_t: float) -> CesaroReport:
-    saturated = max(log_avgs) > LOG_SAT
     averages = [math.exp(v) if v <= LOG_SAT else math.inf for v in log_avgs]
     last_decade = [a for N, a in zip(N_grid, averages) if N >= N_grid[-1] / 10.0]
     return CesaroReport(
         E=E, averages=averages, liminf_proxy=min(last_decade),
-        bounded_flag=max_log_t <= math.log(TAU_BOUND),
-        saturated=saturated, max_log_t=max_log_t,
-    )
+        bounded_flag=max_log_t <= math.log(TAU_BOUND))
 
 
 def _log_weights(model: PerturbationModel, a: np.ndarray, N_max: int

@@ -1,7 +1,7 @@
 """Configuration, orchestration, and data emission for all experiments.
 
 A single JSON config file drives every experiment. Each experiment accepts
-only the keys it reads (READS), and their defaults are materialized before
+only the keys it reads (KEYS), and their defaults are materialized before
 hashing, so the provenance copy pins the exact run. All emitted files are
 written atomically and are byte-deterministic for a given config: floats
 are serialized with their shortest round-trip representation and cells
@@ -22,7 +22,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,114 +54,101 @@ EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
 # experiments whose energies share one lane pass (ac_criterion)
 LANE_EXPERIMENTS = ("transfer", "ac-scan")
-# the config keys each experiment reads besides experiment, output and
-# workers; a dotted name is one key of a block. materialize refuses every
-# other key and fills defaults for these alone
+# experiments with one cell per energy; the others read no spec or E_grid
+PER_ENERGY = tuple(e for e in EXPERIMENTS if e not in ("inequality", "series"))
+# the keys every experiment reads besides those of READS
+RUNTIME = ("experiment", "output", "workers")
+
+
+class Key(NamedTuple):  # a row of KEYS
+    node: Dict[str, Any]  # the key's JSON Schema node
+    default: Any  # None: the key has none
+    readers: Tuple[str, ...]  # the experiments that read the key
+
+
+def _object(properties: Dict[str, Any], *required: str) -> Dict[str, Any]:
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties, **({"required": list(required)}
+                                         if required else {})}
+
+
+def _num(**bounds: float) -> Dict[str, Any]:
+    return {"type": "number", **bounds}
+
+
+def _int(minimum: int) -> Dict[str, Any]:
+    return {"type": "integer", "minimum": minimum}
+
+
+# the keys of a site distribution (model.b, model.a): (node, default)
+DIST_KEYS = {
+    "kind": ({"enum": ["zero", "uniform", "rademacher", "tgauss"]}, None),
+    "amplitude": (_num(), 1.0), "decay": (_num(), 1.0),
+    "trunc": (_num(exclusiveMinimum=0), 2.0),
+}
+# the keys of each spec type besides type: (node, default)
+SPEC_KEYS = {
+    "free": {},
+    "constant": {"a": (_num(exclusiveMinimum=0), 1.0), "b": (_num(), 0.0)},
+    "sparse": {"v": (_num(), 0.2), "gamma": (_int(2), 8),
+               "j_max": (_int(1), 30)},
+}
+_DIST = _object({k: node for k, (node, _) in DIST_KEYS.items()}, "kind")
+_SPEC = _object({"type": {"enum": list(SPEC_KEYS)},
+                 **{k: node for keys in SPEC_KEYS.values()
+                    for k, (node, _) in keys.items()}}, "type")
+
+# every config key, a dotted name being one key of a block. materialize
+# refuses a key its experiment does not read, and fills the defaults of
+# those it reads
+KEYS: Dict[str, Key] = {
+    "experiment": Key({"enum": list(EXPERIMENTS)}, None, EXPERIMENTS),
+    "spec": Key(_SPEC, {"type": "free"}, PER_ENERGY),
+    "model.b": Key(_DIST, {"kind": "uniform"}, ("ac-scan", "variation",
+                   "singular-stability", "inequality", "series")),
+    "model.a": Key(_DIST, None, ("ac-scan",)),
+    "model.delta": Key(_num(exclusiveMinimum=0, exclusiveMaximum=1), 0.5,
+                       ("ac-scan",)),
+    "E_grid": Key({"oneOf": [
+        {"type": "array", "items": _num(), "minItems": 1},
+        _object({"start": _num(), "stop": _num(),
+                 "step": _num(exclusiveMinimum=0)}, "start", "stop", "step"),
+    ]}, [0.5], PER_ENERGY),
+    "seeds.base": Key(_int(0), 0, ("variation", "singular-stability",
+                                   "sparse", "inequality", "series")),
+    "seeds.count": Key(_int(1), 20,
+                       ("variation", "singular-stability", "sparse")),
+    "grids.N_j_max": Key(_int(4), 30, LANE_EXPERIMENTS),
+    "grids.L_max": Key(_num(exclusiveMinimum=1), 1e4,
+                       ("subordinacy", "singular-stability")),
+    "grids.L_decades": Key(_int(2), 4, ("subordinacy", "singular-stability")),
+    "grids.n_max": Key(_int(10), 10 ** 4, ("ac-scan", "series")),
+    "grids.N1": Key(_int(1), 1, ("inequality",)),
+    "grids.N2": Key(_int(2), 10, ("inequality",)),
+    "grids.r": Key(_num(minimum=0), 3.0, ("inequality",)),
+    "grids.trials": Key(_int(1), 10 ** 4, ("inequality", "series")),
+    "grids.n_tail": Key(_int(1), 100, ("series",)),
+    "grids.s": Key(_num(exclusiveMinimum=0), 1.0, ("sparse",)),
+    "grids.n_cut": Key(_int(100), 10 ** 5, ("sparse",)),
+    "grids.checkpoints": Key({"type": "array", "items": _int(1),
+                              "minItems": 1}, [100, 1000, 10000],
+                             ("variation",)),
+    "output": Key({"type": "string"}, "out", EXPERIMENTS),
+    "workers": Key(_int(1), 1, EXPERIMENTS),
+}
+
+# one property per row of KEYS; a dotted row is a property of its block
+CONFIG_SCHEMA = _object({
+    top: KEYS[top].node if top in KEYS else _object({
+        name.split(".")[1]: key.node for name, key in KEYS.items()
+        if name.startswith(top + ".")})
+    for top in dict.fromkeys(name.split(".")[0] for name in KEYS)},
+    "experiment")
+# the keys each experiment reads besides RUNTIME
 READS: Dict[str, Tuple[str, ...]] = {
-    "transfer": ("spec", "E_grid", "grids.N_j_max"),
-    "ac-scan": ("spec", "E_grid", "model.b", "model.a", "model.delta",
-                "grids.N_j_max", "grids.n_max"),
-    "subordinacy": ("spec", "E_grid", "grids.L_max", "grids.L_decades"),
-    "variation": ("spec", "E_grid", "model.b", "seeds.base", "seeds.count",
-                  "grids.checkpoints"),
-    "singular-stability": ("spec", "E_grid", "model.b", "seeds.base",
-                           "seeds.count", "grids.L_max", "grids.L_decades"),
-    "sparse": ("spec", "E_grid", "seeds.base", "seeds.count", "grids.s",
-               "grids.n_cut"),
-    "inequality": ("model.b", "seeds.base", "grids.N1", "grids.N2",
-                   "grids.r", "grids.trials"),
-    "series": ("model.b", "seeds.base", "grids.trials", "grids.n_max",
-               "grids.n_tail"),
-}
-
-_DIST_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["zero", "uniform", "rademacher", "tgauss"]},
-        "amplitude": {"type": "number"},
-        "decay": {"type": "number"},
-        "trunc": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind"],
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "spec": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "type": {"enum": ["free", "constant", "sparse"]},
-                "a": {"type": "number", "exclusiveMinimum": 0},
-                "b": {"type": "number"},
-                "v": {"type": "number"},
-                "gamma": {"type": "integer", "minimum": 2},
-                "j_max": {"type": "integer", "minimum": 1},
-            },
-            "required": ["type"],
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "b": _DIST_SCHEMA,
-                "a": _DIST_SCHEMA,
-                "delta": {"type": "number",
-                          "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "E_grid": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "start": {"type": "number"},
-                        "stop": {"type": "number"},
-                        "step": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["start", "stop", "step"],
-                },
-            ]
-        },
-        "seeds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "base": {"type": "integer", "minimum": 0},
-                "count": {"type": "integer", "minimum": 1},
-            },
-        },
-        "grids": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "N_j_max": {"type": "integer", "minimum": 4},
-                "L_max": {"type": "number", "exclusiveMinimum": 1},
-                "L_decades": {"type": "integer", "minimum": 2},
-                "n_max": {"type": "integer", "minimum": 10},
-                "N1": {"type": "integer", "minimum": 1},
-                "N2": {"type": "integer", "minimum": 2},
-                "r": {"type": "number", "minimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
-                "n_tail": {"type": "integer", "minimum": 1},
-                "s": {"type": "number", "exclusiveMinimum": 0},
-                "n_cut": {"type": "integer", "minimum": 100},
-                "checkpoints": {"type": "array",
-                                "items": {"type": "integer", "minimum": 1},
-                                "minItems": 1},
-            },
-        },
-        "output": {"type": "string"},
-        "workers": {"type": "integer", "minimum": 1},
-    },
-    "required": ["experiment"],
-}
+    exp: tuple(name for name, key in KEYS.items()
+               if exp in key.readers and name not in RUNTIME)
+    for exp in EXPERIMENTS}
 
 # the JSON Schema keywords _validate implements; CONFIG_SCHEMA uses no other
 _KEYWORDS = frozenset({
@@ -264,27 +251,6 @@ def _integral_ints(value: Any, schema: Dict[str, Any]) -> Any:
     return value
 
 
-# the default of each key of READS but model.a, and of output and workers
-_DEFAULTS: Dict[str, Any] = {
-    "spec": {"type": "free"}, "E_grid": [0.5],
-    "model.b": {"kind": "uniform", "amplitude": 1.0, "decay": 1.0},
-    "model.delta": 0.5, "seeds.base": 0, "seeds.count": 20,
-    "grids.N_j_max": 30, "grids.L_max": 1e4, "grids.L_decades": 4,
-    "grids.n_max": 10 ** 4, "grids.N1": 1, "grids.N2": 10, "grids.r": 3.0,
-    "grids.trials": 10 ** 4, "grids.n_tail": 100, "grids.s": 1.0,
-    "grids.n_cut": 10 ** 5, "grids.checkpoints": [100, 1000, 10000],
-    "output": "out", "workers": 1,
-}
-
-# the keys of each spec type, with their defaults
-_SPEC_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "free": {}, "constant": {"a": 1.0, "b": 0.0},
-    "sparse": {"v": 0.2, "gamma": 8, "j_max": 30},
-}
-
-_DIST_DEFAULTS = {"amplitude": 1.0, "decay": 1.0, "trunc": 2.0}
-
-
 def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     """Validate and fill in every default; returns the canonical config.
 
@@ -295,7 +261,7 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     _validate(config, CONFIG_SCHEMA)
     out = _integral_ints(json.loads(json.dumps(config)), CONFIG_SCHEMA)
     exp = out["experiment"]
-    names = READS[exp] + ("experiment", "output", "workers")
+    names = READS[exp] + RUNTIME
     tops = {name.split(".")[0] for name in names}
     for key, val in out.items():
         if key not in tops:
@@ -312,22 +278,23 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
     for name in names:
         *block, key = name.split(".")
         parent = out.setdefault(block[0], {}) if block else out
-        if name in _DEFAULTS:
-            parent.setdefault(key, json.loads(json.dumps(_DEFAULTS[name])))
+        default = json.loads(json.dumps(KEYS[name].default))  # a copy
+        if default is not None:
+            parent.setdefault(key, default)
     if "spec" in out:
         sd = out["spec"]
         if exp == "sparse" and sd["type"] != "sparse":
             raise ConfigError(f"experiment 'sparse' needs spec type "
                               f"'sparse', got {sd['type']!r}", ("spec", "type"))
         for k in sd:
-            if k != "type" and k not in _SPEC_DEFAULTS[sd["type"]]:
+            if k != "type" and k not in SPEC_KEYS[sd["type"]]:
                 raise ConfigError(f"spec type {sd['type']!r} has no key "
                                   f"{k!r}", ("spec", k))
-        for k, v in _SPEC_DEFAULTS[sd["type"]].items():
+        for k, (_, v) in SPEC_KEYS[sd["type"]].items():
             sd.setdefault(k, v)
     for dist in ("b", "a"):
         if dist in out.get("model", {}):
-            for k, v in _DIST_DEFAULTS.items():
+            for k, (_, v) in DIST_KEYS.items():  # kind, required, is set
                 out["model"][dist].setdefault(k, v)
     return out
 
@@ -534,11 +501,10 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
     """Dispatch, compute all cells, and assemble the deterministic report."""
     config = materialize(config)
     exp = config["experiment"]
-    if exp == "ac-scan":  # the one experiment that reads model.a
+    if "model.a" in READS[exp]:
         build_model(config).validate_against(build_spec(config))
     g = config["grids"]
-    chash = config_hash(config)
-    provenance = {"config": config, "config_hash": chash,
+    provenance = {"config": config, "config_hash": config_hash(config),
                   "version": __version__,
                   "seed_policy": "philox(experiment-id, stream, seed, site)"}
     report = EnsembleReport(experiment=exp, columns=_CELL_COLUMNS[exp],
@@ -670,6 +636,15 @@ def emit(report: EnsembleReport, out_dir: str) -> List[str]:
 # CLI
 # ---------------------------------------------------------------------------
 
+def _finite_float(token: str) -> float:
+    """float(token); NaN, Infinity and a float past the double range,
+    which json.load takes, are refused, as no schema bound refuses NaN."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lab",
@@ -686,17 +661,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         with open(args.config) as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(f, parse_float=_finite_float,
+                               parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    config["experiment"] = args.experiment
-    if args.seeds is not None:
-        config.setdefault("seeds", {})["count"] = args.seeds
-    if args.out is not None:
-        config["output"] = args.out
-    if args.workers is not None:
-        config["workers"] = args.workers
+    if isinstance(config, dict):  # materialize refuses any other file
+        config["experiment"] = args.experiment
+        for key, value in (("output", args.out), ("workers", args.workers)):
+            if value is not None:
+                config[key] = value
+        if args.seeds is not None and isinstance(
+                config.setdefault("seeds", {}), dict):
+            config["seeds"]["count"] = args.seeds
 
     try:
         config = materialize(config)

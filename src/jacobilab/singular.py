@@ -53,11 +53,9 @@ class SingularEnergyReport:
     lambda_member: bool
     ratio_psi1: List[Tuple[float, float]]
     ratio_psi2: List[Tuple[float, float]]
-    theta_star: float = math.nan
     exp1: float = math.nan
     exp2: float = math.nan
     sandwich_ok: bool = False
-    n_seeds: int = 0
 
 
 def r_sequence(phi1: np.ndarray, phi2: np.ndarray, eta_tilde: float,
@@ -173,8 +171,8 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
         lambda_member=member,
         ratio_psi1=list(zip(L_grid.tolist(), med1.tolist())),
         ratio_psi2=list(zip(L_grid.tolist(), med2.tolist())),
-        theta_star=theta, exp1=exp1, exp2=exp2,
-        sandwich_ok=sandwich_holds(beta, exp1, exp2), n_seeds=len(seeds),
+        exp1=exp1, exp2=exp2,
+        sandwich_ok=sandwich_holds(beta, exp1, exp2),
     )
 
 

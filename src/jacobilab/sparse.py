@@ -61,7 +61,6 @@ class SparseSpec:
 class EnvelopeFit:
     beta1_hat: float
     beta2_hat: float
-    residual: float
 
 
 def _free_block(E: float) -> np.ndarray:
@@ -156,8 +155,8 @@ def envelope_exponents(bump_sites: Sequence[int],
     """Power-law envelope fit of bump amplitudes (scale-invariant slopes).
 
     beta2_hat is the slope through running-maximum points (upper
-    envelope), beta1_hat through running-minimum points; the central
-    least-squares residual is reported. Needs >= 8 points past the
+    envelope), beta1_hat through running-minimum points; either falls
+    back to the central least-squares slope. Needs >= 8 points past the
     transient window.
     """
     amps = np.asarray(amplitudes, dtype=float)
@@ -166,8 +165,7 @@ def envelope_exponents(bump_sites: Sequence[int],
         raise InsufficientDataError("need >= 8 bump amplitudes past transient")
     x = np.log(sites[ENVELOPE_DISCARD:])
     y = np.log(np.maximum(amps[ENVELOPE_DISCARD:], 1e-300))
-    slope, icept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((y - slope * x - icept) ** 2)))
+    slope = np.polyfit(x, y, 1)[0]
 
     def env_slope(yv: np.ndarray, upper: bool) -> float:
         run = np.maximum.accumulate(yv) if upper else np.minimum.accumulate(yv)
@@ -179,7 +177,7 @@ def envelope_exponents(bump_sites: Sequence[int],
     b2 = env_slope(y, upper=True)
     b1 = env_slope(y, upper=False)
     lo, hi = min(b1, b2), max(b1, b2)
-    return EnvelopeFit(beta1_hat=lo, beta2_hat=hi, residual=residual)
+    return EnvelopeFit(beta1_hat=lo, beta2_hat=hi)
 
 
 def s_threshold(beta1: float, beta2: float) -> float:
@@ -221,11 +219,8 @@ class SparseStabilityReport:
     beta1_pert_median: float
     beta2_pert_median: float
     max_median_diff: float
-    exp1: float
-    exp2: float
     sandwich_ok: bool
     tail_bound: float
-    n_seeds: int
 
 
 def _tail_certificate(amp_max: float, s: float, n_cut: int) -> float:
@@ -315,6 +310,5 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                     min(fit_unpert.beta2_hat, 0.499)),
         theta_star=theta, fit_unpert=fit_unpert,
         beta1_pert_median=b1_med, beta2_pert_median=b2_med,
-        max_median_diff=diff, exp1=exp1, exp2=exp2,
-        sandwich_ok=sandwich, tail_bound=tail_bound, n_seeds=len(seeds),
+        max_median_diff=diff, sandwich_ok=sandwich, tail_bound=tail_bound,
     )

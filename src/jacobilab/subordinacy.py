@@ -11,7 +11,7 @@ geometric L-grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -170,8 +170,6 @@ class SubordinacyResult:
     theta_best: float = math.nan  # minimizing angle even when not subordinate
     growth_exponent: float = math.nan
     regular: bool = False
-    log_ratio_trace: np.ndarray = field(default=None, repr=False)
-    L_grid: np.ndarray = field(default=None, repr=False)
 
 
 def beta_eta_from_traces(L_grid, logn1, logn2) -> tuple[float, Optional[float]]:
@@ -266,6 +264,4 @@ def detect_subordinate(spec: OperatorSpec, E: float,
         classification=classification,
         growth_exponent=growth,
         regular=regular,
-        log_ratio_trace=log_ratio,
-        L_grid=Ls_out,
     )

@@ -19,6 +19,8 @@ from jacobilab.harness import (
     run,
 )
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -434,6 +436,43 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, flags, path", [
+    ("[]", [], "<root>"),
+    ("3", [], "<root>"),
+    ('{"seeds": 5}', ["--seeds", "2"], "seeds"),
+])
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, text,
+                                                  flags, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["variation", "--config", str(cfg), *flags,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error at {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, text, token", [
+    # NaN passes every schema bound; unrefused, the first three run to a
+    # bound of inf (exit 0), a NaN row (exit 0) and a failed cell (exit 4)
+    ("inequality", '{"grids": {"r": NaN}}', "NaN"),
+    ("transfer", '{"E_grid": [NaN]}', "NaN"),
+    ("subordinacy", '{"grids": {"L_max": NaN}}', "NaN"),
+    ("transfer", '{"E_grid": [0.5, -Infinity]}', "-Infinity"),
+    ("inequality", '{"grids": {"r": 1e400}}', "1e400"),
+])
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, experiment, text,
+                                       token):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main([experiment, "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert (f"config error: {token} is not a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_schema_error_names_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grids": {"N_j_max": 1}})
     rc = main(["transfer", "--config", cfg])
@@ -596,6 +635,74 @@ def test_schema_values_cover_the_schema():
                           "experiment", "output", "workers"}
 
 
+def test_keys_cover_the_schema():
+    # one row of KEYS per schema property, a block's key by key, holding
+    # the node the schema validates; the sub-tables hold a spec's and a
+    # site distribution's keys
+    props = harness.CONFIG_SCHEMA["properties"]
+    nodes = {f"{key}.{sub}": node for key in BLOCKS
+             for sub, node in props[key]["properties"].items()}
+    nodes.update({key: props[key] for key in props if key not in BLOCKS})
+    assert nodes == {name: key.node for name, key in harness.KEYS.items()}
+    assert set(SCHEMA_VALUES) == set(harness.KEYS) - RUNTIME
+    assert set(props["spec"]["properties"]) == {"type"}.union(
+        *harness.SPEC_KEYS.values())
+    assert props["spec"]["properties"]["type"]["enum"] == list(
+        harness.SPEC_KEYS)
+    assert set(props["model"]["properties"]["b"]["properties"]) == set(
+        harness.DIST_KEYS)
+
+
+def readme_table(header):
+    """The cells of the rows of README's table with this header line."""
+    with open(os.path.join(REPO, "README.md")) as f:
+        lines = f.read().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+BOUNDS = {"minimum": "≥", "exclusiveMinimum": ">", "exclusiveMaximum": "<"}
+
+
+def described(node):
+    """README's type-and-bound cell of a schema node."""
+    if "enum" in node:
+        return "one of " + ", ".join(f"`{v}`" for v in node["enum"])
+    if "oneOf" in node:
+        return ", or ".join(described(form) for form in node["oneOf"])
+    if node["type"] == "object":
+        return "object of " + ", ".join(f"`{k}`" for k in node["properties"])
+    if node["type"] == "array":
+        return (f"list of at least {node['minItems']} "
+                f"{described(node['items'])}")
+    bounds = ", ".join(f"{BOUNDS[k]} {v}" for k, v in node.items()
+                       if k in BOUNDS)
+    return f"{node['type']} {bounds}".rstrip()
+
+
+def default_cell(value):
+    return "—" if value is None else f"`{json.dumps(value)}`"
+
+
+def test_readme_key_tables_are_the_tables_of_harness():
+    assert readme_table("| key | type and bound | default | read by |") == [
+        [f"`{name}`", described(key.node), default_cell(key.default),
+         "all" if key.readers == harness.EXPERIMENTS
+         else ", ".join(f"`{e}`" for e in key.readers)]
+        for name, key in harness.KEYS.items()]
+    assert readme_table("| spec type | key | type and bound | default |") == [
+        [f"`{spec}`", f"`{key}`", described(node), default_cell(value)]
+        for spec, keys in harness.SPEC_KEYS.items()
+        for key, (node, value) in keys.items()]
+    assert readme_table("| key | type and bound | default |") == [
+        [f"`{key}`", described(node), default_cell(value)]
+        for key, (node, value) in harness.DIST_KEYS.items()]
+
+
 @pytest.mark.parametrize("experiment, name", [
     (experiment, name) for experiment in harness.EXPERIMENTS
     for name in SCHEMA_VALUES if name not in harness.READS[experiment]])
@@ -738,9 +845,6 @@ def test_cli_model_a_where_only_b_is_drawn_exits_2(tmp_path, capsys,
 # ---------------------------------------------------------------------------
 # cold start
 # ---------------------------------------------------------------------------
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 
 @pytest.mark.parametrize("config, unused", [
     # the tiny ac-scan benchmark config

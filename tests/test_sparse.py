@@ -159,7 +159,6 @@ def test_envelope_exact_power_law():
     fit = envelope_exponents(sites, amps)
     assert fit.beta1_hat == pytest.approx(0.3, abs=1e-6)
     assert fit.beta2_hat == pytest.approx(0.3, abs=1e-6)
-    assert fit.residual < 1e-9
 
 
 def test_envelope_free_case_flat():
@@ -268,7 +267,6 @@ def test_perturbed_experiment_far_above_threshold():
     assert rep.max_median_diff <= 0.05
     assert rep.fit_unpert.beta1_hat <= rep.fit_unpert.beta2_hat
     assert rep.tail_bound < 1e-10
-    assert rep.n_seeds == 5
 
 
 def test_sparse_verdict_sees_its_perturbation():

@@ -270,7 +270,7 @@ def test_detect_subordinate_outside_band():
     assert abs(abs(res.theta_star) - math.atan(lam)) < 1e-6
     # exponential ratio decay over the clean window (before the shooting
     # floor): terminal ratio far below the subordinacy threshold
-    assert res.log_ratio_trace[-1] <= math.log(1e-3)
+    assert res.ratio_trace[-1][1] <= 1e-3
 
 
 def test_beta_proxy_small_outside_band():
