@@ -38,7 +38,7 @@ BLOCK = 256              # sites per lane call of the t^E(n)^2 pass
 CANONICAL = ((0.0, 1.0), (1.0, 0.0))  # (phi(0), phi(1)) of alpha and gamma
 
 
-def default_n_grid(j_max: int = 40) -> List[int]:
+def default_n_grid(j_max: int) -> List[int]:
     """N_j = ceil(2^(j/2)), j = 2..j_max, deduplicated."""
     grid = sorted({math.ceil(2.0 ** (j / 2.0)) for j in range(2, j_max + 1)})
     return grid
@@ -167,7 +167,7 @@ def _log_weights(model: PerturbationModel, a: np.ndarray, N_max: int
 
 
 def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
-                N_grid: Optional[List[int]] = None,
+                N_grid: List[int],
                 model: Optional[PerturbationModel] = None,
                 N_max: int = 10 ** 5) -> CesaroScan:
     """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points.
@@ -177,8 +177,6 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
     reads, to N_max: one coefficient build and one _log_t2_blocks pass
     over max(N_grid[-1], N_max) sites.
     """
-    if N_grid is None:
-        N_grid = default_n_grid()
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise InvalidArgumentError("N_grid must be strictly increasing")
     n_cut = N_grid[-1]

@@ -312,17 +312,13 @@ def config_hash(config: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def build_spec(config: Dict[str, Any]) -> OperatorSpec:
+def build_spec(config: Dict[str, Any]) -> OperatorSpec | SparseSpec:
+    """The spec of the config; its consumers read only .coefficients."""
     sd = config["spec"]
     if sd["type"] == "free":
         return free_laplacian()
     if sd["type"] == "constant":
         return constant_spec(sd["a"], sd["b"])
-    return sparse_spec_of(config).to_operator_spec()
-
-
-def sparse_spec_of(config: Dict[str, Any]) -> SparseSpec:
-    sd = config["spec"]
     return SparseSpec(v=sd["v"], gamma=sd["gamma"], j_max=sd["j_max"])
 
 
@@ -443,7 +439,7 @@ def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
         out["traces"][f"psi1_E{E}"] = rep.ratio_psi1
         out["traces"][f"psi2_E{E}"] = rep.ratio_psi2
     elif exp == "sparse":
-        rep = perturbed_sparse_experiment(sparse_spec_of(config), g["s"],
+        rep = perturbed_sparse_experiment(build_spec(config), g["s"],
                                           _seeds(config), E, n_cut=g["n_cut"])
         out["rows"].append([E, rep.s, rep.s_thr, rep.theta_star,
                             rep.fit_unpert.beta1_hat, rep.fit_unpert.beta2_hat,
@@ -645,6 +641,12 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    """int(token), refused like a float past the double range."""
+    _finite_float(token)
+    return int(token)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lab",
@@ -662,6 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(args.config) as f:
             config = json.load(f, parse_float=_finite_float,
+                               parse_int=_finite_int,
                                parse_constant=_finite_float)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .randpert import (
     sample,
 )
 from .subordinacy import (
-    default_l_grid,
     detect_subordinate,
     fitted_growth_exponent,
     l_norms,
@@ -117,8 +116,7 @@ def sandwich_holds(beta: float, exp1: float, exp2: float) -> bool:
 
 
 def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
-                         seeds: Sequence[int] = range(100),
-                         L_grid: Optional[np.ndarray] = None
+                         seeds: Sequence[int], L_grid: Sequence[float]
                          ) -> SingularEnergyReport:
     """Per-seed perturbed-pair L-norm ratios plus the exponent sandwich.
 
@@ -129,8 +127,6 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
     ratios ||psi_i||_L / ||phi_i||_L; they and the generator rows are
     built once for all seeds.
     """
-    if L_grid is None:
-        L_grid = default_l_grid(l_max=1e3, decades=3)
     L_grid = np.sort(np.asarray(L_grid, dtype=float))
     subordinacy = detect_subordinate(spec, E, L_grid=L_grid)
     if subordinacy.beta <= 0.0 or subordinacy.eta is None:
@@ -139,10 +135,7 @@ def stability_experiment(spec: OperatorSpec, model: PerturbationModel, E: float,
         )
     beta = subordinacy.beta
     eta = subordinacy.eta
-    # at finite L a polynomially subordinate pair may miss the strict ratio
-    # gate; the minimizing angle still identifies the decaying branch
-    theta = (subordinacy.theta_star if subordinacy.theta_star is not None
-             else subordinacy.theta_best)
+    theta = subordinacy.theta_best
     n_max = int(math.floor(L_grid[-1])) + 2
 
     coefficients = spec.coefficients(n_max)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import OperatorSpec, fast_const_power, single_step
+from .core import fast_const_power, single_step
 from .errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -48,13 +48,12 @@ class SparseSpec:
         if self.gamma ** self.j_max >= SITE_LIMIT:
             raise InvalidArgumentError("gamma^j_max exceeds the site limit")
         self.bump_sites = [self.gamma ** j for j in range(1, self.j_max + 1)]
-        self._bumps = frozenset(self.bump_sites)
 
-    def b(self, n: int) -> float:
-        return self.v if n in self._bumps else 0.0
-
-    def to_operator_spec(self) -> OperatorSpec:
-        return OperatorSpec(a=lambda n: 1.0, b=self.b)
+    def coefficients(self, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Arrays a(n) = 1 and b(n), v at the bumps, for n = 0..n_max."""
+        b = np.zeros(n_max + 1)
+        b[[n for n in self.bump_sites if n <= n_max]] = self.v
+        return np.ones(n_max + 1), b
 
 
 @dataclass
@@ -71,22 +70,34 @@ def _free_block(E: float) -> np.ndarray:
     return single_step(E, 0.0, 1.0, 1.0)
 
 
-def block_matrices(sspec: SparseSpec,
-                   E: float) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(free-gap power, bump step) per bump, in propagation order.
+def block_matrices(sspec: SparseSpec, E: float) -> List[List[float]]:
+    """(free-gap power, bump step) entries per bump, in propagation order.
 
-    The free factor carries the state from just after bump j-1 to just
-    before applying bump j's step, i.e. to the state (phi(n_j), phi(n_j-1)).
+    Each bump gives f11, f12, f21, f22, b11, b12, b21, b22 as Python
+    floats. The free factor carries the state from just after bump j-1 to
+    just before applying bump j's step, i.e. to (phi(n_j), phi(n_j-1)).
     """
     S_free = _free_block(E)
-    S_bump = single_step(E, sspec.v, 1.0, 1.0)
+    S_bump = single_step(E, sspec.v, 1.0, 1.0).ravel().tolist()
     out = []
     prev = 0
     for nj in sspec.bump_sites:
         gap = nj - prev - 1
-        out.append((fast_const_power(S_free, gap), S_bump))
+        out.append(fast_const_power(S_free, gap).ravel().tolist() + S_bump)
         prev = nj
     return out
+
+
+def _bump_states(blocks: List[List[float]], x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """Pre-bump states (phi(n_j), phi(n_j - 1)), shape (bumps, 2, lanes),
+    from lanes of initial data (phi(1), phi(0)) = (x, y)."""
+    states = np.empty((len(blocks), 2, len(x)))
+    for j, (f11, f12, f21, f22, b11, b12, b21, b22) in enumerate(blocks):
+        x, y = f11 * x + f12 * y, f21 * x + f22 * y
+        states[j] = x, y
+        x, y = b11 * x + b12 * y, b21 * x + b22 * y
+    return states
 
 
 @dataclass
@@ -98,52 +109,27 @@ class SparsePropagation:
     states2: np.ndarray
 
 
-def sparse_propagate(sspec: SparseSpec, E: float, theta: float,
-                     blocks: Optional[List[Tuple[np.ndarray, np.ndarray]]]
-                     = None) -> SparsePropagation:
+def sparse_propagate(sspec: SparseSpec, theta: float,
+                     blocks: List[List[float]]) -> SparsePropagation:
     """Amplitudes (|phi(n_j - 1)|^2 + |phi(n_j)|^2)^{1/2} at every bump.
 
     phi1 starts from (phi(0), phi(1)) = (-sin t, cos t); phi2 from the
-    orthogonal angle. States are evaluated just before each bump step.
+    orthogonal angle. States are evaluated just before each bump step;
+    blocks is block_matrices(sspec, E).
     """
-    if blocks is None:
-        blocks = block_matrices(sspec, E)
-    pair = [(math.cos(theta), -math.sin(theta)),
-            (math.sin(theta), math.cos(theta))]
-    st1, st2 = states = np.empty((2, len(blocks), 2))
-    for j, (F, B) in enumerate(blocks):
-        (f11, f12), (f21, f22) = F.tolist()
-        (b11, b12), (b21, b22) = B.tolist()
-        for i, (x, y) in enumerate(pair):
-            x, y = f11 * x + f12 * y, f21 * x + f22 * y
-            states[i, j] = x, y
-            pair[i] = b11 * x + b12 * y, b21 * x + b22 * y
-    amp1 = np.sqrt(st1[:, 0] ** 2 + st1[:, 1] ** 2)
-    amp2 = np.sqrt(st2[:, 0] ** 2 + st2[:, 1] ** 2)
+    c, s = math.cos(theta), math.sin(theta)
+    states = _bump_states(blocks, np.array([c, s]), np.array([-s, c]))
+    amp1, amp2 = np.sqrt(states[:, 0] ** 2 + states[:, 1] ** 2).T
     return SparsePropagation(
         bump_sites=list(sspec.bump_sites), amp1=amp1, amp2=amp2,
-        states1=st1, states2=st2)
+        states1=states[:, :, 0], states2=states[:, :, 1])
 
 
-def find_subordinate_angle(sspec: SparseSpec, E: float,
-                           blocks: Optional[List[Tuple[np.ndarray,
-                                                       np.ndarray]]] = None
-                           ) -> float:
+def find_subordinate_angle(blocks: List[List[float]]) -> float:
     """Boundary angle minimizing the terminal bump amplitude of phi1."""
-    if blocks is None:
-        blocks = block_matrices(sspec, E)
-
-    # the entries as Python floats, read once for every angle evaluation
-    steps = [F.ravel().tolist() + B.ravel().tolist() for F, B in blocks]
-
     def terminal_amp(theta_arr: np.ndarray) -> np.ndarray:
-        x = np.cos(theta_arr)
-        y = -np.sin(theta_arr)
-        for f11, f12, f21, f22, b11, b12, b21, b22 in steps[:-1]:
-            x, y = f11 * x + f12 * y, f21 * x + f22 * y
-            x, y = b11 * x + b12 * y, b21 * x + b22 * y
-        f11, f12, f21, f22 = steps[-1][:4]  # the last bump, pre-step
-        return np.hypot(f11 * x + f12 * y, f21 * x + f22 * y)
+        return np.hypot(*_bump_states(
+            blocks, np.cos(theta_arr), -np.sin(theta_arr))[-1])
 
     return minimize_boundary_angle(
         terminal_amp,
@@ -264,8 +250,8 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         raise DivergentSeriesError(
             f"tail certificate sum n^(-2s) diverges for s = {s} <= 1/2")
     blocks = block_matrices(sspec, E)
-    theta = find_subordinate_angle(sspec, E, blocks=blocks)
-    prop = sparse_propagate(sspec, E, theta, blocks=blocks)
+    theta = find_subordinate_angle(blocks)
+    prop = sparse_propagate(sspec, theta, blocks)
     fit_unpert = envelope_exponents(prop.bump_sites, prop.amp2)
 
     # sandwich on the unperturbed pair via block-approximated L-norms
@@ -279,8 +265,8 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     sandwich = beta_proxy > 0.0 and sandwich_holds(beta_proxy, exp1, exp2)
 
     # dense window: the boundary pair and its generator rows
-    phi1, phi2 = solve_pair(
-        *sspec.to_operator_spec().coefficients(n_cut + 1), E, theta, n_cut + 1)
+    phi1, phi2 = solve_pair(*sspec.coefficients(n_cut + 1), E, theta,
+                            n_cut + 1)
     rows = subordinate_generator_array(phi1, phi2, 0, n_cut + 1)
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=s),

@@ -25,7 +25,7 @@ GOLDEN_ITERS = 40
 POINTS_PER_DECADE = 64
 
 
-def default_l_grid(l_max: float = 1e4, decades: int = 4) -> np.ndarray:
+def default_l_grid(l_max: float, decades: int) -> np.ndarray:
     return np.geomspace(max(l_max / 10 ** decades, 1.0), l_max,
                         decades * POINTS_PER_DECADE + 1)
 
@@ -197,16 +197,13 @@ def fitted_growth_exponent(L_grid, logn) -> float:
 
 
 def detect_subordinate(spec: OperatorSpec, E: float,
-                       L_grid: Optional[Sequence[float]] = None
-                       ) -> SubordinacyResult:
+                       L_grid: Sequence[float]) -> SubordinacyResult:
     """Scan boundary angles for a subordinate solution at energy E.
 
     The angle minimizing the terminal L-norm ratio is refined by golden
     section; the result reports theta(E) when the minimal ratio trace is
     below TAU_SUB and non-increasing over the last decade.
     """
-    if L_grid is None:
-        L_grid = default_l_grid()
     Ls = np.sort(np.asarray(L_grid, dtype=float))
     if len(Ls) < 3 or Ls[-1] / Ls[0] < 100.0:
         raise InvalidArgumentError(

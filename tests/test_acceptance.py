@@ -27,11 +27,12 @@ from jacobilab.randpert import (
 )
 from jacobilab.sparse import (
     SparseSpec,
+    block_matrices,
     perturbed_sparse_experiment,
     s_threshold,
     sparse_propagate,
 )
-from jacobilab.subordinacy import detect_subordinate, solve_pair
+from jacobilab.subordinacy import default_l_grid, detect_subordinate, solve_pair
 from jacobilab.variation import (
     correction_ensemble,
     neumann_layers,
@@ -144,9 +145,9 @@ def test_criterion_02_fast_power_oracle():
     # sparse block propagation vs dense site-by-site recursion
     s = SparseSpec(v=0.2, gamma=4, j_max=6)
     for E, theta in ((0.3, 0.1), (0.6, 0.4), (1.2, -0.7)):
-        prop = sparse_propagate(s, E, theta)
+        prop = sparse_propagate(s, theta, block_matrices(s, E))
         n = s.bump_sites[-1] + 1
-        phi = solve_forward(*s.to_operator_spec().coefficients(n), E,
+        phi = solve_forward(*s.coefficients(n), E,
                             -math.sin(theta), math.cos(theta), n)
         for j, nj in enumerate(s.bump_sites):
             naive_amp = math.hypot(phi[nj], phi[nj - 1])
@@ -270,7 +271,7 @@ def test_criterion_08_threshold_arithmetic():
 def test_criterion_09_subordinacy_sanity():
     t0 = time.monotonic()
     spec = free_laplacian()
-    res = detect_subordinate(spec, 3.0)
+    res = detect_subordinate(spec, 3.0, default_l_grid(1e4, 4))
     ok = res.classification != "no-subordinate"
     # fitted decay rate of the L-norm ratio over the clean window (before
     # the double-precision shooting floor), slope of log-ratio in L
@@ -279,7 +280,7 @@ def test_criterion_09_subordinacy_sanity():
     mask = (logr > logr[-1] + math.log(3.0)) & (Ls > 5.0)
     rate = math.exp(-float(np.polyfit(Ls[mask], logr[mask], 1)[0]))
     ok &= abs(rate - GOLDEN_RATE) <= 0.02 * GOLDEN_RATE
-    res0 = detect_subordinate(spec, 0.0)
+    res0 = detect_subordinate(spec, 0.0, default_l_grid(1e4, 4))
     ok &= res0.classification == "no-subordinate"
     verdict(9, "subordinacy sanity", ok, t0, 20.0)
 

@@ -452,6 +452,9 @@ def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, text,
     assert not (tmp_path / "o").exists()
 
 
+BIG_INT = "1" + "0" * 400  # an integer whose float() overflows
+
+
 @pytest.mark.parametrize("experiment, text, token", [
     # NaN passes every schema bound; unrefused, the first three run to a
     # bound of inf (exit 0), a NaN row (exit 0) and a failed cell (exit 4)
@@ -460,6 +463,17 @@ def test_cli_config_that_is_not_an_object_exits_2(tmp_path, capsys, text,
     ("subordinacy", '{"grids": {"L_max": NaN}}', "NaN"),
     ("transfer", '{"E_grid": [0.5, -Infinity]}', "-Infinity"),
     ("inequality", '{"grids": {"r": 1e400}}', "1e400"),
+    # the schema's number type takes an int; unrefused, the next three
+    # crash with OverflowError (exit 1) and the last fails its cell (exit 4)
+    pytest.param("transfer", f'{{"E_grid": [{BIG_INT}]}}', BIG_INT,
+                 id="transfer-big-int-energy"),
+    pytest.param("transfer", f'{{"E_grid": {{"start": 0, "stop": {BIG_INT}, '
+                 f'"step": 1}}}}', BIG_INT, id="transfer-big-int-stop"),
+    pytest.param("series", f'{{"model": {{"b": {{"kind": "uniform", '
+                 f'"amplitude": {BIG_INT}}}}}}}', BIG_INT,
+                 id="series-big-int-amplitude"),
+    pytest.param("subordinacy", f'{{"grids": {{"L_max": {BIG_INT}}}}}',
+                 BIG_INT, id="subordinacy-big-int-L_max"),
 ])
 def test_cli_non_finite_number_exits_2(tmp_path, capsys, experiment, text,
                                        token):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from jacobilab import harness, singular, variation
-from jacobilab.core import OperatorSpec
 from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
     PerturbationModel,
@@ -23,13 +22,19 @@ from jacobilab.singular import (
     terminal_ratio_verdict,
 )
 from jacobilab.sparse import SparseSpec
-from jacobilab.subordinacy import detect_subordinate, l_norms, solve_pair
+from jacobilab.subordinacy import (
+    default_l_grid,
+    detect_subordinate,
+    l_norms,
+    solve_pair,
+)
 from jacobilab.variation import neumann_layers, subordinate_generator_array
 
 ZERO = SiteDistribution(kind="zero", amplitude=0.0)
 UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 SPARSE = SparseSpec(v=0.2, gamma=8, j_max=10)
 E_TEST = 0.6
+L_GRID = default_l_grid(1e3, 3)
 
 
 def synthetic_pair(n_max, vals1, vals2):
@@ -103,7 +108,7 @@ def test_default_eta_grid_range():
 
 def test_lambda_membership_zero_model():
     n_max = 500
-    phi1, phi2 = solve_pair(*SPARSE.to_operator_spec().coefficients(n_max),
+    phi1, phi2 = solve_pair(*SPARSE.coefficients(n_max),
                             E_TEST, 0.2, n_max)
     model = PerturbationModel(b_dist=ZERO)
     member, et = lambda_membership(phi1, phi2, 1.0, model)
@@ -112,7 +117,7 @@ def test_lambda_membership_zero_model():
 
 def test_lambda_membership_convergent_vs_divergent():
     n_max = 2000
-    spec = SPARSE.to_operator_spec()
+    spec = SPARSE
     res = detect_subordinate(spec, E_TEST,
                              L_grid=np.geomspace(10.0, float(n_max - 2), 100))
     theta = res.theta_best
@@ -147,7 +152,7 @@ def test_lambda_membership_large_eta_tilde(p1, q, member):
 
 def test_lambda_sum_monotone_in_eta_tilde():
     n_max = 1000
-    spec = SPARSE.to_operator_spec()
+    spec = SPARSE
     phi1, phi2 = solve_pair(*spec.coefficients(n_max), E_TEST, 0.3, n_max)
     model = PerturbationModel(b_dist=UNIFORM)
     b2 = model.b_dist.moments_array(2, n_max)
@@ -162,8 +167,7 @@ def test_lambda_sum_monotone_in_eta_tilde():
 
 def test_stability_zero_model_ratios_exactly_one():
     model = PerturbationModel(b_dist=ZERO)
-    rep = stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
-                               seeds=range(3))
+    rep = stability_experiment(SPARSE, model, E_TEST, range(3), L_GRID)
     assert all(r == 1.0 for _, r in rep.ratio_psi1)
     assert all(r == 1.0 for _, r in rep.ratio_psi2)
     assert rep.lambda_member
@@ -173,8 +177,7 @@ def test_stability_zero_model_ratios_exactly_one():
 def test_stability_sparse_configuration():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="stab")
-    rep = stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
-                               seeds=range(8))
+    rep = stability_experiment(SPARSE, model, E_TEST, range(8), L_GRID)
     assert rep.beta > 0.0
     assert rep.eta == pytest.approx((1.0 - rep.beta) / rep.beta, abs=1e-12)
     assert rep.lambda_member and rep.eta_tilde > rep.eta
@@ -189,17 +192,16 @@ def test_stability_builds_the_coefficients_twice(monkeypatch, n_seeds):
     # one build for detect_subordinate and one that serves solve_pair and
     # the seed loop, whatever the number of seeds
     builds = []
-    coefficients = OperatorSpec.coefficients
+    coefficients = SparseSpec.coefficients
 
     def counted(self, n_max):
         builds.append(n_max)
         return coefficients(self, n_max)
 
-    monkeypatch.setattr(OperatorSpec, "coefficients", counted)
+    monkeypatch.setattr(SparseSpec, "coefficients", counted)
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=2.0), exp_id="stab")
-    stability_experiment(SPARSE.to_operator_spec(), model, E_TEST,
-                         seeds=range(n_seeds))
+    stability_experiment(SPARSE, model, E_TEST, range(n_seeds), L_GRID)
     assert len(builds) == 2
 
 
@@ -262,7 +264,8 @@ def test_stability_refuses_without_candidate():
     # here, but inside the band there is no decaying branch at all
     from jacobilab.core import free_laplacian
     model = PerturbationModel(b_dist=UNIFORM)
-    rep = stability_experiment(free_laplacian(), model, 0.5, seeds=range(2))
+    rep = stability_experiment(free_laplacian(), model, 0.5, range(2),
+                               L_GRID)
     # free Laplacian: beta = 1 (no subordinate solution, both norms equal
     # order); experiment still runs with the minimizing angle
     assert rep.beta > 0.0
@@ -281,7 +284,7 @@ def test_summation_by_parts_bound_chain():
     envelope bounds), so it must hold at every grid point.
     """
     n_max = 2000
-    spec = SPARSE.to_operator_spec()
+    spec = SPARSE
     res = detect_subordinate(spec, E_TEST,
                              L_grid=np.geomspace(10.0, float(n_max - 2), 100))
     theta = res.theta_best

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobilab import harness, sparse, variation
-from jacobilab.core import single_step, solve_forward
+from jacobilab.core import OperatorSpec, single_step, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
@@ -44,18 +44,8 @@ def test_bump_sites_exact_integers():
         assert b == 8 * a
 
 
-def test_potential_exact_membership():
-    s = SparseSpec(v=0.5, gamma=8, j_max=5)
-    for j in range(1, 6):
-        assert s.b(8 ** j) == 0.5
-        assert s.b(8 ** j - 1) == 0.0
-        assert s.b(8 ** j + 1) == 0.0
-    assert s.b(16) == 0.0       # multiple of gamma but not a pure power
-    assert s.b(8 ** 6) == 0.0   # beyond the last bump
-
-
 def division_loop_b(spec, n):
-    """The per-site membership loop SparseSpec.b used before its set lookup."""
+    """b(n) by a per-site division loop: v at n = gamma^j, j <= j_max."""
     if n < spec.gamma or n > spec.bump_sites[-1]:
         return 0.0
     m = n
@@ -64,20 +54,51 @@ def division_loop_b(spec, n):
     return spec.v if m == 1 else 0.0
 
 
+def oracle_coefficients(spec, n_max):
+    """The arrays of the per-site spec built from division_loop_b."""
+    return OperatorSpec(a=lambda n: 1.0,
+                        b=lambda n: division_loop_b(spec, n)
+                        ).coefficients(n_max)
+
+
+def assert_same_bits(got, want):
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_potential_exact_membership():
+    s = SparseSpec(v=0.5, gamma=8, j_max=5)
+    a, b = s.coefficients(8 ** 6)  # past the last bump
+    assert len(a) == len(b) == 8 ** 6 + 1 and np.all(a == 1.0)
+    for j in range(1, 6):
+        assert b[8 ** j] == 0.5
+        assert b[8 ** j - 1] == 0.0
+        assert b[8 ** j + 1] == 0.0
+    assert b[16] == 0.0       # multiple of gamma but not a pure power
+    assert b[8 ** 6] == 0.0   # beyond the last bump
+    assert np.count_nonzero(b) == 5
+    assert_same_bits((a, b), oracle_coefficients(s, 8 ** 6))
+
+
 @pytest.mark.parametrize("gamma,j_max", [(2, 16), (3, 10), (8, 6)])
 def test_potential_matches_division_loop_on_every_site(gamma, j_max):
     s = SparseSpec(v=0.3, gamma=gamma, j_max=j_max)
-    sites = range(gamma ** j_max + 2)
-    assert [s.b(n) for n in sites] == [division_loop_b(s, n) for n in sites]
+    want = oracle_coefficients(s, gamma ** j_max + 2)
+    # below the first bump, on each bump and past the last one
+    for n_max in (0, 1, gamma - 1, *s.bump_sites, gamma ** j_max + 2):
+        assert_same_bits(s.coefficients(n_max),
+                         (x[:n_max + 1] for x in want))
 
 
 def test_potential_matches_division_loop_near_large_powers():
+    # a window ending next to a site k gamma^j of a 30-bump spec
     s = SparseSpec(v=0.2, gamma=8, j_max=30)
-    sites = {0} | {k * 8 ** j + d for j in range(32) for k in (1, 2, 3, 7)
-                   for d in (-1, 0, 1)}
-    assert 2 * 8 ** 5 in sites
-    for n in sorted(sites):
-        assert s.b(n) == division_loop_b(s, n), n
+    ends = sorted({k * 8 ** j + d for j in range(6) for k in (1, 2, 3, 7)
+                   for d in (-1, 0, 1)})
+    assert 2 * 8 ** 5 in ends
+    want = oracle_coefficients(s, ends[-1])
+    for n_max in ends:
+        assert_same_bits(s.coefficients(n_max),
+                         (x[:n_max + 1] for x in want))
 
 
 def test_sparse_spec_validation():
@@ -106,11 +127,10 @@ def test_free_block_rejects_hyperbolic():
 def test_propagation_matches_naive():
     s = SparseSpec(v=0.2, gamma=4, j_max=6)
     E, theta = 0.6, 0.4
-    prop = sparse_propagate(s, E, theta)
-    spec = s.to_operator_spec()
+    prop = sparse_propagate(s, theta, block_matrices(s, E))
     # naive oracle over 4^6 = 4096 sites: pre-bump state (phi(n_j), phi(n_j-1))
     n = s.bump_sites[-1] + 1
-    phi = solve_forward(*spec.coefficients(n), E, -math.sin(theta),
+    phi = solve_forward(*s.coefficients(n), E, -math.sin(theta),
                         math.cos(theta), n)
     for j, nj in enumerate(s.bump_sites):
         naive_amp = math.hypot(phi[nj], phi[nj - 1])
@@ -119,9 +139,25 @@ def test_propagation_matches_naive():
 
 def test_wronskian_preserved_across_fast_blocks():
     s = SparseSpec(v=0.2, gamma=8, j_max=20)
-    prop = sparse_propagate(s, 0.6, 0.3)
+    prop = sparse_propagate(s, 0.3, block_matrices(s, 0.6))
     (x1, y1), (x2, y2) = prop.states1.T, prop.states2.T
     assert np.all(np.abs(x1 * y2 - y1 * x2 - 1.0) < 1e-8)
+
+
+def test_pair_states_match_a_scalar_walk():
+    # the pair runs as two lanes of the walk the angle search runs; each
+    # lane makes the steps of a Python-float walk, bit for bit
+    s, theta = SparseSpec(v=0.2, gamma=8, j_max=20), 0.3
+    blocks = block_matrices(s, 0.6)
+    prop = sparse_propagate(s, theta, blocks)
+    c, sn = math.cos(theta), math.sin(theta)
+    for states, (x, y) in ((prop.states1, (c, -sn)), (prop.states2, (sn, c))):
+        walk = []
+        for f11, f12, f21, f22, b11, b12, b21, b22 in blocks:
+            x, y = f11 * x + f12 * y, f21 * x + f22 * y
+            walk.append([x, y])
+            x, y = b11 * x + b12 * y, b21 * x + b22 * y
+        assert states.tolist() == walk
 
 
 def test_free_case_amplitude_bound():
@@ -132,7 +168,7 @@ def test_free_case_amplitude_bound():
     for E in (0.3, 0.6, 1.2):
         k = math.acos(E / 2.0)
         bound = (1.0 + abs(math.cos(k))) / abs(math.sin(k))
-        prop = sparse_propagate(s, E, 0.25)
+        prop = sparse_propagate(s, 0.25, block_matrices(s, E))
         ratio = float(np.max(prop.amp1) / np.min(prop.amp1))
         assert ratio <= bound + 1e-9
 
@@ -141,7 +177,7 @@ def test_single_bump_jump_bounded():
     s = SparseSpec(v=0.7, gamma=8, j_max=10)
     E = 0.6
     bump = single_step(E, s.v, 1.0, 1.0)
-    prop = sparse_propagate(s, E, 0.1)
+    prop = sparse_propagate(s, 0.1, block_matrices(s, E))
     k = math.acos(E / 2.0)
     free_swing = (1.0 + abs(math.cos(k))) / abs(math.sin(k))
     for j in range(1, len(prop.amp1)):
@@ -163,7 +199,7 @@ def test_envelope_exact_power_law():
 
 def test_envelope_free_case_flat():
     s = SparseSpec(v=0.0, gamma=8, j_max=20)
-    prop = sparse_propagate(s, 0.6, 0.25)
+    prop = sparse_propagate(s, 0.25, block_matrices(s, 0.6))
     fit = envelope_exponents(prop.bump_sites, prop.amp1)
     assert abs(fit.beta1_hat) <= 0.02
     assert abs(fit.beta2_hat) <= 0.02
@@ -171,7 +207,7 @@ def test_envelope_free_case_flat():
 
 def test_envelope_scale_invariance():
     s = SparseSpec(v=0.2, gamma=8, j_max=20)
-    prop = sparse_propagate(s, 0.6, 0.25)
+    prop = sparse_propagate(s, 0.25, block_matrices(s, 0.6))
     fit = envelope_exponents(prop.bump_sites, prop.amp2)
     fit_scaled = envelope_exponents(prop.bump_sites, 37.5 * prop.amp2)
     assert fit_scaled.beta1_hat == pytest.approx(fit.beta1_hat, abs=1e-12)
@@ -194,10 +230,10 @@ def test_envelope_ordering_invariant():
 
 def test_envelope_stable_under_doubling_window():
     E = 0.6
-    f10 = envelope_exponents(*(lambda p: (p.bump_sites, p.amp2))(
-        sparse_propagate(SparseSpec(v=0.2, gamma=8, j_max=15), E, 0.25)))
-    f20 = envelope_exponents(*(lambda p: (p.bump_sites, p.amp2))(
-        sparse_propagate(SparseSpec(v=0.2, gamma=8, j_max=30), E, 0.25)))
+    f10, f20 = (envelope_exponents(p.bump_sites, p.amp2) for p in (
+        sparse_propagate(s, 0.25, block_matrices(s, E)) for s in (
+            SparseSpec(v=0.2, gamma=8, j_max=15),
+            SparseSpec(v=0.2, gamma=8, j_max=30))))
     assert abs(f20.beta2_hat - f10.beta2_hat) <= 0.05
     assert f20.beta2_hat < 0.5
 
@@ -230,10 +266,10 @@ def test_threshold_identity_vs_eta_bound(b1, b2):
 def test_block_lnorms_match_dense():
     s = SparseSpec(v=0.2, gamma=4, j_max=5)  # 1024 sites, dense feasible
     E, theta = 0.6, 0.3
-    prop = sparse_propagate(s, E, theta)
+    prop = sparse_propagate(s, theta, block_matrices(s, E))
     blk = block_log_lnorms(prop.bump_sites, prop.amp1)
     n = s.bump_sites[-1] + 1
-    phi1, _ = solve_pair(*s.to_operator_spec().coefficients(n), E, theta, n)
+    phi1, _ = solve_pair(*s.coefficients(n), E, theta, n)
     dense = np.log(l_norms(phi1, prop.bump_sites))
     assert np.all(np.abs(blk - dense) <= 0.25)  # block approximation
 
@@ -253,10 +289,11 @@ def test_block_lnorms_shift_under_scaling():
 def test_find_subordinate_angle_minimizes_terminal_amp():
     s = SparseSpec(v=0.2, gamma=8, j_max=12)
     E = 0.6
-    theta = find_subordinate_angle(s, E)
-    amp_star = sparse_propagate(s, E, theta).amp1[-1]
+    blocks = block_matrices(s, E)
+    theta = find_subordinate_angle(blocks)
+    amp_star = sparse_propagate(s, theta, blocks).amp1[-1]
     for dt in (-0.4, 0.2, 0.7):
-        other = sparse_propagate(s, E, theta + dt).amp1[-1]
+        other = sparse_propagate(s, theta + dt, blocks).amp1[-1]
         assert amp_star <= other + 1e-9
 
 
@@ -296,7 +333,8 @@ def test_tail_bound_covers_the_whole_tail():
     with pytest.raises(DivergentSeriesError):
         perturbed_sparse_experiment(sspec, 0.4, [0], E, n_cut=n_cut)
     rep = perturbed_sparse_experiment(sspec, 1.0, [0], E, n_cut=n_cut)
-    amp2 = sparse_propagate(sspec, E, rep.theta_star).amp2
+    amp2 = sparse_propagate(sspec, rep.theta_star,
+                            block_matrices(sspec, E)).amp2
     tail = math.pi ** 2 / 6.0 - math.fsum(
         n ** -2.0 for n in range(1, n_cut + 1))  # sum over n > n_cut
     assert rep.tail_bound == pytest.approx(

@@ -185,7 +185,7 @@ GRID_SPECS = {
     "free": free_laplacian(),
     "constant(1.3, 0)": constant_spec(1.3, 0.0),
     "constant(0.6, 0.1)": constant_spec(0.6, 0.1),
-    "sparse(8, 0.2)": SparseSpec(v=0.2, gamma=8, j_max=10).to_operator_spec(),
+    "sparse(8, 0.2)": SparseSpec(v=0.2, gamma=8, j_max=10),
 }
 
 
@@ -222,7 +222,7 @@ def test_gram_grid_subordinate_angle_on_the_grid():
 
 def test_beta_from_synthetic_power_laws():
     rng = np.random.default_rng(7)
-    Ls = default_l_grid()
+    Ls = default_l_grid(1e4, 4)
     for _ in range(20):
         p, q = rng.uniform(0.1, 1.0, 2)
         beta, eta = beta_eta_from_traces(Ls, p * np.log(Ls), q * np.log(Ls))
@@ -231,7 +231,7 @@ def test_beta_from_synthetic_power_laws():
 
 
 def test_beta_equal_trajectories_is_one():
-    Ls = default_l_grid()
+    Ls = default_l_grid(1e4, 4)
     logs = 0.5 * np.log(Ls)
     beta, eta = beta_eta_from_traces(Ls, logs, logs)
     assert beta == pytest.approx(1.0)
@@ -239,7 +239,7 @@ def test_beta_equal_trajectories_is_one():
 
 
 def test_fitted_growth_exponent_recovers_slope():
-    Ls = default_l_grid()
+    Ls = default_l_grid(1e4, 4)
     assert fitted_growth_exponent(Ls, 0.37 * np.log(Ls) + 2.0) == pytest.approx(
         0.37, abs=1e-9)
 

@@ -25,7 +25,7 @@ from jacobilab.errors import (
 )
 from jacobilab.randpert import PerturbationModel, SiteDistribution, sample
 from jacobilab.singular import stability_experiment
-from jacobilab.subordinacy import l_norms, solve_pair
+from jacobilab.subordinacy import default_l_grid, l_norms, solve_pair
 from jacobilab.variation import (
     BLOCK,
     LAYER_CAP,
@@ -764,7 +764,8 @@ def test_nonzero_a_tilde_is_refused():
     with pytest.raises(UnsupportedModelError, match="a~"):
         correction_ensemble(spec, with_a, 0.5, [0, 1], [50])
     with pytest.raises(UnsupportedModelError, match="a~"):
-        stability_experiment(spec, with_a, 0.5, seeds=[0])
+        stability_experiment(spec, with_a, 0.5, [0],
+                             default_l_grid(1e3, 3))
 
 
 def test_perturbed_solutions_ratio_near_one_small_noise():
