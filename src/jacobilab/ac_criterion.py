@@ -169,19 +169,19 @@ def _log_weights(model: PerturbationModel, a: np.ndarray, N_max: int
 def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
                 N_grid: List[int],
                 model: Optional[PerturbationModel] = None,
-                N_max: int = 10 ** 5) -> CesaroScan:
+                N_max: Optional[int] = None) -> CesaroScan:
     """Running averages (1/N) sum_{n<=N} t^E(n)^2 at the grid points.
 
     One pass over the sites serves every energy; reports[j] is energies[j].
-    Given a model, the same pass also sums the decades gamma_membership
-    reads, to N_max: one coefficient build and one _log_t2_blocks pass
-    over max(N_grid[-1], N_max) sites.
+    Given a model and N_max, the same pass also sums the decades
+    gamma_membership reads, to N_max: one coefficient build and one
+    _log_t2_blocks pass over max(N_grid[-1], N_max) sites.
     """
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise InvalidArgumentError("N_grid must be strictly increasing")
+    if (model is None) != (N_max is None):
+        raise InvalidArgumentError("a model and N_max go together")
     n_cut = N_grid[-1]
-    if model is None:
-        N_max = None
     a, b = spec.coefficients(max(n_cut, N_max or 0))
     if not growth_check(a[:n_cut + 1]):
         raise InvalidArgumentError("spec fails the finite-truncation growth check")

@@ -1,10 +1,8 @@
-"""Jacobi difference-equation and transfer-matrix kernel.
+"""Jacobi difference-equation kernel.
 
-One-step transfer matrices, as (2, 2) float arrays, for a Jacobi
-operator with off-diagonal a(n) > 0 and diagonal b(n), the one forward
-propagation of the three-term recursion (exactly rescaled by powers of
-two), and an O(log m) power for constant unimodular blocks (used for
-propagation across long potential-free stretches).
+The coefficient arrays of a Jacobi operator with off-diagonal a(n) > 0
+and diagonal b(n), and the one forward propagation of its three-term
+recursion, exactly rescaled by powers of two.
 """
 
 from __future__ import annotations
@@ -105,69 +103,8 @@ def free_laplacian() -> OperatorSpec:
     return OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0)
 
 
-def constant_spec(a_const: float = 1.0, b_const: float = 0.0) -> OperatorSpec:
+def constant_spec(a_const: float, b_const: float) -> OperatorSpec:
     return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
-
-
-def single_step(E: float, b_n: float, a_n: float,
-                a_prev: float) -> np.ndarray:
-    """One-step transfer matrix [[(E-b)/a_n, -a_prev/a_n], [1, 0]]."""
-    if a_n <= 0.0 or a_prev <= 0.0:
-        raise InvalidArgumentError("off-diagonal entries must be positive")
-    return np.array([[(E - b_n) / a_n, -a_prev / a_n], [1.0, 0.0]])
-
-
-def _cheb_u_pair(t: float, m: int) -> tuple[float, float]:
-    """(U_{m-1}(t/2), U_{m-2}(t/2)) for the Cayley-Hamilton power formula.
-
-    Elliptic traces go through the angle form; the phase m*theta is reduced
-    with extended precision once m is large enough for double precision to
-    lose it. Hyperbolic traces (|t| > 2) raise.
-    """
-    x = 0.5 * t
-    if abs(abs(x) - 1.0) <= 1e-12:
-        # parabolic: U_{k}(+-1) = (+-1)^k (k+1)
-        s = 1.0 if x > 0 else -1.0
-        p = (s ** (m - 1)) * m
-        q = (s ** m) * (m - 1)
-        return float(p), float(q)
-    if abs(x) > 1.0:
-        raise InvalidArgumentError(
-            f"constant-step powers need |tr S| <= 2, got {t}")
-    if m <= 10 ** 6:
-        th = math.acos(x)
-        s = math.sin(th)
-        return math.sin(m * th) / s, math.sin((m - 1) * th) / s
-    import mpmath  # loaded only for blocks this long
-    with mpmath.workprec(int(m).bit_length() + 96):
-        th = mpmath.acos(mpmath.mpf(x))
-        s = mpmath.sin(th)
-        p = mpmath.sin(m * th) / s
-        q = mpmath.sin((m - 1) * th) / s
-        return float(p), float(q)
-
-
-def fast_const_power(S: np.ndarray, m: int) -> np.ndarray:
-    """S^m for a det-1 matrix, in O(log m) or via the closed Chebyshev form.
-
-    Cayley-Hamilton gives S^m = U_{m-1}(tr S / 2) S - U_{m-2}(tr S / 2) I
-    for any unimodular S, which covers block exponents up to 2^127. Only
-    elliptic and parabolic S (|tr S| <= 2) are supported: for m >= 2 a
-    hyperbolic S raises InvalidArgumentError.
-    """
-    if m < 0:
-        raise InvalidArgumentError("exponent must be nonnegative")
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if abs(det - 1.0) > 1e-12:
-        raise InvalidArgumentError(
-            f"fast_const_power needs det = 1, got {det}"
-        )
-    if m == 0:
-        return np.eye(2)
-    if m == 1:
-        return S
-    p, q = _cheb_u_pair(S[0, 0] + S[1, 1], m)
-    return p * S - q * np.eye(2)
 
 
 def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,

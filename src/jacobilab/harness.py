@@ -50,6 +50,7 @@ from .subordinacy import default_l_grid, detect_subordinate
 from .variation import correction_ensemble
 
 E_GRID_POINTS_MAX = 10 ** 5  # range-form energies; a typo in step is refused
+AC_SCAN_N_MAX_MIN = 1000  # ac-scan sums the Gamma decades to at least 10^3
 EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
                "variation", "sparse", "singular-stability")
 # experiments whose energies share one lane pass (ac_criterion)
@@ -281,6 +282,10 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
         default = json.loads(json.dumps(KEYS[name].default))  # a copy
         if default is not None:
             parent.setdefault(key, default)
+    if exp == "ac-scan" and out["grids"]["n_max"] < AC_SCAN_N_MAX_MIN:
+        raise ConfigError(f"experiment 'ac-scan' needs n_max >= "
+                          f"{AC_SCAN_N_MAX_MIN}, got {out['grids']['n_max']}",
+                          ("grids", "n_max"))
     if "spec" in out:
         sd = out["spec"]
         if exp == "sparse" and sd["type"] != "sparse":
@@ -383,10 +388,9 @@ def _lane_cells(config: Dict[str, Any],
                  "traces": {f"cesaro_E{E}": list(
                      zip(map(float, scan.N_grid), rep.averages))}}
                 for E, rep in zip(energies, scan.reports)]
-    model, N_max = build_model(config), max(g["n_max"], 1000)
-    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]), model,
-                       N_max)
-    verdicts = gamma_membership(N_max, scan)
+    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]),
+                       build_model(config), g["n_max"])
+    verdicts = gamma_membership(g["n_max"], scan)
     return [{"rows": [[E, rep.liminf_proxy, int(rep.bounded_flag),
                        int(member), psum]], "traces": {}}
             for E, rep, (member, psum) in zip(energies, scan.reports,

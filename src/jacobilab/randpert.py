@@ -42,8 +42,8 @@ class SiteDistribution:
     """
 
     kind: str
-    amplitude: float = 1.0
-    decay: float = 0.0
+    amplitude: float
+    decay: float
     trunc: float = 2.0
 
     def __post_init__(self):
@@ -192,8 +192,8 @@ def _max_suffix_abs(z: np.ndarray) -> np.ndarray:
 
 
 def maximal_inequality_check(model: PerturbationModel, N1: int, N2: int,
-                             r: float, trials: int = 10 ** 4,
-                             seed: int = 0) -> InequalityReport:
+                             r: float, trials: int,
+                             seed: int) -> InequalityReport:
     """Empirical exceedance probability against the variance bound sum<z^2>/r^2.
 
     Rademacher windows of width <= 16 are enumerated exhaustively (exact
@@ -297,8 +297,8 @@ class SeriesReport:
 
 
 def series_convergence_check(model: PerturbationModel, n_tail: int,
-                             trials: int = 10 ** 4, n_max: int = 10 ** 4,
-                             seed: int = 0) -> SeriesReport:
+                             trials: int, n_max: int,
+                             seed: int) -> SeriesReport:
     """Monte Carlo tail statistics for S = sum b~(n).
 
     Requires the closed-form variance series to pass the decade-ratio test

@@ -2,9 +2,9 @@
 
 The potential equals v exactly at the geometric bump sites n_j = gamma^j
 and vanishes elsewhere, so solution amplitudes change only at bumps. The
-kernel propagates the solution pair bump-to-bump with exact constant-step
-matrix powers (extended-precision angle reduction handles block lengths up
-to 2^127), fits power-law envelopes to the amplitudes at bump sites, and
+kernel propagates the solution pair bump-to-bump with closed-form powers
+of the free step (extended-precision angle reduction handles gaps up to
+2^127 sites), fits power-law envelopes to the amplitudes at bump sites, and
 runs the decaying-random-perturbation stability experiment against the
 decay threshold s > 4 b2/(1-2 b2) - 2 b1 + 1/2.
 """
@@ -17,11 +17,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import fast_const_power, single_step
 from .errors import (
     DivergentSeriesError,
     InsufficientDataError,
     InvalidArgumentError,
+    OverflowSiteError,
     UnsupportedModelError,
 )
 from .randpert import PerturbationModel, SiteDistribution, sample
@@ -37,9 +37,9 @@ SITE_LIMIT = 2 ** 127
 class SparseSpec:
     """Bump height v at sites gamma^j, zero elsewhere; a == 1 throughout."""
 
-    v: float = 0.2
-    gamma: int = 8
-    j_max: int = 30
+    v: float
+    gamma: int
+    j_max: int
     bump_sites: List[int] = field(init=False)
 
     def __post_init__(self):
@@ -62,12 +62,26 @@ class EnvelopeFit:
     beta2_hat: float
 
 
-def _free_block(E: float) -> np.ndarray:
-    if not -2.0 < E < 2.0:
-        raise UnsupportedModelError(
-            "fast sparse propagation requires |E| < 2 (elliptic free blocks)"
-        )
-    return single_step(E, 0.0, 1.0, 1.0)
+def _cheb_u_pair(t: float, m: int) -> Tuple[float, float]:
+    """(U_{m-1}(t/2), U_{m-2}(t/2)) for an elliptic or parabolic trace t.
+
+    The phase m*theta of the angle form is reduced with extended
+    precision once m is large enough for double precision to lose it.
+    """
+    x = 0.5 * t
+    if abs(abs(x) - 1.0) <= 1e-12:
+        s = 1.0 if x > 0 else -1.0  # parabolic: U_k(+-1) = (+-1)^k (k+1)
+        return s ** (m - 1) * m, s ** m * (m - 1)
+    if m <= 10 ** 6:
+        th = math.acos(x)
+        s = math.sin(th)
+        return math.sin(m * th) / s, math.sin((m - 1) * th) / s
+    import mpmath  # loaded only for gaps this long
+    with mpmath.workprec(int(m).bit_length() + 96):
+        th = mpmath.acos(mpmath.mpf(x))
+        s = mpmath.sin(th)
+        return (float(mpmath.sin(m * th) / s),
+                float(mpmath.sin((m - 1) * th) / s))
 
 
 def block_matrices(sspec: SparseSpec, E: float) -> List[List[float]]:
@@ -76,15 +90,18 @@ def block_matrices(sspec: SparseSpec, E: float) -> List[List[float]]:
     Each bump gives f11, f12, f21, f22, b11, b12, b21, b22 as Python
     floats. The free factor carries the state from just after bump j-1 to
     just before applying bump j's step, i.e. to (phi(n_j), phi(n_j-1)).
+    A gap of m free steps S = [[E, -1], [1, 0]] is S^m = p S - q I with
+    (p, q) = (U_{m-1}, U_{m-2}) at E/2 (Cayley-Hamilton).
     """
-    S_free = _free_block(E)
-    S_bump = single_step(E, sspec.v, 1.0, 1.0).ravel().tolist()
+    if not -2.0 < E < 2.0:
+        raise UnsupportedModelError(
+            "fast sparse propagation requires |E| < 2 (elliptic free blocks)"
+        )
+    bump = [E - sspec.v, -1.0, 1.0, 0.0]
     out = []
-    prev = 0
-    for nj in sspec.bump_sites:
-        gap = nj - prev - 1
-        out.append(fast_const_power(S_free, gap).ravel().tolist() + S_bump)
-        prev = nj
+    for prev, nj in zip([0, *sspec.bump_sites], sspec.bump_sites):
+        p, q = _cheb_u_pair(E, nj - prev - 1)
+        out.append([p * E - q, -p, p, -q] + bump)
     return out
 
 
@@ -115,11 +132,15 @@ def sparse_propagate(sspec: SparseSpec, theta: float,
 
     phi1 starts from (phi(0), phi(1)) = (-sin t, cos t); phi2 from the
     orthogonal angle. States are evaluated just before each bump step;
-    blocks is block_matrices(sspec, E).
+    blocks is block_matrices(sspec, E). Raises OverflowSiteError naming
+    the first bump whose amplitude is not finite.
     """
     c, s = math.cos(theta), math.sin(theta)
     states = _bump_states(blocks, np.array([c, s]), np.array([-s, c]))
     amp1, amp2 = np.sqrt(states[:, 0] ** 2 + states[:, 1] ** 2).T
+    bad = np.flatnonzero(~np.isfinite(amp1 + amp2))
+    if len(bad):
+        raise OverflowSiteError(sspec.bump_sites[bad[0]])
     return SparsePropagation(
         bump_sites=list(sspec.bump_sites), amp1=amp1, amp2=amp2,
         states1=states[:, :, 0], states2=states[:, :, 1])
@@ -219,7 +240,7 @@ def _tail_certificate(amp_max: float, s: float, n_cut: int) -> float:
     working precision adds the ~(2s - 1) log2(n_cut) bits by which the
     tail lies below 1: at 113 bits alone, zeta(20, 3001) is 2e-12 off.
     """
-    import mpmath  # only here and in long block powers
+    import mpmath  # only here and in long gap blocks
     tail_bits = math.ceil((2.0 * s - 1.0) * math.log2(n_cut + 1))
     with mpmath.workprec(113 + max(tail_bits, 0)):
         tail = mpmath.mpf(amp_max) ** 4 / 3 * mpmath.zeta(2.0 * s, n_cut + 1)
@@ -230,7 +251,7 @@ def _tail_certificate(amp_max: float, s: float, n_cut: int) -> float:
 
 def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                 seeds: Sequence[int], E: float,
-                                n_cut: int = 10 ** 5) -> SparseStabilityReport:
+                                n_cut: int) -> SparseStabilityReport:
     """Envelope stability of the growing solution under X(n)/n^s noise.
 
     The amplitude column d^+ of the growing solution is summed densely

@@ -3,8 +3,9 @@
 No experiment runs these. Each computes, one site or one product at a
 time, what src/ computes by array code, and a test compares the two:
 
-- transfer_product and naive_power: products of 2x2 transfer matrices
-  (core.solve_forward, core.fast_const_power);
+- single_step, transfer_product and naive_power: one-step transfer
+  matrices and their products (core.solve_forward, the gap blocks of
+  sparse.block_matrices);
 - log_t2_stream: ln t^E(n)^2 of one energy at a time (the lane pass of
   ac_criterion);
 - wronskian: the Wronskian of a solution pair at one site;
@@ -22,7 +23,7 @@ time, what src/ computes by array code, and a test compares the two:
   one-site factors, with no layers (variation.neumann_layers, which sums
   it as Neumann series, segment by segment).
 
-2x2 matrices are (2, 2) float arrays, as in src/.
+2x2 matrices are (2, 2) float arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from jacobilab.core import (
     ENTRY_LIMIT,
     OperatorSpec,
     propagate,
-    single_step,
     solve_forward,
 )
 from jacobilab.errors import (
@@ -92,6 +92,14 @@ def spectral_norm(T: np.ndarray) -> float:
 # transfer products
 # ---------------------------------------------------------------------------
 
+def single_step(E: float, b_n: float, a_n: float,
+                a_prev: float) -> np.ndarray:
+    """One-step transfer matrix [[(E-b)/a_n, -a_prev/a_n], [1, 0]]."""
+    if a_n <= 0.0 or a_prev <= 0.0:
+        raise InvalidArgumentError("off-diagonal entries must be positive")
+    return np.array([[(E - b_n) / a_n, -a_prev / a_n], [1.0, 0.0]])
+
+
 def transfer_product(spec: OperatorSpec, E: float, n: int,
                      return_norms: bool = False):
     """Product S(n) ... S(1) of single-step matrices.
@@ -117,7 +125,7 @@ def transfer_product(spec: OperatorSpec, E: float, n: int,
 
 
 def naive_power(S: np.ndarray, m: int) -> np.ndarray:
-    """Repeated multiplication; the oracle fast_const_power is tested against."""
+    """S^m by repeated multiplication (the gap blocks of block_matrices)."""
     T = np.eye(2)
     for _ in range(m):
         T = S @ T

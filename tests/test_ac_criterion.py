@@ -34,8 +34,8 @@ from jacobilab.randpert import (
 )
 from oracles import log_t2_stream, spectral_norm, transfer_product
 
-ZERO = SiteDistribution(kind="zero", amplitude=0.0)
-UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
+ZERO = SiteDistribution(kind="zero", amplitude=0.0, decay=0.0)
+UNIFORM = SiteDistribution(kind="uniform", amplitude=1.0, decay=1.0)
 
 
 def test_default_n_grid_shape():
@@ -342,6 +342,14 @@ def test_scan_decades_do_not_depend_on_the_n_grid(N_max):
         gamma_membership(N_max + 1, scans[0])
     with pytest.raises(InvalidArgumentError):  # a scan with no decade sums
         gamma_membership(N_max, cesaro_scan(spec, energies, short))
+
+
+def test_scan_takes_a_model_with_its_N_max_only():
+    spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
+    with pytest.raises(InvalidArgumentError, match="go together"):
+        cesaro_scan(spec, [0.5], default_n_grid(12), model)
+    with pytest.raises(InvalidArgumentError, match="go together"):
+        cesaro_scan(spec, [0.5], default_n_grid(12), N_max=1000)
 
 
 def test_ac_scan_chunk_builds_and_walks_its_sites_once(monkeypatch):

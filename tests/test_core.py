@@ -1,4 +1,4 @@
-"""Transfer-matrix kernel: 2x2 algebra, products, fast constant powers."""
+"""Transfer-matrix kernel: 2x2 algebra, products, free-step powers."""
 
 import math
 from unittest.mock import patch
@@ -16,19 +16,24 @@ from jacobilab.core import (
     OperatorSpec,
     _group_length,
     constant_spec,
-    fast_const_power,
     free_laplacian,
     growth_check,
     ldexp,
     propagate,
     residual,
     resume_state,
-    single_step,
     solve_forward,
 )
 from jacobilab.errors import InvalidArgumentError, OverflowSiteError
+from jacobilab.sparse import SparseSpec, _cheb_u_pair, block_matrices
 from jacobilab.subordinacy import l_norms
-from oracles import adjugate, naive_power, spectral_norm, transfer_product
+from oracles import (
+    adjugate,
+    naive_power,
+    single_step,
+    spectral_norm,
+    transfer_product,
+)
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -146,64 +151,52 @@ def test_rational_rotation_finite_order():
 
 
 # ---------------------------------------------------------------------------
-# fast_const_power
+# free-step powers: the gap blocks of sparse.block_matrices
 # ---------------------------------------------------------------------------
 
-def test_fast_power_m0_identity():
-    S = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.array_equal(fast_const_power(S, 0), np.eye(2))
+def gap_block(E, m):
+    """S^m for the free step S at E, as block_matrices gives it: the
+    first gap of a sparse spec with gamma = m + 1 is m steps long."""
+    spec = SparseSpec(v=0.0, gamma=m + 1, j_max=1)
+    return np.reshape(block_matrices(spec, E)[0][:4], (2, 2))
 
 
 def test_fast_power_quarter_rotation():
-    S = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert max_abs(fast_const_power(S, 4) - np.eye(2)) < 1e-12
+    assert max_abs(gap_block(0.0, 4) - np.eye(2)) < 1e-12
 
 
 def test_fast_power_band_edge_closed_form():
-    # S = [[2,-1],[1,0]]: S^m = [[m+1,-m],[m,-(m-1)]]
-    S = np.array([[2.0, -1.0], [1.0, 0.0]])
-    P = fast_const_power(S, 10)
-    assert max_abs(P - [[11.0, -10.0], [10.0, -9.0]]) < 1e-9
-    P = fast_const_power(S, 10 ** 6)
-    assert P[0, 0] == pytest.approx(10 ** 6 + 1, rel=1e-9)
-
-
-def test_fast_power_rejects_non_unimodular():
-    with pytest.raises(InvalidArgumentError):
-        fast_const_power(np.diag([2.0, 2.0]), 3)
-    with pytest.raises(InvalidArgumentError):
-        fast_const_power(np.eye(2), -1)
+    # S = [[+-2,-1],[1,0]]: S^m = p S - q I with U_k(+-1) = (+-1)^k (k+1);
+    # at +2 that is [[m+1,-m],[m,-(m-1)]]
+    assert _cheb_u_pair(2.0, 10) == (10.0, 9.0)
+    for t in (2.0, -2.0):
+        S = single_step(t, 0.0, 1.0, 1.0)
+        p, q = _cheb_u_pair(t, 11)
+        assert max_abs(p * S - q * np.eye(2) - naive_power(S, 11)) < 1e-9
+    p, q = _cheb_u_pair(2.0, 10 ** 6)
+    assert 2.0 * p - q == pytest.approx(10 ** 6 + 1, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-1.9, 1.9), st.integers(1, 3000))
 def test_fast_power_matches_naive(E, m):
-    S = single_step(E, 0.0, 1.0, 1.0)
-    P = fast_const_power(S, m)
-    Q = naive_power(S, m)
+    P = gap_block(E, m)
+    Q = naive_power(single_step(E, 0.0, 1.0, 1.0), m)
     scale = max(1.0, max_abs(Q))
     assert max_abs(P - Q) <= 1e-10 * scale
 
 
 def test_fast_power_huge_elliptic_exponent():
-    # elliptic orbits stay bounded even at m near the 128-bit site limit
+    # elliptic orbits stay bounded even at m near the 128-bit site limit:
+    # the last gap of gamma = 2, j_max = 126 is 2^125 - 1 steps long
     E = 0.6
-    S = single_step(E, 0.0, 1.0, 1.0)
-    m = 2 ** 126 + 12345
-    P = fast_const_power(S, m)
+    spec = SparseSpec(v=0.2, gamma=2, j_max=126)
+    P = np.reshape(block_matrices(spec, E)[-1][:4], (2, 2))
     assert np.isfinite(P).all()
     assert abs(np.linalg.det(P) - 1.0) < 1e-6
     k = math.acos(E / 2.0)
     assert spectral_norm(P) <= (
         1.0 + abs(math.cos(k))) / abs(math.sin(k)) + 1e-6
-
-
-def test_fast_power_hyperbolic_overflow_raises():
-    # only elliptic and parabolic blocks are supported
-    S = single_step(3.0, 0.0, 1.0, 1.0)
-    for m in (2, 10 ** 4):
-        with pytest.raises(InvalidArgumentError, match="tr S"):
-            fast_const_power(S, m)
 
 
 # ---------------------------------------------------------------------------
@@ -455,5 +448,5 @@ def test_coefficients_stop_at_first_site_below_floor():
 
 def test_growth_check_free():
     assert growth_check(free_laplacian().coefficients(1000)[0])
-    assert growth_check(constant_spec(2.0).coefficients(1000)[0])
+    assert growth_check(constant_spec(2.0, 0.0).coefficients(1000)[0])
 

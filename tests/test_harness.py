@@ -545,6 +545,23 @@ def test_cli_delta_constraint_violation_exits_3(tmp_path, capsys):
     assert "delta constraint fails at site 1" in capsys.readouterr().err
 
 
+def test_cli_ac_scan_n_max_below_1000_exits_2(tmp_path, capsys):
+    # ac-scan runs at the n_max it records; below 1000 it refuses it
+    grids = {"N_j_max": 8, "n_max": 999}
+    cfg = write_config(tmp_path, {"E_grid": [0.5], "grids": grids})
+    rc = main(["ac-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("config error at grids/n_max: experiment 'ac-scan' needs "
+            "n_max >= 1000, got 999") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    grids["n_max"] = 1000
+    cfg = write_config(tmp_path, {"E_grid": [0.5], "grids": grids})
+    rc = main(["ac-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    prov = json.loads((tmp_path / "o" / "config.json").read_text())
+    assert prov["grids"]["n_max"] == 1000
+
+
 def test_cli_seed_and_worker_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, {"E_grid": [0.0],
                                   "grids": {"checkpoints": [100]}})

@@ -27,8 +27,8 @@ from jacobilab.randpert import (
     stream_uniforms,
 )
 
-ZERO = SiteDistribution(kind="zero", amplitude=0.0)
-UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
+ZERO = SiteDistribution(kind="zero", amplitude=0.0, decay=0.0)
+UNIFORM = SiteDistribution(kind="uniform", amplitude=1.0, decay=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
 
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedModelError):
-        SiteDistribution(kind="cauchy")
+        SiteDistribution(kind="cauchy", amplitude=1.0, decay=0.0)
 
 
 def test_uniform_moments_closed_form():
@@ -59,7 +59,8 @@ def test_rademacher_moments():
 
 def test_tgauss_moments_against_quadrature():
     for T in (0.7, 2.0, 3.5):
-        d = SiteDistribution(kind="tgauss", trunc=T)
+        d = SiteDistribution(kind="tgauss", amplitude=1.0, decay=0.0,
+                             trunc=T)
         Z = (integrate.quad(lambda x: math.exp(-x * x / 2), -T, T)[0]
              / math.sqrt(2 * math.pi))
 
@@ -218,7 +219,8 @@ def rademacher_model(decay=0.0, amplitude=1.0):
 
 def test_exact_mode_canonical_case():
     # Rademacher, f == 1, N1=1, N2=10, r=3: bound = 10/9, enumeration exact
-    rep = maximal_inequality_check(rademacher_model(), 1, 10, 3.0)
+    rep = maximal_inequality_check(rademacher_model(), 1, 10, 3.0,
+                                   trials=10 ** 4, seed=0)
     assert rep.exact and rep.trials == 2 ** 10
     assert rep.bound == pytest.approx(10.0 / 9.0)
     assert rep.empirical_prob <= rep.bound  # zero slack
@@ -230,7 +232,8 @@ def test_exact_mode_zero_slack_random_cases():
         N1 = int(rng.integers(1, 5))
         N2 = N1 + int(rng.integers(2, 10))
         r = float(rng.uniform(0.5, 4.0))
-        rep = maximal_inequality_check(rademacher_model(decay=0.3), N1, N2, r)
+        rep = maximal_inequality_check(rademacher_model(decay=0.3), N1, N2,
+                                       r, trials=10 ** 4, seed=0)
         assert rep.exact
         assert rep.empirical_prob <= rep.bound
 
@@ -252,7 +255,8 @@ def test_exact_mode_variance_additivity():
 
 
 def test_huge_r_gives_zero_probability():
-    rep = maximal_inequality_check(rademacher_model(), 1, 10, 1e6)
+    rep = maximal_inequality_check(rademacher_model(), 1, 10, 1e6,
+                                   trials=10 ** 4, seed=0)
     assert rep.empirical_prob == 0.0
 
 
@@ -261,14 +265,14 @@ def test_uniform_closed_form_bound():
     model = PerturbationModel(b_dist=SiteDistribution(
         kind="uniform", amplitude=1.0, decay=0.0))
     r = 7.0
-    rep = maximal_inequality_check(model, 1, 100, r, trials=500)
+    rep = maximal_inequality_check(model, 1, 100, r, trials=500, seed=0)
     assert not rep.exact
     assert rep.bound == pytest.approx((100.0 / 3.0) / r ** 2, rel=1e-12)
 
 
 def test_monte_carlo_respects_bound_with_slack():
     model = PerturbationModel(b_dist=UNIFORM, exp_id="mi")
-    rep = maximal_inequality_check(model, 1, 50, 1.0, trials=4000)
+    rep = maximal_inequality_check(model, 1, 50, 1.0, trials=4000, seed=0)
     slack = 3.0 * math.sqrt(
         max(rep.empirical_prob * (1 - rep.empirical_prob), 1e-12) / rep.trials)
     assert rep.empirical_prob <= rep.bound + slack
@@ -276,11 +280,11 @@ def test_monte_carlo_respects_bound_with_slack():
 
 def test_inequality_argument_validation():
     with pytest.raises(InvalidArgumentError):
-        maximal_inequality_check(rademacher_model(), 5, 5, 1.0)
+        maximal_inequality_check(rademacher_model(), 5, 5, 1.0, 10 ** 4, 0)
     with pytest.raises(InvalidArgumentError):  # site 0 carries no value
-        maximal_inequality_check(rademacher_model(), 0, 5, 1.0)
+        maximal_inequality_check(rademacher_model(), 0, 5, 1.0, 10 ** 4, 0)
     with pytest.raises(InvalidArgumentError):
-        maximal_inequality_check(rademacher_model(), 1, 5, -1.0)
+        maximal_inequality_check(rademacher_model(), 1, 5, -1.0, 10 ** 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ def test_inequality_argument_validation():
 
 def test_series_zero_model_all_tails_zero():
     model = PerturbationModel(b_dist=ZERO)
-    rep = series_convergence_check(model, 100, trials=50, n_max=1000)
+    rep = series_convergence_check(model, 100, trials=50, n_max=1000, seed=0)
     assert np.all(rep.tail_sup_median == 0.0)
     assert np.all(rep.tail_sup_p95 == 0.0)
     assert rep.tail_second_moment == 0.0
@@ -300,7 +304,8 @@ def test_series_tail_moment_within_bound():
     # z = X(n)/n: full-series variance sum is pi^2/18; the tail beyond any
     # n_tail is below it
     model = PerturbationModel(b_dist=UNIFORM, exp_id="ser")
-    rep = series_convergence_check(model, 100, trials=2000, n_max=10 ** 4)
+    rep = series_convergence_check(model, 100, trials=2000, n_max=10 ** 4,
+                                   seed=0)
     assert rep.variance_bound <= math.pi ** 2 / 18.0 + 1e-9
     assert rep.tail_second_moment <= math.pi ** 2 / 18.0 \
         + 3.0 * rep.tail_second_moment_se
@@ -314,7 +319,8 @@ def test_series_slow_decay_checkpoint_slope():
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=0.75),
         exp_id="ser75")
-    rep = series_convergence_check(model, 100, trials=400, n_max=10 ** 4)
+    rep = series_convergence_check(model, 100, trials=400, n_max=10 ** 4,
+                                   seed=0)
     # exclude checkpoints near n_max where the sup-tail degenerates to 0
     sel = (rep.checkpoints >= 100) & (rep.checkpoints <= 10 ** 4 // 4)
     slope = np.polyfit(np.log(rep.checkpoints[sel]),
@@ -326,13 +332,13 @@ def test_series_divergent_variances_refused():
     model = PerturbationModel(
         b_dist=SiteDistribution(kind="uniform", amplitude=1.0, decay=0.5))
     with pytest.raises(DivergentSeriesError):
-        series_convergence_check(model, 100, trials=10, n_max=10 ** 4)
+        series_convergence_check(model, 100, trials=10, n_max=10 ** 4, seed=0)
 
 
 def test_series_determinism():
     model = PerturbationModel(b_dist=UNIFORM, exp_id="det")
-    r1 = series_convergence_check(model, 50, trials=200, n_max=2000)
-    r2 = series_convergence_check(model, 50, trials=200, n_max=2000)
+    r1 = series_convergence_check(model, 50, trials=200, n_max=2000, seed=0)
+    r2 = series_convergence_check(model, 50, trials=200, n_max=2000, seed=0)
     assert np.array_equal(r1.tail_sup_median, r2.tail_sup_median)
     assert r1.tail_second_moment == r2.tail_second_moment
 

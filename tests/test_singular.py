@@ -30,8 +30,8 @@ from jacobilab.subordinacy import (
 )
 from jacobilab.variation import neumann_layers, subordinate_generator_array
 
-ZERO = SiteDistribution(kind="zero", amplitude=0.0)
-UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
+ZERO = SiteDistribution(kind="zero", amplitude=0.0, decay=0.0)
+UNIFORM = SiteDistribution(kind="uniform", amplitude=1.0, decay=1.0)
 SPARSE = SparseSpec(v=0.2, gamma=8, j_max=10)
 E_TEST = 0.6
 L_GRID = default_l_grid(1e3, 3)

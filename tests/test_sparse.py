@@ -1,6 +1,7 @@
 """Sparse bump potentials: propagation, envelopes, thresholds, stability."""
 
 import inspect
+import json
 import math
 
 import mpmath
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobilab import harness, sparse, variation
-from jacobilab.core import OperatorSpec, single_step, solve_forward
+from jacobilab.core import OperatorSpec, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
     InvalidArgumentError,
+    OverflowSiteError,
     UnsupportedModelError,
 )
 from jacobilab.sparse import (
@@ -29,7 +31,7 @@ from jacobilab.sparse import (
     sparse_propagate,
 )
 from jacobilab.subordinacy import l_norms, solve_pair
-from oracles import spectral_norm
+from oracles import single_step, spectral_norm
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +105,15 @@ def test_potential_matches_division_loop_near_large_powers():
 
 def test_sparse_spec_validation():
     with pytest.raises(InvalidArgumentError):
-        SparseSpec(gamma=1)
+        SparseSpec(v=0.2, gamma=1, j_max=30)
     with pytest.raises(InvalidArgumentError):
-        SparseSpec(gamma=8, j_max=50)  # 8^50 >= 2^127
+        SparseSpec(v=0.2, gamma=8, j_max=50)  # 8^50 >= 2^127
 
 
 def test_bump_sites_not_a_constructor_argument():
     # the sites follow from gamma and j_max; a given list would be discarded
     with pytest.raises(TypeError):
-        SparseSpec(bump_sites=[3])
+        SparseSpec(v=0.2, gamma=8, j_max=30, bump_sites=[3])
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,32 @@ def test_single_bump_jump_bounded():
     for j in range(1, len(prop.amp1)):
         jump = prop.amp1[j] / prop.amp1[j - 1]
         assert jump <= spectral_norm(bump) * free_swing + 1e-9
+
+
+# the bump amplitudes of this pair leave the double range at bump 25
+OVERFLOW_SPEC = {"type": "sparse", "v": 3, "gamma": 3, "j_max": 60}
+OVERFLOW_E = 1.9999999999995
+
+
+def test_propagation_overflow_names_the_bump():
+    s = harness.build_spec({"spec": OVERFLOW_SPEC})
+    blocks = block_matrices(s, OVERFLOW_E)
+    with pytest.raises(OverflowSiteError) as exc:
+        sparse_propagate(s, find_subordinate_angle(blocks), blocks)
+    assert exc.value.site == 3 ** 25
+    assert str(exc.value) == f"overflow at site {3 ** 25}"
+
+
+def test_cli_overflowing_cell_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "spec": OVERFLOW_SPEC, "E_grid": [OVERFLOW_E],
+        "seeds": {"base": 0, "count": 2}, "grids": {"s": 1.0, "n_cut": 5000}}))
+    rc = harness.main(["sparse", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert (f"failed cell: E={OVERFLOW_E}: OverflowSiteError('overflow at "
+            f"site {3 ** 25}')" in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +351,7 @@ def test_sparse_verdict_sees_its_perturbation():
 def test_perturbed_experiment_validation():
     s = SparseSpec(v=0.2, gamma=8, j_max=12)
     with pytest.raises(InvalidArgumentError):
-        perturbed_sparse_experiment(s, -1.0, range(2), 0.6)
+        perturbed_sparse_experiment(s, -1.0, range(2), 0.6, n_cut=3000)
 
 
 def test_tail_bound_covers_the_whole_tail():

@@ -14,7 +14,6 @@ from jacobilab.core import (
     constant_spec,
     free_laplacian,
     residual,
-    single_step,
     solve_forward,
 )
 from jacobilab.errors import (
@@ -49,13 +48,14 @@ from oracles import (
     nilpotent_generator_array,
     perturbed_spec,
     reversed_rows,
+    single_step,
     spectral_norm,
     tail_product,
     transfer_product,
 )
 
-ZERO = SiteDistribution(kind="zero", amplitude=0.0)
-UNIFORM = SiteDistribution(kind="uniform", decay=1.0)  # X(n) / n
+ZERO = SiteDistribution(kind="zero", amplitude=0.0, decay=0.0)
+UNIFORM = SiteDistribution(kind="uniform", amplitude=1.0, decay=1.0)
 HALF_UNIFORM = SiteDistribution(kind="uniform", amplitude=0.5, decay=1.0)
 A_NOISE = SiteDistribution(kind="uniform", amplitude=0.3, decay=1.0)
 
@@ -132,9 +132,9 @@ def test_nilpotent_generator_array_structure():
 
 def test_diagonal_generator_requires_unit_a():
     with pytest.raises(InvalidArgumentError):
-        diagonal_generator_array(constant_spec(2.0), 0.5, 10)
+        diagonal_generator_array(constant_spec(2.0, 0.0), 0.5, 10)
     with pytest.raises(InvalidArgumentError, match="coefficients == 1"):
-        correction_ensemble(constant_spec(2.0), PerturbationModel(
+        correction_ensemble(constant_spec(2.0, 0.0), PerturbationModel(
             b_dist=UNIFORM), 0.5, [0], [10])
 
 
