@@ -15,6 +15,15 @@ every energy and both sums: cesaro_scan, given the perturbation model,
 also sums the decades that gamma_membership turns into verdicts, from
 one coefficient build and two propagate lanes per energy, in blocks of
 BLOCK sites.
+
+An energy retires from the pass after a block once every output it
+still owes is fixed: the block ends at or past N_max (or there is no
+model), bounded_flag is already false, and its running log sum less
+log N_grid[-1] is past LOG_SAT. The log sum never falls, so every later
+average reads inf; the report reads the retired energy's frozen sums.
+Off the spectrum the cocycle is hyperbolic and the log sum passes
+LOG_SAT within about 10^3 sites, so such an energy leaves at the first
+block end past N_max; the pass ends once no energy is left.
 """
 
 from __future__ import annotations
@@ -67,8 +76,11 @@ def _log_t2(alpha, gamma, inv_a) -> np.ndarray:
         low = sq[:-1]
         low[moved] = ldexp(m[:-1][moved], k[:-1][moved] - top[moved]) ** 2
         g += low
-    # ln((g + sqrt(max(g^2 - 4 det^2, 0))) / 2) + 2 ln 2 top, in place
-    det = ldexp(inv_a, -2 * top)
+    # ln((g + sqrt(max(g^2 - 4 det^2, 0))) / 2) + 2 ln 2 top, in place.
+    # 4 det^2 rounds to +0 wherever det < 2^-540, so the shift of det stops
+    # where det would pass below that: det stays normal, off numpy's slow
+    # ldexp path for subnormal results, and 4 det^2 keeps its bits
+    det = ldexp(inv_a, np.maximum(-2 * top, -540 - np.frexp(inv_a)[1]))
     det *= 4.0 * det
     t2 = g * g
     t2 -= det
@@ -91,22 +103,34 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
     (resume_state), so each column is bit for bit one scalar pass of its
     energy over all sites (log_t2_stream in tests/oracles.py), in
     O(BLOCK x energies) memory.
+
+    Sending a boolean mask over the columns of the last block, in place of
+    next(), keeps only the energies it marks True: the others' lanes leave
+    the pass, later blocks hold the kept columns alone, and the generator
+    returns once no energy is left.
     """
     E = np.asarray(energies, dtype=float)
-    n_E, n_max = len(E), len(a) - 1
+    n_max = len(a) - 1
     lanes = np.concatenate([E, E])  # alpha of every energy, then gamma
-    prev, cur = (np.repeat(phi, n_E) for phi in zip(*CANONICAL))
-    base = np.zeros(2 * n_E, dtype=np.int64)  # exponent of site `first`
+    prev, cur = (np.repeat(phi, len(E)) for phi in zip(*CANONICAL))
+    base = np.zeros(2 * len(E), dtype=np.int64)  # exponent of site `first`
     first = 1  # the state (prev, cur) sits at sites (first - 1, first)
     for last in sorted({*range(BLOCK, n_max, BLOCK), n_max,
                         *(s for s in stops if 0 < s < n_max)}):
+        n_E = len(lanes) // 2
         m, k = propagate(a[first - 1:], b[first - 1:], lanes, prev, cur,
                          last - first + 2)
         k += base
-        yield last, _log_t2((m[1:, :n_E], k[1:, :n_E]),
-                            (m[1:, n_E:], k[1:, n_E:]),
-                            1.0 / a[first:last + 1, None])
+        keep = yield last, _log_t2((m[1:, :n_E], k[1:, :n_E]),
+                                   (m[1:, n_E:], k[1:, n_E:]),
+                                   1.0 / a[first:last + 1, None])
         prev, cur, base = resume_state(m, k)
+        if keep is not None:
+            keep = np.tile(keep, 2)
+            lanes, prev, cur, base = (x[keep] for x in (lanes, prev, cur,
+                                                         base))
+            if not len(lanes):
+                return
         first = last + 1
 
 
@@ -190,22 +214,44 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
         log_w, ends = _log_weights(model, a, N_max), decade_ends(N_max)
     decades = np.full((len(ends), len(energies)), -math.inf)
 
-    log_sum = max_lt2 = np.full(len(energies), -math.inf)
+    log_sum = np.full(len(energies), -math.inf)
+    max_lt2 = log_sum.copy()
     log_sums = {}  # N -> log sum_{n<=N} t^E(n)^2 per energy
-    for last, lt2 in _log_t2_blocks(a, b, energies, [*N_grid, *ends]):
+    live = np.arange(len(energies))  # the energies still in the pass
+    blocks = _log_t2_blocks(a, b, energies, [*N_grid, *ends])
+    keep = None  # blocks.send(None) is next(blocks)
+    while True:
+        try:
+            last, lt2 = blocks.send(keep)
+        except StopIteration:
+            break
         if last <= n_cut:
-            log_sum = np.logaddexp.reduce(np.vstack([log_sum, lt2]))
-            max_lt2 = np.maximum(max_lt2, np.max(0.5 * lt2, axis=0))
+            log_sum = log_sum.copy()
+            log_sum[live] = np.logaddexp.reduce(
+                np.vstack([log_sum[live], lt2]))
+            max_lt2[live] = np.maximum(max_lt2[live],
+                                       np.max(0.5 * lt2, axis=0))
             log_sums[last] = log_sum
         if ends and last <= N_max:
             d = bisect.bisect_left(ends, last)  # the decade of the block
             w = log_w[last - len(lt2) + 1:last + 1, None]
             with np.errstate(invalid="ignore"):
                 terms = np.where(w > -math.inf, w + 2.0 * lt2, -math.inf)
-            decades[d] = np.logaddexp.reduce(np.vstack([decades[d], terms]))
+            decades[d, live] = np.logaddexp.reduce(
+                np.vstack([decades[d, live], terms]))
+        keep = None
+        if model is None or last >= N_max:  # every decade is summed
+            # the report's float operations: an energy whose flag reads
+            # unbounded and whose averages from here on (log sums never
+            # fall) all read inf owes nothing more
+            kept = ((max_lt2[live] <= math.log(TAU_BOUND))
+                    | ~(log_sum[live] - math.log(n_cut) > LOG_SAT))
+            if not kept.all():
+                live, keep = live[kept], kept
+    # a pass that ended early left no energy: the last sums are frozen
     return CesaroScan(N_grid=list(N_grid), reports=[
-        _cesaro_report(E, N_grid,
-                       [float(log_sums[N][j]) - math.log(N) for N in N_grid],
+        _cesaro_report(E, N_grid, [float(log_sums.get(N, log_sum)[j])
+                                   - math.log(N) for N in N_grid],
                        float(max_lt2[j]))
         for j, E in enumerate(energies)],
         N_max=N_max, decades=None if model is None else decades)

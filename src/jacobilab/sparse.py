@@ -108,13 +108,29 @@ def block_matrices(sspec: SparseSpec, E: float) -> List[List[float]]:
 def _bump_states(blocks: List[List[float]], x: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """Pre-bump states (phi(n_j), phi(n_j - 1)), shape (bumps, 2, lanes),
-    from lanes of initial data (phi(1), phi(0)) = (x, y)."""
+    from lanes of initial data (phi(1), phi(0)) = (x, y). A state that
+    overflows is left inf or nan for _amplitudes to name."""
     states = np.empty((len(blocks), 2, len(x)))
-    for j, (f11, f12, f21, f22, b11, b12, b21, b22) in enumerate(blocks):
-        x, y = f11 * x + f12 * y, f21 * x + f22 * y
-        states[j] = x, y
-        x, y = b11 * x + b12 * y, b21 * x + b22 * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (f11, f12, f21, f22, b11, b12, b21, b22) in enumerate(blocks):
+            x, y = f11 * x + f12 * y, f21 * x + f22 * y
+            states[j] = x, y
+            x, y = b11 * x + b12 * y, b21 * x + b22 * y
     return states
+
+
+def _amplitudes(sspec: SparseSpec, states: np.ndarray) -> np.ndarray:
+    """(|phi(n_j - 1)|^2 + |phi(n_j)|^2)^{1/2}, shape (bumps, lanes).
+
+    states is _bump_states over sspec's blocks. Raises OverflowSiteError
+    naming the first bump where the amplitude of a lane is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.sqrt(states[:, 0] ** 2 + states[:, 1] ** 2)
+    bad = np.flatnonzero(~np.isfinite(amp).all(axis=1))
+    if len(bad):
+        raise OverflowSiteError(sspec.bump_sites[bad[0]])
+    return amp
 
 
 @dataclass
@@ -137,20 +153,27 @@ def sparse_propagate(sspec: SparseSpec, theta: float,
     """
     c, s = math.cos(theta), math.sin(theta)
     states = _bump_states(blocks, np.array([c, s]), np.array([-s, c]))
-    amp1, amp2 = np.sqrt(states[:, 0] ** 2 + states[:, 1] ** 2).T
-    bad = np.flatnonzero(~np.isfinite(amp1 + amp2))
-    if len(bad):
-        raise OverflowSiteError(sspec.bump_sites[bad[0]])
+    amp1, amp2 = _amplitudes(sspec, states).T
     return SparsePropagation(
         bump_sites=list(sspec.bump_sites), amp1=amp1, amp2=amp2,
         states1=states[:, :, 0], states2=states[:, :, 1])
 
 
-def find_subordinate_angle(blocks: List[List[float]]) -> float:
-    """Boundary angle minimizing the terminal bump amplitude of phi1."""
+def find_subordinate_angle(sspec: SparseSpec,
+                           blocks: List[List[float]]) -> float:
+    """Boundary angle minimizing the terminal bump amplitude of phi1.
+
+    blocks is block_matrices(sspec, E). A terminal amplitude that is not
+    finite raises OverflowSiteError, before any score is compared, naming
+    the first bump where an amplitude of its walk is not finite.
+    """
     def terminal_amp(theta_arr: np.ndarray) -> np.ndarray:
-        return np.hypot(*_bump_states(
-            blocks, np.cos(theta_arr), -np.sin(theta_arr))[-1])
+        states = _bump_states(blocks, np.cos(theta_arr), -np.sin(theta_arr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = np.hypot(*states[-1])
+        if not np.isfinite(amp).all():
+            _amplitudes(sspec, states)  # raises: the last bump at the latest
+        return amp
 
     return minimize_boundary_angle(
         terminal_amp,
@@ -271,7 +294,7 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
         raise DivergentSeriesError(
             f"tail certificate sum n^(-2s) diverges for s = {s} <= 1/2")
     blocks = block_matrices(sspec, E)
-    theta = find_subordinate_angle(blocks)
+    theta = find_subordinate_angle(sspec, blocks)
     prop = sparse_propagate(sspec, theta, blocks)
     fit_unpert = envelope_exponents(prop.bump_sites, prop.amp2)
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from jacobilab import ac_criterion, harness
 from jacobilab.ac_criterion import (
     BLOCK,
+    TAU_BOUND,
+    CesaroReport,
     _log_t2,
     _log_t2_blocks,
     cesaro_scan,
@@ -21,6 +23,7 @@ from jacobilab.core import (
     LN2,
     OperatorSpec,
     free_laplacian,
+    propagate,
     residual,
     solve_forward,
 )
@@ -29,6 +32,7 @@ from jacobilab.randpert import (
     LOG_SAT,
     PerturbationModel,
     SiteDistribution,
+    decade_ends,
     decade_log_sums,
     decade_ratios_pass,
 )
@@ -166,6 +170,33 @@ def test_log_t2_is_the_four_term_sum_bit_for_bit(n, lanes, data):
         st.floats(1e-6, 1e6), min_size=n, max_size=n)))
     if lanes:
         inv_a = inv_a[:, None]
+    with np.errstate(divide="ignore"):
+        assert (_log_t2(*pair, inv_a).tobytes()
+                == log_t2_four_terms(*pair, inv_a).tobytes())
+
+
+def test_log_t2_clipped_det_shift_keeps_the_bits():
+    # tops on both sides of 270, where det = 2^-2top / a passes 2^-540
+    # for a near 1, and past 511, where the unclipped det is subnormal; a
+    # from 1e-6 to 1e6 moves that border by about 20 sites either way.
+    # Entries as small as 2^-560 make g^2 as small as 4 det^2 can be
+    rng = np.random.default_rng(7)
+    tops = np.array([0, 200, 250, 255, 259, 260, 261, 268, 269, 270, 271,
+                     272, 280, 290, 300, 400, 511, 512, 513, 537, 600, 1000,
+                     10 ** 6])
+    a = np.concatenate([[1.0, 1e-6, 1e6, 0.5, 2.0, 1.0 - 2.0 ** -52],
+                        np.exp(rng.uniform(-13.8, 13.8, 40))])
+    inv_a = 1.0 / a[:, None]
+    shape = (len(a) + 1, len(tops))
+    pair = []
+    for shift in (0, 3):  # gamma's exponents trail alpha's by 3 bits
+        m = np.ldexp(rng.uniform(0.5, 1.0, shape) * rng.choice([-1, 1], shape),
+                     -rng.integers(0, 560, shape))
+        m[rng.random(shape) < 0.05] = 0.0
+        k = np.broadcast_to(tops - shift, shape).copy()
+        k[1::7] += 1  # exponent steps between sites
+        pair.append((m, np.maximum.accumulate(k, axis=0)))
+    assert np.maximum(pair[0][1], pair[1][1])[1:].max() > 511
     with np.errstate(divide="ignore"):
         assert (_log_t2(*pair, inv_a).tobytes()
                 == log_t2_four_terms(*pair, inv_a).tobytes())
@@ -382,3 +413,151 @@ def test_gamma_requires_small_N_max_guard():
     model = PerturbationModel(b_dist=UNIFORM)
     with pytest.raises(InvalidArgumentError):
         gamma(free_laplacian(), model, [0.5], N_max=50)
+
+
+# ---------------------------------------------------------------------------
+# retirement: energies leave the pass once every output they owe is fixed
+# ---------------------------------------------------------------------------
+
+def scan_oracle(a, b, energies, N_grid, log_w=None, N_max=None):
+    """Reports, decade sums and retirement test of cesaro_scan, per energy
+    from the scalar stream and sequential log sums.
+
+    retired(j, last) says whether energy j leaves the pass after a block
+    ending at site last: its decades are summed, it reads unbounded, and
+    its log sum less log N_grid[-1] is past LOG_SAT.
+    """
+    n_cut = N_grid[-1]
+    reports, decades, lt2s = [], [], []
+    for E in energies:
+        lt2 = log_t2_stream(a, b, E)
+        cum = np.logaddexp.accumulate(lt2[:n_cut])
+        logs = [float(cum[N - 1]) - math.log(N) for N in N_grid]
+        averages = [math.exp(v) if v <= LOG_SAT else math.inf for v in logs]
+        reports.append(CesaroReport(
+            E=E, averages=averages,
+            liminf_proxy=min(x for N, x in zip(N_grid, averages)
+                             if N >= n_cut / 10.0),
+            bounded_flag=float(np.max(0.5 * lt2[:n_cut]))
+            <= math.log(TAU_BOUND)))
+        lt2s.append((lt2, cum))
+        if log_w is not None:
+            w = log_w[1:N_max + 1]
+            with np.errstate(invalid="ignore"):
+                terms = np.where(w > -math.inf, w + 2.0 * lt2[:N_max],
+                                 -math.inf)
+            lo = 0
+            decades.append([])
+            for hi in decade_ends(N_max):
+                decades[-1].append(np.logaddexp.accumulate(terms[lo:hi])[-1])
+                lo = hi
+
+    def retired(j, last):
+        lt2, cum = lt2s[j]
+        upto = min(last, n_cut)
+        return ((N_max is None or last >= N_max)
+                and not float(np.max(0.5 * lt2[:upto])) <= math.log(TAU_BOUND)
+                and float(cum[upto - 1]) - math.log(n_cut) > LOG_SAT)
+
+    return reports, np.array(decades).T if decades else None, retired
+
+
+def spied_scan(spec, energies, N_grid, model=None, N_max=None):
+    """cesaro_scan, and (last site, lanes) of each lane call of its pass."""
+    calls = []
+    n_all = max(N_grid[-1], N_max or 0)
+
+    def spy(a, b, E, prev, cur, n):
+        first = n_all + 2 - len(a)  # a is a[first - 1:]
+        calls.append((first + n - 2, len(E)))
+        return propagate(a, b, E, prev, cur, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac_criterion, "propagate", spy)
+        scan = cesaro_scan(spec, energies, N_grid, model, N_max)
+    return scan, calls
+
+
+def assert_lanes_retire(calls, retired, n_E, n_all):
+    """Each lane call carries two lanes per energy not yet retired."""
+    live = list(range(n_E))
+    for last, lanes in calls:
+        assert lanes == 2 * len(live)
+        live = [j for j in live if not retired(j, last)]
+    # the pass runs to its last site unless no energy is left
+    assert calls[-1][0] == n_all or not live
+
+
+def random_spec(seed, n):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, n + 1), rng.uniform(-0.5, 0.5, n + 1)
+    return OperatorSpec(a=lambda k: a[k], b=lambda k: b[k])
+
+
+def log_weights_oracle(model, a, N_max):
+    b2 = model.b_dist.moments_array(2, N_max)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(b2) + 4.0 * np.log(a[:N_max + 1] + 1.0)
+    log_w[0] = -math.inf
+    return log_w
+
+
+elliptic = st.floats(-1.9, 1.9)
+hyperbolic = st.floats(2.1, 5.0) | st.floats(-5.0, -2.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(elliptic, min_size=1, max_size=5),
+       st.lists(hyperbolic, min_size=1, max_size=5),
+       st.none() | st.integers(0, 2 ** 32 - 1), st.integers(16, 22),
+       st.none() | st.integers(100, 3000), st.randoms())
+def test_scan_with_retirement_matches_the_stream_oracle(
+        ell, hyp, seed, j_max, N_max, rnd):
+    # energies inside and outside the free band, on the free spec (seed
+    # None) or on random coefficients; N_grid[-1] is 256 to 2048 sites
+    energies = ell + hyp
+    rnd.shuffle(energies)
+    N_grid = default_n_grid(j_max)
+    n_all = max(N_grid[-1], N_max or 0)
+    spec = free_laplacian() if seed is None else random_spec(seed, n_all)
+    a, b = spec.coefficients(n_all)
+    model = None if N_max is None else PerturbationModel(b_dist=UNIFORM)
+    log_w = None if N_max is None else log_weights_oracle(model, a, N_max)
+
+    reports, decades, retired = scan_oracle(a, b, energies, N_grid, log_w,
+                                            N_max)
+    scan, calls = spied_scan(spec, energies, N_grid, model, N_max)
+    assert scan.reports == reports
+    if N_max is None:
+        assert scan.decades is None
+    else:
+        assert scan.decades.tobytes() == decades.tobytes()
+    assert_lanes_retire(calls, retired, len(energies), n_all)
+
+
+def test_lanes_leave_at_the_first_block_past_N_max():
+    # E = +-3 and 2.5 saturate within 512 sites, far before N_max = 1500;
+    # with a model they leave after the block ending at N_max; without
+    # one, after the first block past saturation, and the pass then ends
+    # early, since no energy is left
+    spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
+    energies, N_grid = [0.5, -3.0, 3.0, 2.5, -1.2], default_n_grid(22)
+    scan, calls = spied_scan(spec, energies, N_grid, model, 1500)
+    assert all(n == (10 if last <= 1500 else 4) for last, n in calls)
+    assert calls[-1][0] == N_grid[-1]
+    assert scan.reports == cesaro_scan(spec, energies, N_grid).reports
+
+    scan, calls = spied_scan(spec, [3.0, -3.0, 2.5], N_grid)
+    # all three leave after the block ending at 512: no call follows
+    assert {n for _, n in calls} == {6} and calls[-1][0] == 512
+    assert [rep.averages[-1] for rep in scan.reports] == [math.inf] * 3
+    assert not any(rep.bounded_flag for rep in scan.reports)
+
+
+def test_lanes_never_leave_an_elliptic_grid():
+    # inside the band t stays bounded: every lane runs to N_grid[-1]
+    energies = [float(E) for E in np.linspace(-1.95, 1.95, 20)]
+    N_grid = default_n_grid(30)
+    _, calls = spied_scan(free_laplacian(), energies, N_grid)
+    assert {lanes for _, lanes in calls} == {40}
+    assert calls[-1][0] == N_grid[-1]

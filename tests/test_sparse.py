@@ -192,15 +192,22 @@ OVERFLOW_SPEC = {"type": "sparse", "v": 3, "gamma": 3, "j_max": 60}
 OVERFLOW_E = 1.9999999999995
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_propagation_overflow_names_the_bump():
+    # the angle search raises before it compares scores of an overflowed
+    # walk, at the bump sparse_propagate names for any angle
     s = harness.build_spec({"spec": OVERFLOW_SPEC})
     blocks = block_matrices(s, OVERFLOW_E)
     with pytest.raises(OverflowSiteError) as exc:
-        sparse_propagate(s, find_subordinate_angle(blocks), blocks)
+        sparse_propagate(s, find_subordinate_angle(s, blocks), blocks)
     assert exc.value.site == 3 ** 25
     assert str(exc.value) == f"overflow at site {3 ** 25}"
+    with pytest.raises(OverflowSiteError) as exc:
+        sparse_propagate(s, 0.3, blocks)
+    assert exc.value.site == 3 ** 25
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_overflowing_cell_exits_4(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -318,7 +325,7 @@ def test_find_subordinate_angle_minimizes_terminal_amp():
     s = SparseSpec(v=0.2, gamma=8, j_max=12)
     E = 0.6
     blocks = block_matrices(s, E)
-    theta = find_subordinate_angle(blocks)
+    theta = find_subordinate_angle(s, blocks)
     amp_star = sparse_propagate(s, theta, blocks).amp1[-1]
     for dt in (-0.4, 0.2, 0.7):
         other = sparse_propagate(s, theta + dt, blocks).amp1[-1]
