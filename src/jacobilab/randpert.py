@@ -9,6 +9,7 @@ given (seed, site) is reproducible bit-for-bit regardless of n_max.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -85,8 +86,11 @@ class SiteDistribution:
         b = self.amplitude if self.kind != "tgauss" else self.amplitude * self.trunc
         return b / n ** self.decay
 
-    def transform(self, u: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0, 1) to per-site values, in place of u."""
+    def transform(self, u: np.ndarray, profile: np.ndarray) -> np.ndarray:
+        """Map uniforms in [0, 1) to per-site values, in place of u.
+
+        profile[n] is the divisor n^decay of site n (decay_profile).
+        """
         if self.kind == "zero":
             u.fill(0.0)
         elif self.kind == "uniform":
@@ -100,7 +104,7 @@ class SiteDistribution:
             u *= hi - lo
             ndtri(np.add(u, lo, out=u), out=u)
         u *= self.amplitude
-        u /= np.asarray(n, dtype=float) ** self.decay
+        u /= profile
         return u
 
 
@@ -149,27 +153,51 @@ def _philox_key(exp_id: str, tag: str, seed: int) -> np.ndarray:
     return np.array([w0 ^ (seed & 0xFFFFFFFFFFFFFFFF), w1], dtype=np.uint64)
 
 
-def stream_uniforms(exp_id: str, tag: str, seed: int, n_max: int) -> np.ndarray:
-    """u[n] for sites n = 1..n_max; u[0] is unused (zero)."""
+def stream_uniforms(exp_id: str, tag: str, seed: int, n_max: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """u[n] for sites n = 1..n_max; u[0] is unused (zero).
+
+    With ``out``, a float (n_max + 1)-array, u is written into it.
+    """
     gen = np.random.Generator(np.random.Philox(key=_philox_key(exp_id, tag, seed)))
-    u = np.zeros(n_max + 1)
+    u = np.zeros(n_max + 1) if out is None else out
+    u[0] = 0.0
     gen.random(out=u[1:])
     return u
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def decay_profile(decay: float, n_max: int) -> np.ndarray:
+    """The divisors n^decay for sites n = 0..n_max, with 0 taken as 1.
+
+    Every draw of a (decay, n_max) divides by the same profile, so it is
+    computed once and shared, read-only. ``typed``: an int decay keeps its
+    own profile, computed as before by numpy's power on that int.
+    """
+    sites = np.arange(n_max + 1, dtype=float)
+    sites[0] = 1.0  # avoid 0^(-s); sample zeroes entry 0
+    profile = sites ** decay
+    profile.flags.writeable = False
+    return profile
+
+
 def sample(model: PerturbationModel, seed: int, n_max: int,
-           tag: str = "b") -> np.ndarray:
+           tag: str = "b", out: Optional[np.ndarray] = None) -> np.ndarray:
     """b~(n) for sites n = 0..n_max from the stream ``tag``, b~(0) = 0.
 
     Identical (model, tag, seed, site) reproduce bit-for-bit. Every
     experiment draws b~ alone, so a model with a nonzero a~ is refused.
+    With ``out``, a float (n_max + 1)-array, the draw overwrites it and
+    is returned: a seed loop that passes one buffer to every draw makes
+    no span-sized allocation per seed, whose fresh pages the allocator
+    would otherwise fault in again on each draw.
     """
     if model.a_dist is not None and model.a_dist.kind != "zero":
         raise UnsupportedModelError("only b~ is drawn: a~ is not supported")
-    sites = np.arange(n_max + 1, dtype=float)
-    sites[0] = 1.0  # avoid 0^(-s); entry 0 is zeroed below
-    b_tilde = model.b_dist.transform(
-        stream_uniforms(model.exp_id, tag, seed, n_max), sites)
+    dist = model.b_dist
+    b_tilde = dist.transform(
+        stream_uniforms(model.exp_id, tag, seed, n_max, out),
+        decay_profile(dist.decay, n_max))
     b_tilde[0] = 0.0
     return b_tilde
 

@@ -279,7 +279,9 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
 
     The amplitude column d^+ of the growing solution is summed densely
     up to n_cut (d^- is not needed) and frozen beyond it. The generator
-    rows are built once for the whole ensemble, and each seed's sums
+    rows, with the scratch of the sums, and one b~ buffer that every
+    seed's draw overwrites are built once for the whole ensemble, so a
+    seed allocates nothing the size of the window; each seed's sums
     are kept only at the bump sites min(n_j, n_cut). The discarded
     tail is certified by the closed-form weighted variance sum over all
     n > n_cut, reported as ``tail_bound``; it diverges, and the call
@@ -321,8 +323,9 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     # d+ at each bump, frozen at its n_cut value beyond the dense window
     at_bump = [min(nj, n_cut) for nj in prop.bump_sites]
     beta1s, beta2s = [], []
+    b_tilde = np.empty(n_cut + 2)  # every seed's draw overwrites it
     for seed in seeds:
-        b_tilde = sample(model, seed, n_cut + 1)
+        sample(model, seed, n_cut + 1, out=b_tilde)
         d, _ = neumann_layers(b_tilde, rows, 0, at_bump, columns=(1,))
         d_plus = d[:, :, 0]
         v2 = d_plus[:, :1] * prop.states1 + d_plus[:, 1:] * prop.states2

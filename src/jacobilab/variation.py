@@ -20,6 +20,11 @@ sums run segment by segment from the top, cut where SEGMENT_MIN sites or
 more lie below: a far segment stops after a layer or two, and a layer's
 sup is its largest over the segments. A segment's layers carry only its
 own share of sum |~b| |u|, so a sum that diverged over the span may converge.
+The rows also own the span-sized scratch of neumann_layers (v, the
+layers, a layer step's block temporaries), which each call overwrites:
+a seed loop then allocates no span-sized array per seed, whose fresh
+pages would be faulted in again on every seed, and a rows object serves
+one caller at a time.
 """
 
 from __future__ import annotations
@@ -93,11 +98,15 @@ def correction_ensemble(spec: OperatorSpec, model: PerturbationModel, E: float,
 # ---------------------------------------------------------------------------
 
 class _Rows(NamedTuple):
-    """Reversed rows of phi1, phi2 and the sites n_start..n_max they cover."""
+    """Reversed rows of phi1, phi2 and the sites n_start..n_max they cover,
+    with the scratch that neumann_layers overwrites on every call."""
 
     n_start: int
     n_max: int
     phi: Tuple[np.ndarray, np.ndarray]
+    v: np.ndarray        # (2, span): (~b phi2, -~b phi1), reversed
+    layer: np.ndarray    # (2, span, 2): a layer per column
+    scratch: np.ndarray  # (2, span): _advance_layer's block temporaries
 
 
 def subordinate_generator_array(phi1: np.ndarray, phi2: np.ndarray,
@@ -106,22 +115,27 @@ def subordinate_generator_array(phi1: np.ndarray, phi2: np.ndarray,
     copies of phi1, phi2 for sites n_max down to n_start, as u(n) =
     T(n)^{-1} E12 T(n) = (phi2, -phi1)^T (phi1, phi2)(n) for the matrix
     T(n) of the pair. A seed ensemble builds them once; neumann_layers
-    checks their span.
+    checks their span. They also own the scratch of neumann_layers, so a
+    rows object serves one caller at a time.
     """
+    span = n_max - n_start + 1
     return _Rows(n_start, n_max, tuple(
         np.ascontiguousarray(phi[n_start:n_max + 1][::-1])
-        for phi in (phi1, phi2)))
+        for phi in (phi1, phi2)),
+        np.empty((2, span)), np.empty((2, span, 2)), np.empty((2, span)))
 
 
 def _advance_layer(v: Tuple[np.ndarray, np.ndarray],
                    phi: Tuple[np.ndarray, np.ndarray],
-                   layer: np.ndarray) -> None:
+                   layer: Sequence[np.ndarray], scratch: np.ndarray) -> None:
     """Overwrite Neumann layer k with layer k+1, in reversed site order.
 
     Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
     d^k(j') is a plain cumsum. layer holds a 2-vector (x, y) per column and
     site; ~b u d^k = v q for v = (~b phi2, -~b phi1), folded once per
     realization, and q = phi1 x + phi2 y. v and phi are reversed alike.
+    scratch holds two rows of at least min(BLOCK, sites - 1) entries, for
+    q and the product phi2 y of a block.
     """
     p1, p2 = phi
     last = len(p1) - 1
@@ -130,8 +144,9 @@ def _advance_layer(v: Tuple[np.ndarray, np.ndarray],
         # block first, as each one writes the first site of the next
         for a in reversed(range(0, last, BLOCK)):
             s = slice(a, min(a + BLOCK, last))
-            q = p1[s] * col[s, 0]
-            q += p2[s] * col[s, 1]
+            q, py = scratch[:, :s.stop - a]
+            np.multiply(p1[s], col[s, 0], out=q)
+            q += np.multiply(p2[s], col[s, 1], out=py)
             for i, vi in enumerate(v):
                 np.multiply(vi[s], q, out=col[s.start + 1:s.stop + 1, i])
         col[0] = 0.0  # no site beyond n_max
@@ -175,7 +190,11 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
             f"site {outside[0]} outside {n_start}..{n_max}")
     pick = n_max - sites  # the sites' positions in reversed order
     bt = b_tilde[n_start:][::-1]
-    v = (bt * rows.phi[1], -(bt * rows.phi[0]))
+    v = rows.v
+    np.multiply(bt, rows.phi[1], out=v[0])
+    np.negative(np.multiply(bt, rows.phi[0], out=v[1]), out=v[1])
+    # layer[c] as x + iy, so that one assignment writes a terminal vector
+    layer_z = rows.layer.view(np.complex128)[:, :, 0]
     total = np.empty((len(columns), len(sites), 2))
     carry = np.eye(2)[list(columns)]  # terminal vectors of a segment
     sups: List[float] = []
@@ -189,13 +208,14 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         # sums[column, i] and layer[column, j]: the sum at the i-th site
         # kept, the segment's bottom last, and layer k at position j
         at = np.append(pick[here], end - 1) - seg.start
-        sums, layer = (np.repeat(carry[:, None], m, axis=1)
-                       for m in (len(at), end - seg.start))
+        sums = np.repeat(carry[:, None], len(at), axis=1)
+        layer_z[:len(columns), :end - seg.start] = carry.view(np.complex128)
+        layer = list(rows.layer[:len(columns), :end - seg.start])
         active = list(range(len(columns)))
         seg_sups = [float(np.abs(carry).max())]
         seg_v, seg_phi = (tuple(x[seg] for x in xs) for xs in (v, rows.phi))
         for _ in range(LAYER_CAP):
-            _advance_layer(seg_v, seg_phi, layer)
+            _advance_layer(seg_v, seg_phi, layer, rows.scratch)
             col_sups = [float(max(col.max(), -col.min())) for col in layer]
             for c, col in zip(active, layer):
                 sums[c] += col[at]
@@ -204,7 +224,8 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
             if not going:
                 break
             if len(going) < len(active):
-                active, layer = [active[k] for k in going], layer[going]
+                active, layer = ([xs[k] for k in going]
+                                 for xs in (active, layer))
         else:
             raise DivergentSeriesError(
                 f"Neumann sum of column {[columns[c] for c in active]} did "

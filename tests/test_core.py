@@ -415,6 +415,24 @@ def test_ldexp_is_numpy_ldexp_of_int64_exponents_bit_for_bit(pairs):
         assert ldexp(x[0], e[0]).tobytes() == np.ldexp(x[0], e[0]).tobytes()
 
 
+def test_ldexp_edge_exponents_and_broadcasts_bit_for_bit():
+    # every exponent where the clip or the int32 cast could show, against
+    # every kind of mantissa, and ldexp's broadcasting of x against e
+    e = np.array([0, 1, -1, 2098, -2098, 2099, -2099, 2100, -2100,
+                  2 ** 31, -(2 ** 31), 2 ** 31 - 1, -(2 ** 40), 2 ** 40],
+                 dtype=np.int64)
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1.5,
+                  -(2.0 ** 1000), 1.7976931348623157e308, math.inf,
+                  -math.inf, math.nan])
+    with np.errstate(over="ignore", under="ignore"):
+        for xs, es in ((x[:, None], e[None, :]), (x[None, :], e[:, None]),
+                       (x[:, None], e), (x[3], e), (x, e[9]),
+                       (x[:, None, None], e.reshape(2, 7))):
+            got, want = ldexp(xs, es), np.ldexp(xs, es)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_propagate_rejects_short_coefficient_arrays():
     a, b = free_laplacian().coefficients(10)
     propagate(a, b, 0.5, 0.0, 1.0, 11)  # reads sites 0..10

@@ -20,6 +20,7 @@ from jacobilab.randpert import (
     SiteDistribution,
     decade_log_sums,
     decade_ratios_pass,
+    decay_profile,
     maximal_inequality_check,
     sample,
     series_convergence_check,
@@ -131,7 +132,8 @@ def test_distinct_seeds_and_streams_differ():
     draws = []
     for tag in ("b", "ineq", "series"):
         draw = sample(model, 0, 200, tag)
-        direct = UNIFORM.transform(stream_uniforms("t", tag, 0, 200), sites)
+        direct = UNIFORM.transform(stream_uniforms("t", tag, 0, 200),
+                                   sites ** UNIFORM.decay)
         direct[0] = 0.0
         assert np.array_equal(draw, direct)
         assert all(not np.allclose(draw[1:], d[1:]) for d in draws)
@@ -176,6 +178,33 @@ def test_sample_is_the_out_of_place_draw_bit_for_bit(kind):
             expected = out_of_place_draw(model, seed, 3000, tag)
             assert np.array_equal(draw, expected)
             assert np.array_equal(np.signbit(draw), np.signbit(expected))
+
+
+@pytest.mark.parametrize("kind", ["zero", "uniform", "rademacher", "tgauss"])
+def test_sample_into_a_buffer_is_the_fresh_draw_bit_for_bit(kind):
+    # a buffer of NaN, overwritten entry 0 included, and returned
+    model = PerturbationModel(exp_id="out", b_dist=SiteDistribution(
+        kind=kind, amplitude=0.7, decay=0.75))
+    for n_max in (1, 10, 1000, 4097):
+        buf = np.full(n_max + 1, np.nan)
+        for seed, tag in ((0, "b"), (9, "series"), (2, "b")):
+            draw = sample(model, seed, n_max, tag, out=buf)
+            assert draw is buf
+            assert buf.tobytes() == sample(model, seed, n_max, tag).tobytes()
+
+
+def test_decay_profile_is_shared_and_read_only():
+    profile = decay_profile(0.75, 100)
+    assert decay_profile(0.75, 100) is profile
+    sites = np.arange(101, dtype=float)
+    sites[0] = 1.0
+    assert profile.tobytes() == (sites ** 0.75).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        profile[5] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        profile /= 2.0
+    # an int decay keeps a profile of its own, as numpy's power on an int
+    assert decay_profile(2, 100) is not decay_profile(2.0, 100)
 
 
 def test_sample_mean_near_zero():

@@ -388,6 +388,21 @@ def test_tail_certificate_is_an_upper_bound(s, n_first):
         assert mpmath.mpf(bound) <= tail * (1 + mpmath.mpf(2) ** -51)
 
 
+def test_perturbed_experiment_is_the_same_with_seeds_reversed(monkeypatch):
+    # the seeds share one b~ buffer and the scratch of one rows object; a
+    # seed's fit must not depend on which seed ran before it. Two seeds,
+    # so that each median is the mean of both fits. At gamma 2 and
+    # SEGMENT_MIN 256 the bumps 2^1..2^11 lie in the dense window, which
+    # is summed in four segments
+    monkeypatch.setattr(variation, "SEGMENT_MIN", 256)
+    sspec = SparseSpec(v=0.2, gamma=2, j_max=14)
+    seeds = [3, 0]
+    forward, backward = (perturbed_sparse_experiment(
+        sspec, 0.75, order, 0.6, n_cut=3000) for order in (seeds, seeds[::-1]))
+    assert forward == backward
+    assert forward.max_median_diff > 0.0
+
+
 # the tiny sparse benchmark config: 4 seeds, n_cut 3000, 14 bumps
 TINY_SPARSE = {
     "experiment": "sparse",

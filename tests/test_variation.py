@@ -600,6 +600,49 @@ def test_segmented_sums_keep_rows_and_columns_bit_for_bit(data):
         one[0][1], one[1][1], fillvalue=0.0)]
 
 
+def layers_or_error(b_tilde, rows, n_start, sites, columns):
+    """neumann_layers' (D, sups), or the message of its divergence."""
+    try:
+        return neumann_layers(b_tilde, rows, n_start, sites, columns)
+    except DivergentSeriesError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reused_rows_give_the_sums_of_fresh_rows_bit_for_bit(data):
+    # rows own the scratch of neumann_layers, so one rows object serves
+    # every call of a sequence: of other draws, columns and sites, and
+    # after a call that raised midway, each call must be that on fresh
+    # rows, and, where it converged, the one-site product to roundoff
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    with draw_segments(data), draw_block(data):
+        for _ in range(data.draw(st.integers(2, 5))):
+            scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3, 2.0]))
+            b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+            columns = data.draw(st.sampled_from([(0, 1), (1,), (0,)]))
+            sites = data.draw(st.lists(st.integers(n_start, n_max),
+                                       min_size=1, max_size=8))
+            got = layers_or_error(b_tilde, rows, n_start, sites, columns)
+            fresh = layers_or_error(
+                b_tilde, subordinate_generator_array(phi1, phi2, n_start,
+                                                     n_max),
+                n_start, sites, columns)
+            if isinstance(fresh, str):
+                assert got == fresh
+                continue
+            assert got[0].tobytes() == fresh[0].tobytes()
+            assert got[1] == fresh[1]
+            product = tail_product(b_tilde, phi1, phi2, n_start)
+            want = product[np.array(sites) - n_start][:, :, list(columns)]
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(product))))
+            assert float(np.max(np.abs(got[0] - want))) <= tol
+
+
 def test_neumann_layers_rejects_rows_of_another_span():
     n_max = 20
     phi1, phi2 = np.random.default_rng(3).standard_normal((2, n_max + 1))
@@ -637,7 +680,8 @@ def test_layer_one_is_plain_tail_sum():
     layer[0, :, 1] = 1.0  # the terminal vector d0, in reversed site order
     phi = subordinate_generator_array(s1, s2, 0, n_max).phi
     rev = bt[::-1]
-    _advance_layer((rev * phi[1], -(rev * phi[0])), phi, layer)
+    _advance_layer((rev * phi[1], -(rev * phi[0])), phi, layer,
+                   np.empty((2, n_max + 1)))
     d_tot = d0 + layer[0, ::-1]
     for n in (0, 13, 150):
         manual = d0.copy()
