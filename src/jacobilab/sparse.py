@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DivergentSeriesError,
     InsufficientDataError,
+    InternalConsistencyError,
     InvalidArgumentError,
     OverflowSiteError,
     UnsupportedModelError,
@@ -27,7 +28,11 @@ from .errors import (
 from .randpert import PerturbationModel, SiteDistribution, sample
 from .singular import sandwich_holds
 from .subordinacy import minimize_boundary_angle, solve_pair
-from .variation import neumann_layers, subordinate_generator_array
+from .variation import (
+    RESIDUAL_TOL,
+    neumann_layers,
+    subordinate_generator_array,
+)
 
 ENVELOPE_DISCARD = 5      # transient bumps excluded from every fit window
 SITE_LIMIT = 2 ** 127
@@ -184,17 +189,17 @@ def envelope_exponents(bump_sites: Sequence[int],
                        amplitudes: np.ndarray) -> EnvelopeFit:
     """Power-law envelope fit of bump amplitudes (scale-invariant slopes).
 
+    Fits every point it is given: a caller drops the transient bumps
+    (perturbed_sparse_experiment fits those past ENVELOPE_DISCARD).
     beta2_hat is the slope through running-maximum points (upper
     envelope), beta1_hat through running-minimum points; either falls
-    back to the central least-squares slope. Needs >= 8 points past the
-    transient window.
+    back to the central least-squares slope. Needs >= 8 points.
     """
     amps = np.asarray(amplitudes, dtype=float)
-    sites = np.array([float(n) for n in bump_sites])
-    if len(amps) - ENVELOPE_DISCARD < 8:
-        raise InsufficientDataError("need >= 8 bump amplitudes past transient")
-    x = np.log(sites[ENVELOPE_DISCARD:])
-    y = np.log(np.maximum(amps[ENVELOPE_DISCARD:], 1e-300))
+    if len(amps) < 8:
+        raise InsufficientDataError("need >= 8 bump amplitudes")
+    x = np.log(np.array([float(n) for n in bump_sites]))
+    y = np.log(np.maximum(amps, 1e-300))
     slope = np.polyfit(x, y, 1)[0]
 
     def env_slope(yv: np.ndarray, upper: bool) -> float:
@@ -272,20 +277,48 @@ def _tail_certificate(amp_max: float, s: float, n_cut: int) -> float:
     return math.nextafter(float(tail), math.inf)
 
 
+def _check_one_site_step(d_plus: np.ndarray, d_after: np.ndarray,
+                         b_after: np.ndarray,
+                         phi_after: Tuple[np.ndarray, np.ndarray],
+                         sites: np.ndarray) -> None:
+    """Raise InternalConsistencyError unless d+(n) = (I + ~b(n+1) u(n+1))
+    d+(n+1) at each of the sites n, to RESIDUAL_TOL * max(1, max |d+|).
+
+    d_after, b_after and phi_after = (phi1, phi2) are read at the sites
+    after them, where u = (phi2, -phi1)^T (phi1, phi2).
+    """
+    p1, p2 = phi_after
+    q = b_after * (p1 * d_after[:, 0] + p2 * d_after[:, 1])
+    mismatch = np.abs(d_plus - d_after
+                      - np.stack((p2 * q, -p1 * q), axis=1)).max(axis=1)
+    tol = RESIDUAL_TOL * max(1.0, float(np.abs(d_plus).max()),
+                             float(np.abs(d_after).max()))
+    bad = np.flatnonzero(~(mismatch <= tol))
+    if len(bad):
+        n = int(sites[bad[0]])
+        raise InternalConsistencyError(
+            f"d+ one-site step off by {mismatch[bad[0]]} at site {n}", site=n)
+
+
 def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
                                 seeds: Sequence[int], E: float,
                                 n_cut: int) -> SparseStabilityReport:
     """Envelope stability of the growing solution under X(n)/n^s noise.
 
-    The amplitude column d^+ of the growing solution is summed densely
-    up to n_cut (d^- is not needed) and frozen beyond it. The generator
-    rows, with the scratch of the sums, and one b~ buffer that every
-    seed's draw overwrites are built once for the whole ensemble, so a
-    seed allocates nothing the size of the window; each seed's sums
-    are kept only at the bump sites min(n_j, n_cut). The discarded
-    tail is certified by the closed-form weighted variance sum over all
-    n > n_cut, reported as ``tail_bound``; it diverges, and the call
-    raises, for s <= 1/2. The perturbed growing solution's envelope
+    Every fit reads the bumps past the first ENVELOPE_DISCARD alone. The
+    amplitude column d^+ of the growing solution is summed densely up to
+    n_cut (d^- is not needed) and frozen beyond it. The generator rows,
+    with the scratch of the sums, and one b~ buffer that every seed's
+    draw overwrites are built once for the whole ensemble, so a seed
+    allocates nothing the size of the window. Each seed's sums are kept
+    only at the fitted bump sites min(n_j, n_cut) and at the sites after
+    them; D(n) reads ~b above n alone, so the sums stop at the segment of
+    the lowest fitted bump. At each fitted bump d+ must satisfy the
+    one-site step d+(n) = (I + ~b(n+1) u(n+1)) d+(n+1) to RESIDUAL_TOL *
+    max(1, max |d+|), or the call raises InternalConsistencyError. The
+    discarded tail is certified by the closed-form weighted variance sum
+    over all n > n_cut, reported as ``tail_bound``; it diverges, and the
+    call raises, for s <= 1/2. The perturbed growing solution's envelope
     exponents are compared with the unperturbed fit, and the unperturbed
     pair's fitted L-norm exponents are tested against the beta-sandwich
     (singular.sandwich_holds).
@@ -298,15 +331,17 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     blocks = block_matrices(sspec, E)
     theta = find_subordinate_angle(sspec, blocks)
     prop = sparse_propagate(sspec, theta, blocks)
-    fit_unpert = envelope_exponents(prop.bump_sites, prop.amp2)
+    # every fit reads the bumps past the transient ones alone
+    win = slice(ENVELOPE_DISCARD, None)
+    fitted = prop.bump_sites[win]
+    fit_unpert = envelope_exponents(fitted, prop.amp2[win])
 
     # sandwich on the unperturbed pair via block-approximated L-norms
     logn1 = block_log_lnorms(prop.bump_sites, prop.amp1)
     logn2 = block_log_lnorms(prop.bump_sites, prop.amp2)
-    lx = np.log([float(n) for n in prop.bump_sites])
-    win = slice(ENVELOPE_DISCARD, None)
-    exp1 = float(np.polyfit(lx[win], logn1[win], 1)[0])
-    exp2 = float(np.polyfit(lx[win], logn2[win], 1)[0])
+    lx = np.log([float(n) for n in fitted])
+    exp1 = float(np.polyfit(lx, logn1[win], 1)[0])
+    exp2 = float(np.polyfit(lx, logn2[win], 1)[0])
     beta_proxy = exp1 / exp2 if exp2 > 0.0 else 0.0
     sandwich = beta_proxy > 0.0 and sandwich_holds(beta_proxy, exp1, exp2)
 
@@ -320,16 +355,23 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     )
     tail_bound = _tail_certificate(float(np.max(prop.amp2)), s, n_cut)
 
-    # d+ at each bump, frozen at its n_cut value beyond the dense window
-    at_bump = [min(nj, n_cut) for nj in prop.bump_sites]
+    # d+ at each fitted bump, frozen at its n_cut value beyond the dense
+    # window, and at the site after it for the one-site identity
+    at_bump = np.array([min(nj, n_cut) for nj in fitted])
+    after = at_bump + 1
+    phi_after = phi1[after], phi2[after]
+    states1, states2 = prop.states1[win], prop.states2[win]
     beta1s, beta2s = [], []
     b_tilde = np.empty(n_cut + 2)  # every seed's draw overwrites it
     for seed in seeds:
         sample(model, seed, n_cut + 1, out=b_tilde)
-        d, _ = neumann_layers(b_tilde, rows, 0, at_bump, columns=(1,))
-        d_plus = d[:, :, 0]
-        v2 = d_plus[:, :1] * prop.states1 + d_plus[:, 1:] * prop.states2
-        fit = envelope_exponents(prop.bump_sites, np.array(
+        d, _ = neumann_layers(b_tilde, rows, 0, np.append(at_bump, after),
+                              columns=(1,))
+        d_plus, d_after = np.split(d[:, :, 0], 2)
+        _check_one_site_step(d_plus, d_after, b_tilde[after], phi_after,
+                             at_bump)
+        v2 = d_plus[:, :1] * states1 + d_plus[:, 1:] * states2
+        fit = envelope_exponents(fitted, np.array(
             [math.hypot(x, y) for x, y in v2.tolist()]))
         beta1s.append(fit.beta1_hat)
         beta2s.append(fit.beta2_hat)

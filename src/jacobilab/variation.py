@@ -18,8 +18,10 @@ reads u in factored form, from two rows that a seed ensemble builds once.
 D factors as D(lo) = M(lo, hi) D(hi) over the sites lo < m <= hi, so the
 sums run segment by segment from the top, cut where SEGMENT_MIN sites or
 more lie below: a far segment stops after a layer or two, and a layer's
-sup is its largest over the segments. A segment's layers carry only its
-own share of sum |~b| |u|, so a sum that diverged over the span may converge.
+sup is its largest over the segments walked. As D(n) reads ~b above n
+alone, the walk ends with the segment of the lowest site asked for. A
+segment's layers carry only its own share of sum |~b| |u|, so a sum that
+diverged over the span may converge.
 The rows also own the span-sized scratch of neumann_layers (v, the
 layers, a layer step's block temporaries), which each call overwrites:
 a seed loop then allocates no span-sized array per seed, whose fresh
@@ -173,10 +175,13 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     segment, each column stops after its first layer whose sup-norm is
     below LAYER_STOP, whichever others are summed with it, and raises
     DivergentSeriesError if it has not stopped after LAYER_CAP layers.
-    The sums are kept at the sites asked for, which may repeat. Returns
-    (D, sups): D[i] is D(sites[i]), shape (len(sites), 2, len(columns)),
-    and sups[k] is the largest sup-norm of layer k over the columns and
-    segments that take it.
+    The walk ends with the segment that holds the lowest site asked for;
+    the cuts depend on the span alone, so each D(site) is bit for bit that
+    of the all-sites call. The sums are kept at the sites asked for,
+    which may repeat. Returns (D, sups): D[i] is D(sites[i]), shape
+    (len(sites), 2, len(columns)), and sups[k] is the largest sup-norm of
+    layer k over the columns and the segments walked that take it, which
+    are those of the call at every site from the lowest one asked for up.
     """
     n_max = len(b_tilde) - 1
     if (rows.n_start, rows.n_max) != (n_start, n_max):
@@ -189,6 +194,7 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         raise InvalidArgumentError(
             f"site {outside[0]} outside {n_start}..{n_max}")
     pick = n_max - sites  # the sites' positions in reversed order
+    deepest = pick.max(initial=0)
     bt = b_tilde[n_start:][::-1]
     v = rows.v
     np.multiply(bt, rows.phi[1], out=v[0])
@@ -234,6 +240,8 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         total[:, here], carry = sums[:, :-1], sums[:, -1]
         sups = [max(pair) for pair in
                 itertools.zip_longest(sups, seg_sups, fillvalue=0.0)]
+        if end > deepest:  # no site asked for lies below this segment
+            break
         start = end
     return total.transpose(1, 2, 0), sups
 

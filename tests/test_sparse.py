@@ -1,5 +1,6 @@
 """Sparse bump potentials: propagation, envelopes, thresholds, stability."""
 
+import functools
 import inspect
 import json
 import math
@@ -15,6 +16,7 @@ from jacobilab.core import OperatorSpec, solve_forward
 from jacobilab.errors import (
     DivergentSeriesError,
     InsufficientDataError,
+    InternalConsistencyError,
     InvalidArgumentError,
     OverflowSiteError,
     UnsupportedModelError,
@@ -224,6 +226,10 @@ def test_cli_overflowing_cell_exits_4(tmp_path, capsys):
 # envelopes
 # ---------------------------------------------------------------------------
 
+# the bumps the experiment fits: those past the transient ones
+FIT = slice(sparse.ENVELOPE_DISCARD, None)
+
+
 def test_envelope_exact_power_law():
     sites = [8 ** j for j in range(1, 20)]
     amps = np.array([float(n) ** 0.3 for n in sites])
@@ -235,7 +241,7 @@ def test_envelope_exact_power_law():
 def test_envelope_free_case_flat():
     s = SparseSpec(v=0.0, gamma=8, j_max=20)
     prop = sparse_propagate(s, 0.25, block_matrices(s, 0.6))
-    fit = envelope_exponents(prop.bump_sites, prop.amp1)
+    fit = envelope_exponents(prop.bump_sites[FIT], prop.amp1[FIT])
     assert abs(fit.beta1_hat) <= 0.02
     assert abs(fit.beta2_hat) <= 0.02
 
@@ -250,8 +256,14 @@ def test_envelope_scale_invariance():
 
 
 def test_envelope_needs_enough_points():
-    with pytest.raises(InsufficientDataError):
-        envelope_exponents([8, 64, 512], np.ones(3))
+    # it fits every point it is given, and needs 8 of them
+    sites = [8 ** j for j in range(1, 9)]
+    for n in (3, 7):
+        with pytest.raises(InsufficientDataError):
+            envelope_exponents(sites[:n], np.ones(n))
+    fit = envelope_exponents(sites, np.array(sites, dtype=float) ** 0.25)
+    assert fit.beta1_hat == pytest.approx(0.25, abs=1e-12)
+    assert fit.beta2_hat == pytest.approx(0.25, abs=1e-12)
 
 
 def test_envelope_ordering_invariant():
@@ -265,7 +277,7 @@ def test_envelope_ordering_invariant():
 
 def test_envelope_stable_under_doubling_window():
     E = 0.6
-    f10, f20 = (envelope_exponents(p.bump_sites, p.amp2) for p in (
+    f10, f20 = (envelope_exponents(p.bump_sites[FIT], p.amp2[FIT]) for p in (
         sparse_propagate(s, 0.25, block_matrices(s, E)) for s in (
             SparseSpec(v=0.2, gamma=8, j_max=15),
             SparseSpec(v=0.2, gamma=8, j_max=30))))
@@ -409,6 +421,7 @@ TINY_SPARSE = {
     "spec": {"type": "sparse", "v": 0.2, "gamma": 8, "j_max": 14},
     "E_grid": [0.6], "seeds": {"base": 0, "count": 4},
     "grids": {"s": 2.0, "n_cut": 3000}, "workers": 1}
+GAMMA2_SPEC = {"type": "sparse", "v": 0.2, "gamma": 2, "j_max": 14}
 
 
 def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
@@ -430,8 +443,10 @@ def test_seed_ensemble_sums_only_the_plus_column(monkeypatch):
 
 
 def test_seed_ensemble_sums_reach_layer_stop_at_s_three_quarters(monkeypatch):
-    # at s = 0.75 each seed's d+ sum takes 15 or 16 layers to fall below
-    # LAYER_STOP; a sum cut at 12 layers still has a last layer near 1e-8
+    # at gamma 2 the fitted bumps reach down to 2^6, into the bottom one of
+    # the window's two segments, where each seed's d+ sum at s = 0.75 takes
+    # 15 or 16 layers to fall below LAYER_STOP; a sum cut at 12 layers
+    # still has a last layer near 1e-8
     last = []
     neumann_layers = sparse.neumann_layers
 
@@ -441,7 +456,8 @@ def test_seed_ensemble_sums_reach_layer_stop_at_s_three_quarters(monkeypatch):
         return d, sups
 
     monkeypatch.setattr(sparse, "neumann_layers", spy)
-    report = harness.run({**TINY_SPARSE, "grids": {"s": 0.75, "n_cut": 3000}})
+    report = harness.run({**TINY_SPARSE, "spec": GAMMA2_SPEC,
+                          "grids": {"s": 0.75, "n_cut": 3000}})
     assert report.failures == [] and len(report.rows) == 1
     assert len(last) == 4
     assert all(k > 12 and sup < variation.LAYER_STOP for k, sup in last)
@@ -449,7 +465,8 @@ def test_seed_ensemble_sums_reach_layer_stop_at_s_three_quarters(monkeypatch):
 
 def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
     # the reversed generator rows depend on the pair alone, and the
-    # envelope reads d+ at the bump sites alone
+    # envelope reads d+ at the fitted bump sites alone, each with the site
+    # after it for the one-site check
     built, calls = [], []
     generator_rows = variation.subordinate_generator_array
     neumann_layers = sparse.neumann_layers
@@ -473,7 +490,92 @@ def test_seed_ensemble_reverses_rows_once_and_keeps_bump_sites(monkeypatch):
     assert report.failures == [] and len(report.rows) == 1
     assert len(built) == 1
     assert (built[0].n_start, built[0].n_max) == (0, n_cut + 1)
-    bumps = [min(8 ** j, n_cut) for j in range(1, 15)]
+    fitted = [min(8 ** j, n_cut)
+              for j in range(sparse.ENVELOPE_DISCARD + 1, 15)]
+    assert len(fitted) == 9
     assert len(calls) == 4
-    assert all(rows is built[0] and list(sites) == bumps
+    assert all(rows is built[0]
+               and list(sites) == fitted + [n + 1 for n in fitted]
                for rows, sites in calls)
+
+
+def test_seed_ensemble_checks_the_one_site_step(monkeypatch):
+    # d+(n) = (I + ~b(n+1) u(n+1)) d+(n+1) at each fitted bump: layers
+    # summed for -~b (the sign of v flipped in every layer step) miss it
+    # by 2 |~b(n+1) u(n+1) d+(n+1)|, at the first fitted bump already
+    sspec = SparseSpec(v=0.2, gamma=2, j_max=14)
+    advance_layer = variation._advance_layer
+
+    def flipped(v, phi, layer, scratch):
+        advance_layer(tuple(-x for x in v), phi, layer, scratch)
+
+    perturbed_sparse_experiment(sspec, 0.75, range(2), 0.6, n_cut=3000)
+    monkeypatch.setattr(variation, "_advance_layer", flipped)
+    with pytest.raises(InternalConsistencyError,
+                       match="d\\+ one-site step off by") as exc:
+        perturbed_sparse_experiment(sspec, 0.75, range(2), 0.6, n_cut=3000)
+    assert exc.value.site == 2 ** 6
+
+
+# ---------------------------------------------------------------------------
+# the sparse exponents against a closed form
+# ---------------------------------------------------------------------------
+
+# (v, gamma, j_max, E window): every gap is at most 10^6 steps but the
+# last few, so that no row spends its time in extended-precision phases
+ORACLE_ROWS = [(1.0, 2, 22, (0.5, 0.7)), (0.5, 2, 22, (0.5, 0.7)),
+               (3.0, 2, 22, (1.1, 1.3)), (1.0, 4, 15, (0.5, 0.7))]
+ORACLE_ENERGIES = 200
+
+
+@functools.lru_cache(maxsize=None)
+def energy_exponents(v, gamma, j_max, window):
+    """Per energy of a grid of ORACLE_ENERGIES over the window: the mean
+    growth exponent beta_bar = log(1 + v^2 / (4 sin^2 k)) / (2 ln gamma)
+    at E = 2 cos k, and, from the amplitudes of one lane (angle 0.3) at
+    the fitted bumps, the least-squares slope of log amplitude against
+    log n_j and the envelope fit's beta1 and beta2. Each a row of an
+    array of shape (4, ORACLE_ENERGIES).
+
+    A bump step has singular values mu, 1/mu in the frame of the free
+    rotation, with mu - 1/mu = |v| / sin k, and the mean of log |M e| over
+    a uniform direction e is log((mu + 1/mu) / 2); the phases at gamma^j
+    equidistribute for almost every E, so the slope averages to beta_bar
+    over an energy window, though one energy alone strays far from it.
+    """
+    sspec = SparseSpec(v=v, gamma=gamma, j_max=j_max)
+    sites = sspec.bump_sites[FIT]
+    x = np.log([float(n) for n in sites])
+    out = []
+    for E in np.linspace(*window, ORACLE_ENERGIES):
+        sin_k = math.sin(math.acos(E / 2.0))
+        amp = sparse_propagate(sspec, 0.3, block_matrices(sspec, E)).amp1[FIT]
+        fit = envelope_exponents(sites, amp)
+        out.append((math.log1p(v * v / (4.0 * sin_k ** 2))
+                    / (2.0 * math.log(gamma)),
+                    np.polyfit(x, np.log(amp), 1)[0],
+                    fit.beta1_hat, fit.beta2_hat))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("v, gamma, j_max, window", ORACLE_ROWS)
+def test_envelope_slope_averages_to_the_closed_form_exponent(
+        v, gamma, j_max, window):
+    # the energy mean of slope - beta_bar is within 3 of its standard
+    # errors of 0. beta_bar runs from 0.048 to
+    # 1.09 over the rows, and their gamma 2 and 4 tell ln gamma apart.
+    # A wrong gap length moves only the phases at the bumps, which the
+    # mean does not see; the propagation tests cover it
+    beta_bar, slope, _, _ = energy_exponents(v, gamma, j_max, window)
+    miss = slope - beta_bar
+    se = float(np.std(miss, ddof=1)) / math.sqrt(len(miss))
+    assert abs(float(np.mean(miss))) <= 3.0 * se
+
+
+@pytest.mark.parametrize("v, gamma, j_max, window", ORACLE_ROWS)
+def test_envelope_exponents_bracket_the_closed_form_exponent(
+        v, gamma, j_max, window):
+    # the running-minimum slope lies below the mean growth and the
+    # running-maximum slope above it, in the energy mean
+    beta_bar, _, beta1, beta2 = energy_exponents(v, gamma, j_max, window)
+    assert np.mean(beta1) <= np.mean(beta_bar) <= np.mean(beta2)

@@ -562,11 +562,31 @@ def test_segmented_sums_are_the_tail_product(data):
         assert np.max(np.abs(d[:, :, 0] - product[:, :, col])) <= tol
 
 
+def layers_or_error(b_tilde, rows, n_start, sites, columns):
+    """neumann_layers' (D, sups), or the message of its divergence."""
+    try:
+        return neumann_layers(b_tilde, rows, n_start, sites, columns)
+    except DivergentSeriesError as exc:
+        return str(exc)
+
+
+def segment_bottoms(n_start, n_max):
+    """The lowest site of each segment of neumann_layers, top first: the
+    cuts n_max >> k, k = 1, 2, ..., while SEGMENT_MIN sites or more lie
+    below the cut, and then n_start."""
+    cuts = itertools.takewhile(
+        lambda cut: cut - n_start >= variation.SEGMENT_MIN,
+        (n_max >> k for k in itertools.count(1)))
+    return [*cuts, n_start]
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_segmented_sums_keep_rows_and_columns_bit_for_bit(data):
     # the breaks depend on the span alone: sums at some sites are rows of
-    # the all-sites call, and a one-column call is that column
+    # the all-sites call, and a one-column call is that column. The walk
+    # ends with the segment of the lowest site asked for, so the sups and
+    # any divergence are those of the call at every site from that one up
     n_max = data.draw(st.integers(1, 150))
     n_start = data.draw(st.integers(0, n_max))
     scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
@@ -578,34 +598,67 @@ def test_segmented_sums_keep_rows_and_columns_bit_for_bit(data):
     rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
     every = range(n_start, n_max + 1)
     with draw_segments(data):
-        one = []
-        for col in (0, 1):
-            try:
-                one.append(neumann_layers(b_tilde, rows, n_start, every,
-                                          (col,)))
-            except DivergentSeriesError:
-                one.append(None)
-        if None in one:
-            for at in (every, sites):
-                with pytest.raises(DivergentSeriesError):
-                    neumann_layers(b_tilde, rows, n_start, at)
-            return
-        d_all, sups_all = neumann_layers(b_tilde, rows, n_start, every)
-        d, sups = neumann_layers(b_tilde, rows, n_start, sites)
+        cuts = segment_bottoms(n_start, n_max)[:-1]
+        in_bottom = not cuts or sites.min() < cuts[-1]
+        from_lowest = layers_or_error(b_tilde, rows, n_start,
+                                      range(sites.min(), n_max + 1), (0, 1))
+        got = layers_or_error(b_tilde, rows, n_start, sites, (0, 1))
+        one = [layers_or_error(b_tilde, rows, n_start, every, (col,))
+               for col in (0, 1)]
+        all_sites = layers_or_error(b_tilde, rows, n_start, every, (0, 1))
+    if isinstance(from_lowest, str):
+        assert got == from_lowest
+    else:
+        d, sups = got
+        assert np.array_equal(d, from_lowest[0][sites - sites.min()])
+        assert sups == from_lowest[1]
+    if any(isinstance(x, str) for x in one):
+        assert isinstance(all_sites, str)
+        if in_bottom:
+            assert got == all_sites
+        return
+    d_all, sups_all = all_sites
+    d, sups = got
     assert np.array_equal(d, d_all[sites - n_start])
-    assert sups == sups_all
+    if in_bottom:
+        assert sups == sups_all
     for col, (d_col, _) in enumerate(one):
         assert np.array_equal(d_col[:, :, 0], d_all[:, :, col])
     assert sups_all == [max(k_sups) for k_sups in itertools.zip_longest(
         one[0][1], one[1][1], fillvalue=0.0)]
 
 
-def layers_or_error(b_tilde, rows, n_start, sites, columns):
-    """neumann_layers' (D, sups), or the message of its divergence."""
-    try:
-        return neumann_layers(b_tilde, rows, n_start, sites, columns)
-    except DivergentSeriesError as exc:
-        return str(exc)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_segment_walk_ends_at_the_segment_of_the_lowest_site(data):
+    # every segment from the top down to the one that holds the lowest
+    # site asked for is walked, in that order, and none below it
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = 0.05 * rng.uniform(-1.0, 1.0, n_max + 1)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    sites = data.draw(st.lists(st.integers(n_start, n_max), min_size=1,
+                               max_size=8))
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    base = rows.phi[0].ctypes.data
+    walked = []
+    advance_layer = variation._advance_layer
+
+    def spy(v, phi, layer, scratch):
+        # a segment's rows are a slice of the reversed rows that ends at
+        # the position of its lowest site
+        end = (phi[0].ctypes.data - base) // phi[0].itemsize + len(phi[0])
+        if n_max + 1 - end not in walked:
+            walked.append(n_max + 1 - end)
+        advance_layer(v, phi, layer, scratch)
+
+    with draw_segments(data), mock.patch.object(variation, "_advance_layer",
+                                                spy):
+        bottoms = segment_bottoms(n_start, n_max)
+        neumann_layers(b_tilde, rows, n_start, sites, columns=(1,))
+    holding = next(i for i, lo in enumerate(bottoms) if lo <= min(sites))
+    assert walked == bottoms[:holding + 1]
 
 
 @settings(max_examples=100, deadline=None)
