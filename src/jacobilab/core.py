@@ -118,7 +118,8 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
     Whenever |phi| passes RESCALE_LIMIT, the state is divided by the power
     of two that brings |phi| into [1/2, 1). That is exact, so ldexp(m, k)
     is the plain recursion's value bit for bit wherever that stays finite
-    (and normal). k is nondecreasing.
+    (and normal). k is nondecreasing. Where every a(0..n_max-1) is 1.0,
+    the loop skips its multiply by a(n-1) and divide by a(n), both exact.
 
     When E, phi0 or phi1 is a 1-D array, they are broadcast to lanes: each
     lane runs the same recursion, in lockstep with the others, and is
@@ -135,11 +136,21 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
             f"0..{n_max - 1}, got {min(len(a), len(b))} sites")
     if np.ndim(E) or np.ndim(phi0) or np.ndim(phi1):
         return _propagate_lanes(a, b, E, phi0, phi1, n_max)
+    a_free = (a[:n_max] == 1.0).all()
     a, b = memoryview(a), memoryview(b)
     m = np.empty(n_max + 1, dtype=float)
     m[:2] = (phi0, phi1)[:n_max + 1]
     k = np.zeros(n_max + 1, dtype=np.int64)
     prev, cur = phi0, phi1
+    if a_free:
+        for n, b_n in enumerate(b[1:n_max], start=2):
+            prev, cur = cur, (E - b_n) * cur - prev
+            if abs(cur) > RESCALE_LIMIT:
+                e = math.frexp(cur)[1]
+                prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
+                k[n] = e
+            m[n] = cur
+        return m, np.cumsum(k, out=k)
     for n, (a_prev, a_n, b_n) in enumerate(
             zip(a, a[1:n_max], b[1:n_max]), start=2):
         prev, cur = cur, ((E - b_n) * cur - a_prev * prev) / a_n

@@ -154,15 +154,22 @@ def _philox_key(exp_id: str, tag: str, seed: int) -> np.ndarray:
 
 
 def stream_uniforms(exp_id: str, tag: str, seed: int, n_max: int,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """u[n] for sites n = 1..n_max; u[0] is unused (zero).
-
-    With ``out``, a float (n_max + 1)-array, u is written into it.
+                    out: Optional[np.ndarray] = None,
+                    first: int = 1) -> np.ndarray:
+    """u[n] for sites n = first..n_max, bit for bit those of the full
+    draw; u[0] is unused (zero), and so are u[1..first-1] unless ``out``,
+    a float (n_max + 1)-array that u is written into, holds them. Philox
+    yields 4 doubles per counter block: the stream skips (first-1)//4
+    blocks and (first-1)%4 doubles.
     """
-    gen = np.random.Generator(np.random.Philox(key=_philox_key(exp_id, tag, seed)))
+    if not 1 <= first <= n_max + 1:
+        raise InvalidArgumentError(f"first {first} outside 1..{n_max + 1}")
+    bits = np.random.Philox(key=_philox_key(exp_id, tag, seed))
+    gen = np.random.Generator(bits.advance((first - 1) // 4))
+    gen.random((first - 1) % 4)
     u = np.zeros(n_max + 1) if out is None else out
     u[0] = 0.0
-    gen.random(out=u[1:])
+    gen.random(out=u[first:])
     return u
 
 
@@ -182,22 +189,23 @@ def decay_profile(decay: float, n_max: int) -> np.ndarray:
 
 
 def sample(model: PerturbationModel, seed: int, n_max: int,
-           tag: str = "b", out: Optional[np.ndarray] = None) -> np.ndarray:
-    """b~(n) for sites n = 0..n_max from the stream ``tag``, b~(0) = 0.
+           tag: str = "b", out: Optional[np.ndarray] = None,
+           first: int = 1) -> np.ndarray:
+    """b~(n) for sites n = first..n_max from the stream ``tag``, b~(0) = 0.
 
-    Identical (model, tag, seed, site) reproduce bit-for-bit. Every
-    experiment draws b~ alone, so a model with a nonzero a~ is refused.
-    With ``out``, a float (n_max + 1)-array, the draw overwrites it and
-    is returned: a seed loop that passes one buffer to every draw makes
-    no span-sized allocation per seed, whose fresh pages the allocator
-    would otherwise fault in again on each draw.
+    Identical (model, tag, seed, site) reproduce bit-for-bit, whatever
+    first is. Every experiment draws b~ alone, so a model with a nonzero
+    a~ is refused. With ``out``, a float (n_max + 1)-array, the draw
+    overwrites its sites from first on (stream_uniforms) and is returned:
+    a seed loop that passes one buffer to every draw makes no span-sized
+    allocation per seed, whose fresh pages the allocator would otherwise
+    fault in again on each draw.
     """
     if model.a_dist is not None and model.a_dist.kind != "zero":
         raise UnsupportedModelError("only b~ is drawn: a~ is not supported")
     dist = model.b_dist
-    b_tilde = dist.transform(
-        stream_uniforms(model.exp_id, tag, seed, n_max, out),
-        decay_profile(dist.decay, n_max))
+    b_tilde = stream_uniforms(model.exp_id, tag, seed, n_max, out, first)
+    dist.transform(b_tilde[first:], decay_profile(dist.decay, n_max)[first:])
     b_tilde[0] = 0.0
     return b_tilde
 

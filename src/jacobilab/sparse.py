@@ -30,6 +30,7 @@ from .singular import sandwich_holds
 from .subordinacy import minimize_boundary_angle, solve_pair
 from .variation import (
     RESIDUAL_TOL,
+    lowest_site_read,
     neumann_layers,
     subordinate_generator_array,
 )
@@ -313,10 +314,12 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     allocates nothing the size of the window. Each seed's sums are kept
     only at the fitted bump sites min(n_j, n_cut) and at the sites after
     them; D(n) reads ~b above n alone, so the sums stop at the segment of
-    the lowest fitted bump. At each fitted bump d+ must satisfy the
-    one-site step d+(n) = (I + ~b(n+1) u(n+1)) d+(n+1) to RESIDUAL_TOL *
-    max(1, max |d+|), or the call raises InternalConsistencyError. The
-    discarded tail is certified by the closed-form weighted variance sum
+    the lowest fitted bump, and each seed draws ~b only from the lowest
+    site they read; the buffer starts as nan, so the sums raise on a site
+    read but not drawn. At each fitted bump d+ must satisfy the one-site
+    step d+(n) = (I + ~b(n+1) u(n+1)) d+(n+1) to RESIDUAL_TOL * max(1,
+    max |d+|), or the call raises InternalConsistencyError. The discarded
+    tail is certified by the closed-form weighted variance sum
     over all n > n_cut, reported as ``tail_bound``; it diverges, and the
     call raises, for s <= 1/2. The perturbed growing solution's envelope
     exponents are compared with the unperturbed fit, and the unperturbed
@@ -362,9 +365,10 @@ def perturbed_sparse_experiment(sspec: SparseSpec, s: float,
     phi_after = phi1[after], phi2[after]
     states1, states2 = prop.states1[win], prop.states2[win]
     beta1s, beta2s = [], []
-    b_tilde = np.empty(n_cut + 2)  # every seed's draw overwrites it
+    first = lowest_site_read(0, n_cut + 1, int(at_bump.min()))
+    b_tilde = np.full(n_cut + 2, np.nan)
     for seed in seeds:
-        sample(model, seed, n_cut + 1, out=b_tilde)
+        sample(model, seed, n_cut + 1, out=b_tilde, first=first)
         d, _ = neumann_layers(b_tilde, rows, 0, np.append(at_bump, after),
                               columns=(1,))
         d_plus, d_after = np.split(d[:, :, 0], 2)

@@ -19,7 +19,8 @@ D factors as D(lo) = M(lo, hi) D(hi) over the sites lo < m <= hi, so the
 sums run segment by segment from the top, cut where SEGMENT_MIN sites or
 more lie below: a far segment stops after a layer or two, and a layer's
 sup is its largest over the segments walked. As D(n) reads ~b above n
-alone, the walk ends with the segment of the lowest site asked for. A
+alone, the walk ends with the segment of the lowest site asked for, and
+reads ~b only above that segment's bottom (lowest_site_read). A
 segment's layers carry only its own share of sum |~b| |u|, so a sum that
 diverged over the span may converge.
 The rows also own the span-sized scratch of neumann_layers (v, the
@@ -135,7 +136,8 @@ def _advance_layer(v: Tuple[np.ndarray, np.ndarray],
     Index j is site n_max - j, so the tail sum over j' > n of ~b(j') u(j')
     d^k(j') is a plain cumsum. layer holds a 2-vector (x, y) per column and
     site; ~b u d^k = v q for v = (~b phi2, -~b phi1), folded once per
-    realization, and q = phi1 x + phi2 y. v and phi are reversed alike.
+    realization, and q = phi1 x + phi2 y. v and phi are reversed alike;
+    v is not read at phi's last position and may stop short of it.
     scratch holds two rows of at least min(BLOCK, sites - 1) entries, for
     q and the product phi2 y of a block.
     """
@@ -157,6 +159,22 @@ def _advance_layer(v: Tuple[np.ndarray, np.ndarray],
         np.cumsum(z[1:], out=z[1:])
 
 
+def _walk(n_start: int, n_max: int, lowest: int) -> List[int]:
+    """The bottoms of the segments neumann_layers walks, top first, down
+    to the one that holds site ``lowest``: cut at n_max//2, n_max//4, ...
+    while SEGMENT_MIN sites or more lie below, the last one n_start."""
+    bottoms = [n_max >> k for k in range(1, n_max.bit_length())
+               if (n_max >> k) - n_start >= SEGMENT_MIN] + [n_start]
+    return bottoms[:next(i for i, x in enumerate(bottoms) if x <= lowest) + 1]
+
+
+def lowest_site_read(n_start: int, n_max: int, lowest: int) -> int:
+    """The lowest site whose ~b neumann_layers reads (rows of sites
+    n_start..n_max, lowest site asked for ``lowest``): one above the
+    bottom of the segment that holds it, as D(n) reads ~b above n alone."""
+    return _walk(n_start, n_max, lowest)[-1] + 1
+
+
 def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
                    sites: Sequence[int], columns: Sequence[int] = (0, 1)
                    ) -> Tuple[np.ndarray, List[float]]:
@@ -175,8 +193,9 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
     segment, each column stops after its first layer whose sup-norm is
     below LAYER_STOP, whichever others are summed with it, and raises
     DivergentSeriesError if it has not stopped after LAYER_CAP layers.
-    The walk ends with the segment that holds the lowest site asked for;
-    the cuts depend on the span alone, so each D(site) is bit for bit that
+    The walk ends with the segment that holds the lowest site asked for,
+    and reads ~b only from lowest_site_read on, one above its bottom; the
+    cuts depend on the span alone, so each D(site) is bit for bit that
     of the all-sites call. The sums are kept at the sites asked for,
     which may repeat. Returns (D, sups): D[i] is D(sites[i]), shape
     (len(sites), 2, len(columns)), and sups[k] is the largest sup-norm of
@@ -194,20 +213,18 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         raise InvalidArgumentError(
             f"site {outside[0]} outside {n_start}..{n_max}")
     pick = n_max - sites  # the sites' positions in reversed order
-    deepest = pick.max(initial=0)
-    bt = b_tilde[n_start:][::-1]
-    v = rows.v
-    np.multiply(bt, rows.phi[1], out=v[0])
-    np.negative(np.multiply(bt, rows.phi[0], out=v[1]), out=v[1])
+    walk = _walk(n_start, n_max, n_max - pick.max(initial=0))
+    bt = b_tilde[walk[-1] + 1:][::-1]
+    v = rows.v[:, :len(bt)]
+    np.multiply(bt, rows.phi[1][:len(bt)], out=v[0])
+    np.negative(np.multiply(bt, rows.phi[0][:len(bt)], out=v[1]), out=v[1])
     # layer[c] as x + iy, so that one assignment writes a terminal vector
     layer_z = rows.layer.view(np.complex128)[:, :, 0]
     total = np.empty((len(columns), len(sites), 2))
     carry = np.eye(2)[list(columns)]  # terminal vectors of a segment
     sups: List[float] = []
-    bottoms = [n_max >> k for k in range(1, n_max.bit_length())
-               if (n_max >> k) - n_start >= SEGMENT_MIN]
     start = 0  # first reversed position that no segment above has kept
-    for bottom in bottoms + [n_start]:
+    for bottom in walk:
         end = n_max - bottom + 1
         seg = slice(max(start - 1, 0), end)
         here = np.flatnonzero((pick >= start) & (pick < end))
@@ -240,8 +257,6 @@ def neumann_layers(b_tilde: np.ndarray, rows: _Rows, n_start: int,
         total[:, here], carry = sums[:, :-1], sums[:, -1]
         sups = [max(pair) for pair in
                 itertools.zip_longest(sups, seg_sups, fillvalue=0.0)]
-        if end > deepest:  # no site asked for lies below this segment
-            break
         start = end
     return total.transpose(1, 2, 0), sups
 

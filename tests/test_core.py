@@ -278,6 +278,47 @@ def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
         assert k[-1] > 0  # the state was rescaled
 
 
+@st.composite
+def unit_a_tables(draw):
+    """a and b for sites 0..n where propagate's a = 1 step may run: every a
+    1.0 and b zero but at a few bumps of height |v| <= 3, or b drawn and a
+    1.0 but at one site, n - 1 (the last a read) in about half the draws."""
+    n = draw(st.integers(0, 2000))
+    a, b = np.ones(n + 1), np.zeros(n + 1)
+    if draw(st.booleans()):
+        bumps = st.tuples(st.integers(1, n), st.floats(-3.0, 3.0))
+        for site, v in draw(st.lists(bumps, max_size=5)) if n else ():
+            b[site] = v
+    elif n:
+        site = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+        a[site] = draw(st.floats(0.8, 1.25).filter(lambda x: x != 1.0))
+        b[:] = draw(st.lists(st.floats(-0.5, 0.5), min_size=n + 1,
+                             max_size=n + 1))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(unit_a_tables(), st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0))
+@example((np.ones(801), np.zeros(801)), 3.9, 0.0, 1.0)
+def test_propagate_where_a_is_one_is_the_plain_recursion_bit_for_bit(
+        table, E, phi0, phi1):
+    # the a = 1 step drops * a(n-1) and / a(n), which are exact; one a
+    # other than 1.0, the last one read included, needs the general step
+    a_tab, b_tab = table
+    n = len(a_tab) - 1
+    m, k = propagate(a_tab, b_tab, E, phi0, phi1, n)
+    plain = np.array(plain_recursion(a_tab.tolist(), b_tab.tolist(), E,
+                                     phi0, phi1, n))
+    assert m.shape == k.shape == plain.shape
+    finite = np.isfinite(plain)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(np.ldexp(m, k)[finite], plain[finite])
+    assert np.all(np.abs(m[finite]) <= RESCALE_LIMIT)
+    if abs(E) >= 3.5 and n >= 500 and abs(phi1) >= abs(phi0) > 0.0:
+        assert k[-1] > 0  # the state was rescaled
+
+
 def random_coefficients(rng, n, wide):
     """a, b for sites 0..n: a(0) = 1 and a random share of a exactly 1.0.
 

@@ -193,6 +193,35 @@ def test_sample_into_a_buffer_is_the_fresh_draw_bit_for_bit(kind):
             assert buf.tobytes() == sample(model, seed, n_max, tag).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["zero", "uniform", "rademacher", "tgauss"])
+@settings(max_examples=20, deadline=None)
+@given(n_max=st.integers(0, 3000), data=st.data())
+def test_sample_from_a_first_site_is_the_full_draw_bit_for_bit(kind, n_max,
+                                                                data):
+    # the stream skips (first - 1) // 4 Philox blocks and (first - 1) % 4
+    # doubles, so sites first..n_max are the full draw's; with a buffer,
+    # the sites below first keep what the caller wrote
+    model = PerturbationModel(exp_id="first", b_dist=SiteDistribution(
+        kind=kind, amplitude=0.7, decay=0.75))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    full = sample(model, seed, n_max)
+    firsts = {*range(1, min(9, n_max + 1) + 1),
+              data.draw(st.integers(1, n_max + 1))}
+    for first in sorted(firsts):
+        part = sample(model, seed, n_max, first=first)
+        assert part[first:].tobytes() == full[first:].tobytes()
+        assert not part[:first].any()
+        buf = np.full(n_max + 1, np.nan)
+        buf[1:first] = np.arange(1, first)
+        assert sample(model, seed, n_max, out=buf, first=first) is buf
+        assert buf[first:].tobytes() == full[first:].tobytes()
+        assert buf[0] == 0.0 and np.array_equal(buf[1:first],
+                                                np.arange(1, first))
+    for first in (-1, 0, n_max + 2):
+        with pytest.raises(InvalidArgumentError):
+            sample(model, seed, n_max, first=first)
+
+
 def test_decay_profile_is_shared_and_read_only():
     profile = decay_profile(0.75, 100)
     assert decay_profile(0.75, 100) is profile

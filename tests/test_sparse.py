@@ -517,6 +517,25 @@ def test_seed_ensemble_checks_the_one_site_step(monkeypatch):
     assert exc.value.site == 2 ** 6
 
 
+def test_seed_ensemble_draws_from_the_lowest_site_read(monkeypatch):
+    # the b~ buffer starts as nan and each seed draws from the lowest site
+    # its sums read: a draw from one site lower gives the same report,
+    # and one from a site higher leaves a site read as nan, so the sums
+    # raise instead of reading what another seed drew
+    sspec = SparseSpec(v=0.2, gamma=8, j_max=14)
+    report = perturbed_sparse_experiment(sspec, 2.0, range(3), 0.6, 3000)
+    assert variation.lowest_site_read(0, 3001, 3000) == 1501
+    draw_from = variation.lowest_site_read
+    monkeypatch.setattr(sparse, "lowest_site_read",
+                        lambda *args: draw_from(*args) - 1)
+    assert perturbed_sparse_experiment(
+        sspec, 2.0, range(3), 0.6, 3000) == report
+    monkeypatch.setattr(sparse, "lowest_site_read",
+                        lambda *args: draw_from(*args) + 1)
+    with pytest.raises(DivergentSeriesError, match="nan"):
+        perturbed_sparse_experiment(sspec, 2.0, range(3), 0.6, 3000)
+
+
 # ---------------------------------------------------------------------------
 # the sparse exponents against a closed form
 # ---------------------------------------------------------------------------

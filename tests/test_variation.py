@@ -31,6 +31,7 @@ from jacobilab.variation import (
     LAYER_STOP,
     _advance_layer,
     correction_ensemble,
+    lowest_site_read,
     neumann_layers,
     perturbed_solutions,
     subordinate_generator_array,
@@ -659,6 +660,47 @@ def test_segment_walk_ends_at_the_segment_of_the_lowest_site(data):
         neumann_layers(b_tilde, rows, n_start, sites, columns=(1,))
     holding = next(i for i, lo in enumerate(bottoms) if lo <= min(sites))
     assert walked == bottoms[:holding + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sums_read_no_site_below_the_one_reported(data):
+    # lowest_site_read is one above the bottom of the segment that holds
+    # the lowest site asked for: ~b = nan below it leaves D and the sups
+    # bit for bit, and nan at it reaches the sum at that bottom in every
+    # layer, whose sup is then nan, so the sums cannot stop
+    n_max = data.draw(st.integers(1, 150))
+    n_start = data.draw(st.integers(0, n_max))
+    scale = data.draw(st.sampled_from([1e-9, 1e-3, 0.05, 0.3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_tilde = scale * rng.uniform(-1.0, 1.0, n_max + 1)
+    phi1, phi2 = draw_pair(data, rng, n_max)
+    rows = subordinate_generator_array(phi1, phi2, n_start, n_max)
+    columns = data.draw(st.sampled_from([(0, 1), (1,), (0,)]))
+    with draw_segments(data), draw_block(data):
+        bottoms = segment_bottoms(n_start, n_max)
+        seg = data.draw(st.integers(0, len(bottoms) - 1))
+        lowest = data.draw(st.integers(
+            bottoms[seg], bottoms[seg - 1] - 1 if seg else n_max))
+        sites = [lowest, *data.draw(st.lists(st.integers(lowest, n_max),
+                                             max_size=6))]
+        first = lowest_site_read(n_start, n_max, lowest)
+        assert first == bottoms[seg] + 1
+        clean = layers_or_error(b_tilde, rows, n_start, sites, columns)
+        below = b_tilde.copy()
+        below[:first] = np.nan
+        got = layers_or_error(below, rows, n_start, sites, columns)
+        if first <= n_max:
+            at = b_tilde.copy()
+            at[first] = np.nan
+            with pytest.raises(DivergentSeriesError) as exc:
+                neumann_layers(at, rows, n_start, sites, columns)
+    if isinstance(clean, str):
+        assert got == clean
+        return
+    assert np.array_equal(got[0], clean[0]) and got[1] == clean[1]
+    if first <= n_max:
+        assert "nan" in str(exc.value)
 
 
 @settings(max_examples=100, deadline=None)
