@@ -23,9 +23,9 @@ RESCALE_LIMIT = 2.0 ** 199
 LN2 = math.log(2.0)
 
 # propagate runs a numpy loop from this many lanes on. Transfer runs of
-# 2-16 energies (2 lanes each, 32,768 sites) put the crossover at about
-# 6 lanes where a = 1 (free) and 16 where a = 0.6, b = 0 (every step
-# multiplies and divides by a); the latter sets it
+# 3-12 energies (2 lanes each, 32,768 sites) put the crossover at about
+# 10 lanes where a = 1 (free) and 14 where a = 0.6, b = 0 (every step
+# multiplies and divides by a); 16 lies at or above both
 MIN_LANES = 16
 
 # The lane loop tests for rescales once per group of sites (_group_length).
@@ -141,24 +141,26 @@ def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
     m = np.empty(n_max + 1, dtype=float)
     m[:2] = (phi0, phi1)[:n_max + 1]
     k = np.zeros(n_max + 1, dtype=np.int64)
+    # cur > hi or cur < lo is abs(cur) > RESCALE_LIMIT, inf and nan alike
+    out, hi, lo = memoryview(m), RESCALE_LIMIT, -RESCALE_LIMIT
     prev, cur = phi0, phi1
     if a_free:
         for n, b_n in enumerate(b[1:n_max], start=2):
             prev, cur = cur, (E - b_n) * cur - prev
-            if abs(cur) > RESCALE_LIMIT:
+            if cur > hi or cur < lo:
                 e = math.frexp(cur)[1]
                 prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
                 k[n] = e
-            m[n] = cur
+            out[n] = cur
         return m, np.cumsum(k, out=k)
     for n, (a_prev, a_n, b_n) in enumerate(
             zip(a, a[1:n_max], b[1:n_max]), start=2):
         prev, cur = cur, ((E - b_n) * cur - a_prev * prev) / a_n
-        if abs(cur) > RESCALE_LIMIT:
+        if cur > hi or cur < lo:
             e = math.frexp(cur)[1]
             prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
             k[n] = e
-        m[n] = cur
+        out[n] = cur
     return m, np.cumsum(k, out=k)
 
 

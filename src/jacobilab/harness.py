@@ -126,7 +126,7 @@ KEYS: Dict[str, Key] = {
     "grids.n_max": Key(_int(10), 10 ** 4, ("ac-scan", "series")),
     "grids.N1": Key(_int(1), 1, ("inequality",)),
     "grids.N2": Key(_int(2), 10, ("inequality",)),
-    "grids.r": Key(_num(minimum=0), 3.0, ("inequality",)),
+    "grids.r": Key(_num(minimum=0), 1.0, ("inequality",)),
     "grids.trials": Key(_int(1), 10 ** 4, ("inequality", "series")),
     "grids.n_tail": Key(_int(1), 100, ("series",)),
     "grids.s": Key(_num(exclusiveMinimum=0), 1.0, ("sparse",)),

@@ -111,12 +111,12 @@ def block_matrices(sspec: SparseSpec, E: float) -> List[List[float]]:
     return out
 
 
-def _bump_states(blocks: List[List[float]], x: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
+def _bump_states(blocks: List[List[float]], x, y) -> np.ndarray:
     """Pre-bump states (phi(n_j), phi(n_j - 1)), shape (bumps, 2, lanes),
-    from lanes of initial data (phi(1), phi(0)) = (x, y). A state that
-    overflows is left inf or nan for _amplitudes to name."""
-    states = np.empty((len(blocks), 2, len(x)))
+    from lanes of initial data (phi(1), phi(0)) = (x, y). Floats x and y
+    walk as scalars, shape (bumps, 2), with the lanes' arithmetic. A state
+    that overflows is left inf or nan for _amplitudes to name."""
+    states = np.empty((len(blocks), 2, *np.shape(x)))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (f11, f12, f21, f22, b11, b12, b21, b22) in enumerate(blocks):
             x, y = f11 * x + f12 * y, f21 * x + f22 * y
@@ -169,21 +169,20 @@ def find_subordinate_angle(sspec: SparseSpec,
                            blocks: List[List[float]]) -> float:
     """Boundary angle minimizing the terminal bump amplitude of phi1.
 
-    blocks is block_matrices(sspec, E). A terminal amplitude that is not
+    blocks is block_matrices(sspec, E). The angle grid walks as lanes,
+    each golden-section float as scalars. A terminal amplitude that is not
     finite raises OverflowSiteError, before any score is compared, naming
     the first bump where an amplitude of its walk is not finite.
     """
-    def terminal_amp(theta_arr: np.ndarray) -> np.ndarray:
-        states = _bump_states(blocks, np.cos(theta_arr), -np.sin(theta_arr))
+    def terminal_amp(theta):
+        states = _bump_states(blocks, np.cos(theta), -np.sin(theta))
         with np.errstate(over="ignore", invalid="ignore"):
             amp = np.hypot(*states[-1])
-        if not np.isfinite(amp).all():
-            _amplitudes(sspec, states)  # raises: the last bump at the latest
+        if not np.isfinite(amp).all():  # raises: the last bump at the latest
+            _amplitudes(sspec, states.reshape(len(blocks), 2, -1))
         return amp
 
-    return minimize_boundary_angle(
-        terminal_amp,
-        lambda theta: float(terminal_amp(np.array([theta]))[0]), 60)
+    return minimize_boundary_angle(terminal_amp, terminal_amp, 60)
 
 
 def envelope_exponents(bump_sites: Sequence[int],
@@ -201,13 +200,12 @@ def envelope_exponents(bump_sites: Sequence[int],
         raise InsufficientDataError("need >= 8 bump amplitudes")
     x = np.log(np.array([float(n) for n in bump_sites]))
     y = np.log(np.maximum(amps, 1e-300))
-    slope = np.polyfit(x, y, 1)[0]
 
     def env_slope(yv: np.ndarray, upper: bool) -> float:
         run = np.maximum.accumulate(yv) if upper else np.minimum.accumulate(yv)
         pick = yv >= run - 1e-12 if upper else yv <= run + 1e-12
-        if np.sum(pick) < 2:
-            return float(slope)
+        if np.sum(pick) < 2:  # the central slope, fitted only here
+            pick = slice(None)
         return float(np.polyfit(x[pick], yv[pick], 1)[0])
 
     b2 = env_slope(y, upper=True)

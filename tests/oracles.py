@@ -6,6 +6,8 @@ time, what src/ computes by array code, and a test compares the two:
 - single_step, transfer_product and naive_power: one-step transfer
   matrices and their products (core.solve_forward, the gap blocks of
   sparse.block_matrices);
+- array_scored_angle: the sparse golden section scored on one-lane
+  arrays (sparse.find_subordinate_angle, which scores it on floats);
 - log_t2_stream: ln t^E(n)^2 of one energy at a time (the lane pass of
   ac_criterion);
 - wronskian: the Wronskian of a solution pair at one site;
@@ -55,6 +57,8 @@ from jacobilab.randpert import (
     decade_ratios_pass,
     sample,
 )
+from jacobilab.sparse import SparseSpec, _amplitudes, _bump_states
+from jacobilab.subordinacy import minimize_boundary_angle
 from jacobilab.variation import LAYER_STOP
 
 CORRECTION_TOL = 1e-10  # relative disagreement allowed between D(n) paths
@@ -130,6 +134,24 @@ def naive_power(S: np.ndarray, m: int) -> np.ndarray:
     for _ in range(m):
         T = S @ T
     return T
+
+
+def array_scored_angle(sspec: SparseSpec, blocks: List[List[float]]
+                       ) -> float:
+    """sparse.find_subordinate_angle with each golden-section angle scored
+    as a one-lane array, as the grid's lanes are; an amplitude that is not
+    finite raises OverflowSiteError at the first bump it names."""
+    def terminal_amp(theta_arr: np.ndarray) -> np.ndarray:
+        states = _bump_states(blocks, np.cos(theta_arr), -np.sin(theta_arr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = np.hypot(*states[-1])
+        if not np.isfinite(amp).all():
+            _amplitudes(sspec, states)
+        return amp
+
+    return minimize_boundary_angle(
+        terminal_amp,
+        lambda theta: float(terminal_amp(np.array([theta]))[0]), 60)
 
 
 def log_t2_stream(a: np.ndarray, b: np.ndarray, E) -> np.ndarray:

@@ -261,9 +261,24 @@ propagate_tables = st.integers(0, 2000).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-0.5, 0.5), min_size=n + 1, max_size=n + 1)))
 
 
+def assert_plain_bits(m, k, plain):
+    """ldexp(m, k) is plain bit for bit, signs of zero included: at every
+    site before the first rescale, inf and nan included, and after it
+    where plain stays finite."""
+    same = np.isfinite(plain) | (k == 0)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(m, k)
+    assert np.array_equal(values[same].view(np.int64),
+                          plain[same].view(np.int64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(propagate_tables, st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
        st.floats(-1.0, 1.0))
+# from phi(1) = 1e308 with |E - b| >= 3 the state turns inf at site 2 and
+# nan at site 4, with no rescale before
+@example(([1.0, 0.9, 1.1, 1.2, 0.8, 1.0], [0.0] * 6), 3.9, 0.5, 1e308)
+@example(([1.0, 0.9, 1.1, 1.2], [0.0, 0.2, -0.3, 0.1]), 1.0, 0.0, -0.0)
 def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
     a_tab, b_tab = table
     n = len(a_tab) - 1
@@ -272,8 +287,7 @@ def test_propagate_is_the_plain_recursion_bit_for_bit(table, E, phi0, phi1):
     plain = np.array(plain_recursion(a_tab, b_tab, E, phi0, phi1, n))
     assert m.shape == k.shape == plain.shape
     assert np.all(np.diff(k) >= 0)
-    finite = np.isfinite(plain)
-    assert np.array_equal(np.ldexp(m, k)[finite], plain[finite])
+    assert_plain_bits(m, k, plain)
     if abs(E) >= 3.5 and n >= 500 and abs(phi1) >= abs(phi0) > 0.0:
         assert k[-1] > 0  # the state was rescaled
 
@@ -301,6 +315,7 @@ def unit_a_tables(draw):
 @given(unit_a_tables(), st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
        st.floats(-1.0, 1.0))
 @example((np.ones(801), np.zeros(801)), 3.9, 0.0, 1.0)
+@example((np.ones(6), np.zeros(6)), -3.5, 0.0, 1e308)  # -inf, inf, nan
 def test_propagate_where_a_is_one_is_the_plain_recursion_bit_for_bit(
         table, E, phi0, phi1):
     # the a = 1 step drops * a(n-1) and / a(n), which are exact; one a
@@ -311,10 +326,9 @@ def test_propagate_where_a_is_one_is_the_plain_recursion_bit_for_bit(
     plain = np.array(plain_recursion(a_tab.tolist(), b_tab.tolist(), E,
                                      phi0, phi1, n))
     assert m.shape == k.shape == plain.shape
-    finite = np.isfinite(plain)
-    with np.errstate(over="ignore"):
-        assert np.array_equal(np.ldexp(m, k)[finite], plain[finite])
-    assert np.all(np.abs(m[finite]) <= RESCALE_LIMIT)
+    assert_plain_bits(m, k, plain)
+    finite = np.isfinite(plain[2:])  # computed sites, not phi(0), phi(1)
+    assert np.all(np.abs(m[2:][finite]) <= RESCALE_LIMIT)
     if abs(E) >= 3.5 and n >= 500 and abs(phi1) >= abs(phi0) > 0.0:
         assert k[-1] > 0  # the state was rescaled
 

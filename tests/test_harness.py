@@ -250,6 +250,18 @@ def test_inequality_summary_verdict():
     assert row[5] == 1  # exact enumeration
 
 
+def test_inequality_default_run_can_see_an_exceedance():
+    # the default r lies below the window's largest partial sum,
+    # sum_{n<=10} 1/n, so the probability the run estimates is not 0 by
+    # construction
+    rep = run({"experiment": "inequality"})
+    N1, N2, r, prob, bound, exact, trials = rep.rows[0]
+    assert (N1, N2, exact, trials) == (1, 10, 0, 10 ** 4)
+    assert r < sum(1.0 / n for n in range(N1, N2 + 1))
+    assert 0.0 < prob <= bound
+    assert rep.summary["bound_holds"]
+
+
 def test_worker_failure_collected():
     # singular-stability at an energy with no decaying branch candidate is
     # a per-cell failure when run through the pool

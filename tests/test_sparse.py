@@ -4,11 +4,12 @@ import functools
 import inspect
 import json
 import math
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacobilab import harness, sparse, variation
@@ -33,7 +34,11 @@ from jacobilab.sparse import (
     sparse_propagate,
 )
 from jacobilab.subordinacy import l_norms, solve_pair
-from oracles import single_step, spectral_norm
+from oracles import array_scored_angle, single_step, spectral_norm
+
+# the scalar bump walk does numpy scalar arithmetic, which warns on overflow
+# wherever it runs outside np.errstate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,6 @@ OVERFLOW_SPEC = {"type": "sparse", "v": 3, "gamma": 3, "j_max": 60}
 OVERFLOW_E = 1.9999999999995
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_propagation_overflow_names_the_bump():
     # the angle search raises before it compares scores of an overflowed
     # walk, at the bump sparse_propagate names for any angle
@@ -209,7 +213,6 @@ def test_propagation_overflow_names_the_bump():
     assert exc.value.site == 3 ** 25
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_overflowing_cell_exits_4(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -220,6 +223,65 @@ def test_cli_overflowing_cell_exits_4(tmp_path, capsys):
     assert rc == 4
     assert (f"failed cell: E={OVERFLOW_E}: OverflowSiteError('overflow at "
             f"site {3 ** 25}')" in capsys.readouterr().err)
+
+
+def int_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@st.composite
+def bump_walks(draw):
+    """(spec, E = 2 cos k): |v| <= 4 and up to the most bumps below
+    SITE_LIMIT, or 10^3 <= |v| <= 10^8 and the most bumps, where most
+    walks leave the double range."""
+    gamma = draw(st.integers(2, 8))
+    j_top = max(j for j in range(1, 127) if gamma ** j < sparse.SITE_LIMIT)
+    if draw(st.booleans()):
+        v = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(3, 8))
+        j_max = j_top
+    else:
+        v, j_max = draw(st.floats(-4.0, 4.0)), draw(st.integers(1, j_top))
+    spec = SparseSpec(v=v, gamma=gamma, j_max=j_max)
+    return spec, 2.0 * math.cos(draw(st.floats(1e-3, math.pi - 1e-3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bump_walks(), st.floats(-math.pi / 2, math.pi / 2))
+@example((SparseSpec(v=0.2, gamma=8, j_max=14), 0.6), 0.3)
+@example((SparseSpec(v=3.0, gamma=3, j_max=60), OVERFLOW_E), 0.3)
+def test_scalar_bump_walk_is_the_one_lane_walk_bit_for_bit(walk, theta):
+    # the golden section walks floats; the grid and sparse_propagate walk
+    # lanes. Both must give the same bits, and so the same angle
+    sspec, E = walk
+    blocks = block_matrices(sspec, E)
+    x, y = np.cos(theta), -np.sin(theta)
+    scalar = sparse._bump_states(blocks, x, y)
+    lane = sparse._bump_states(blocks, np.array([x]), np.array([y]))[:, :, 0]
+    nan = np.isnan(lane)
+    assert scalar.shape == lane.shape
+    assert np.array_equal(np.isnan(scalar), nan)
+    assert np.array_equal(int_bits(scalar)[~nan], int_bits(lane)[~nan])
+    # the search's objective at theta alone: its score, or its raise
+    with patch.object(sparse, "minimize_boundary_angle",
+                      lambda grid_eval, scalar_eval, iters:
+                      scalar_eval(theta)):
+        try:
+            score = find_subordinate_angle(sspec, blocks)
+        except OverflowSiteError as exc:
+            with pytest.raises(OverflowSiteError) as lane_exc:
+                sparse._amplitudes(sspec, lane[:, :, None])
+            assert exc.site == lane_exc.value.site
+        else:
+            assert int_bits(score) == int_bits(np.hypot(*lane[-1]))
+    try:
+        expected = array_scored_angle(sspec, blocks)
+    except OverflowSiteError as exc:
+        with pytest.raises(OverflowSiteError) as got:
+            find_subordinate_angle(sspec, blocks)
+        assert got.value.site == exc.site
+    else:
+        assert int_bits(find_subordinate_angle(sspec, blocks)) \
+            == int_bits(expected)
 
 
 # ---------------------------------------------------------------------------
