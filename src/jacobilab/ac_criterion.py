@@ -13,8 +13,11 @@ runs in the log domain so exponentially growing orbits never overflow.
 Both sums take an array of energies, and one walk over the sites serves
 every energy and both sums: cesaro_scan, given the perturbation model,
 also sums the decades that gamma_membership turns into verdicts, from
-one coefficient build and two propagate lanes per energy, in blocks of
-BLOCK sites.
+one coefficient build and two propagate lanes per distinct t^2 stream,
+in blocks of BLOCK sites. Equal energies are one stream, and so are E
+and -E where b is 0 at every site, since the pair at -E is the pair at E
+up to signs that the squares erase. A block in which no lane has
+rescaled takes t^2 from the stored values with no exponent shift.
 
 An energy retires from the pass after a block once every output it
 still owes is fixed: the block ends at or past N_max (or there is no
@@ -65,22 +68,33 @@ def _log_t2(alpha, gamma, inv_a) -> np.ndarray:
     Each row is shifted and squared once, on the exponent of the site it
     is row n+1 of (row n0 on that of site n0), and again as row n only
     where the exponent of its own site differs (moved).
+
+    k >= 0 never falls down a column (propagate), so a block whose last
+    row of k is 0 in both has no rescale: there top is 0, each shift of a
+    row by k - top is the identity bit for bit and 2 ln 2 top is +0, so
+    both are skipped, and det, whose shift by -2 top is then 0, is taken
+    once per site rather than once per lane.
     """
     top = np.maximum(alpha[1][1:], gamma[1][1:])
-    row_top = np.concatenate([top[:1], top])
-    moved = np.unravel_index(np.flatnonzero(top != row_top[:-1]), top.shape)
+    shift = top[-1].any()
+    if shift:
+        row_top = np.concatenate([top[:1], top])
+        moved = np.unravel_index(np.flatnonzero(top != row_top[:-1]),
+                                 top.shape)
     g = np.zeros(top.shape)
     for m, k in (alpha, gamma):  # g adds rows n+1 and n of alpha, then gamma
-        sq = ldexp(m, k - row_top) ** 2
+        sq = (ldexp(m, k - row_top) if shift else m) ** 2
         g += sq[1:]
         low = sq[:-1]
-        low[moved] = ldexp(m[:-1][moved], k[:-1][moved] - top[moved]) ** 2
+        if shift:
+            low[moved] = ldexp(m[:-1][moved], k[:-1][moved] - top[moved]) ** 2
         g += low
     # ln((g + sqrt(max(g^2 - 4 det^2, 0))) / 2) + 2 ln 2 top, in place.
     # 4 det^2 rounds to +0 wherever det < 2^-540, so the shift of det stops
     # where det would pass below that: det stays normal, off numpy's slow
     # ldexp path for subnormal results, and 4 det^2 keeps its bits
-    det = ldexp(inv_a, np.maximum(-2 * top, -540 - np.frexp(inv_a)[1]))
+    det = ldexp(inv_a, np.maximum(-2 * top if shift else 0,
+                                  -540 - np.frexp(inv_a)[1]))
     det *= 4.0 * det
     t2 = g * g
     t2 -= det
@@ -88,7 +102,8 @@ def _log_t2(alpha, gamma, inv_a) -> np.ndarray:
     t2 += g
     t2 *= 0.5
     np.log(t2, out=t2)
-    t2 += 2.0 * LN2 * top
+    if shift:
+        t2 += 2.0 * LN2 * top
     return t2
 
 
@@ -100,9 +115,11 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
     energies[j]. A block holds at most BLOCK sites and ends at every site
     in stops. One lane call of propagate per block carries the canonical
     pair of every energy on from the state of the block before
-    (resume_state), so each column is bit for bit one scalar pass of its
-    energy over all sites (log_t2_stream in tests/oracles.py), in
-    O(BLOCK x energies) memory.
+    (resume_state): two lanes per energy, so cesaro_scan passes one
+    energy per distinct stream. Each column is bit for bit one scalar
+    pass of its energy over all sites (log_t2_stream in
+    tests/oracles.py), in O(BLOCK x energies) memory; _log_t2 skips the
+    exponent shifts of a block in which no lane has rescaled.
 
     Sending a boolean mask over the columns of the last block, in place of
     next(), keeps only the energies it marks True: the others' lanes leave
@@ -200,6 +217,21 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
     Given a model and N_max, the same pass also sums the decades
     gamma_membership reads, to N_max: one coefficient build and one
     _log_t2_blocks pass over max(N_grid[-1], N_max) sites.
+
+    The pass runs one lane pair per distinct t^2 stream (_scan_lanes), and
+    each energy reads the sums of its stream. Equal energies (0.0 and -0.0
+    among them) share a stream, and so do E and -E where b is 0 at every
+    site the pass reads, b(1..n) for n = max(N_grid[-1], N_max). There
+    U = diag((-1)^n) gives UJU = -J, and the canonical pair at -E is
+    +-(-1)^n times the pair at E, bit for bit: negation is exact and
+    commutes with each operation of propagate's step, E - b, the products
+    by E - b and by a > 0, the difference and the division by a (the
+    a-free step included), and with its rescale, as frexp reads |phi|
+    and ldexp shifts both signs alike. Where an operand is zero the sign
+    of a zero result may differ, never a magnitude, and the same holds at
+    E = +-0. So k is the same and m differs in signs alone, which the
+    squares of _log_t2 erase: t^2, every sum, and so every retirement of
+    the two energies are the same bits.
     """
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise InvalidArgumentError("N_grid must be strictly increasing")
@@ -209,11 +241,32 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
     a, b = spec.coefficients(max(n_cut, N_max or 0))
     if not growth_check(a[:n_cut + 1]):
         raise InvalidArgumentError("spec fails the finite-truncation growth check")
-    ends = []  # blocks end at decade ends
-    if model is not None:
-        log_w, ends = _log_weights(model, a, N_max), decade_ends(N_max)
-    decades = np.full((len(ends), len(energies)), -math.inf)
+    log_w = None if model is None else _log_weights(model, a, N_max)
+    key = np.asarray(energies, dtype=float)
+    streams, stream_of = np.unique(key if b.any() else np.abs(key),
+                                   return_inverse=True)
+    log_sums, max_lt2, decades = _scan_lanes(a, b, streams, N_grid, log_w,
+                                             N_max)
+    return CesaroScan(N_grid=list(N_grid), reports=[
+        _cesaro_report(E, N_grid, [float(log_sum[j]) - math.log(N)
+                                   for N, log_sum in zip(N_grid, log_sums)],
+                       float(max_lt2[j]))
+        for E, j in zip(energies, stream_of.tolist())],
+        N_max=N_max, decades=None if model is None else decades[:, stream_of])
 
+
+def _scan_lanes(a: np.ndarray, b: np.ndarray, energies: np.ndarray,
+                N_grid: List[int], log_w: Optional[np.ndarray],
+                N_max: Optional[int]):
+    """The pass of cesaro_scan: its sums at each of energies, one column each.
+
+    Returns the log sums sum_{n<=N} t^E(n)^2 at each N of N_grid (a list of
+    rows), max_n ln t^E(n) to N_grid[-1] and, given log_w (_log_weights),
+    the decade sums to N_max; a and b hold sites 0..max(N_grid[-1], N_max).
+    """
+    n_cut = N_grid[-1]
+    ends = [] if log_w is None else decade_ends(N_max)  # blocks end there
+    decades = np.full((len(ends), len(energies)), -math.inf)
     log_sum = np.full(len(energies), -math.inf)
     max_lt2 = log_sum.copy()
     log_sums = {}  # N -> log sum_{n<=N} t^E(n)^2 per energy
@@ -240,7 +293,7 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
             decades[d, live] = np.logaddexp.reduce(
                 np.vstack([decades[d, live], terms]))
         keep = None
-        if model is None or last >= N_max:  # every decade is summed
+        if log_w is None or last >= N_max:  # every decade is summed
             # the report's float operations: an energy whose flag reads
             # unbounded and whose averages from here on (log sums never
             # fall) all read inf owes nothing more
@@ -249,12 +302,7 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
             if not kept.all():
                 live, keep = live[kept], kept
     # a pass that ended early left no energy: the last sums are frozen
-    return CesaroScan(N_grid=list(N_grid), reports=[
-        _cesaro_report(E, N_grid, [float(log_sums.get(N, log_sum)[j])
-                                   - math.log(N) for N in N_grid],
-                       float(max_lt2[j]))
-        for j, E in enumerate(energies)],
-        N_max=N_max, decades=None if model is None else decades)
+    return ([log_sums.get(N, log_sum) for N in N_grid], max_lt2, decades)
 
 
 def gamma_membership(N_max: int,

@@ -478,11 +478,16 @@ def spied_scan(spec, energies, N_grid, model=None, N_max=None):
     return scan, calls
 
 
-def assert_lanes_retire(calls, retired, n_E, n_all):
-    """Each lane call carries two lanes per energy not yet retired."""
-    live = list(range(n_E))
+def assert_lanes_retire(calls, retired, energies, b, n_all):
+    """Each lane call carries two lanes per distinct stream not yet retired.
+
+    A stream is an energy, or |E| where b holds 0 at every site: equal
+    energies share their lanes, and so do E and -E where b is 0.
+    """
+    stream = float if np.any(b) else abs
+    live = list(range(len(energies)))
     for last, lanes in calls:
-        assert lanes == 2 * len(live)
+        assert lanes == 2 * len({stream(energies[j]) for j in live})
         live = [j for j in live if not retired(j, last)]
     # the pass runs to its last site unless no energy is left
     assert calls[-1][0] == n_all or not live
@@ -532,32 +537,79 @@ def test_scan_with_retirement_matches_the_stream_oracle(
         assert scan.decades is None
     else:
         assert scan.decades.tobytes() == decades.tobytes()
-    assert_lanes_retire(calls, retired, len(energies), n_all)
+    assert_lanes_retire(calls, retired, energies, b, n_all)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(elliptic | hyperbolic | st.just(0.0), min_size=1,
+                max_size=5),
+       st.data(), st.none() | st.integers(0, 2 ** 32 - 1),
+       st.integers(14, 20), st.none() | st.integers(100, 1500))
+def test_mirrored_energies_share_lanes_where_b_is_zero(
+        base, data, seed, j_max, N_max):
+    # E and -E (the first energy's mirror always, the others' when drawn)
+    # and repeated energies, on the free spec (seed None) or on random a
+    # with b = 0, or with b != 0 at one site: every report and decade
+    # column is its energy's own, and the lanes are two per distinct
+    # stream, |E| where b = 0 and E where it is not
+    energies = [*base, -base[0]]
+    for E in base[1:]:
+        energies += data.draw(st.sampled_from([[], [-E], [E], [-E, E]]))
+    energies = data.draw(st.permutations(energies))
+    N_grid = default_n_grid(j_max)
+    n_all = max(N_grid[-1], N_max or 0)
+    a_tab = (np.ones(n_all + 1) if seed is None
+             else np.random.default_rng(seed).uniform(0.5, 2.0, n_all + 1))
+    b_tab = np.zeros(n_all + 1)
+    site = data.draw(st.none() | st.sampled_from([1, n_all])
+                     | st.integers(1, n_all))
+    if site is not None:
+        b_tab[site] = data.draw(st.sampled_from([0.3, -1e-3, 2.0 ** -40]))
+    spec = OperatorSpec(a=lambda k: a_tab[k], b=lambda k: b_tab[k])
+    a, b = spec.coefficients(n_all)
+    model = None if N_max is None else PerturbationModel(b_dist=UNIFORM)
+    log_w = None if N_max is None else log_weights_oracle(model, a, N_max)
+
+    reports, decades, retired = scan_oracle(a, b, energies, N_grid, log_w,
+                                            N_max)
+    scan, calls = spied_scan(spec, energies, N_grid, model, N_max)
+    alone = [cesaro_scan(spec, [E], N_grid, model, N_max) for E in energies]
+    assert scan.reports == reports == [s.reports[0] for s in alone]
+    if N_max is not None:
+        assert scan.decades.tobytes() == decades.tobytes() == np.hstack(
+            [s.decades for s in alone]).tobytes()
+    assert_lanes_retire(calls, retired, energies, b, n_all)
+    if site is not None:  # no two energies but equal ones share lanes
+        assert calls[0][1] == 2 * len(set(energies))
 
 
 def test_lanes_leave_at_the_first_block_past_N_max():
     # E = +-3 and 2.5 saturate within 512 sites, far before N_max = 1500;
     # with a model they leave after the block ending at N_max; without
     # one, after the first block past saturation, and the pass then ends
-    # early, since no energy is left
+    # early, since no energy is left. On the free spec E and -E share
+    # their lanes: 0.5, 3, 2.5 and 1.2 are four streams, 8 lanes
     spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
     energies, N_grid = [0.5, -3.0, 3.0, 2.5, -1.2], default_n_grid(22)
     scan, calls = spied_scan(spec, energies, N_grid, model, 1500)
-    assert all(n == (10 if last <= 1500 else 4) for last, n in calls)
+    assert all(n == (8 if last <= 1500 else 4) for last, n in calls)
     assert calls[-1][0] == N_grid[-1]
     assert scan.reports == cesaro_scan(spec, energies, N_grid).reports
 
     scan, calls = spied_scan(spec, [3.0, -3.0, 2.5], N_grid)
-    # all three leave after the block ending at 512: no call follows
-    assert {n for _, n in calls} == {6} and calls[-1][0] == 512
+    # all three (two streams) leave after the block ending at 512: no
+    # call follows
+    assert {n for _, n in calls} == {4} and calls[-1][0] == 512
     assert [rep.averages[-1] for rep in scan.reports] == [math.inf] * 3
     assert not any(rep.bounded_flag for rep in scan.reports)
 
 
 def test_lanes_never_leave_an_elliptic_grid():
-    # inside the band t stays bounded: every lane runs to N_grid[-1]
+    # inside the band t stays bounded: every lane runs to N_grid[-1].
+    # linspace's mirror points are exact negatives in 3 of its 10 pairs
+    # only: 17 distinct |E|, 34 lanes
     energies = [float(E) for E in np.linspace(-1.95, 1.95, 20)]
     N_grid = default_n_grid(30)
     _, calls = spied_scan(free_laplacian(), energies, N_grid)
-    assert {lanes for _, lanes in calls} == {40}
+    assert {lanes for _, lanes in calls} == {34}
     assert calls[-1][0] == N_grid[-1]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from jacobilab import harness
+from jacobilab.core import MIN_LANES
 from jacobilab.errors import ConfigError, InvalidArgumentError
 from jacobilab.harness import (
     EnsembleReport,
@@ -296,20 +297,30 @@ def test_failed_cell_handled_alike_for_any_worker_count(tmp_path):
 
 
 def test_ac_scan_worker_count_does_not_change_csv(tmp_path):
-    # 24 energies: the contiguous chunks hold 24, 12 and 8 energies, so
-    # every worker count runs the numpy lane loop; |E| > 2 rescales
+    # 48 energies, E and -E exact negatives: the contiguous chunks hold
+    # 48, 24 and 16 energies. On the free spec E and -E share their
+    # lanes, so the chunks run 48 lanes (one worker), 48 (two: the
+    # mirror of each energy is in the other chunk) and 32, 16 and 32
+    # (three), and every worker count runs the numpy lane loop; |E| > 2
+    # rescales
     base = {"experiment": "ac-scan",
-            "E_grid": {"start": -2.3, "stop": 2.3, "step": 0.2},
+            "E_grid": {"start": -2.35, "stop": 2.35, "step": 0.1},
             "grids": {"N_j_max": 20, "n_max": 1000}}
+    energies = energy_grid(base)
+    assert energies == [-E for E in reversed(energies)]
+    for w in (1, 2, 3):
+        for i in range(w):
+            chunk = energies[i * 48 // w:(i + 1) * 48 // w]
+            assert 2 * len({abs(E) for E in chunk}) >= MIN_LANES
     bodies = []
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
         rep = run({**base, "workers": workers})
-        assert rep.summary == {"n_cells": 24, "n_failed": 0}
+        assert rep.summary == {"n_cells": 48, "n_failed": 0}
         emit(rep, str(out))
         bodies.append((out / "ac-scan.csv").read_bytes())
     assert bodies[0] == bodies[1] == bodies[2]
-    assert len(bodies[0].decode().splitlines()) == 4 + 24
+    assert len(bodies[0].decode().splitlines()) == 4 + 48
 
 
 def test_more_workers_than_energies_keeps_every_energy(tmp_path):

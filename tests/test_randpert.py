@@ -1,6 +1,8 @@
 """Perturbation models, reproducible streams, and the probabilistic checks."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -310,6 +312,36 @@ def test_exact_mode_variance_additivity():
     total_var = float(np.mean(zs.sum(axis=1) ** 2))
     site_var = float(np.mean(zs ** 2, axis=0).sum())
     assert total_var == pytest.approx(site_var, abs=1e-12)
+
+
+def exact_exceedances(N1, N2, r):
+    """Sign patterns of z(n) = +-1/n, n = N1..N2, with a suffix sum
+    |z(n) + ... + z(N2)| above r, counted with exact Fraction sums, and
+    the least distance from r of any suffix sum's magnitude."""
+    r = Fraction(r)
+    count, gap = 0, math.inf
+    for signs in itertools.product((-1, 1), repeat=N2 - N1 + 1):
+        suffix, peak = Fraction(0), Fraction(0)
+        for n, sign in zip(range(N2, N1 - 1, -1), reversed(signs)):
+            suffix += Fraction(sign, n)
+            peak = max(peak, abs(suffix))
+            gap = min(gap, abs(abs(suffix) - r))
+        count += peak > r
+    return count, gap
+
+
+@pytest.mark.parametrize("r, count", [(1.0, 628), (1.75, 176)])
+def test_exact_mode_matches_an_exact_count(r, count):
+    # the enumeration of maximal_inequality_check against a count over
+    # itertools.product with exact suffix sums, on the CI config (N1 1,
+    # N2 10, decay 1, r 1.0: 628 of 1024 patterns) and at r 1.75; no
+    # suffix sum ties r, so no rounding can move a pattern across it
+    exact, gap = exact_exceedances(1, 10, r)
+    assert exact == count and gap > 1e-6
+    rep = maximal_inequality_check(rademacher_model(decay=1.0), 1, 10, r,
+                                   trials=10 ** 4, seed=0)
+    assert rep.exact and rep.trials == 2 ** 10
+    assert rep.empirical_prob == exact / 2 ** 10
 
 
 def test_huge_r_gives_zero_probability():
