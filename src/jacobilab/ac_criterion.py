@@ -13,11 +13,17 @@ runs in the log domain so exponentially growing orbits never overflow.
 Both sums take an array of energies, and one walk over the sites serves
 every energy and both sums: cesaro_scan, given the perturbation model,
 also sums the decades that gamma_membership turns into verdicts, from
-one coefficient build and two propagate lanes per distinct t^2 stream,
+one coefficient build and one or two lanes per distinct t^2 stream,
 in blocks of BLOCK sites. Equal energies are one stream, and so are E
 and -E where b is 0 at every site, since the pair at -E is the pair at E
 up to signs that the squares erase. A block in which no lane has
 rescaled takes t^2 from the stored values with no exponent shift.
+Where a is 1 and b one value at every site the pass reads, a stream
+takes one lane, alpha alone: gamma(n+1) = -alpha(n) bit for bit up to
+zero signs. Both solve phi(n+1) = c phi(n) - phi(n-1), c = E - b, from
+-alpha(0) = 0 = gamma(1), -alpha(1) = -1 = gamma(2); negation commutes
+exactly with * and - but for a zero's sign, which squares erase, and a
+rescale reads |phi|, so it lands one site on with the same exponent.
 
 An energy retires from the pass after a block once every output it
 still owes is fixed: the block ends at or past N_max (or there is no
@@ -39,7 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (LN2, OperatorSpec, growth_check, ldexp, propagate,
-                   resume_state)
+                   resume_state, uniform_steps)
 from .errors import InvalidArgumentError, UnsupportedModelError
 from .randpert import (LOG_SAT, PerturbationModel, decade_ends,
                        decade_ratios_pass)
@@ -115,11 +121,14 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
     energies[j]. A block holds at most BLOCK sites and ends at every site
     in stops. One lane call of propagate per block carries the canonical
     pair of every energy on from the state of the block before
-    (resume_state): two lanes per energy, so cesaro_scan passes one
-    energy per distinct stream. Each column is bit for bit one scalar
-    pass of its energy over all sites (log_t2_stream in
-    tests/oracles.py), in O(BLOCK x energies) memory; _log_t2 skips the
-    exponent shifts of a block in which no lane has rescaled.
+    (resume_state): two lanes per energy, or alpha's alone where
+    uniform_steps(a, b[1:]), gamma's rows being alpha's one site back; at
+    a block's first site s, alpha(s - 1) as resume_state holds it, which
+    _log_t2 squares on site s + 1's exponent to the stored row's bits (or
+    both to +0 below 2^-1022). cesaro_scan passes one energy per stream.
+    Each column is bit for bit one scalar pass of its energy over all
+    sites (log_t2_stream in tests/oracles.py), in O(BLOCK x energies)
+    memory; _log_t2 skips the exponent shifts of a block with no rescale.
 
     Sending a boolean mask over the columns of the last block, in place of
     next(), keeps only the energies it marks True: the others' lanes leave
@@ -128,22 +137,23 @@ def _log_t2_blocks(a: np.ndarray, b: np.ndarray, energies,
     """
     E = np.asarray(energies, dtype=float)
     n_max = len(a) - 1
-    lanes = np.concatenate([E, E])  # alpha of every energy, then gamma
-    prev, cur = (np.repeat(phi, len(E)) for phi in zip(*CANONICAL))
-    base = np.zeros(2 * len(E), dtype=np.int64)  # exponent of site `first`
+    pairs = 1 if uniform_steps(a, b[1:]) else 2
+    lanes = np.tile(E, pairs)  # alpha of every energy, then gamma
+    prev, cur = (np.repeat(phi[:pairs], len(E)) for phi in zip(*CANONICAL))
+    base = np.zeros(len(lanes), dtype=np.int64)  # exponent of site `first`
     first = 1  # the state (prev, cur) sits at sites (first - 1, first)
     for last in sorted({*range(BLOCK, n_max, BLOCK), n_max,
                         *(s for s in stops if 0 < s < n_max)}):
-        n_E = len(lanes) // 2
+        n_E = len(lanes) // pairs
         m, k = propagate(a[first - 1:], b[first - 1:], lanes, prev, cur,
                          last - first + 2)
         k += base
-        keep = yield last, _log_t2((m[1:, :n_E], k[1:, :n_E]),
-                                   (m[1:, n_E:], k[1:, n_E:]),
-                                   1.0 / a[first:last + 1, None])
+        alpha = m[1:, :n_E], k[1:, :n_E]
+        gamma = (m[:-1], k[:-1]) if pairs == 1 else (m[1:, n_E:], k[1:, n_E:])
+        keep = yield last, _log_t2(alpha, gamma, 1.0 / a[first:last + 1, None])
         prev, cur, base = resume_state(m, k)
         if keep is not None:
-            keep = np.tile(keep, 2)
+            keep = np.tile(keep, pairs)
             lanes, prev, cur, base = (x[keep] for x in (lanes, prev, cur,
                                                          base))
             if not len(lanes):
@@ -218,11 +228,11 @@ def cesaro_scan(spec: OperatorSpec, energies: Sequence[float],
     gamma_membership reads, to N_max: one coefficient build and one
     _log_t2_blocks pass over max(N_grid[-1], N_max) sites.
 
-    The pass runs one lane pair per distinct t^2 stream (_scan_lanes), and
-    each energy reads the sums of its stream. Equal energies (0.0 and -0.0
-    among them) share a stream, and so do E and -E where b is 0 at every
-    site the pass reads, b(1..n) for n = max(N_grid[-1], N_max). There
-    U = diag((-1)^n) gives UJU = -J, and the canonical pair at -E is
+    The pass runs one or two lanes per distinct t^2 stream (_scan_lanes),
+    and each energy reads the sums of its stream. Equal energies (0.0 and
+    -0.0 among them) share a stream, and so do E and -E where b is 0 at
+    every site the pass reads, b(1..n) for n = max(N_grid[-1], N_max).
+    There U = diag((-1)^n) gives UJU = -J, and the canonical pair at -E is
     +-(-1)^n times the pair at E, bit for bit: negation is exact and
     commutes with each operation of propagate's step, E - b, the products
     by E - b and by a > 0, the difference and the division by a (the

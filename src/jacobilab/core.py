@@ -22,10 +22,10 @@ ENTRY_LIMIT = 1e150
 RESCALE_LIMIT = 2.0 ** 199
 LN2 = math.log(2.0)
 
-# propagate runs a numpy loop from this many lanes on. Transfer runs of
-# 3-12 energies (2 lanes each, 32,768 sites) put the crossover at about
-# 10 lanes where a = 1 (free) and 14 where a = 0.6, b = 0 (every step
-# multiplies and divides by a); 16 lies at or above both
+# propagate runs a numpy loop from this many lanes on. Scans of 3-15
+# energies (32,768 sites, b = 0.1) put the crossover at about 7 lanes
+# where a = 1 (one lane per energy, one shift row) and 14 where a = 0.6
+# (2 lanes per energy, each step * and / by a); 16 lies at or above both
 MIN_LANES = 16
 
 # The lane loop tests for rescales once per group of sites (_group_length).
@@ -78,11 +78,24 @@ class OperatorSpec:
         a[0] = 1 and every a(n) passes the a_min check of a_at; b[0] is
         unused by the recursion and set to 0 without consulting b. Scalar
         loops read the arrays through memoryview, which yields Python
-        floats without copying.
+        floats without copying; a Constant fills its array from site 1.
         """
-        sites = range(1, n_max + 1)
-        return (np.array([1.0, *map(self.a_at, sites)]),
-                np.array([0.0, *map(self.b, sites)]))
+        return tuple(
+            np.concatenate([[head], np.full(n_max, at(1), dtype=float)])
+            if isinstance(f, Constant) and n_max
+            else np.array([head, *map(at, range(1, n_max + 1))])
+            for f, at, head in ((self.a, self.a_at, 1.0),
+                                (self.b, self.b, 0.0)))
+
+
+@dataclass(frozen=True)
+class Constant:
+    """n -> value: constant_spec's a and b, built from site 1 alone."""
+
+    value: float
+
+    def __call__(self, n: int) -> float:
+        return self.value
 
 
 def growth_check(a: np.ndarray) -> bool:
@@ -102,11 +115,17 @@ def ldexp(x, e):
 
 
 def free_laplacian() -> OperatorSpec:
-    return OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0)
+    return constant_spec(1.0, 0.0)
 
 
 def constant_spec(a_const: float, b_const: float) -> OperatorSpec:
-    return OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
+    return OperatorSpec(a=Constant(a_const), b=Constant(b_const))
+
+
+def uniform_steps(a: np.ndarray, b: np.ndarray) -> bool:
+    """a all 1.0 and b one value, zero signs included: one step for all."""
+    return bool((a == 1.0).all() and (b == b[:1]).all()
+                and (np.signbit(b) == np.signbit(b[:1])).all())
 
 
 def propagate(a: np.ndarray, b: np.ndarray, E, phi0, phi1,
@@ -169,45 +188,58 @@ def _propagate_lanes(a, b, E, phi0, phi1, n_max):
 
     Rows are computed one group of sites at a time (_group_length) with
     no rescale test; a step skips its multiply or divide by a(n) = 1.0,
-    which is exact. A lane that stays within RESCALE_LIMIT through the
-    group has made the scalar loop's steps. For the others,
-    _rescale_group finds the first row past the limit, gives it the
-    scalar loop's exponent e and divides the rest of the group by 2^e,
-    again while the lane passes the limit. That is the scalar loop bit
-    for bit, since dividing by 2^e commutes exactly with the step's *, -
-    and / while no operand or result overflows or turns subnormal. The
-    range check makes sure of that: the lane's group is finite, each of
-    its scaled values (and the prev of each step after a rescale) is 0 or
-    at least EXACT_MIN, every a in the group lies in [COEF_MIN,
-    1/COEF_MIN] and every nonzero |E - b| is at least COEF_MIN. A lane
-    that fails the check is recomputed from the group's start state by
-    the scalar call, which tests every site.
+    which is exact, and where every a of the call is 1.0 and b one value
+    (uniform_steps), the row E - b(1) serves every step. A lane that
+    stays within RESCALE_LIMIT through the group has made the scalar
+    loop's steps. For the others, _rescale_group finds the first row past
+    the limit, gives it the scalar loop's exponent e and divides the rest
+    of the group by 2^e, again while the lane passes the limit. That is
+    the scalar loop bit for bit, since dividing by 2^e commutes exactly
+    with the step's *, - and / while no operand or result overflows or
+    turns subnormal. The range check makes sure of that: the lane's group
+    is finite, each of its scaled values (and the prev of each step after
+    a rescale) is 0 or at least EXACT_MIN, every a in the group lies in
+    [COEF_MIN, 1/COEF_MIN] and every nonzero |E - b| is at least
+    COEF_MIN. A lane that fails the check is recomputed from the group's
+    start state by the scalar call, which tests every site.
     """
     E, prev, cur = (np.array(x, dtype=float)
                     for x in np.broadcast_arrays(E, phi0, phi1))
-    if len(E) < MIN_LANES:
-        lanes = [propagate(a, b, *map(float, x), n_max)
-                 for x in zip(E, prev, cur)]
-        return tuple(np.stack(col, axis=1) for col in zip(*lanes))
     m = np.empty((n_max + 1, len(E)))
-    m[:2] = (prev, cur)[:n_max + 1]
     k = np.zeros(m.shape, dtype=np.int64)
-    shift = E - b[1:n_max, None]  # row n-2 holds E - b(n-1)
-    # row n-2 holds (a(n-2), a(n-1)), the coefficients of the step to n
-    steps = list(zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()))
+    if len(E) < MIN_LANES:
+        for j, x in enumerate(zip(E, prev, cur)):
+            m[:, j], k[:, j] = propagate(a, b, *map(float, x), n_max)
+        return m, k
+    m[:2] = (prev, cur)[:n_max + 1]
+    a_free, run = (a[:n_max] == 1.0).all(), b[1:n_max]
+    uniform = uniform_steps(a[:n_max], run)  # then one row serves all
+    shift = np.broadcast_to(E - run[:1 if uniform else None, None],
+                            (len(run), len(E)))  # row n-2: E - b(n-1)
+    # its rows as a list, which slices per group with no view per step
+    shift_rows = list(shift[:1]) * len(run) if uniform else list(shift)
+    if not a_free:  # row n-2 holds (a(n-2), a(n-1)), the step to n
+        steps = list(zip(a[:n_max - 1].tolist(), a[1:n_max].tolist()))
+    mul, sub = np.multiply, np.subtract
     group = _group_length(a[:n_max], b[1:n_max], E)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(2, n_max + 1, group):
             stop = min(start + group, n_max + 1)
             rows, sites = m[start:stop], slice(start - 2, stop - 2)
             p, c = prev, cur
-            for row, s, (a_prev, a_n) in zip(rows, shift[sites],
-                                              steps[sites]):
-                np.multiply(s, c, out=row)
-                row -= p if a_prev == 1.0 else a_prev * p
-                if a_n != 1.0:
-                    row /= a_n
-                p, c = c, row
+            if a_free:
+                for row, s in zip(rows, shift_rows[sites]):
+                    mul(s, c, row)
+                    sub(row, p, row)
+                    p, c = c, row
+            else:
+                for row, s, (a_prev, a_n) in zip(rows, shift_rows[sites],
+                                                  steps[sites]):
+                    np.multiply(s, c, out=row)
+                    row -= p if a_prev == 1.0 else a_prev * p
+                    if a_n != 1.0:
+                        row /= a_n
+                    p, c = c, row
             for j in _rescale_group(rows, k[start:stop], cur, shift[sites],
                                     a[start - 2:stop - 1]):
                 m_j, k_j = propagate(

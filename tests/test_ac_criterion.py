@@ -26,6 +26,7 @@ from jacobilab.core import (
     propagate,
     residual,
     solve_forward,
+    uniform_steps,
 )
 from jacobilab.errors import InvalidArgumentError
 from jacobilab.randpert import (
@@ -131,6 +132,71 @@ def test_energy_lanes_match_scalar_stream_bit_for_bit(seed, n, n_E, data):
     assert all(len(block) <= BLOCK for _, block in blocks)
     assert {last for last, _ in blocks} >= set(stops)
     assert np.array_equal(np.concatenate([block for _, block in blocks]), lt2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, -0.0, 0.1, -1.3, 3.0]), st.integers(1, 700),
+       st.lists(st.floats(-7.0, 7.0) | st.sampled_from([0.0, -0.0, 7.0]),
+                min_size=1, max_size=12), st.data())
+def test_one_lane_pass_is_the_scalar_stream_bit_for_bit(b_const, n, base,
+                                                        data):
+    # a = 1 and b one value, so the pass carries alpha alone and reads
+    # gamma from alpha one site back; or b other at one site, where it
+    # must not. Energies repeat, mirror and take -0.0; |E - b| up to 10
+    # rescales within a block. Up to 700 sites span three BLOCKs; 17 to
+    # 28 energies run the lane loop of propagate, fewer its scalar calls
+    extra = data.draw(st.sampled_from([0, 4, 16]))
+    more = data.draw(st.lists(st.tuples(st.sampled_from(base), st.booleans()),
+                              min_size=extra, max_size=extra))
+    energies = data.draw(st.permutations(
+        base + [-E if mirror else E for E, mirror in more]))
+    a, b = np.ones(n + 1), np.full(n + 1, b_const)
+    b[0] = 0.0
+    site = data.draw(st.none() | st.integers(1, n) | st.just(n))
+    if site is not None:
+        b[site] = data.draw(st.sampled_from([b_const + 0.5, 2.0 ** -40]))
+    lt2 = np.stack([log_t2_stream(a, b, E) for E in energies], axis=1)
+
+    # arbitrary stops, and arbitrary energies retired after any block
+    stops = data.draw(st.lists(st.integers(1, n), max_size=8))
+    blocks = _log_t2_blocks(a, b, energies, stops)
+    live, keep, first = np.arange(len(energies)), None, 1
+    while True:
+        try:
+            last, block = blocks.send(keep)
+        except StopIteration:
+            break
+        assert len(block) == last - first + 1 <= BLOCK
+        want = lt2[first - 1:last][:, live]
+        assert np.array_equal(block.view(np.int64), want.view(np.int64))
+        keep = data.draw(st.none() | st.lists(
+            st.booleans(), min_size=len(live), max_size=len(live)).map(
+                np.array))
+        if keep is not None:
+            live = live[keep]
+        first = last + 1
+    assert first == n + 1 or not len(live)
+
+
+@pytest.mark.parametrize("b_const", [0.0, 0.1])
+@pytest.mark.parametrize("n_E", [5, 20])
+def test_one_lane_pass_at_huge_steps_is_the_scalar_stream(b_const, n_E):
+    # one step grows by 2^664 or more, so alpha rescales at every site:
+    # gamma's row at each block's first site is alpha's in resume_state's
+    # form, on a larger exponent than stored, and at |E| >= 1e308 that
+    # form loses bits below 2^-1022. 5 energies take propagate's scalar
+    # calls, 20 its lane loop
+    energies = [1e200, -1e200, 1.7e308, -1e308, 3e250,
+                *np.linspace(-7.0, 7.0, 15)][:n_E]
+    a, b = np.ones(601), np.full(601, b_const)
+    b[0] = 0.0
+    lt2 = np.stack([log_t2_stream(a, b, E) for E in energies], axis=1)
+    first = 1
+    for last, block in _log_t2_blocks(a, b, energies, [1, 2, 3, 300]):
+        want = lt2[first - 1:last]
+        assert block.tobytes() == want.tobytes()
+        first = last + 1
+    assert first == 601
 
 
 def log_t2_four_terms(alpha, gamma, inv_a):
@@ -375,6 +441,16 @@ def test_scan_decades_do_not_depend_on_the_n_grid(N_max):
         gamma_membership(N_max, cesaro_scan(spec, energies, short))
 
 
+def test_scan_of_no_energies_has_no_reports():
+    N_grid = default_n_grid(12)
+    scan = cesaro_scan(free_laplacian(), [], N_grid)
+    assert scan.reports == [] and scan.decades is None
+    scan = cesaro_scan(free_laplacian(), [], N_grid,
+                       PerturbationModel(b_dist=UNIFORM), 1000)
+    assert scan.reports == []
+    assert scan.decades.shape == (len(decade_ends(1000)), 0)
+
+
 def test_scan_takes_a_model_with_its_N_max_only():
     spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
     with pytest.raises(InvalidArgumentError, match="go together"):
@@ -478,16 +554,18 @@ def spied_scan(spec, energies, N_grid, model=None, N_max=None):
     return scan, calls
 
 
-def assert_lanes_retire(calls, retired, energies, b, n_all):
-    """Each lane call carries two lanes per distinct stream not yet retired.
+def assert_lanes_retire(calls, retired, energies, a, b, n_all):
+    """Each lane call carries the lanes of each distinct stream not yet
+    retired: one where a is 1 and b one value at every site, two elsewhere.
 
     A stream is an energy, or |E| where b holds 0 at every site: equal
     energies share their lanes, and so do E and -E where b is 0.
     """
     stream = float if np.any(b) else abs
+    pairs = 1 if uniform_steps(a, b[1:]) else 2
     live = list(range(len(energies)))
     for last, lanes in calls:
-        assert lanes == 2 * len({stream(energies[j]) for j in live})
+        assert lanes == pairs * len({stream(energies[j]) for j in live})
         live = [j for j in live if not retired(j, last)]
     # the pass runs to its last site unless no energy is left
     assert calls[-1][0] == n_all or not live
@@ -537,7 +615,7 @@ def test_scan_with_retirement_matches_the_stream_oracle(
         assert scan.decades is None
     else:
         assert scan.decades.tobytes() == decades.tobytes()
-    assert_lanes_retire(calls, retired, energies, b, n_all)
+    assert_lanes_retire(calls, retired, energies, a, b, n_all)
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,8 +628,9 @@ def test_mirrored_energies_share_lanes_where_b_is_zero(
     # E and -E (the first energy's mirror always, the others' when drawn)
     # and repeated energies, on the free spec (seed None) or on random a
     # with b = 0, or with b != 0 at one site: every report and decade
-    # column is its energy's own, and the lanes are two per distinct
-    # stream, |E| where b = 0 and E where it is not
+    # column is its energy's own, and the lanes are one per distinct
+    # stream where a = 1 and b = 0 and two elsewhere, with streams |E|
+    # where b = 0 and E where it is not
     energies = [*base, -base[0]]
     for E in base[1:]:
         energies += data.draw(st.sampled_from([[], [-E], [E], [-E, E]]))
@@ -578,7 +657,7 @@ def test_mirrored_energies_share_lanes_where_b_is_zero(
     if N_max is not None:
         assert scan.decades.tobytes() == decades.tobytes() == np.hstack(
             [s.decades for s in alone]).tobytes()
-    assert_lanes_retire(calls, retired, energies, b, n_all)
+    assert_lanes_retire(calls, retired, energies, a, b, n_all)
     if site is not None:  # no two energies but equal ones share lanes
         assert calls[0][1] == 2 * len(set(energies))
 
@@ -588,18 +667,18 @@ def test_lanes_leave_at_the_first_block_past_N_max():
     # with a model they leave after the block ending at N_max; without
     # one, after the first block past saturation, and the pass then ends
     # early, since no energy is left. On the free spec E and -E share
-    # their lanes: 0.5, 3, 2.5 and 1.2 are four streams, 8 lanes
+    # their lane, one per stream: 0.5, 3, 2.5 and 1.2 are four streams
     spec, model = free_laplacian(), PerturbationModel(b_dist=UNIFORM)
     energies, N_grid = [0.5, -3.0, 3.0, 2.5, -1.2], default_n_grid(22)
     scan, calls = spied_scan(spec, energies, N_grid, model, 1500)
-    assert all(n == (8 if last <= 1500 else 4) for last, n in calls)
+    assert all(n == (4 if last <= 1500 else 2) for last, n in calls)
     assert calls[-1][0] == N_grid[-1]
     assert scan.reports == cesaro_scan(spec, energies, N_grid).reports
 
     scan, calls = spied_scan(spec, [3.0, -3.0, 2.5], N_grid)
     # all three (two streams) leave after the block ending at 512: no
     # call follows
-    assert {n for _, n in calls} == {4} and calls[-1][0] == 512
+    assert {n for _, n in calls} == {2} and calls[-1][0] == 512
     assert [rep.averages[-1] for rep in scan.reports] == [math.inf] * 3
     assert not any(rep.bounded_flag for rep in scan.reports)
 
@@ -607,9 +686,9 @@ def test_lanes_leave_at_the_first_block_past_N_max():
 def test_lanes_never_leave_an_elliptic_grid():
     # inside the band t stays bounded: every lane runs to N_grid[-1].
     # linspace's mirror points are exact negatives in 3 of its 10 pairs
-    # only: 17 distinct |E|, 34 lanes
+    # only: 17 distinct |E|, one lane each on the free spec
     energies = [float(E) for E in np.linspace(-1.95, 1.95, 20)]
     N_grid = default_n_grid(30)
     _, calls = spied_scan(free_laplacian(), energies, N_grid)
-    assert {lanes for _, lanes in calls} == {34}
+    assert {lanes for _, lanes in calls} == {17}
     assert calls[-1][0] == N_grid[-1]

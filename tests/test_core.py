@@ -13,6 +13,7 @@ from jacobilab.core import (
     COEF_MIN,
     MIN_LANES,
     RESCALE_LIMIT,
+    Constant,
     OperatorSpec,
     _group_length,
     constant_spec,
@@ -23,6 +24,7 @@ from jacobilab.core import (
     residual,
     resume_state,
     solve_forward,
+    uniform_steps,
 )
 from jacobilab.errors import InvalidArgumentError, OverflowSiteError
 from jacobilab.sparse import SparseSpec, _cheb_u_pair, block_matrices
@@ -401,6 +403,8 @@ def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
                                                        wide, data):
     rng = np.random.default_rng(seed)
     a, b = random_coefficients(rng, n, wide)
+    if data.draw(st.booleans()):  # a = 1 and b one value: one shift row
+        a[:], b[:] = 1.0, b[1]
     E, phi0, phi1, kind, last_row = random_lanes(rng, n_lanes, a, b)
     redo_energies = []  # E of each scalar call the lane loop makes
 
@@ -449,6 +453,23 @@ def test_lane_propagate_is_the_scalar_call_bit_for_bit(seed, n, n_lanes,
     assert np.array_equal(k_s + k2[1:], k[s:])
 
 
+def test_one_shift_row_keeps_the_sign_of_a_zero_b():
+    # b is 0.0 but -0.0 at site 5: there E - b at E = -0.0 is +0.0, not
+    # -0.0, and alpha's step to site 6 from phi(4) = +0.0 keeps that sign,
+    # so the lane loop must not take one shift row
+    a, b = np.ones(41), np.zeros(41)
+    b[5] = -0.0
+    assert uniform_steps(a, b[1:5]) and not uniform_steps(a, b[1:])
+    E = np.array([-0.0, 0.0] * (MIN_LANES // 2))
+    phi0, phi1 = np.resize([0.0, 1.0, -0.0], MIN_LANES), np.resize(
+        [1.0, -0.0, 0.0, -1.0], MIN_LANES)
+    m, k = propagate(a, b, E, phi0, phi1, 40)
+    for j in range(MIN_LANES):
+        m_j, k_j = propagate(a, b, E[j], phi0[j], phi1[j], 40)
+        assert m[:, j].tobytes() == m_j.tobytes()
+        assert k[:, j].tobytes() == k_j.tobytes()
+
+
 # values and exponents where np.ldexp changes behaviour: signed zeros,
 # subnormals, the rescale limit, the largest double, inf and nan
 shift_values = st.floats() | st.sampled_from([
@@ -488,6 +509,12 @@ def test_ldexp_edge_exponents_and_broadcasts_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
+def test_propagate_over_no_lanes_returns_empty_arrays():
+    a, b = free_laplacian().coefficients(10)
+    m, k = propagate(a, b, np.array([]), 0.0, 1.0, 10)
+    assert m.shape == k.shape == (11, 0) and k.dtype == np.int64
+
+
 def test_propagate_rejects_short_coefficient_arrays():
     a, b = free_laplacian().coefficients(10)
     propagate(a, b, 0.5, 0.0, 1.0, 11)  # reads sites 0..10
@@ -517,6 +544,42 @@ def test_coefficients_stop_at_first_site_below_floor():
     assert b.tolist() == [0.0] + [0.5] * 4
     with pytest.raises(InvalidArgumentError, match=r"^a\(5\) = 1e-09 below"):
         spec.coefficients(10)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 1000])
+@pytest.mark.parametrize("b_const", [0.0, -0.0, 0.1])
+@pytest.mark.parametrize("a_const", [1.0, 0.6, 1e-6])
+def test_constant_coefficients_are_the_per_site_build(a_const, b_const,
+                                                      n_max):
+    # the filled arrays of a constant spec against the per-site callables
+    per_site = OperatorSpec(a=lambda n: a_const, b=lambda n: b_const)
+    for got, want in zip(constant_spec(a_const, b_const).coefficients(n_max),
+                         per_site.coefficients(n_max)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    free = OperatorSpec(a=lambda n: 1.0, b=lambda n: 0.0)
+    for got, want in zip(free_laplacian().coefficients(n_max),
+                         free.coefficients(n_max)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_constant_coefficients_below_the_floor_raise():
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^a\(1\) = 1e-07 below declared floor"):
+        constant_spec(1e-7, 0.0).coefficients(10)
+
+
+def test_one_constant_coefficient_is_the_per_site_build():
+    # a Constant beside a per-site callable fills its own array alone
+    b_site = lambda n: 0.1 * n - 0.3  # noqa: E731
+    for spec, per_site in (
+            (OperatorSpec(a=Constant(0.6), b=b_site),
+             OperatorSpec(a=lambda n: 0.6, b=b_site)),
+            (OperatorSpec(a=lambda n: 1.0 + 0.5 ** n, b=Constant(-0.0)),
+             OperatorSpec(a=lambda n: 1.0 + 0.5 ** n, b=lambda n: -0.0))):
+        for got, want in zip(spec.coefficients(300),
+                             per_site.coefficients(300)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert constant_spec(0.6, 0.1).a(7) == 0.6  # still a callable of n
 
 
 def test_growth_check_free():
