@@ -22,7 +22,8 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -50,15 +51,151 @@ from .subordinacy import default_l_grid, detect_subordinate
 from .variation import correction_ensemble
 
 E_GRID_POINTS_MAX = 10 ** 5  # range-form energies; a typo in step is refused
-AC_SCAN_N_MAX_MIN = 1000  # ac-scan sums the Gamma decades to at least 10^3
-EXPERIMENTS = ("transfer", "subordinacy", "ac-scan", "inequality", "series",
-               "variation", "sparse", "singular-stability")
-# experiments whose energies share one lane pass (ac_criterion)
-LANE_EXPERIMENTS = ("transfer", "ac-scan")
-# experiments with one cell per energy; the others read no spec or E_grid
-PER_ENERGY = tuple(e for e in EXPERIMENTS if e not in ("inequality", "series"))
 # the keys every experiment reads besides those of READS
 RUNTIME = ("experiment", "output", "workers")
+
+
+class Experiment(NamedTuple):  # a row of EXPERIMENTS
+    columns: str  # of its CSV, space-separated
+    # compute's form: "lane pass", (config, energies) -> cells, in one pass;
+    # "one cell each", (config, E) -> cell, a cell being (rows, traces);
+    # "none", config -> (rows, summary)
+    energies: str
+    compute: Callable[..., Any]
+    floors: Tuple[Tuple[str, str, int], ...] = ()  # (block, shared key, min)
+
+
+# ---------------------------------------------------------------------------
+# per-experiment computations (module-level for process-pool pickling)
+# ---------------------------------------------------------------------------
+
+def _seeds(config: Dict[str, Any]) -> List[int]:
+    base = config["seeds"]["base"]
+    return list(range(base, base + config["seeds"]["count"]))
+
+
+def _transfer(config: Dict[str, Any], energies: List[float]) -> list:
+    scan = cesaro_scan(build_spec(config), energies,
+                       default_n_grid(config["grids"]["N_j_max"]))
+    return [([[E, N, avg, int(rep.bounded_flag)]
+              for N, avg in zip(scan.N_grid, rep.averages)],
+             {f"cesaro_E{E}": list(zip(map(float, scan.N_grid),
+                                       rep.averages))})
+            for E, rep in zip(energies, scan.reports)]
+
+
+def _ac_scan(config: Dict[str, Any], energies: List[float]) -> list:
+    g = config["grids"]
+    scan = cesaro_scan(build_spec(config), energies,
+                       default_n_grid(g["N_j_max"]), build_model(config),
+                       g["n_max"])
+    verdicts = gamma_membership(g["n_max"], scan)
+    return [([[E, rep.liminf_proxy, int(rep.bounded_flag), int(m), psum]], {})
+            for E, rep, (m, psum) in zip(energies, scan.reports, verdicts)]
+
+
+def _subordinacy(config: Dict[str, Any], E: float) -> tuple:
+    g = config["grids"]
+    res = detect_subordinate(build_spec(config), E, L_grid=default_l_grid(
+        g["L_max"], g["L_decades"]))
+    return [[E, res.classification,
+             res.theta_star if res.theta_star is not None else math.nan,
+             res.beta, res.eta if res.eta is not None else math.nan,
+             res.growth_exponent, int(res.regular)]], {
+        f"ratio_E{E}": [(L, r) for L, r in res.ratio_trace]}
+
+
+def _variation(config: Dict[str, Any], E: float) -> tuple:
+    base = config["grids"]["checkpoints"]
+    cps = sorted(set(base) | {2 * c for c in base})
+    snaps = correction_ensemble(build_spec(config), build_model(config),
+                                E, _seeds(config), cps)
+    rows = []
+    for c in sorted(set(base)):
+        i, j = cps.index(c), cps.index(2 * c)
+        dev = np.linalg.norm(snaps[:, j] - snaps[:, i], axis=(1, 2))
+        rows.append([E, c, float(np.median(dev)),
+                     float(np.mean(snaps[:, i, 0, 0])),
+                     float(np.mean(snaps[:, i, 1, 1]))])
+    return rows, {}
+
+
+def _singular_stability(config: Dict[str, Any], E: float) -> tuple:
+    g = config["grids"]
+    L_grid = default_l_grid(g["L_max"], g["L_decades"])
+    rep = stability_experiment(build_spec(config), build_model(config),
+                               E, seeds=_seeds(config), L_grid=L_grid)
+    return [[E, rep.beta, rep.eta, rep.eta_tilde, int(rep.lambda_member),
+             rep.ratio_psi1[-1][1], rep.ratio_psi2[-1][1],
+             int(terminal_ratio_verdict(rep)), rep.exp1, rep.exp2,
+             int(rep.sandwich_ok)]], {f"psi1_E{E}": rep.ratio_psi1,
+                                      f"psi2_E{E}": rep.ratio_psi2}
+
+
+def _sparse(config: Dict[str, Any], E: float) -> tuple:
+    g = config["grids"]
+    rep = perturbed_sparse_experiment(build_spec(config), g["s"],
+                                      _seeds(config), E, n_cut=g["n_cut"])
+    return [[E, rep.s, rep.s_thr, rep.theta_star, rep.fit_unpert.beta1_hat,
+             rep.fit_unpert.beta2_hat, rep.beta1_pert_median,
+             rep.beta2_pert_median, rep.max_median_diff,
+             int(rep.sandwich_ok)]], {}
+
+
+def _inequality(config: Dict[str, Any]) -> tuple:
+    g = config["grids"]
+    rep = maximal_inequality_check(build_model(config), g["N1"], g["N2"],
+                                   g["r"], trials=g["trials"],
+                                   seed=config["seeds"]["base"])
+    p = rep.empirical_prob
+    se = math.sqrt(max(p * (1 - p), 1e-12) / rep.trials)
+    return [[g["N1"], g["N2"], g["r"], p, rep.bound, int(rep.exact),
+             rep.trials]], {"bound_holds": bool(p <= rep.bound + 3.0 * se)}
+
+
+def _series(config: Dict[str, Any]) -> tuple:
+    g = config["grids"]
+    rep = series_convergence_check(build_model(config), g["n_tail"],
+                                   trials=g["trials"], n_max=g["n_max"],
+                                   seed=config["seeds"]["base"])
+    t2, se, tail = (rep.tail_second_moment, rep.tail_second_moment_se,
+                    rep.tail_variance)
+    return [[int(c), float(med), float(p95)] for c, med, p95
+            in zip(rep.checkpoints, rep.tail_sup_median, rep.tail_sup_p95)], {
+        "tail_second_moment": t2, "tail_second_moment_se": se,
+        "variance_bound": rep.variance_bound, "tail_variance": tail,
+        "bound_holds": bool(t2 <= rep.variance_bound + 3.0 * se),
+        "tail_variance_holds": bool(abs(t2 - tail) <= 3.0 * se)}
+
+
+# one row per experiment, in the CLI's order. ac-scan sums its Gamma decades
+# to 10^3 at least, and the SE of the series tail moment needs two trials
+EXPERIMENTS: Dict[str, Experiment] = {
+    "transfer": Experiment("E N average bounded", "lane pass", _transfer),
+    "subordinacy": Experiment(
+        "E classification theta_star beta eta growth_exponent regular",
+        "one cell each", _subordinacy),
+    "ac-scan": Experiment("E liminf_proxy bounded member partial_sum",
+                          "lane pass", _ac_scan, (("grids", "n_max", 1000),)),
+    "inequality": Experiment("N1 N2 r empirical_prob bound exact trials",
+                             "none", _inequality),
+    "series": Experiment("checkpoint tail_sup_median tail_sup_p95", "none",
+                         _series, (("grids", "trials", 2),)),
+    "variation": Experiment("E n median_cauchy_dev mean_D11 mean_D22",
+                            "one cell each", _variation),
+    "sparse": Experiment("E s s_thr theta_star beta1_unpert beta2_unpert "
+                         "beta1_pert beta2_pert max_diff sandwich_ok",
+                         "one cell each", _sparse),
+    "singular-stability": Experiment(
+        "E beta eta eta_tilde lambda_member ratio_psi1_terminal "
+        "ratio_psi2_terminal in_band exp1 exp2 sandwich_ok",
+        "one cell each", _singular_stability),
+}
+LANE_EXPERIMENTS = tuple(e for e, row in EXPERIMENTS.items()
+                         if row.energies == "lane pass")
+# experiments with one cell per energy; the others read no spec or E_grid
+PER_ENERGY = tuple(e for e, row in EXPERIMENTS.items()
+                   if row.energies != "none")
 
 
 class Key(NamedTuple):  # a row of KEYS
@@ -103,7 +240,7 @@ _SPEC = _object({"type": {"enum": list(SPEC_KEYS)},
 # refuses a key its experiment does not read, and fills the defaults of
 # those it reads
 KEYS: Dict[str, Key] = {
-    "experiment": Key({"enum": list(EXPERIMENTS)}, None, EXPERIMENTS),
+    "experiment": Key({"enum": list(EXPERIMENTS)}, None, tuple(EXPERIMENTS)),
     "spec": Key(_SPEC, {"type": "free"}, PER_ENERGY),
     "model.b": Key(_DIST, {"kind": "uniform"}, ("ac-scan", "variation",
                    "singular-stability", "inequality", "series")),
@@ -134,8 +271,8 @@ KEYS: Dict[str, Key] = {
     "grids.checkpoints": Key({"type": "array", "items": _int(1),
                               "minItems": 1}, [100, 1000, 10000],
                              ("variation",)),
-    "output": Key({"type": "string"}, "out", EXPERIMENTS),
-    "workers": Key(_int(1), 1, EXPERIMENTS),
+    "output": Key({"type": "string"}, "out", tuple(EXPERIMENTS)),
+    "workers": Key(_int(1), 1, tuple(EXPERIMENTS)),
 }
 
 # one property per row of KEYS; a dotted row is a property of its block
@@ -282,10 +419,10 @@ def materialize(config: Dict[str, Any]) -> Dict[str, Any]:
         default = json.loads(json.dumps(KEYS[name].default))  # a copy
         if default is not None:
             parent.setdefault(key, default)
-    if exp == "ac-scan" and out["grids"]["n_max"] < AC_SCAN_N_MAX_MIN:
-        raise ConfigError(f"experiment 'ac-scan' needs n_max >= "
-                          f"{AC_SCAN_N_MAX_MIN}, got {out['grids']['n_max']}",
-                          ("grids", "n_max"))
+    for block, key, minimum in EXPERIMENTS[exp].floors:
+        if out[block][key] < minimum:
+            raise ConfigError(f"experiment {exp!r} needs {key} >= {minimum}, "
+                              f"got {out[block][key]}", (block, key))
     if "spec" in out:
         sd = out["spec"]
         if exp == "sparse" and sd["type"] != "sparse":
@@ -372,108 +509,8 @@ class EnsembleReport:
     failures: List[str] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# per-cell computations (module-level for process-pool pickling)
-# ---------------------------------------------------------------------------
-
-def _lane_cells(config: Dict[str, Any],
-                energies: List[float]) -> List[Dict[str, Any]]:
-    """The cells of a LANE_EXPERIMENTS run, one per energy, in one pass."""
-    g = config["grids"]
-    spec = build_spec(config)
-    if config["experiment"] == "transfer":
-        scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]))
-        return [{"rows": [[E, N, avg, int(rep.bounded_flag)]
-                          for N, avg in zip(scan.N_grid, rep.averages)],
-                 "traces": {f"cesaro_E{E}": list(
-                     zip(map(float, scan.N_grid), rep.averages))}}
-                for E, rep in zip(energies, scan.reports)]
-    scan = cesaro_scan(spec, energies, default_n_grid(g["N_j_max"]),
-                       build_model(config), g["n_max"])
-    verdicts = gamma_membership(g["n_max"], scan)
-    return [{"rows": [[E, rep.liminf_proxy, int(rep.bounded_flag),
-                       int(member), psum]], "traces": {}}
-            for E, rep, (member, psum) in zip(energies, scan.reports,
-                                              verdicts)]
-
-
-def _seeds(config: Dict[str, Any]) -> List[int]:
-    base = config["seeds"]["base"]
-    return list(range(base, base + config["seeds"]["count"]))
-
-
-def _cell(config: Dict[str, Any], E: float) -> Dict[str, Any]:
-    """One (experiment, E) cell; returns rows plus optional traces."""
-    exp = config["experiment"]
-    if exp in LANE_EXPERIMENTS:
-        return _lane_cells(config, [E])[0]
-    g = config["grids"]
-    out: Dict[str, Any] = {"rows": [], "traces": {}}
-
-    if exp == "subordinacy":
-        L_grid = default_l_grid(g["L_max"], g["L_decades"])
-        res = detect_subordinate(build_spec(config), E, L_grid=L_grid)
-        out["rows"].append([
-            E, res.classification,
-            res.theta_star if res.theta_star is not None else math.nan,
-            res.beta, res.eta if res.eta is not None else math.nan,
-            res.growth_exponent, int(res.regular),
-        ])
-        out["traces"][f"ratio_E{E}"] = [(L, r) for L, r in res.ratio_trace]
-    elif exp == "variation":
-        base = g["checkpoints"]
-        cps = sorted(set(base) | {2 * c for c in base})
-        snaps = correction_ensemble(build_spec(config), build_model(config),
-                                    E, _seeds(config), cps)
-        for c in sorted(set(base)):
-            i, j = cps.index(c), cps.index(2 * c)
-            dev = np.linalg.norm(snaps[:, j] - snaps[:, i], axis=(1, 2))
-            out["rows"].append([E, c, float(np.median(dev)),
-                                float(np.mean(snaps[:, i, 0, 0])),
-                                float(np.mean(snaps[:, i, 1, 1]))])
-    elif exp == "singular-stability":
-        L_grid = default_l_grid(g["L_max"], g["L_decades"])
-        rep = stability_experiment(build_spec(config), build_model(config),
-                                   E, seeds=_seeds(config), L_grid=L_grid)
-        out["rows"].append([E, rep.beta, rep.eta, rep.eta_tilde,
-                            int(rep.lambda_member),
-                            rep.ratio_psi1[-1][1], rep.ratio_psi2[-1][1],
-                            int(terminal_ratio_verdict(rep)),
-                            rep.exp1, rep.exp2, int(rep.sandwich_ok)])
-        out["traces"][f"psi1_E{E}"] = rep.ratio_psi1
-        out["traces"][f"psi2_E{E}"] = rep.ratio_psi2
-    elif exp == "sparse":
-        rep = perturbed_sparse_experiment(build_spec(config), g["s"],
-                                          _seeds(config), E, n_cut=g["n_cut"])
-        out["rows"].append([E, rep.s, rep.s_thr, rep.theta_star,
-                            rep.fit_unpert.beta1_hat, rep.fit_unpert.beta2_hat,
-                            rep.beta1_pert_median, rep.beta2_pert_median,
-                            rep.max_median_diff, int(rep.sandwich_ok)])
-    else:
-        raise InvalidArgumentError(f"unknown per-energy experiment {exp}")
-    return out
-
-
-_CELL_COLUMNS = {
-    "transfer": ["E", "N", "average", "bounded"],
-    "ac-scan": ["E", "liminf_proxy", "bounded", "member", "partial_sum"],
-    "subordinacy": ["E", "classification", "theta_star", "beta", "eta",
-                    "growth_exponent", "regular"],
-    "variation": ["E", "n", "median_cauchy_dev", "mean_D11", "mean_D22"],
-    "singular-stability": ["E", "beta", "eta", "eta_tilde", "lambda_member",
-                           "ratio_psi1_terminal", "ratio_psi2_terminal",
-                           "in_band", "exp1", "exp2", "sandwich_ok"],
-    "sparse": ["E", "s", "s_thr", "theta_star", "beta1_unpert", "beta2_unpert",
-               "beta1_pert", "beta2_pert", "max_diff", "sandwich_ok"],
-    "inequality": ["N1", "N2", "r", "empirical_prob", "bound", "exact",
-                   "trials"],
-    "series": ["checkpoint", "tail_sup_median", "tail_sup_p95"],
-}
-
-
 def _guarded_chunk(config: Dict[str, Any], energies: List[float]
-                   ) -> List[Tuple[float, Optional[Dict[str, Any]],
-                                   Optional[str]]]:
+                   ) -> List[Tuple[float, Optional[tuple], Optional[str]]]:
     """Per energy, (E, cell, None) on success, (E, None, failure text).
 
     A lane experiment computes the whole chunk in one pass; if that raises,
@@ -482,16 +519,19 @@ def _guarded_chunk(config: Dict[str, Any], energies: List[float]
     pickled back from a pool worker is rebuilt from its args alone and can
     lose its message (OverflowSiteError does).
     """
-    if config["experiment"] in LANE_EXPERIMENTS and len(energies) > 1:
+    row = EXPERIMENTS[config["experiment"]]
+    lanes = row.energies == "lane pass"
+    if lanes and len(energies) > 1:
         try:
             return [(E, cell, None) for E, cell
-                    in zip(energies, _lane_cells(config, energies))]
+                    in zip(energies, row.compute(config, energies))]
         except Exception:  # isolated below
             pass
     results = []
     for E in energies:
         try:
-            results.append((E, _cell(config, E), None))
+            results.append((E, row.compute(config, [E])[0] if lanes
+                            else row.compute(config, E), None))
         except Exception as exc:  # cell marked failed
             results.append((E, None, f"E={E}: {exc!r}"))
     return results
@@ -503,66 +543,39 @@ def run(config: Dict[str, Any]) -> EnsembleReport:
     exp = config["experiment"]
     if "model.a" in READS[exp]:
         build_model(config).validate_against(build_spec(config))
-    g = config["grids"]
     provenance = {"config": config, "config_hash": config_hash(config),
                   "version": __version__,
                   "seed_policy": "philox(experiment-id, stream, seed, site)"}
-    report = EnsembleReport(experiment=exp, columns=_CELL_COLUMNS[exp],
+    row = EXPERIMENTS[exp]
+    report = EnsembleReport(experiment=exp, columns=row.columns.split(),
                             rows=[], summary={}, provenance=provenance)
-
-    if exp == "inequality":
-        model = build_model(config)
-        rep = maximal_inequality_check(model, g["N1"], g["N2"], g["r"],
-                                       trials=g["trials"],
-                                       seed=config["seeds"]["base"])
-        report.rows.append([g["N1"], g["N2"], g["r"], rep.empirical_prob,
-                            rep.bound, int(rep.exact), rep.trials])
-        report.summary["bound_holds"] = bool(
-            rep.empirical_prob
-            <= rep.bound + 3.0 * math.sqrt(
-                max(rep.empirical_prob * (1 - rep.empirical_prob), 1e-12)
-                / rep.trials))
-    elif exp == "series":
-        model = build_model(config)
-        rep = series_convergence_check(model, g["n_tail"],
-                                       trials=g["trials"], n_max=g["n_max"],
-                                       seed=config["seeds"]["base"])
-        for c, med, p95 in zip(rep.checkpoints, rep.tail_sup_median,
-                               rep.tail_sup_p95):
-            report.rows.append([int(c), float(med), float(p95)])
-        report.summary.update({
-            "tail_second_moment": rep.tail_second_moment,
-            "tail_second_moment_se": rep.tail_second_moment_se,
-            "variance_bound": rep.variance_bound,
-            "bound_holds": bool(rep.tail_second_moment
-                                <= rep.variance_bound
-                                + 3.0 * rep.tail_second_moment_se),
-        })
+    if row.energies == "none":
+        report.rows, report.summary = row.compute(config)
+        return report
+    energies = energy_grid(config)
+    workers = config["workers"]
+    if row.energies == "lane pass":  # one contiguous chunk per worker
+        n, w = len(energies), min(workers, len(energies))
+        chunks = [energies[i * n // w:(i + 1) * n // w] for i in range(w)]
     else:
-        energies = energy_grid(config)
-        workers = config["workers"]
-        if exp in LANE_EXPERIMENTS:  # one contiguous chunk per worker
-            n, w = len(energies), min(workers, len(energies))
-            chunks = [energies[i * n // w:(i + 1) * n // w] for i in range(w)]
-        else:
-            chunks = [[E] for E in energies]
-        if workers == 1 or not chunks:
-            results = [_guarded_chunk(config, chunk) for chunk in chunks]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(
-                    min(workers, len(chunks))) as pool:
-                results = list(pool.map(_guarded_chunk,
-                                        [config] * len(chunks), chunks))
-        # deterministic reduction: sort by energy regardless of worker count
-        for E, cell, failure in sorted((r for chunk in results for r in chunk),
-                                       key=lambda t: t[0]):
-            if failure is not None:
-                report.failures.append(failure)
-                continue
-            report.rows.extend(cell["rows"])
-            report.traces.update(cell["traces"])
-        report.summary["n_cells"] = len(energies)
-        report.summary["n_failed"] = len(report.failures)
+        chunks = [[E] for E in energies]
+    if workers == 1 or not chunks:
+        results = [_guarded_chunk(config, chunk) for chunk in chunks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+                min(workers, len(chunks))) as pool:
+            results = list(pool.map(_guarded_chunk,
+                                    [config] * len(chunks), chunks))
+    # deterministic reduction: sort by energy regardless of worker count
+    for E, cell, failure in sorted((r for chunk in results for r in chunk),
+                                   key=lambda t: t[0]):
+        if failure is not None:
+            report.failures.append(failure)
+            continue
+        report.rows.extend(cell[0])
+        report.traces.update(cell[1])
+    report.summary["n_cells"] = len(energies)
+    report.summary["n_failed"] = len(report.failures)
     return report
 
 

@@ -329,6 +329,7 @@ class SeriesReport:
     tail_second_moment: float
     tail_second_moment_se: float
     variance_bound: float
+    tail_variance: float  # sum of var(n) over n = n_tail..n_max
     trials: int
 
 
@@ -340,7 +341,7 @@ def series_convergence_check(model: PerturbationModel, n_tail: int,
     Requires the closed-form variance series to pass the decade-ratio test
     (last ratio <= 0.95 over full decades); reports per-checkpoint sup-tail
     quantiles and the second moment of the tail sum from n_tail, against
-    the closed-form variance bound.
+    the closed-form variance bound and the exact variance of that sum.
     """
     var = model.b_dist.moments_array(2, n_max)
     full = var[:10 ** int(math.log10(n_max)) + 1]  # full decades only
@@ -374,5 +375,6 @@ def series_convergence_check(model: PerturbationModel, n_tail: int,
         tail_second_moment=t2,
         tail_second_moment_se=t2_se,
         variance_bound=variance_bound,
+        tail_variance=float(var[n_tail:].sum()),
         trials=trials,
     )

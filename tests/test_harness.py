@@ -1,6 +1,7 @@
 """Config handling, orchestration, emission, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,6 +262,20 @@ def test_inequality_default_run_can_see_an_exceedance():
     assert r < sum(1.0 / n for n in range(N1, N2 + 1))
     assert 0.0 < prob <= bound
     assert rep.summary["bound_holds"]
+
+
+def test_series_tail_moment_matches_the_tail_variance():
+    # E|sum_{n >= n_tail} b~(n)|^2 is the exact tail variance, sum of
+    # 1/(3 n^2) over n = 50..1000 for uniform b~ on [-1/n, 1/n]; bound_holds
+    # compares it with the variance of the whole series, 86x above it here,
+    # so a draw of twice the amplitude passes that verdict and fails this one
+    rep = run({"experiment": "series", "model": {"b": {"kind": "uniform"}},
+               "grids": {"trials": 200, "n_max": 1000, "n_tail": 50}})
+    s = rep.summary
+    assert s["tail_variance"] == pytest.approx(
+        math.fsum(1.0 / (3 * n * n) for n in range(50, 1001)), rel=1e-12)
+    assert s["tail_variance_holds"] and s["bound_holds"]
+    assert s["variance_bound"] > 4 * s["tail_variance"]
 
 
 def test_worker_failure_collected():
@@ -574,8 +589,9 @@ def test_cli_ac_scan_n_max_below_1000_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"E_grid": [0.5], "grids": grids})
     rc = main(["ac-scan", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert ("config error at grids/n_max: experiment 'ac-scan' needs "
-            "n_max >= 1000, got 999") in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error at grids/n_max: experiment 'ac-scan' needs "
+        "n_max >= 1000, got 999\n")
     assert not (tmp_path / "o").exists()
     grids["n_max"] = 1000
     cfg = write_config(tmp_path, {"E_grid": [0.5], "grids": grids})
@@ -583,6 +599,30 @@ def test_cli_ac_scan_n_max_below_1000_exits_2(tmp_path, capsys):
     assert rc == 0
     prov = json.loads((tmp_path / "o" / "config.json").read_text())
     assert prov["grids"]["n_max"] == 1000
+
+
+def test_cli_series_trials_below_2_exits_2(tmp_path, capsys):
+    # the SE of the tail moment needs two trials: at one it is NaN, which
+    # strict JSON refuses. inequality takes one trial
+    grids = {"trials": 1, "n_max": 1000, "n_tail": 50}
+    cfg = write_config(tmp_path, {"grids": grids})
+    rc = main(["series", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error at grids/trials: experiment 'series' needs "
+        "trials >= 2, got 1\n")
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as exc:
+        materialize({"experiment": "series", "grids": grids})
+    assert exc.value.path == ("grids", "trials")
+    grids["trials"] = 2
+    cfg = write_config(tmp_path, {"grids": grids})
+    assert main(["series", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    json.loads((tmp_path / "o" / "summary.json").read_text(),
+               parse_constant=pytest.fail)
+    cfg = write_config(tmp_path, {"grids": {"trials": 1}})
+    assert main(["inequality", "--config", cfg,
+                 "--out", str(tmp_path / "i")]) == 0
 
 
 def test_cli_seed_and_worker_overrides(tmp_path, capsys):
@@ -745,7 +785,7 @@ def default_cell(value):
 def test_readme_key_tables_are_the_tables_of_harness():
     assert readme_table("| key | type and bound | default | read by |") == [
         [f"`{name}`", described(key.node), default_cell(key.default),
-         "all" if key.readers == harness.EXPERIMENTS
+         "all" if key.readers == tuple(harness.EXPERIMENTS)
          else ", ".join(f"`{e}`" for e in key.readers)]
         for name, key in harness.KEYS.items()]
     assert readme_table("| spec type | key | type and bound | default |") == [
@@ -755,6 +795,17 @@ def test_readme_key_tables_are_the_tables_of_harness():
     assert readme_table("| key | type and bound | default |") == [
         [f"`{key}`", described(node), default_cell(value)]
         for key, (node, value) in harness.DIST_KEYS.items()]
+
+
+def test_readme_experiment_table_is_the_table_of_harness():
+    summaries = {experiment: run(dict(cfg, experiment=experiment)).summary
+                 for experiment, cfg in SMALL_CONFIGS.items()}
+    assert readme_table(
+        "| experiment | energies | CSV columns | summary keys |") == [
+        [f"`{name}`", row.energies,
+         ", ".join(f"`{c}`" for c in row.columns.split()),
+         ", ".join(f"`{k}`" for k in sorted(summaries[name]))]
+        for name, row in harness.EXPERIMENTS.items()]
 
 
 @pytest.mark.parametrize("experiment, name", [
@@ -877,6 +928,10 @@ def test_config_json_pins_the_run(tmp_path):
         assert pinned == materialize(dict(cfg, experiment=experiment,
                                           output=str(first)))
         assert names_of(pinned) - RUNTIME == set(harness.READS[experiment])
+        columns = harness.EXPERIMENTS[experiment].columns.split()
+        lines = (first / f"{experiment}.csv").read_text().splitlines()
+        assert next(line for line in lines
+                    if not line.startswith("#")).split(",") == columns
         assert main([experiment, "--config", str(first / "config.json"),
                      "--out", str(second)]) == 0
         bodies = [{p.name: p.read_bytes() for p in out.iterdir()

@@ -35,7 +35,7 @@ dists = st.fixed_dictionaries(
     optional={"amplitude": reals, "decay": reals, "trunc": positive})
 
 valid_configs = st.fixed_dictionaries(
-    {"experiment": st.sampled_from(EXPERIMENTS)},
+    {"experiment": st.sampled_from(list(EXPERIMENTS))},
     optional={
         "spec": st.fixed_dictionaries(
             {"type": st.sampled_from(["free", "constant", "sparse"])},
